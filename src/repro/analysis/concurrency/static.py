@@ -100,9 +100,12 @@ MANUAL_HOLD_METHODS = {
 #: Guard names that are disciplines, not locks the class constructs:
 #: ``engine-exclusive`` means "the owning database's exclusive lock"
 #: (a TableStorage never sees that lock; its methods inherit the hold
-#: from Database via the ``# requires:`` caller contract).  Virtual
-#: guards are exempt from ODB505 but fully enforced by ODB502.
-VIRTUAL_GUARDS = {"engine-exclusive"}
+#: from Database via the ``# requires:`` caller contract), and
+#: ``engine-state`` the owning database's short ``_state_lock`` mutex
+#: (a compiled plan's remembered results, read and written only from
+#: Database methods that hold it).  Virtual guards are exempt from
+#: ODB505 but fully enforced by ODB502.
+VIRTUAL_GUARDS = {"engine-exclusive", "engine-state"}
 
 _GUARDED_BY = re.compile(r"#\s*guarded-by:\s*([A-Za-z_][\w-]*)")
 _REQUIRES = re.compile(r"#\s*requires:\s*([A-Za-z_][\w-]*)")

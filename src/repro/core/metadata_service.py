@@ -28,6 +28,30 @@ from repro.core.tenancy import TenantManager
 
 _URL_PREFIX = "repro://"
 
+_TABLES = (
+    ("mds_datasources",
+     "CREATE TABLE IF NOT EXISTS mds_datasources ("
+     "tenant TEXT NOT NULL, name TEXT NOT NULL, "
+     "url TEXT NOT NULL, username TEXT, password TEXT)"),
+    ("mds_datasets",
+     "CREATE TABLE IF NOT EXISTS mds_datasets ("
+     "tenant TEXT NOT NULL, name TEXT NOT NULL, "
+     "datasource TEXT NOT NULL, sql TEXT NOT NULL)"),
+)
+
+
+def ensure_tables(database: Database, tables) -> None:
+    """Create each ``(name, ddl)`` table the database lacks.
+
+    Asked of the catalog on every call (a dictionary lookup) rather
+    than remembered per service: a database promoted by a failover, or
+    recovered from disk, is checked like any other, and a call issues
+    no statement once the tables exist.
+    """
+    for name, ddl in tables:
+        if not database.catalog.has_table(name):
+            database.execute(ddl)
+
 
 class MetadataService:
     """Per-tenant data sources, data sets and business glossaries."""
@@ -42,14 +66,7 @@ class MetadataService:
     def _db(self, tenant_id: str) -> Database:
         context = self.tenants.require_active(tenant_id)
         database = context.operational_db
-        database.execute(
-            "CREATE TABLE IF NOT EXISTS mds_datasources ("
-            "tenant TEXT NOT NULL, name TEXT NOT NULL, "
-            "url TEXT NOT NULL, username TEXT, password TEXT)")
-        database.execute(
-            "CREATE TABLE IF NOT EXISTS mds_datasets ("
-            "tenant TEXT NOT NULL, name TEXT NOT NULL, "
-            "datasource TEXT NOT NULL, sql TEXT NOT NULL)")
+        ensure_tables(database, _TABLES)
         return database
 
     # -- data sources -----------------------------------------------------------------

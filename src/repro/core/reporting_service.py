@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.analysis import dataset_columns_from_sql, lint_dashboard
-from repro.core.metadata_service import MetadataService
+from repro.core.metadata_service import MetadataService, ensure_tables
 from repro.core.subscription import BillingService
 from repro.core.tenancy import TenantManager
 from repro.engine.database import Database
@@ -28,6 +28,21 @@ from repro.reporting import (
     parse_report_design,
 )
 from repro.reporting.birt import ReportOutput
+
+_TABLES = (
+    ("rs_report_groups",
+     "CREATE TABLE IF NOT EXISTS rs_report_groups ("
+     "tenant TEXT NOT NULL, name TEXT NOT NULL)"),
+    ("rs_reports",
+     "CREATE TABLE IF NOT EXISTS rs_reports ("
+     "tenant TEXT NOT NULL, report_group TEXT NOT NULL, "
+     "name TEXT NOT NULL, design TEXT NOT NULL, "
+     "datasource TEXT NOT NULL)"),
+    ("rs_dashboards",
+     "CREATE TABLE IF NOT EXISTS rs_dashboards ("
+     "tenant TEXT NOT NULL, name TEXT NOT NULL, "
+     "definition TEXT NOT NULL)"),
+)
 
 
 class ReportingService:
@@ -44,18 +59,7 @@ class ReportingService:
     def _db(self, tenant_id: str) -> Database:
         context = self.tenants.require_active(tenant_id)
         database = context.operational_db
-        database.execute(
-            "CREATE TABLE IF NOT EXISTS rs_report_groups ("
-            "tenant TEXT NOT NULL, name TEXT NOT NULL)")
-        database.execute(
-            "CREATE TABLE IF NOT EXISTS rs_reports ("
-            "tenant TEXT NOT NULL, report_group TEXT NOT NULL, "
-            "name TEXT NOT NULL, design TEXT NOT NULL, "
-            "datasource TEXT NOT NULL)")
-        database.execute(
-            "CREATE TABLE IF NOT EXISTS rs_dashboards ("
-            "tenant TEXT NOT NULL, name TEXT NOT NULL, "
-            "definition TEXT NOT NULL)")
+        ensure_tables(database, _TABLES)
         return database
 
     # -- report groups ------------------------------------------------------------------

@@ -13,6 +13,7 @@ import os
 import pickle
 import threading
 import zlib
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -20,14 +21,12 @@ from repro.engine.executor import Executor, ResultSet
 from repro.engine.locking import EXCLUSIVE, SHARED, ReadWriteLock
 from repro.engine.parser import (
     CompoundSelect,
-    DeleteStatement,
     ExplainStatement,
-    InsertStatement,
     SelectStatement,
     TransactionStatement,
-    UpdateStatement,
     parse_sql,
 )
+from repro.engine.planner import RESULT_CACHE_MAX_ROWS
 from repro.engine.schema import Catalog, TableSchema
 from repro.engine.storage import TableStorage
 from repro.engine.transactions import Transaction
@@ -45,6 +44,30 @@ from repro.errors import (
     TransactionError,
     WalError,
 )
+
+
+#: Parsed statements (and their compiled plans) kept per database; the
+#: least recently used pair is evicted beyond this.
+STATEMENT_CACHE_CAPACITY = 512
+
+
+def _params_key(params: Sequence[Any]) -> Optional[tuple]:
+    """A type-sensitive identity of one parameter tuple.
+
+    ``1``, ``1.0`` and ``True`` compare (and hash) equal in Python but
+    are different SQL values, so each parameter is keyed with its
+    class; floats key on their ``repr`` because ``0.0 == -0.0``.
+    ``None`` when a parameter is unhashable: such a call is never
+    looked up or remembered.
+    """
+    key = tuple([(value.__class__,
+                  repr(value) if value.__class__ is float else value)
+                 for value in params])
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
 
 
 class Snapshot:
@@ -119,14 +142,20 @@ class Database:
         self.views: Dict[str, Any] = {}  # name -> SelectStatement
         self._executor = Executor(self)
         self._transaction: Optional[Transaction] = None  # guarded-by: _lock
-        self._statement_cache: Dict[str, Any] = {}  # guarded-by: _state_lock
+        # Parsed statements by SQL text, least recently used first.
+        self._statement_cache: "OrderedDict[str, Any]" = OrderedDict()  # guarded-by: _state_lock
         # Compiled plans keyed by statement identity; each entry keeps a
         # strong reference to its statement so ids cannot be recycled.
-        # ``compile=False`` is the ablation knob: plans are never used
-        # and every SELECT runs through the interpreted executor.
+        # Same LRU order and capacity as the statement cache, and an
+        # evicted statement takes its plan (and the results remembered
+        # on it) along.  ``compile=False`` is the ablation knob: plans
+        # are never used and every SELECT runs through the interpreted
+        # executor.
         self._compile_enabled = bool(compile)
-        self._plan_cache: Dict[int, Any] = {}  # guarded-by: _state_lock
-        self.statistics = {"statements": 0, "rows_returned": 0}  # guarded-by: _state_lock
+        self._plan_cache: "OrderedDict[int, Any]" = OrderedDict()  # guarded-by: _state_lock
+        self.statistics = {  # guarded-by: _state_lock
+            "statements": 0, "rows_returned": 0,
+            "result_cache_hits": 0, "result_cache_misses": 0}
         if sanitize is None:
             sanitize = os.environ.get(
                 "REPRO_SANITIZE", "").strip().lower() in (
@@ -310,6 +339,8 @@ class Database:
     def _parse(self, sql: str):
         with self._state_lock:
             statement = self._statement_cache.get(sql)
+            if statement is not None:
+                self._statement_cache.move_to_end(sql)
         if statement is None:
             # Parse outside the mutex (parsing is pure); on a race the
             # first inserted statement wins so every thread shares one
@@ -317,6 +348,10 @@ class Database:
             parsed = parse_sql(sql)
             with self._state_lock:
                 statement = self._statement_cache.setdefault(sql, parsed)
+                if len(self._statement_cache) > STATEMENT_CACHE_CAPACITY:
+                    _sql, evicted = self._statement_cache.popitem(
+                        last=False)
+                    self._plan_cache.pop(id(evicted), None)
         return statement
 
     def _lock_mode(self, statement: Any) -> str:
@@ -365,16 +400,12 @@ class Database:
                     if isinstance(statement, ExplainStatement):
                         result = self._explain(statement.statement)
                     else:
+                        # DDL that changes a schema, an index or a view
+                        # drops the compiled plans where it makes the
+                        # change; ``IF [NOT] EXISTS`` that finds nothing
+                        # to do changes and invalidates nothing.
                         result = self._executor.execute(
                             statement, tuple(params))
-                        if not isinstance(statement, (
-                                SelectStatement, CompoundSelect,
-                                InsertStatement, UpdateStatement,
-                                DeleteStatement)):
-                            # DDL (CREATE/DROP/ALTER, CTAS, views,
-                            # indexes) may change schemas or indexes
-                            # any cached plan relies on.
-                            self.invalidate_plans()
                 finally:
                     # Outside an explicit transaction every statement
                     # is its own commit: flush whatever redo it
@@ -400,7 +431,8 @@ class Database:
     # -- compiled plans ----------------------------------------------------------
 
     def invalidate_plans(self) -> None:
-        """Drop all compiled plans (called on any DDL)."""
+        """Drop all compiled plans, and with them every result
+        remembered on one (called by any DDL that changes something)."""
         with self._state_lock:
             self._plan_generation += 1
             self._plan_cache.clear()
@@ -411,8 +443,11 @@ class Database:
         ``plan`` is None when the statement must run interpreted, in
         which case ``reason`` says why.
         """
+        key = id(statement)
         with self._state_lock:
-            entry = self._plan_cache.get(id(statement))
+            entry = self._plan_cache.get(key)
+            if entry is not None:
+                self._plan_cache.move_to_end(key)
             generation = self._plan_generation
         if entry is None:
             from repro.engine.planner import plan_select
@@ -425,7 +460,12 @@ class Database:
                     # plan may reference dropped schema state, so hand
                     # it to the caller but do not cache it.
                     return plan, reason
-                entry = self._plan_cache.setdefault(id(statement), fresh)
+                entry = self._plan_cache.setdefault(key, fresh)
+                if len(self._plan_cache) > STATEMENT_CACHE_CAPACITY:
+                    # Plans of sub-statements (UNION parts, view and
+                    # CTAS bodies) have no statement-cache entry to be
+                    # evicted with, so the bound is enforced here too.
+                    self._plan_cache.popitem(last=False)
         return entry[1], entry[2]
 
     def _run_select(self, statement: SelectStatement,
@@ -442,8 +482,51 @@ class Database:
         if self._compile_enabled:
             plan, _reason = self.plan_for(statement)
             if plan is not None:
+                if snapshot is not None and plan.cacheable:
+                    return self._run_reusable(plan, params, snapshot)
                 return plan.execute(params, snapshot)
         return self._executor.execute_select(statement, params, snapshot)
+
+    def _run_reusable(self, plan, params: Sequence[Any],
+                      snapshot: Snapshot) -> ResultSet:
+        """Run an aggregate plan, reusing its last result for these
+        parameters while every table it scans stands still.
+
+        Validity is checked at read time from the per-table commit
+        stamps MVCC already maintains (``TableStorage._stamp`` bumps
+        ``_last_version_cn`` *before* the first mutation of any
+        statement): a remembered result may serve a reader at snapshot
+        ``S`` iff every scanned table's current stamp equals the
+        remembered one and is ``<= S.cn`` — then no effect, committed
+        or in flight, separates the remembered execution from ``S``.
+        The stamps remembered are those read *before* executing, and
+        only when none exceeded the executing snapshot (the tables
+        were quiescent at it); stamps never decrease, so a writer that
+        stamps while the statement runs leaves an entry no reader can
+        match.  The mutex is never held while executing.
+        """
+        key = _params_key(params)
+        if key is None:
+            return plan.execute(params, snapshot)
+        with self._state_lock:
+            remembered = plan.reusable_result(key, snapshot.cn)
+            outcome = "result_cache_misses" if remembered is None \
+                else "result_cache_hits"
+            self.statistics[outcome] += 1
+        if remembered is not None:
+            columns, rows = remembered
+            # A fresh ResultSet over copied lists (rows are tuples):
+            # no caller can alias what is remembered.
+            return ResultSet(list(columns), list(rows))
+        stamps = plan.stamps()
+        result = plan.execute(params, snapshot)
+        if len(result.rows) <= RESULT_CACHE_MAX_ROWS \
+                and all(stamp <= snapshot.cn for stamp in stamps):
+            with self._state_lock:
+                plan.remember_result(
+                    key, stamps,
+                    (tuple(result.columns), tuple(result.rows)))
+        return result
 
     def _explain(self, statement: Any) -> ResultSet:
         """Render the plan of a SELECT/UNION as a one-column result."""
@@ -463,7 +546,11 @@ class Database:
         plan, reason = self.plan_for(statement)
         if plan is None:
             return [f"interpreted execution: {reason}"]
-        return plan.explain_lines()
+        lines = plan.explain_lines()
+        if self._compile_enabled and plan.cacheable:
+            tables = ", ".join(scan.table for scan in plan.scans)
+            lines.append(f"result cache: eligible (tables: {tables})")
+        return lines
 
     def query(self, sql: str, params: Sequence[Any] = ()) \
             -> List[Dict[str, Any]]:

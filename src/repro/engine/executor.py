@@ -232,6 +232,7 @@ class Executor:
             self._db.storage(statement.table).add_column(statement.column)
             self._db.record_redo(
                 ("add_column", statement.table, statement.column))
+            self._db.invalidate_plans()
             return 0
         if isinstance(statement, CreateTableAsStatement):
             return self._execute_create_table_as(statement, params)
@@ -264,6 +265,7 @@ class Executor:
         self._db.record_redo(
             ("create_index", statement.table, statement.name,
              list(statement.columns), statement.unique))
+        self._db.invalidate_plans()
         return 0
 
     def _execute_create_table_as(self, statement: CreateTableAsStatement,
@@ -332,6 +334,7 @@ class Executor:
         self.execute_select(statement.select, ())
         self._db.views[key] = statement.select
         self._db.record_redo(("create_view", key, statement.select))
+        self._db.invalidate_plans()
         return 0
 
     def _execute_drop_view(self, statement: DropViewStatement) -> int:
@@ -342,6 +345,7 @@ class Executor:
             raise CatalogError(f"no such view: {statement.name!r}")
         del self._db.views[key]
         self._db.record_redo(("drop_view", key))
+        self._db.invalidate_plans()
         return 0
 
     # -- DML ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ compiled and interpreted execution always agree.
 from __future__ import annotations
 
 import operator
+from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.compiler import (
@@ -48,6 +49,13 @@ from repro.engine.parser import (
 )
 from repro.engine.types import sort_key
 from repro.errors import EngineError
+
+
+#: Parameter sets one plan remembers a result for (LRU beyond this).
+RESULT_CACHE_PARAM_SETS = 64
+#: A result larger than this is never remembered: reuse is for
+#: aggregates, whose output is small relative to their input.
+RESULT_CACHE_MAX_ROWS = 1024
 
 
 class Unplannable(Exception):
@@ -532,6 +540,46 @@ class SelectPlan:
         self.order_specs: List[Tuple[CompiledExpr, bool, str]] = []
         self.limit_fn: Optional[CompiledExpr] = None
         self.offset_fn: Optional[CompiledExpr] = None
+        # Last result per parameter set, for Database._run_reusable:
+        # params key -> (table stamps at execution, payload), least
+        # recently used first.  The plan is owned by its database's
+        # plan cache and dies with its entry there, so DDL drops these
+        # with the plan; readers share them under that database's
+        # state mutex.
+        self.results: "OrderedDict[tuple, Tuple[tuple, Any]]" = \
+            OrderedDict()  # guarded-by: engine-state
+
+    # -- result reuse ------------------------------------------------------
+
+    @property
+    def cacheable(self) -> bool:
+        """Whether a result of this plan may be remembered: it
+        aggregates (output small relative to input) and every source is
+        a base table, whose commit stamps say when it last changed."""
+        return self.grouped and bool(self.scans)
+
+    def stamps(self) -> Tuple[int, ...]:
+        """The commit number each scanned table was last stamped with."""
+        return tuple([scan.storage._last_version_cn
+                      for scan in self.scans])
+
+    def reusable_result(self, key: tuple, cn: int) -> Any:  # requires: engine-state
+        """The payload remembered for ``key`` if it is what executing
+        at commit number ``cn`` would produce, else None."""
+        remembered = self.results.get(key)
+        if remembered is None:
+            return None
+        stamps, payload = remembered
+        if stamps != self.stamps() or any(stamp > cn for stamp in stamps):
+            return None
+        self.results.move_to_end(key)
+        return payload
+
+    def remember_result(self, key: tuple, stamps: tuple, payload: Any) -> None:  # requires: engine-state
+        self.results[key] = (stamps, payload)
+        self.results.move_to_end(key)
+        if len(self.results) > RESULT_CACHE_PARAM_SETS:
+            self.results.popitem(last=False)
 
     # -- execution ---------------------------------------------------------
 

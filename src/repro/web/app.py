@@ -10,7 +10,9 @@ the ODBIS platform installs.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import threading
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import (
     AccessDeniedError,
@@ -29,6 +31,9 @@ Handler = Callable[[Request], Response]
 Middleware = Callable[[Request, Handler], Response]
 
 _PARAM_SEGMENT = re.compile(r"^\{([A-Za-z_][A-Za-z0-9_]*)\}$")
+
+#: Requests the access log remembers; ``requests_handled`` stays exact.
+ACCESS_LOG_CAPACITY = 1000
 
 
 class _Route:
@@ -63,7 +68,12 @@ class WebApplication:
         self.name = name
         self._routes: List[_Route] = []
         self._middleware: List[Middleware] = []
-        self.access_log: List[Tuple[str, str, int]] = []
+        # The last ACCESS_LOG_CAPACITY (method, path, status) triples;
+        # the total ever handled survives in requests_handled.
+        self._log_lock = threading.Lock()
+        self.access_log: Deque[Tuple[str, str, int]] = deque(
+            maxlen=ACCESS_LOG_CAPACITY)  # guarded-by: _log_lock
+        self.requests_handled = 0  # guarded-by: _log_lock
 
     # -- registration -------------------------------------------------------------
 
@@ -150,8 +160,10 @@ class WebApplication:
                 headers={"retry-after": "1.000"})
         except ReproError as exc:
             response = JsonResponse({"error": str(exc)}, status=400)
-        self.access_log.append(
-            (request.method, request.path, response.status))
+        with self._log_lock:
+            self.access_log.append(
+                (request.method, request.path, response.status))
+            self.requests_handled += 1
         return response
 
     @staticmethod

@@ -201,6 +201,41 @@ class TestVirtualGuards:
             """)
         assert codes(collector) == []
 
+    # ``engine-state``: the owning database's ``_state_lock``, the
+    # guard of a compiled plan's remembered results.  The fixture is
+    # the shape of ``SelectPlan.results`` and its two accessors.
+    RESULT_MAP = """\
+        from collections import OrderedDict
+
+        class Plan:
+            def __init__(self):
+                self.results = OrderedDict()  # guarded-by: engine-state
+
+            def reusable_result(self, key):  # requires: engine-state
+                self.results.move_to_end(key)
+                return self.results[key]
+
+            def remember_result(self, key, payload):{contract}
+                self.results[key] = payload
+                if len(self.results) > 64:
+                    self.results.popitem(last=False)
+        """
+
+    def test_result_map_mutated_outside_state_lock_is_odb502(
+            self, tmp_path):
+        collector = run_on(tmp_path, self.RESULT_MAP.format(contract=""))
+        assert codes(collector) == ["ODB502", "ODB502"]
+        for diagnostic in collector.diagnostics:
+            assert "Plan.results" in diagnostic.message
+            assert "engine-state" in diagnostic.message
+            assert "remember_result" in diagnostic.message
+
+    def test_result_map_under_the_caller_contract_is_clean(
+            self, tmp_path):
+        collector = run_on(tmp_path, self.RESULT_MAP.format(
+            contract="  # requires: engine-state"))
+        assert codes(collector) == []
+
     def test_unknown_hyphenated_guard_is_still_odb505(self, tmp_path):
         collector = run_on(tmp_path, """\
             class Storage:

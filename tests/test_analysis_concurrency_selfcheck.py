@@ -47,6 +47,26 @@ def test_selfcheck_is_not_vacuous():
     assert {"Database", "ReadWriteLock", "RequestGateway",
             "ShardMap", "TenantManager"} <= names, sorted(names)
     assert guarded >= 20, guarded
+    # The result cache's shared state is annotated where it lives: the
+    # per-plan map under the database's state mutex (a virtual guard),
+    # and the caches and counters beside it under the mutex itself.
+    notes = {
+        (class_name, note.attr): note.guard
+        for scan in analyzer._scans
+        for class_name, info in scan.classes.items()
+        for note in info.guards
+    }
+    assert notes["SelectPlan", "results"] == "engine-state"
+    for attr in ("_plan_cache", "_statement_cache", "statistics"):
+        assert notes["Database", attr] == "_state_lock"
+    requires = {
+        (class_name, method): guards
+        for scan in analyzer._scans
+        for class_name, info in scan.classes.items()
+        for method, guards in info.requires.items()
+    }
+    assert requires["SelectPlan", "reusable_result"] == {"engine-state"}
+    assert requires["SelectPlan", "remember_result"] == {"engine-state"}
 
 
 def test_cli_self_run_is_clean(capsys):

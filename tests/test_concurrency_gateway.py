@@ -147,14 +147,14 @@ class TestAdmissionControl:
         platform.tenants.deactivate("globex")
         with pytest.raises(TenantError):
             platform.tenants.require_active("globex")
-        handled_before = len(platform.web.access_log)
+        handled_before = platform.web.requests_handled
         response = platform.gateway.submit(
             "GET", "/tenants/globex/datasets",
             headers=headers).result(30)
         assert response.status == 403
         assert "deactivated" in response.json()["error"]
         # Rejected at dispatch: the web stack never saw the request.
-        assert len(platform.web.access_log) == handled_before
+        assert platform.web.requests_handled == handled_before
         assert platform.gateway.dispatch_log[-1] == \
             ("/tenants/globex/datasets", "rejected")
         # The other tenant is unaffected.

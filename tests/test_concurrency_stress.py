@@ -13,7 +13,9 @@ These tests run in the tier-1 suite; a race that corrupts state or
 deadlocks (the barrier/join timeouts catch hangs) fails the build.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -255,6 +257,133 @@ class TestEngineStress:
             before + N_WORKERS * per_worker
         assert database.statistics["rows_returned"] >= \
             N_WORKERS * per_worker
+
+
+class TestResultReuseStress:
+    """Readers loop one aggregate while writers commit and roll back.
+
+    The result cache may answer any of these reads from a remembered
+    result, so every answer is bracketed by what the writers had
+    committed before the read began and after it returned: a stale
+    reuse falls below the bracket, a torn or uncommitted read breaks
+    the per-writer pairing (rows are only ever committed two at a
+    time, amounts cancelling).
+    """
+
+    N_WRITERS = 2
+    ROUNDS = 30
+    SQL = ("SELECT writer, COUNT(*) AS n, SUM(amount) AS total "
+           "FROM ledger GROUP BY writer ORDER BY writer")
+
+    def test_every_answer_is_a_committed_prefix(self):
+        database = Database("reuse")
+        database.execute(
+            "CREATE TABLE ledger (id INTEGER PRIMARY KEY, "
+            "writer INTEGER, amount INTEGER)")
+        committed = [0] * self.N_WRITERS      # rows, per writer
+        writers_done = threading.Event()
+        running = [self.N_WRITERS]
+        running_lock = threading.Lock()
+        barrier = threading.Barrier(N_WORKERS)
+        answers = [0] * N_WORKERS
+        n_readers = N_WORKERS - self.N_WRITERS
+        turn = threading.Lock()
+        failed = threading.Event()
+
+        def write(wid):
+            for round_no in range(self.ROUNDS):
+                base = (wid * self.ROUNDS + round_no) * 2
+                with turn:
+                    database.execute("BEGIN")
+                    database.execute(
+                        "INSERT INTO ledger VALUES (?, ?, ?)",
+                        (base, wid, round_no + 1))
+                    database.execute(
+                        "INSERT INTO ledger VALUES (?, ?, ?)",
+                        (base + 1, wid, -(round_no + 1)))
+                    if round_no % 5 == 2:
+                        # Never the last round: a rolled-back write
+                        # keeps its table past every snapshot until
+                        # some commit follows (conservative misses,
+                        # by contract).
+                        database.execute("ROLLBACK")
+                    else:
+                        database.execute("COMMIT")
+                        committed[wid] += 2
+                    # Hold the table still until the readers have
+                    # been round twice: the first to arrive
+                    # recomputes and remembers, the rest reuse — so a
+                    # stale reuse in the *next* round cannot hide.
+                    target = sum(answers) + 2 * n_readers
+                    deadline = time.monotonic() + WAIT
+                    while sum(answers) < target:
+                        assert not failed.is_set() \
+                            and time.monotonic() < deadline, \
+                            "readers stopped answering"
+                        time.sleep(0)
+            with running_lock:
+                running[0] -= 1
+                if running[0] == 0:
+                    writers_done.set()
+
+        def check(rows, before, after):
+            seen = {row["writer"]: row for row in rows}
+            for wid in range(self.N_WRITERS):
+                row = seen.get(wid, {"n": 0, "total": None})
+                assert row["n"] % 2 == 0, rows
+                assert row["total"] in (0, None), rows
+                # committed[] moves after COMMIT returns, so one
+                # transaction may be visible ahead of `after`.
+                assert before[wid] <= row["n"] <= after[wid] + 2, \
+                    (rows, before, after)
+
+        def read(wid):
+            while not failed.is_set():
+                last_lap = writers_done.is_set()
+                before = list(committed)
+                rows = database.query(self.SQL)
+                check(rows, before, list(committed))
+                answers[wid] += 1
+                if last_lap:
+                    break
+
+        def worker(wid):
+            try:
+                barrier.wait(timeout=WAIT)
+                if wid < self.N_WRITERS:
+                    write(wid)
+                else:
+                    read(wid)
+                # Settled: every thread reads the same final state,
+                # and repeated reads of it are reuses.
+                barrier.wait(timeout=WAIT)
+                for _ in range(3):
+                    rows = database.query(self.SQL)
+                    check(rows, committed, committed)
+                    assert [row["n"] for row in rows] == committed
+            except BaseException:
+                # Fail fast: release everyone waiting on this thread.
+                failed.set()
+                barrier.abort()
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            run_workers(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        kept = self.ROUNDS - self.ROUNDS // 5
+        assert committed == [kept * 2] * self.N_WRITERS
+        assert all(answers[self.N_WRITERS:])
+        statistics = database.statistics
+        # Both sides of the mechanism ran: recomputation while the
+        # table moved, reuse once it stood still.
+        assert statistics["result_cache_misses"] >= kept
+        assert statistics["result_cache_hits"] >= kept
+        assert statistics["result_cache_hits"] \
+            + statistics["result_cache_misses"] \
+            == sum(answers) + N_WORKERS * 3
 
 
 class TestTenantStress:

@@ -171,6 +171,10 @@ class TestExplain:
         assert "group by: d.label  aggregates: COUNT(*)" in lines
         assert "order by: n desc" in lines
         assert "limit: 2" in lines
+        # An aggregate over base tables may reuse its last result
+        # while they stand still; the plan says which tables those are.
+        assert lines[-2] == "project: label, n"
+        assert lines[-1] == "result cache: eligible (tables: emp, dept)"
 
     def test_view_reports_interpreted_fallback(self, db):
         db.execute("CREATE VIEW ops_emp AS "
@@ -194,6 +198,10 @@ class TestExplain:
         lines = [row[0] for row in interpreted.execute(
             "EXPLAIN SELECT id FROM emp").rows]
         assert lines[0].startswith("scan emp emp: full scan")
+        # The interpreter never reuses a result, and says nothing.
+        lines = [row[0] for row in interpreted.execute(
+            "EXPLAIN SELECT dept, COUNT(*) FROM emp GROUP BY dept").rows]
+        assert lines[-1] == "project: dept, count(*)"
 
 
 class TestPlanCache:

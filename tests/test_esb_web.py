@@ -233,5 +233,16 @@ class TestWebApplication:
     def test_access_log_records_requests(self, app):
         app.request("GET", "/ping")
         app.request("GET", "/nope")
-        assert app.access_log == [("GET", "/ping", 200),
-                                  ("GET", "/nope", 404)]
+        assert list(app.access_log) == [("GET", "/ping", 200),
+                                        ("GET", "/nope", 404)]
+        assert app.requests_handled == 2
+
+    def test_access_log_is_a_ring_with_an_exact_count(self, app):
+        from repro.web.app import ACCESS_LOG_CAPACITY
+
+        for _ in range(ACCESS_LOG_CAPACITY + 5):
+            app.request("GET", "/ping")
+        app.request("GET", "/nope")
+        assert len(app.access_log) == ACCESS_LOG_CAPACITY
+        assert app.access_log[-1] == ("GET", "/nope", 404)
+        assert app.requests_handled == ACCESS_LOG_CAPACITY + 6

@@ -36,13 +36,23 @@ def build(fact_rows, compile=True):
     return database
 
 
-def best_ms(fn, repeats=3):
+def best_ms(fn, repeats=3, before=None):
+    """Best wall time of ``fn``; ``before`` runs untimed each round."""
     timings = []
     for _ in range(repeats):
+        if before is not None:
+            before()
         started = time.perf_counter()
         fn()
         timings.append(time.perf_counter() - started)
     return min(timings) * 1000.0
+
+
+def touch_fact(database):
+    """Commit a write to ``fact`` (net effect: none), so the next
+    aggregate over it is recomputed, not reused."""
+    database.execute("INSERT INTO fact VALUES (0, 0.0)")
+    database.execute("DELETE FROM fact WHERE k = 0")
 
 
 @pytest.mark.parametrize("sql", [
@@ -61,11 +71,60 @@ def test_compiled_plans_still_fast(sql):
     compiled = build(4_000)
     interpreted = build(4_000, compile=False)
     assert compiled.query(sql) == interpreted.query(sql)
-    compiled_ms = best_ms(lambda: compiled.query(sql))
-    interpreted_ms = best_ms(lambda: interpreted.query(sql))
+    # The table moves between rounds: this measures execution, not
+    # the reuse of an aggregate's remembered result.
+    compiled_ms = best_ms(lambda: compiled.query(sql),
+                          before=lambda: touch_fact(compiled))
+    interpreted_ms = best_ms(lambda: interpreted.query(sql),
+                             before=lambda: touch_fact(interpreted))
     assert interpreted_ms > 1.5 * compiled_ms, (
         f"compiled {compiled_ms:.2f}ms vs "
         f"interpreted {interpreted_ms:.2f}ms")
+
+
+GROUPED = ("SELECT k, COUNT(*) AS n, SUM(amount) AS total FROM fact "
+           "GROUP BY k ORDER BY k")
+
+
+@pytest.fixture(scope="module")
+def big():
+    return build(20_000)
+
+
+def test_unchanged_table_reuses_the_aggregate(big):
+    """Ratio, not milliseconds: the second execution of a GROUP BY
+    over an unchanged 20 000-row table skips the scan."""
+    expected = big.query(GROUPED)
+    first_ms = best_ms(lambda: big.query(GROUPED),
+                       before=lambda: touch_fact(big))
+    again_ms = best_ms(lambda: big.query(GROUPED))
+    assert big.query(GROUPED) == expected
+    assert first_ms >= 5 * again_ms, (
+        f"recomputed {first_ms:.2f}ms vs reused {again_ms:.3f}ms")
+
+
+def test_moving_table_pays_nothing_for_the_cache(big):
+    """With a write between executions every read misses; the miss
+    costs the same as executing the plan with no cache in the way."""
+    statement = big._parse(GROUPED)
+    plan, _reason = big.plan_for(statement)
+
+    def bare():
+        with big.open_snapshot() as snapshot:
+            return plan.execute((), snapshot)
+
+    misses = big.statistics["result_cache_misses"]
+    through, without = [], []
+    for _ in range(7):  # interleaved: host drift lands on both sides
+        through.append(best_ms(lambda: big.execute(GROUPED), repeats=1,
+                               before=lambda: touch_fact(big)))
+        without.append(best_ms(bare, repeats=1,
+                               before=lambda: touch_fact(big)))
+    assert big.statistics["result_cache_misses"] == misses + 7
+    through_ms, bare_ms = min(through), min(without)
+    assert through_ms <= 1.15 * bare_ms, (
+        f"through the cache {through_ms:.2f}ms vs bare plan "
+        f"{bare_ms:.2f}ms")
 
 
 def test_analysis_cli_runs_clean():

@@ -320,6 +320,17 @@ class TestStressBatterySanitized:
         assert sanitized_env.snapshot_reads > 0
         sanitized_env.assert_clean()
 
+    def test_result_reuse_stress_runs_clean(self, sanitized_env):
+        battery = stress.TestResultReuseStress()
+        battery.test_every_answer_is_a_committed_prefix()
+        # A reused result skips the scan, so the read-side liveness
+        # signal counts recomputations only: the writers commit often
+        # enough that there is at least one per committed round.
+        kept = battery.ROUNDS - battery.ROUNDS // 5
+        assert sanitized_env.snapshot_reads >= kept * battery.N_WRITERS
+        assert sanitized_env.acquisitions > 100
+        sanitized_env.assert_clean()
+
     def test_tenant_stress_runs_clean(self, sanitized_env):
         battery = stress.TestTenantStress()
         battery.test_shared_mode_tenants_serialize_writes_correctly()
