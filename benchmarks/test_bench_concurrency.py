@@ -4,10 +4,10 @@ The paper's §2 economics assume one shared backend serving many
 tenants *at once*.  This experiment measures the serving layer under
 an 8-worker pool:
 
-* ISOLATED-mode parallel reads — 8 private databases, reads overlap
-  on each engine's shared lock side;
+* ISOLATED-mode parallel reads — 8 private databases, every read a
+  lock-free MVCC snapshot;
 * SHARED-mode concurrent writes — 8 tenants funneled through one
-  operational database, serialized by its exclusive lock side.
+  operational database, serialized by its writer lock.
 
 Each case also runs with the runtime concurrency sanitizer attached
 (``repro.analysis.concurrency``), so ``BENCH_concurrency.json``

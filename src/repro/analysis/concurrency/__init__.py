@@ -10,7 +10,7 @@ Two sides of one contract:
 * :mod:`repro.analysis.concurrency.sanitizer` watches live executions
   (``REPRO_SANITIZE=1`` / ``Database(sanitize=True)``): a runtime
   lock-order graph with cycle detection, and storage-access invariant
-  checks against the engine's reader-writer lock.
+  checks against the engine's writer lock.
 
 The static pass runs over ``src/repro`` itself in the tier-1 suite
 (``tests/test_analysis_concurrency_selfcheck.py``), so a refactor that
@@ -20,7 +20,7 @@ breaks the locking discipline fails the build before it races.
 from repro.analysis.concurrency.sanitizer import (
     SANITIZE_ENV,
     ConcurrencySanitizer,
-    SanitizedReadWriteLock,
+    SanitizedWriterLock,
     SanitizerReport,
     StorageMonitor,
     default_sanitizer,
@@ -38,7 +38,7 @@ __all__ = [
     "ConcurrencyAnalyzer",
     "ConcurrencySanitizer",
     "LockDecl",
-    "SanitizedReadWriteLock",
+    "SanitizedWriterLock",
     "SanitizerReport",
     "StorageMonitor",
     "analyze_concurrency",

@@ -3,8 +3,8 @@
 The static pass (:mod:`repro.analysis.concurrency.static`) checks the
 *source*; this module checks *executions*.  With ``REPRO_SANITIZE=1``
 in the environment (or ``Database(sanitize=True)``), every engine
-database swaps its :class:`~repro.engine.locking.ReadWriteLock` for a
-:class:`SanitizedReadWriteLock` and attaches a
+database swaps its :class:`~repro.engine.locking.WriterLock` for a
+:class:`SanitizedWriterLock` and attaches a
 :class:`StorageMonitor` to its table storages.  The sanitizer then
 watches three invariants while real workloads run:
 
@@ -14,13 +14,12 @@ watches three invariants while real workloads run:
   this run happened to get away with it;
 * **write-without-exclusive-lock** — every
   :class:`~repro.engine.storage.TableStorage` mutation must run on a
-  thread that holds the exclusive side of its database's lock
-  (recovery replay, which is single-threaded by construction, is
-  exempt via the database's ``_suppress_redo`` flag);
-* **reader-sees-writer** — a *raw* scan by a thread holding no side
-  of the lock while *another* thread holds the exclusive side has
-  observed state mid-mutation (MVCC snapshot reads are exempt: they
-  read version chains, not the live rows);
+  thread that holds its database's writer lock (recovery replay,
+  which is single-threaded by construction, is exempt via the
+  database's ``_suppress_redo`` flag);
+* **reader-sees-writer** — a *raw* scan while *another* thread holds
+  the writer lock has observed state mid-mutation (MVCC snapshot
+  reads are exempt: they read version chains, not the live rows);
 * **snapshot-sees-future** — an MVCC snapshot read pinned at a commit
   number the database has not yet published would observe effects of
   an uncommitted (or unborn) transaction.
@@ -29,9 +28,8 @@ Violations never raise into the workload: they accumulate as
 structured :class:`SanitizerReport` records on a
 :class:`ConcurrencySanitizer`, and the test batteries assert the
 report list is empty.  The lock state needed for the checks comes
-from the public :meth:`~repro.engine.locking.ReadWriteLock.mode` /
-:meth:`~repro.engine.locking.ReadWriteLock.holders` introspection API
-— the sanitizer never reaches into lock privates.
+from the public :meth:`~repro.engine.locking.WriterLock.owner`
+introspection API — the sanitizer never reaches into lock privates.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.engine.locking import EXCLUSIVE, SHARED, ReadWriteLock
+from repro.engine.locking import WriterLock
 
 #: Environment variable that turns the sanitizer on platform-wide.
 SANITIZE_ENV = "REPRO_SANITIZE"
@@ -107,7 +105,7 @@ class ConcurrencySanitizer:
             self._held.stack = stack
         return stack
 
-    def register_lock(self, lock: "SanitizedReadWriteLock",
+    def register_lock(self, lock: "SanitizedWriterLock",
                       label: str) -> None:
         with self._mutex:
             self._labels[id(lock)] = label
@@ -127,8 +125,7 @@ class ConcurrencySanitizer:
 
     # -- lock events ---------------------------------------------------------
 
-    def before_acquire(self, lock: "SanitizedReadWriteLock",
-                       mode: str) -> None:
+    def before_acquire(self, lock: "SanitizedWriterLock") -> None:
         """Record order edges from every held lock to this one.
 
         Called *before* blocking: a pair of threads about to deadlock
@@ -151,14 +148,13 @@ class ConcurrencySanitizer:
                 if edge not in self._edges:
                     self._edges[edge] = (
                         f"{threading.current_thread().name} acquired "
-                        f"{self._label(edge[1])} ({mode}) while "
+                        f"{self._label(edge[1])} while "
                         f"holding {self._label(edge[0])}")
             cycle = self._find_cycle_locked()
         if cycle is not None:
             self._report_cycle(cycle)
 
-    def after_acquire(self, lock: "SanitizedReadWriteLock",
-                      mode: str) -> None:
+    def after_acquire(self, lock: "SanitizedWriterLock") -> None:
         self._stack().append(id(lock))
         with self._mutex:
             self.acquisitions += 1
@@ -167,8 +163,7 @@ class ConcurrencySanitizer:
         with self._mutex:
             self.snapshot_reads += 1
 
-    def after_release(self, lock: "SanitizedReadWriteLock",
-                      mode: str) -> None:
+    def after_release(self, lock: "SanitizedWriterLock") -> None:
         stack = self._stack()
         target = id(lock)
         # Pop the most recent hold of this lock (reentrant holds
@@ -248,8 +243,8 @@ class ConcurrencySanitizer:
             raise AssertionError(self.render())
 
 
-class SanitizedReadWriteLock(ReadWriteLock):
-    """A :class:`ReadWriteLock` that narrates to a sanitizer.
+class SanitizedWriterLock(WriterLock):
+    """A :class:`WriterLock` that narrates to a sanitizer.
 
     Same semantics, same fairness: only the acquisition/release
     events are mirrored into the sanitizer's per-thread history.
@@ -262,23 +257,14 @@ class SanitizedReadWriteLock(ReadWriteLock):
         self.sanitizer = sanitizer
         sanitizer.register_lock(self, label)
 
-    def acquire_read(self) -> None:
-        self.sanitizer.before_acquire(self, SHARED)
-        super().acquire_read()
-        self.sanitizer.after_acquire(self, SHARED)
-
-    def release_read(self) -> None:
-        super().release_read()
-        self.sanitizer.after_release(self, SHARED)
-
     def acquire_write(self) -> None:
-        self.sanitizer.before_acquire(self, EXCLUSIVE)
+        self.sanitizer.before_acquire(self)
         super().acquire_write()
-        self.sanitizer.after_acquire(self, EXCLUSIVE)
+        self.sanitizer.after_acquire(self)
 
     def release_write(self) -> None:
         super().release_write()
-        self.sanitizer.after_release(self, EXCLUSIVE)
+        self.sanitizer.after_release(self)
 
 
 class StorageMonitor:
@@ -294,19 +280,16 @@ class StorageMonitor:
             # Recovery replay runs single-threaded before the
             # database is shared; the lock contract starts after.
             return
-        lock = database._lock
-        if not lock.owned_exclusively():
+        if not database._lock.owned_exclusively():
             self._sanitizer.report(
                 "unsynchronized-write",
                 f"table {table!r} of database {database.name!r} "
-                f"mutated without the exclusive lock "
-                f"(lock mode: {lock.mode()})",
+                f"mutated without the exclusive lock",
                 database=database.name, table=table)
 
     def on_read(self, table: str) -> None:
-        lock = self._database._lock
-        if lock.mode() == EXCLUSIVE \
-                and threading.get_ident() not in lock.holders():
+        if self._database._lock.owner() not in (
+                None, threading.get_ident()):
             self._sanitizer.report(
                 "reader-sees-writer",
                 f"table {table!r} of database "

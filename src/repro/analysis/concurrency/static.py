@@ -1,7 +1,7 @@
 """Lock-discipline static analysis over Python sources (ODB5xx).
 
 The platform's serving layer promises a locking discipline — the
-engine's reader-writer lock serializes mutations, short mutexes guard
+engine's writer lock serializes mutations, short mutexes guard
 caches and registries — but nothing used to *check* it.  This pass
 parses a source tree with :mod:`ast` and enforces three contracts:
 
@@ -33,8 +33,8 @@ parses a source tree with :mod:`ast` and enforces three contracts:
    runtime sanitizer's ``StorageMonitor`` checks dynamically.
 
 3. **No blocking under an exclusive lock** (``ODB503``).  ``fsync``,
-   ``sleep`` and thread/pool joins made lexically inside an
-   exclusive-mode hold stall every waiter behind a syscall.  The check
+   ``sleep`` and thread/pool joins made lexically inside a
+   ``with`` over a lock stall every waiter behind a syscall.  The check
    is lexical on purpose: the WAL deliberately fsyncs while the
    commit lock is held (that *is* write-ahead logging), and that call
    sits behind a function boundary — the analyzer flags the shape
@@ -73,8 +73,8 @@ LOCK_CONSTRUCTORS: Dict[str, Tuple[str, bool]] = {
     "Lock": ("lock", False),
     "RLock": ("rlock", True),
     "Condition": ("condition", True),
-    "ReadWriteLock": ("rwlock", True),
-    "SanitizedReadWriteLock": ("rwlock", True),
+    "WriterLock": ("rlock", True),
+    "SanitizedWriterLock": ("rlock", True),
 }
 
 #: Method names whose call mutates the receiver in place.
@@ -92,8 +92,8 @@ JOIN_RECEIVER_HINTS = ("thread", "pool", "worker")
 
 #: Lock methods that prove the function holds (or held) the guard.
 MANUAL_HOLD_METHODS = {
-    "acquire", "acquire_read", "acquire_write",
-    "release", "release_read", "release_write",
+    "acquire", "acquire_write",
+    "release", "release_write",
     "require_exclusive",
 }
 
@@ -117,7 +117,7 @@ class LockDecl:
     """One lock the analyzer knows about."""
 
     key: str          # "Class._lock" or "<module>.name"
-    kind: str         # lock | rlock | condition | rwlock
+    kind: str         # lock | rlock | condition
     reentrant: bool
     source: str
     line: int
@@ -128,7 +128,6 @@ class _Hold:
     """One entry of the lexical held-locks stack."""
 
     key: str
-    exclusive: bool
     line: int
 
 
@@ -276,35 +275,23 @@ class _ModuleScan:
 
 
 def _resolve_lock(expr: ast.AST, scan: _ModuleScan,
-                  info: Optional[_ClassInfo]) \
-        -> Optional[Tuple[LockDecl, bool]]:
-    """(decl, exclusive) when a ``with`` item acquires a known lock.
+                  info: Optional[_ClassInfo]) -> Optional[LockDecl]:
+    """The known lock a ``with`` item acquires, if any.
 
-    Recognized shapes: ``with self._lock:`` (mutex — exclusive),
-    ``with lock:`` (module-level mutex), ``with x.shared():``,
-    ``with x.exclusive():`` and ``with x.held(mode):`` (reader-writer;
-    ``held`` is treated as exclusive — order edges do not depend on
-    the mode and the conservative reading catches more hazards).
+    Recognized shapes: ``with self._lock:`` (mutex), ``with lock:``
+    (module-level mutex) and ``with x.exclusive():`` (the engine's
+    writer lock).
     """
-    exclusive = True
     if isinstance(expr, ast.Call):
         dotted = _dotted(expr.func)
-        if dotted is None or "." not in dotted:
+        if dotted is None or not dotted.endswith(".exclusive"):
             return None
-        receiver, method = dotted.rsplit(".", 1)
-        if method == "shared":
-            exclusive = False
-        elif method not in ("exclusive", "held"):
-            return None
-        expr_dotted = receiver
+        expr_dotted = dotted[:-len(".exclusive")]
     else:
         expr_dotted = _dotted(expr)
         if expr_dotted is None:
             return None
-    decl = _lookup_lock(expr_dotted, scan, info)
-    if decl is None:
-        return None
-    return decl, exclusive
+    return _lookup_lock(expr_dotted, scan, info)
 
 
 def _lookup_lock(dotted: str, scan: _ModuleScan,
@@ -324,10 +311,9 @@ def _iter_acquisitions(func: ast.AST, scan: _ModuleScan,
         if not isinstance(node, (ast.With, ast.AsyncWith)):
             continue
         for item in node.items:
-            resolved = _resolve_lock(item.context_expr, scan, info)
-            if resolved is not None:
-                decl, exclusive = resolved
-                holds.append(_Hold(decl.key, exclusive, node.lineno))
+            decl = _resolve_lock(item.context_expr, scan, info)
+            if decl is not None:
+                holds.append(_Hold(decl.key, node.lineno))
     return holds
 
 
@@ -469,12 +455,10 @@ class ConcurrencyAnalyzer:
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 acquired: List[_Hold] = []
                 for item in node.items:
-                    resolved = _resolve_lock(item.context_expr, scan,
-                                             info)
-                    if resolved is None:
+                    decl = _resolve_lock(item.context_expr, scan, info)
+                    if decl is None:
                         continue
-                    decl, exclusive = resolved
-                    hold = _Hold(decl.key, exclusive, node.lineno)
+                    hold = _Hold(decl.key, node.lineno)
                     self._note_acquisition(hold, held, scan, func_name,
                                            collector)
                     acquired.append(hold)
@@ -545,19 +529,17 @@ class ConcurrencyAnalyzer:
                              f"{func_name} calls self.{callee}() "
                              f"which acquires {key} while holding "
                              f"{outer.key}"))
-        # 2. Blocking call under an exclusive hold.
-        if isinstance(node, ast.Call):
-            exclusive_holds = [hold for hold in held if hold.exclusive]
-            if exclusive_holds:
-                blocking = self._blocking_reason(node)
-                if blocking is not None:
-                    collector.warning(
-                        "ODB503",
-                        f"{func_name} makes blocking call "
-                        f"{blocking} while holding exclusive "
-                        f"{exclusive_holds[-1].key}",
-                        span=SourceSpan(node.lineno, 1),
-                        source=scan.label)
+        # 2. Blocking call under a held lock.
+        if isinstance(node, ast.Call) and held:
+            blocking = self._blocking_reason(node)
+            if blocking is not None:
+                collector.warning(
+                    "ODB503",
+                    f"{func_name} makes blocking call "
+                    f"{blocking} while holding exclusive "
+                    f"{held[-1].key}",
+                    span=SourceSpan(node.lineno, 1),
+                    source=scan.label)
         # 3. Guarded-state mutations.
         if info is not None and guarded_attrs:
             for attr, line in self._mutated_attrs(node):
@@ -567,8 +549,7 @@ class ConcurrencyAnalyzer:
                 if guard in method_guards:
                     continue
                 key = f"{info.name}.{guard}"
-                if any(hold.key == key and hold.exclusive
-                       for hold in held):
+                if any(hold.key == key for hold in held):
                     continue
                 collector.error(
                     "ODB502",

@@ -23,11 +23,11 @@ The gateway is also where the resilience kernel meets traffic:
   responses and count against the tenant's breaker.
 
 Data-plane serialization is the engine's job, not the gateway's: every
-:class:`~repro.engine.database.Database` carries a reader-writer lock
-keyed off the statement class, so ISOLATED-mode tenants (private
-operational databases) run truly in parallel while SHARED-mode tenants
-serialize only on writes to the shared operational database — reads
-overlap in both modes.
+:class:`~repro.engine.database.Database` serializes its writers on one
+lock and serves reads lock-free from MVCC snapshots, so ISOLATED-mode
+tenants (private operational databases) run truly in parallel while
+SHARED-mode tenants serialize only on writes to the shared operational
+database — reads overlap in both modes.
 """
 
 from __future__ import annotations

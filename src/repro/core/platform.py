@@ -80,7 +80,6 @@ class OdbisPlatform:
     """
 
     def __init__(self, mode: TenancyMode = TenancyMode.SHARED,
-                 use_olap_cache: bool = True,
                  faults: Optional[FaultInjector] = None,
                  clock: Optional[Clock] = None,
                  deadline_seconds: Optional[float] = None,
@@ -177,10 +176,7 @@ class OdbisPlatform:
             self.tenants, self.resources, self.billing,
             journal=etl_journal)
         self.analysis = AnalysisService(
-            self.tenants, self.resources, self.billing,
-            use_cache=use_olap_cache,
-            config_provider=lambda tenant:
-                self.admin.configuration(tenant, "analysis"))
+            self.tenants, self.resources, self.billing)
         self.reporting = ReportingService(
             self.tenants, self.metadata, self.billing)
         self.delivery = InformationDeliveryService()

@@ -19,7 +19,7 @@ Quickstart::
 """
 
 from repro.engine.database import Connection, Database, ResultSet
-from repro.engine.locking import ReadWriteLock
+from repro.engine.locking import WriterLock
 from repro.engine.parser import parse_sql
 from repro.engine.schema import (
     Catalog,
@@ -38,11 +38,11 @@ __all__ = [
     "Connection",
     "Database",
     "JournalLog",
-    "ReadWriteLock",
     "ResultSet",
     "SqlType",
     "TableSchema",
     "WriteAheadLog",
+    "WriterLock",
     "make_schema",
     "parse_sql",
 ]

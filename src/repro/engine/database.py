@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.executor import Executor, ResultSet
-from repro.engine.locking import EXCLUSIVE, SHARED, ReadWriteLock
+from repro.engine.locking import WriterLock
 from repro.engine.parser import (
     CompoundSelect,
     ExplainStatement,
@@ -120,11 +120,10 @@ class Database:
     statement (SELECT/EXPLAIN, including ``EXPLAIN <dml>``) runs
     lock-free against a :class:`Snapshot` pinned at the current
     committed number — readers never block on writers.  Anything that
-    may mutate takes the per-database lock's (now write-only)
-    exclusive side; an explicit transaction holds it from BEGIN to
-    COMMIT/ROLLBACK, and statements *inside* a transaction read the
-    live uncommitted state under that hold.  Statements are parsed
-    once and cached by SQL text.
+    may mutate takes the per-database writer lock; an explicit
+    transaction holds it from BEGIN to COMMIT/ROLLBACK, and statements
+    *inside* a transaction read the live uncommitted state under that
+    hold.  Statements are parsed once and cached by SQL text.
 
     ``sanitize`` opts this database into the runtime concurrency
     sanitizer (``repro.analysis.concurrency``): the lock is swapped
@@ -160,22 +159,22 @@ class Database:
             sanitize = os.environ.get(
                 "REPRO_SANITIZE", "").strip().lower() in (
                     "1", "true", "yes", "on")
-        # Statement-level reader-writer lock plus a short mutex over
-        # the statement/plan caches and the statistics counters.
+        # The writer lock plus a short mutex over the statement/plan
+        # caches and the statistics counters.
         if sanitize:
             from repro.analysis.concurrency.sanitizer import (
-                SanitizedReadWriteLock,
+                SanitizedWriterLock,
                 StorageMonitor,
                 default_sanitizer,
             )
             self._sanitizer = default_sanitizer()
-            self._lock = SanitizedReadWriteLock(
+            self._lock = SanitizedWriterLock(
                 f"db:{name}", self._sanitizer)
             self._storage_monitor = StorageMonitor(
                 self, self._sanitizer)
         else:
             self._sanitizer = None
-            self._lock = ReadWriteLock()
+            self._lock = WriterLock()
             self._storage_monitor = None
         self._state_lock = threading.Lock()
         self._plan_generation = 0  # guarded-by: _state_lock
@@ -354,18 +353,17 @@ class Database:
                     self._plan_cache.pop(id(evicted), None)
         return statement
 
-    def _lock_mode(self, statement: Any) -> str:
-        """Shared for reads, exclusive for anything that may mutate.
+    @staticmethod
+    def _is_read(statement: Any) -> bool:
+        """True for a statement that cannot mutate.
 
         Classification happens on the *outermost* statement class:
         ``EXPLAIN <anything>`` is read-only because it only renders a
         plan (or a typed error) — it never runs the wrapped DML, so it
-        must not take (or wait for) the exclusive path.
+        must not take (or wait for) the writer lock.
         """
-        if isinstance(statement, (SelectStatement, CompoundSelect,
-                                  ExplainStatement)):
-            return SHARED
-        return EXCLUSIVE
+        return isinstance(statement, (SelectStatement, CompoundSelect,
+                                      ExplainStatement))
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Any:
         """Run any statement.
@@ -379,7 +377,7 @@ class Database:
             self.statistics["statements"] += 1
         if isinstance(statement, TransactionStatement):
             return self._execute_transaction(statement.action)
-        if self._lock_mode(statement) == SHARED \
+        if self._is_read(statement) \
                 and not self._lock.owned_exclusively():
             # MVCC read path: no lock at all.  The statement runs
             # against a snapshot pinned at the committed commit
@@ -395,7 +393,7 @@ class Database:
                     result = self._run_read(statement, tuple(params),
                                             snapshot)
         else:
-            with self._lock.held(self._lock_mode(statement)):
+            with self._lock.exclusive():
                 try:
                     if isinstance(statement, ExplainStatement):
                         result = self._explain(statement.statement)
@@ -517,7 +515,9 @@ class Database:
             columns, rows = remembered
             # A fresh ResultSet over copied lists (rows are tuples):
             # no caller can alias what is remembered.
-            return ResultSet(list(columns), list(rows))
+            result = ResultSet(list(columns), list(rows))
+            result.reused = True
+            return result
         stamps = plan.stamps()
         result = plan.execute(params, snapshot)
         if len(result.rows) <= RESULT_CACHE_MAX_ROWS \
@@ -699,7 +699,7 @@ class Database:
         """
         if self.in_transaction:
             raise TransactionError("cannot snapshot during a transaction")
-        with self._lock.shared():
+        with self._lock.exclusive():
             payload = {
                 "name": self.name,
                 # With a WAL attached the snapshot records how much of
@@ -725,7 +725,10 @@ class Database:
                     for storage in self._storages.values()
                 ],
             }
-        data = pickle.dumps(payload)
+            # Serialized under the hold: the payload references the
+            # live schemas and row lists, which ALTER TABLE ADD COLUMN
+            # widens in place.
+            data = pickle.dumps(payload)
         target = Path(path)
         scratch = target.with_name(target.name + ".tmp")
         try:
@@ -1037,7 +1040,7 @@ class Database:
         the crash-chaos battery asserts between a committed prefix
         and its recovery.
         """
-        with self._lock.shared():
+        with self._lock.exclusive():
             return (
                 tuple(sorted(storage.fingerprint()
                              for storage in self._storages.values())),

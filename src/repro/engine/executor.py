@@ -49,6 +49,10 @@ _AMBIGUOUS = object()
 class ResultSet:
     """A fully materialized query result."""
 
+    #: True when the database served remembered rows, proven fresh
+    #: from commit stamps, instead of executing the statement.
+    reused = False
+
     def __init__(self, columns: List[str], rows: List[tuple]):
         self.columns = columns
         self.rows = rows

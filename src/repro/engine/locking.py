@@ -1,105 +1,45 @@
-"""Reader-writer locking for the embedded engine.
+"""The writer lock of the embedded engine.
 
 The ODBIS economics (paper §2) hinge on one shared physical backend
 serving many tenants at once, so the engine must admit overlapping
-statements safely.  Each :class:`~repro.engine.database.Database`
-carries one :class:`ReadWriteLock`; the acquisition mode is chosen
-from the parsed statement class:
+statements safely.  Readers need no lock for that: a SELECT / EXPLAIN
+outside a transaction runs against an MVCC snapshot pinned at the
+committed commit number.  What is left to serialize is mutation, and
+each :class:`~repro.engine.database.Database` carries one
+:class:`WriterLock` for it: DML, DDL, transaction scopes, checkpoints,
+whole-database snapshots and replica apply take it — one writer at a
+time, while snapshot readers proceed untouched.
 
-* SELECT / EXPLAIN (outside a transaction) classify as **shared** —
-  but since MVCC landed they normally bypass the lock entirely,
-  reading a pinned snapshot of the version chains instead; the shared
-  side remains for in-transaction reads (which piggyback on the
-  exclusive hold) and for callers that opt out of snapshot reads;
-* DML, DDL and transaction scopes take the **exclusive** side — one
-  writer at a time.  Writers no longer exclude readers in practice:
-  they serialize only against each other, while snapshot readers
-  proceed lock-free.
+The lock is reentrant per thread, which is what lets an explicit
+transaction hold it across every statement it runs (``BEGIN``
+acquires, ``COMMIT``/``ROLLBACK`` release), so no other thread can
+disturb uncommitted state; a SELECT inside the transaction reads the
+live rows under that hold.
 
-The exclusive side is reentrant per thread, which is what lets an
-explicit transaction hold the lock across every statement it runs
-(``BEGIN`` acquires, ``COMMIT``/``ROLLBACK`` release), so no other
-thread can observe uncommitted state.  The shared side is reentrant
-per thread too: readers are tracked per thread ident, so a thread
-already inside the shared side may re-enter it even while a writer is
-queued — under the old plain-count accounting that re-entry deadlocked
-against writer preference.  Waiting writers still gate *new* readers,
-so heavy read traffic cannot starve DML.
-
-The lock also exposes an introspection API (:meth:`mode`,
-:meth:`holders`) for the runtime concurrency sanitizer
-(``repro.analysis.concurrency``), so tooling never has to reach into
-the private state.
+:meth:`WriterLock.owner` is the introspection the runtime concurrency
+sanitizer (``repro.analysis.concurrency``) builds its checks on, so
+tooling never has to reach into the private state.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Optional, Tuple
-
-#: Lock acquisition modes, as chosen by ``Database._lock_mode``.
-SHARED = "shared"
-EXCLUSIVE = "exclusive"
+from typing import Optional
 
 
-class ReadWriteLock:
-    """A writer-preference reader-writer lock, reentrant on both sides.
+class WriterLock:
+    """A mutex that its holding thread may re-acquire.
 
-    Invariants: either ``_writer`` is None and any number of readers
-    hold the shared side (per-thread reentry depth in ``_readers``),
-    or ``_writer`` names the one thread holding the exclusive side
-    ``_writer_depth`` times and ``_readers`` is empty.  A thread
-    holding the exclusive side may re-acquire either side; the hold is
-    released when its depth returns to zero.  Upgrading (shared →
-    exclusive in one thread) is refused loudly instead of deadlocking.
+    Invariant: ``_writer`` names the one thread holding the lock
+    ``_writer_depth`` times, or is None with depth 0.  The hold is
+    released when its depth returns to zero.
     """
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
-        # Thread ident -> shared-side reentry depth.
-        self._readers: Dict[int, int] = {}    # guarded-by: _cond
         self._writer: Optional[int] = None    # guarded-by: _cond
         self._writer_depth = 0                # guarded-by: _cond
-        self._waiting_writers = 0             # guarded-by: _cond
-
-    # -- shared side -----------------------------------------------------------
-
-    def acquire_read(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer == me:
-                # Reads under this thread's exclusive hold piggyback
-                # on it (a transaction running SELECTs).
-                self._writer_depth += 1
-                return
-            if me in self._readers:
-                # Reentrant shared hold: never queue behind a waiting
-                # writer while already inside the shared side — that
-                # is a self-deadlock under writer preference.
-                self._readers[me] += 1
-                return
-            while self._writer is not None or self._waiting_writers:
-                self._cond.wait()
-            self._readers[me] = 1
-
-    def release_read(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer == me:
-                self._release_exclusive_hold()
-                return
-            depth = self._readers.get(me, 0)
-            if depth <= 0:
-                raise RuntimeError("release_read without acquire_read")
-            if depth == 1:
-                del self._readers[me]
-            else:
-                self._readers[me] = depth - 1
-            if not self._readers:
-                self._cond.notify_all()
-
-    # -- exclusive side --------------------------------------------------------
 
     def acquire_write(self) -> None:
         me = threading.get_ident()
@@ -107,17 +47,8 @@ class ReadWriteLock:
             if self._writer == me:
                 self._writer_depth += 1
                 return
-            if me in self._readers:
-                # Waiting for readers to drain would wait on ourselves.
-                raise RuntimeError(
-                    "cannot upgrade a shared hold to exclusive; "
-                    "release the shared side first")
-            self._waiting_writers += 1
-            try:
-                while self._writer is not None or self._readers:
-                    self._cond.wait()
-            finally:
-                self._waiting_writers -= 1
+            while self._writer is not None:
+                self._cond.wait()
             self._writer = me
             self._writer_depth = 1
 
@@ -126,64 +57,11 @@ class ReadWriteLock:
             if self._writer != threading.get_ident():
                 raise RuntimeError(
                     "release_write by a thread that does not hold "
-                    "the exclusive lock")
-            self._release_exclusive_hold()
-
-    def _release_exclusive_hold(self) -> None:  # requires: _cond
-        self._writer_depth -= 1
-        if self._writer_depth == 0:
-            self._writer = None
-            self._cond.notify_all()
-
-    # -- introspection / scoping ----------------------------------------------
-
-    def mode(self) -> Optional[str]:
-        """``EXCLUSIVE``, ``SHARED`` or None (idle) — a snapshot."""
-        with self._cond:
-            if self._writer is not None:
-                return EXCLUSIVE
-            if self._readers:
-                return SHARED
-            return None
-
-    def holders(self) -> Tuple[int, ...]:
-        """Idents of the threads currently holding either side.
-
-        One entry per holding thread regardless of reentry depth: the
-        exclusive holder alone, or every distinct reader.  The runtime
-        sanitizer keys its acquisition history on these instead of
-        reaching into the private state.
-        """
-        with self._cond:
-            if self._writer is not None:
-                return (self._writer,)
-            return tuple(sorted(self._readers))
-
-    def owned_exclusively(self) -> bool:
-        """True when the calling thread holds the exclusive side."""
-        with self._cond:
-            return self._writer == threading.get_ident()
-
-    def require_exclusive(self, what: str) -> None:
-        """Assert the calling thread holds the exclusive side.
-
-        The durability layer leans on this: a WAL commit is only
-        correct while the writer lock serializes mutations, so the
-        flush path asserts the invariant instead of trusting every
-        caller to have taken the right mode.
-        """
-        if not self.owned_exclusively():
-            raise RuntimeError(
-                f"{what} requires the exclusive side of the "
-                f"database lock")
-
-    @contextmanager
-    def shared(self):
-        self.acquire_read()
-        try:
-            yield self
-        finally:
-            self.release_read()
+                    "the lock")
+            self._writer_depth -= 1
+            if self._writer_depth == 0:
+                self._writer = None
+                self._cond.notify_all()
 
     @contextmanager
     def exclusive(self):
@@ -193,10 +71,25 @@ class ReadWriteLock:
         finally:
             self.release_write()
 
-    def held(self, mode: str):
-        """The scope for one statement: ``SHARED`` or ``EXCLUSIVE``."""
-        if mode == SHARED:
-            return self.shared()
-        if mode == EXCLUSIVE:
-            return self.exclusive()
-        raise ValueError(f"unknown lock mode {mode!r}")
+    # -- introspection -------------------------------------------------------
+
+    def owner(self) -> Optional[int]:
+        """Ident of the thread holding the lock, or None (idle)."""
+        with self._cond:
+            return self._writer
+
+    def owned_exclusively(self) -> bool:
+        """True when the calling thread holds the lock."""
+        return self.owner() == threading.get_ident()
+
+    def require_exclusive(self, what: str) -> None:
+        """Assert the calling thread holds the lock.
+
+        The durability layer leans on this: a WAL commit is only
+        correct while the writer lock serializes mutations, so the
+        flush path asserts the invariant instead of trusting every
+        caller to have taken it.
+        """
+        if not self.owned_exclusively():
+            raise RuntimeError(
+                f"{what} requires the database's writer lock")

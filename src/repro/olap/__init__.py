@@ -1,9 +1,9 @@
 """OLAP substrate (the Mondrian-style analysis engine).
 
 The analysis service (AS) defines OLAP cubes over star schemas stored
-in the embedded engine, evaluates multidimensional queries (with an
-aggregate cache), parses an MDX-lite query language, and supports
-interactive navigation (drill-down / roll-up / slice / dice):
+in the embedded engine, evaluates multidimensional queries, parses an
+MDX-lite query language, and supports interactive navigation
+(drill-down / roll-up / slice / dice):
 
 * :mod:`repro.olap.model` — cube schema over a star schema
 * :mod:`repro.olap.engine` — aggregation engine and cell sets

@@ -2,8 +2,10 @@
 
 Queries are expressed as (measures, group-by axes, slicers) and
 compiled to one SQL statement joining the fact table with the needed
-dimension tables.  Results are memoized in an aggregate cache keyed by
-the canonical query; the cache is the ablation knob of benchmark E9.
+dimension tables.  The engine keeps no results of its own: that
+statement is a compiled ``GROUP BY``, so the database reuses its rows
+while the fact and dimension tables stand still and proves them fresh
+from their commit stamps at read time (DESIGN §5b invariant 7).
 """
 
 from __future__ import annotations
@@ -96,27 +98,13 @@ class CellSet:
 class OlapEngine:
     """Evaluates cube queries against an embedded database."""
 
-    def __init__(self, database: Database, schema: CubeSchema,
-                 use_cache: bool = True):
+    def __init__(self, database: Database, schema: CubeSchema):
         schema.check_against(database)
         self.database = database
         self.schema = schema
-        self.use_cache = use_cache
-        self._cache: Dict[Any, CellSet] = {}
+        #: ``cache_hits`` counts queries the database answered without
+        #: a scan (a reused, stamp-validated result).
         self.statistics = {"queries": 0, "cache_hits": 0}
-
-    # -- cache -------------------------------------------------------------------
-
-    def invalidate_cache(self) -> None:
-        """Drop all memoized aggregates (call after fact loads)."""
-        self._cache.clear()
-
-    def _cache_key(self, measures: Tuple[str, ...],
-                   axes: Tuple[Axis, ...],
-                   slicers: Tuple[Slicer, ...]) -> Any:
-        return (measures, axes, tuple(
-            (dimension, level, repr(member))
-            for dimension, level, member in slicers))
 
     # -- query -------------------------------------------------------------------
 
@@ -150,16 +138,11 @@ class OlapEngine:
         for dimension, level, _member in slicer_list:
             dimension.level_index(level)
 
-        key = self._cache_key(tuple(measures),
-                              tuple((d, l) for d, l in axes),
-                              tuple(slicers))
         self.statistics["queries"] += 1
-        if self.use_cache and key in self._cache:
-            self.statistics["cache_hits"] += 1
-            return self._cache[key]
-
         sql, params = self._compile(measure_objs, axis_list, slicer_list)
-        raw = self.database.query(sql, params)
+        raw = self.database.execute(sql, params)
+        if raw.reused:
+            self.statistics["cache_hits"] += 1
         rows: List[Dict[str, Any]] = []
         axis_names = [f"{dimension.name}.{level}"
                       for dimension, level in axis_list]
@@ -177,14 +160,11 @@ class OlapEngine:
                 else:
                     row[name] = base_values[name]
             rows.append(row)
-        cell_set = CellSet(
+        return CellSet(
             measures=list(requested),
             axes=[(dimension.name, level)
                   for dimension, level in axis_list],
             rows=rows)
-        if self.use_cache:
-            self._cache[key] = cell_set
-        return cell_set
 
     def _compile(self, measures, axis_list, slicer_list):
         """Build the star-join SQL for one query."""

@@ -264,31 +264,14 @@ class TestBlockingUnderLock:
         assert diagnostic.severity is Severity.WARNING
         assert "os.fsync" in diagnostic.message
 
-    def test_sleep_under_shared_side_is_clean(self, tmp_path):
-        # The shared side admits other readers; a sleeping reader is
-        # wasteful but does not serialize the platform.
-        collector = run_on(tmp_path, """\
-            import time
-            from repro.engine.locking import ReadWriteLock
-
-            class Poller:
-                def __init__(self):
-                    self._lock = ReadWriteLock()
-
-                def poll(self):
-                    with self._lock.shared():
-                        time.sleep(0.1)
-            """)
-        assert codes(collector) == []
-
     def test_sleep_under_rwlock_exclusive_is_odb503(self, tmp_path):
         collector = run_on(tmp_path, """\
             import time
-            from repro.engine.locking import ReadWriteLock
+            from repro.engine.locking import WriterLock
 
             class Poller:
                 def __init__(self):
-                    self._lock = ReadWriteLock()
+                    self._lock = WriterLock()
 
                 def rebuild(self):
                     with self._lock.exclusive():

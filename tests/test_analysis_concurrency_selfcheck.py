@@ -44,7 +44,7 @@ def test_selfcheck_is_not_vacuous():
     )
     # The engine's core locking surfaces must all be visible.
     names = {class_name for _, class_name in lock_owners}
-    assert {"Database", "ReadWriteLock", "RequestGateway",
+    assert {"Database", "WriterLock", "RequestGateway",
             "ShardMap", "TenantManager"} <= names, sorted(names)
     assert guarded >= 20, guarded
     # The result cache's shared state is annotated where it lives: the

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.engine import Database, ReadWriteLock
+from repro.engine import Database, WriterLock
 from repro.core.tenancy import TenancyMode, TenantManager
 
 pytestmark = pytest.mark.stress
@@ -53,21 +53,10 @@ def run_workers(worker, n_workers=N_WORKERS):
 
 
 class TestReadWriteLock:
-    def test_readers_overlap(self):
-        """All readers must be inside the lock at the same time."""
-        lock = ReadWriteLock()
-        inside = threading.Barrier(N_WORKERS)
-
-        def worker(wid):
-            with lock.shared():
-                # If readers excluded each other this barrier could
-                # never fill and the wait would raise BrokenBarrier.
-                inside.wait(timeout=WAIT)
-
-        run_workers(worker)
+    """The engine's :class:`WriterLock`."""
 
     def test_writer_excludes_everyone(self):
-        lock = ReadWriteLock()
+        lock = WriterLock()
         counter = {"value": 0, "max_inside": 0}
 
         def worker(wid):
@@ -81,11 +70,11 @@ class TestReadWriteLock:
         assert counter["value"] == N_WORKERS * 200
 
     def test_writer_is_reentrant(self):
-        lock = ReadWriteLock()
+        lock = WriterLock()
         with lock.exclusive():
             with lock.exclusive():
-                with lock.shared():
-                    assert lock.owned_exclusively()
+                assert lock.owned_exclusively()
+            assert lock.owned_exclusively()
         assert not lock.owned_exclusively()
 
 
@@ -407,7 +396,7 @@ class TestTenantStress:
                 database.execute(
                     "INSERT INTO orders VALUES (?, ?, ?)",
                     (wid * 1000 + i, f"t{wid}", i))
-            # Tenant-discriminated reads overlap on the shared side.
+            # Tenant-discriminated reads overlap: snapshots take no lock.
             rows = database.query(
                 "SELECT COUNT(*) AS n FROM orders WHERE tenant = ?",
                 (f"t{wid}",))
@@ -419,9 +408,9 @@ class TestTenantStress:
         assert manager.database_count() == 1
 
     def test_isolated_mode_tenants_run_in_parallel(self):
-        """Private databases: all 8 readers inside their engines at
-        once — the barrier can only fill if no cross-tenant lock
-        serializes them."""
+        """Private databases: all 8 workers hold their own engine's
+        writer lock at once — the barrier can only fill if no
+        cross-tenant lock serializes them."""
         manager = TenantManager(TenancyMode.ISOLATED)
         for wid in range(N_WORKERS):
             context = manager.register(f"t{wid}", f"Tenant {wid}")
@@ -435,7 +424,7 @@ class TestTenantStress:
         def worker(wid):
             database = manager.require_active(
                 f"t{wid}").operational_db
-            with database._lock.shared():
+            with database._lock.exclusive():
                 inside.wait(timeout=WAIT)
             for _ in range(50):
                 assert database.query_value(

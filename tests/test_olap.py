@@ -1,5 +1,7 @@
 """Tests for the OLAP substrate: schemas, engine, MDX-lite, navigation."""
 
+import threading
+
 import pytest
 
 from repro.engine import Database
@@ -181,19 +183,73 @@ class TestOlapEngine:
         engine.query(["revenue"], [], [("Time", "year", 2021)])
         assert engine.statistics["cache_hits"] == 0
 
+    def test_no_cache_hit_across_a_write(self, engine, db):
+        engine.query(["revenue"], [("Time", "year")])
+        db.execute("INSERT INTO fact_sales VALUES (1, 1, 1.0, 1)")
+        engine.query(["revenue"], [("Time", "year")])
+        assert engine.statistics == {"queries": 2, "cache_hits": 0}
+
     def test_cache_invalidation_after_load(self, engine, db):
+        """A load is visible to the very next query, unasked."""
         before = engine.grand_total("revenue")
         db.execute("INSERT INTO fact_sales VALUES (1, 1, 1000.0, 1)")
-        stale = engine.grand_total("revenue")
-        assert stale == before  # cached
-        engine.invalidate_cache()
         assert engine.grand_total("revenue") == before + 1000.0
 
-    def test_cache_disabled(self, db, schema):
-        engine = OlapEngine(db, schema, use_cache=False)
-        engine.grand_total("revenue")
-        engine.grand_total("revenue")
-        assert engine.statistics["cache_hits"] == 0
+    def test_uncommitted_load_is_invisible_until_commit(self, engine,
+                                                        db):
+        before = engine.grand_total("revenue")
+        wrote, decide, decided = (threading.Event() for _ in range(3))
+
+        def writer():
+            for outcome in ("ROLLBACK", "COMMIT"):
+                db.execute("BEGIN")
+                db.execute(
+                    "INSERT INTO fact_sales VALUES (1, 1, 1000.0, 1)")
+                wrote.set()
+                decide.wait(timeout=30)
+                decide.clear()
+                db.execute(outcome)
+                decided.set()
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            for after in (before, before + 1000.0):
+                assert wrote.wait(timeout=30)
+                wrote.clear()
+                # In flight on another thread: not visible.
+                assert engine.grand_total("revenue") == before
+                decide.set()
+                assert decided.wait(timeout=30)
+                decided.clear()
+                # Rolled back: never shows.  Committed: shows.
+                assert engine.grand_total("revenue") == after
+                before = after
+        finally:
+            decide.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_renamed_member_moves_the_axis(self, engine, db):
+        first = engine.query(["revenue"], [("Store", "region")])
+        assert [row["Store.region"] for row in first.rows] \
+            == ["North", "South"]
+        db.execute(
+            "UPDATE dim_store SET region = 'Midi' WHERE region = 'South'")
+        second = engine.query(["revenue"], [("Store", "region")])
+        assert [row["Store.region"] for row in second.rows] \
+            == ["Midi", "North"]
+        assert second.cell(["Midi"], "revenue") \
+            == first.cell(["South"], "revenue")
+
+    def test_every_query_returns_its_own_cell_set(self, engine):
+        first = engine.query(["revenue"], [("Time", "year")])
+        expected = [dict(row) for row in first.rows]
+        first.rows[0]["revenue"] = -1.0
+        first.rows.append({"Time.year": 1999, "revenue": 0.0})
+        second = engine.query(["revenue"], [("Time", "year")])
+        assert second is not first
+        assert second.rows == expected
 
     def test_engine_validates_schema_at_construction(self, schema):
         with pytest.raises(CubeDefinitionError):

@@ -62,6 +62,7 @@ class TestReuse:
         assert counters(db) == (0, 1)
         second = db.execute(BY_TAG)
         assert counters(db) == (1, 1)
+        assert second.reused and not first.reused
         fresh = uncached(db, BY_TAG)
         assert second.columns == fresh.columns == first.columns
         assert second.rows == fresh.rows == first.rows

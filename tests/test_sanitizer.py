@@ -2,8 +2,8 @@
 
 Three layers:
 
-* unit tests for the :class:`ReadWriteLock` introspection API and the
-  reentrancy/upgrade semantics the sanitizer leans on;
+* unit tests for the :class:`WriterLock` introspection API the
+  sanitizer leans on;
 * unit tests that each sanitizer invariant actually fires on an
   induced violation (a checker that can't fail is no checker);
 * full reruns of the PR 3 stress battery and the PR 5 crash-chaos
@@ -12,21 +12,20 @@ Three layers:
 """
 
 import threading
-import time
 
 import pytest
 
 from repro.analysis.concurrency import (
     SANITIZE_ENV,
     ConcurrencySanitizer,
-    SanitizedReadWriteLock,
+    SanitizedWriterLock,
     StorageMonitor,
     default_sanitizer,
     reset_default_sanitizer,
     sanitize_enabled,
 )
 from repro.engine.database import Database
-from repro.engine.locking import EXCLUSIVE, SHARED, ReadWriteLock
+from repro.engine.locking import WriterLock
 
 import tests.test_concurrency_stress as stress
 import tests.test_crash_chaos as chaos
@@ -45,133 +44,31 @@ def sanitized_env(monkeypatch):
     reset_default_sanitizer()
 
 
-# -- ReadWriteLock introspection and semantics --------------------------------------
+# -- WriterLock introspection ------------------------------------------------------
 
 
 class TestReadWriteLockIntrospection:
     def test_idle_lock_reports_nothing(self):
-        lock = ReadWriteLock()
-        assert lock.mode() is None
-        assert lock.holders() == ()
-
-    def test_shared_hold_is_visible(self):
-        lock = ReadWriteLock()
-        with lock.shared():
-            assert lock.mode() == SHARED
-            assert threading.get_ident() in lock.holders()
-        assert lock.mode() is None
+        lock = WriterLock()
+        assert lock.owner() is None
+        assert not lock.owned_exclusively()
 
     def test_exclusive_hold_is_visible(self):
-        lock = ReadWriteLock()
+        lock = WriterLock()
         with lock.exclusive():
-            assert lock.mode() == EXCLUSIVE
-            assert lock.holders() == (threading.get_ident(),)
-        assert lock.holders() == ()
-
-    def test_holders_lists_every_distinct_reader(self):
-        lock = ReadWriteLock()
-        inside = threading.Barrier(3)
-        release = threading.Event()
-        seen = []
-
-        def reader():
-            with lock.shared():
-                inside.wait(timeout=WAIT)
-                seen.append(lock.holders())
-                release.wait(timeout=WAIT)
-
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        for thread in threads:
+            assert lock.owner() == threading.get_ident()
+            seen = []
+            thread = threading.Thread(
+                target=lambda: seen.append(
+                    (lock.owner(), lock.owned_exclusively())))
             thread.start()
-        try:
-            deadline = time.monotonic() + WAIT
-            while len(seen) < 3 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        finally:
-            release.set()
-            for thread in threads:
-                thread.join(timeout=WAIT)
-        assert seen and all(len(holders) == 3 for holders in seen)
-
-    def test_upgrade_attempt_raises_instead_of_deadlocking(self):
-        lock = ReadWriteLock()
-        with lock.shared():
-            with pytest.raises(RuntimeError, match="upgrade"):
-                lock.acquire_write()
-        # The refused upgrade left the shared hold intact and
-        # releasable — and the lock ends up idle.
-        assert lock.mode() is None
-
-    def test_reader_reentry_while_writer_waits(self):
-        """The accounting fix: a thread already inside the shared side
-        may re-enter it even though a writer is queued (plain-count
-        accounting deadlocked here), and the writer still gets the
-        lock afterwards."""
-        lock = ReadWriteLock()
-        writer_done = threading.Event()
-
-        def writer():
-            with lock.exclusive():
-                writer_done.set()
-
-        lock.acquire_read()
-        thread = threading.Thread(target=writer)
-        thread.start()
-        deadline = time.monotonic() + WAIT
-        while lock._waiting_writers == 0 \
-                and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert lock._waiting_writers == 1, "writer never queued"
-
-        lock.acquire_read()  # re-entry: must not queue behind writer
-        assert lock.mode() == SHARED
-        lock.release_read()
-        lock.release_read()
-
-        thread.join(timeout=WAIT)
-        assert writer_done.is_set(), "writer starved after reentry"
-
-    def test_new_readers_still_wait_behind_a_queued_writer(self):
-        lock = ReadWriteLock()
-        reading = threading.Event()
-        release_reader = threading.Event()
-        order = []
-
-        def first_reader():
-            with lock.shared():
-                reading.set()
-                release_reader.wait(timeout=WAIT)
-
-        def writer():
-            with lock.exclusive():
-                order.append("writer")
-
-        def late_reader():
-            with lock.shared():
-                order.append("late-reader")
-
-        holder = threading.Thread(target=first_reader)
-        holder.start()
-        assert reading.wait(timeout=WAIT)
-        writing = threading.Thread(target=writer)
-        writing.start()
-        deadline = time.monotonic() + WAIT
-        while lock._waiting_writers == 0 \
-                and time.monotonic() < deadline:
-            time.sleep(0.01)
-        late = threading.Thread(target=late_reader)
-        late.start()
-        time.sleep(0.05)  # give the late reader a chance to jump
-        assert not order, "someone got in past the first reader"
-        release_reader.set()
-        for thread in (holder, writing, late):
             thread.join(timeout=WAIT)
-        assert order[0] == "writer", order
+            # Another thread sees who holds it, and that it does not.
+            assert seen == [(threading.get_ident(), False)]
+        assert lock.owner() is None
 
     def test_release_without_acquire_raises(self):
-        lock = ReadWriteLock()
-        with pytest.raises(RuntimeError):
-            lock.release_read()
+        lock = WriterLock()
         with pytest.raises(RuntimeError):
             lock.release_write()
 
@@ -182,8 +79,8 @@ class TestReadWriteLockIntrospection:
 class TestSanitizerDetections:
     def test_lock_order_inversion_is_reported(self):
         sanitizer = ConcurrencySanitizer()
-        lock_a = SanitizedReadWriteLock("A", sanitizer)
-        lock_b = SanitizedReadWriteLock("B", sanitizer)
+        lock_a = SanitizedWriterLock("A", sanitizer)
+        lock_b = SanitizedWriterLock("B", sanitizer)
         with lock_a.exclusive():
             with lock_b.exclusive():
                 pass
@@ -200,8 +97,8 @@ class TestSanitizerDetections:
 
     def test_inversion_reported_once_not_per_acquisition(self):
         sanitizer = ConcurrencySanitizer()
-        lock_a = SanitizedReadWriteLock("A", sanitizer)
-        lock_b = SanitizedReadWriteLock("B", sanitizer)
+        lock_a = SanitizedWriterLock("A", sanitizer)
+        lock_b = SanitizedWriterLock("B", sanitizer)
         for _ in range(5):
             with lock_a.exclusive(), lock_b.exclusive():
                 pass
@@ -211,13 +108,12 @@ class TestSanitizerDetections:
 
     def test_reentrant_holds_do_not_make_edges(self):
         sanitizer = ConcurrencySanitizer()
-        lock = SanitizedReadWriteLock("solo", sanitizer)
+        lock = SanitizedWriterLock("solo", sanitizer)
         with lock.exclusive():
             with lock.exclusive():
-                with lock.shared():  # piggyback read
-                    pass
+                pass
         sanitizer.assert_clean()
-        assert sanitizer.acquisitions == 3
+        assert sanitizer.acquisitions == 2
 
     def test_unsynchronized_write_is_reported(self, sanitized_env):
         db = Database("rogue-write")
@@ -275,7 +171,7 @@ class TestEnvironmentGating:
         assert not sanitize_enabled()
         db = Database("plain")
         assert db.sanitizer is None
-        assert type(db._lock) is ReadWriteLock
+        assert type(db._lock) is WriterLock
 
     @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
     def test_truthy_values_enable(self, monkeypatch, value):
@@ -285,7 +181,7 @@ class TestEnvironmentGating:
     def test_env_var_sanitizes_databases(self, sanitized_env):
         db = Database("gated")
         assert db.sanitizer is sanitized_env
-        assert isinstance(db._lock, SanitizedReadWriteLock)
+        assert isinstance(db._lock, SanitizedWriterLock)
         db.execute("CREATE TABLE t (id INTEGER)")
         assert db._storages["t"]._monitor is not None
 

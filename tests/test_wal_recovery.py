@@ -9,6 +9,7 @@ corrupt frames and intact-but-uncommitted trailing ops.
 
 import pickle
 import struct
+import threading
 import zlib
 
 import pytest
@@ -263,6 +264,50 @@ class TestDatabaseRecover:
         assert recovered.recovery_info["snapshot_loaded"] is True
         assert recovered.recovery_info["transactions_replayed"] == 0
         assert recovered.state_fingerprint() == fingerprint
+        recovered.close()
+
+    def test_save_racing_add_column_stays_recoverable(
+            self, tmp_path, monkeypatch):
+        """``save`` serializes the live schemas and row lists, which
+        ALTER TABLE ADD COLUMN widens in place.  The DDL must wait for
+        the snapshot: otherwise the file holds the new column under
+        the pre-DDL WAL commit number and recovery replays
+        ``add_column`` onto it."""
+        db = Database.recover(tmp_path, "main", fsync="off")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        db.executemany("INSERT INTO t (id, v) VALUES (?, ?)",
+                       [(i, "x") for i in range(5)])
+        altered = threading.Event()
+        altered_while_serializing = []
+        threads = []
+
+        def alter():
+            db.execute("ALTER TABLE t ADD COLUMN n INTEGER DEFAULT 7")
+            altered.set()
+
+        real_dumps = pickle.dumps
+
+        def racing_dumps(payload, *args, **kwargs):
+            if not threads:  # the snapshot payload, not a WAL frame
+                threads.append(threading.Thread(target=alter))
+                threads[0].start()
+                altered_while_serializing.append(
+                    altered.wait(timeout=0.5))
+            return real_dumps(payload, *args, **kwargs)
+
+        monkeypatch.setattr("repro.engine.database.pickle.dumps",
+                            racing_dumps)
+        db.save(tmp_path / "main.snapshot")
+        threads[0].join(timeout=30)
+        assert altered_while_serializing == [False]
+        assert altered.is_set()
+        db.close()
+
+        recovered = Database.recover(tmp_path, "main", fsync="off")
+        assert recovered.query("SELECT id, v, n FROM t ORDER BY id") \
+            == [{"id": i, "v": "x", "n": 7} for i in range(5)]
+        assert {len(row) for row in
+                recovered.storage("t").rows.values()} == {3}
         recovered.close()
 
     def test_truncated_wal_tail_recovers_committed_prefix(
