@@ -2,11 +2,12 @@
 
 Three measurements price the tentpole:
 
-* **route_read p50**: poll-on-read re-scans the primary's on-disk WAL
-  on every routed read; the supervisor's background pump ships frames
-  once per tick instead, so the read path becomes lock-check + lag
-  arithmetic.  The gap grows with the log, so a long unckeckpointed
-  WAL shows the pump's worth.
+* **route_read p50 after a write**: poll-on-read ships the new
+  transaction on the routed read that finds its replica behind (a
+  file open + the new bytes, whatever the log's length; a read with
+  nothing to fetch polls nothing in either mode); the supervisor's
+  background pump ships it on its tick instead, so the read path is
+  lock-check + lag arithmetic.
 * **MTTR vs probe interval**: on a fake clock the detector's recovery
   time is exact — (miss_threshold - 1) x probe_interval from first
   miss to promotion — so the probe cadence *is* the MTTR dial.
@@ -48,9 +49,15 @@ def build_map(base, clock=None, faults=None):
     return shard_map, shard
 
 
-def read_p50_ms(shard_map, tenant="acme"):
+def read_p50_ms(shard_map, shard, between=None, tenant="acme"):
+    """p50 of a routed read that follows one acknowledged write;
+    ``between`` (the pump's tick) runs untimed after the write."""
     samples = []
     for _ in range(READS):
+        shard.primary.execute(
+            "UPDATE sup_events SET v = v + 1 WHERE id = 0")
+        if between is not None:
+            between()
         started = time.perf_counter()
         shard_map.route_read(tenant)
         samples.append((time.perf_counter() - started) * 1000.0)
@@ -63,11 +70,10 @@ def test_bench_e18_supervision(tmp_path):
     # -- route_read p50: poll-on-read vs background pump ------------
     shard_map, shard = build_map(tmp_path / "route")
     shard.poll_replicas()  # both modes start from a converged replica
-    poll_p50 = read_p50_ms(shard_map)  # route_polling=True (default)
+    poll_p50 = read_p50_ms(shard_map, shard)  # route_polling=True
     supervisor = ShardSupervisor(shard_map, pump=True, audit_every=0)
     assert shard_map.route_polling is False
-    supervisor.tick()
-    pump_p50 = read_p50_ms(shard_map)
+    pump_p50 = read_p50_ms(shard_map, shard, between=supervisor.tick)
     cases["route_read_p50_poll_on_read_ms"] = poll_p50
     cases["route_read_p50_background_pump_ms"] = pump_p50
     # Routed reads still serve the replica at zero lag in pump mode.
@@ -125,8 +131,8 @@ def test_bench_e18_supervision(tmp_path):
     shard_map.close()
 
     lines = [
-        f"Routed-read p50 over a {WAL_COMMITS}-commit WAL "
-        f"({READS} reads):",
+        f"Routed-read p50 after one write, over a "
+        f"{WAL_COMMITS}-commit WAL ({READS} reads):",
         format_table(
             ("mode", "p50 (ms)"),
             [("poll-on-read", poll_p50),

@@ -37,12 +37,16 @@ WAL-shipped read replicas:
 
 Replication is pull-based and synchronous-on-demand: a replica applies
 frames when polled, so tests and benchmarks control exactly how far it
-lags.  The map's ``_lock`` guards only membership (ring + shard
-registry); each shard and each replica has its own lock, and WAL disk
-I/O (``poll``) always runs *outside* any of them — one shard's slow
-disk can never stall routing for the rest of the fleet.  The contract
-for what a replica may serve is DESIGN.md §6; the supervision layer on
-top (failure detection, auto-failover, anti-entropy audit) is §7.
+lags.  Shipping costs nothing when there is nothing to ship and O(new
+bytes) when there is: a routed read polls only the replicas whose
+commit number is behind the primary's, and a poll decodes only what
+was appended to the log since the last one.  The map's ``_lock``
+guards only membership (ring + shard registry); each shard and each
+replica has its own lock, and WAL disk I/O (``poll``) always runs
+*outside* any of them — one shard's slow disk can never stall routing
+for the rest of the fleet.  The contract for what a replica may serve
+is DESIGN.md §6; the supervision layer on top (failure detection,
+auto-failover, anti-entropy audit) is §7.
 """
 
 from __future__ import annotations
@@ -57,7 +61,12 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.resilience import CircuitBreaker, Clock, MonotonicClock
 from repro.engine.database import Database
-from repro.engine.wal import WriteAheadLog, committed_prefix
+from repro.engine.wal import (
+    TAIL_START,
+    WriteAheadLog,
+    committed_prefix,
+    committed_since,
+)
 from repro.errors import InjectedFault, ShardError, StaleEpochError, WalError
 
 #: Virtual nodes per shard on the hash ring.  More vnodes smooth the
@@ -182,14 +191,22 @@ class RouteHandle:
 class ReadReplica:
     """A follower database fed by its primary's write-ahead log.
 
-    ``poll`` reads the log file's committed prefix and applies every
-    transaction numbered past what the replica already holds.  When
-    the primary has checkpointed (snapshot + log reset) past the
-    replica's position, the needed transactions are gone from the log
-    — the replica reloads the primary's snapshot instead (cheap
-    detection via the snapshot file's stat signature) and continues
-    tailing from there.  Dangling ops and torn tails are invisible by
-    construction: only committed transactions ship.
+    ``poll`` *tails* the log: it remembers the byte just past the last
+    commit record it consumed (and that record's frame), reads only
+    what :func:`~repro.engine.wal.committed_since` finds appended
+    after it, and applies every transaction numbered past what the
+    replica already holds — a poll costs O(new bytes), not O(log).  A
+    position that no longer verifies (checkpoint reset, truncation, a
+    replaced file) is a *log restart*: the tail rewinds and reads the
+    log in full, and — because a restart means the primary has just
+    checkpointed and reclaimed its own dead row versions — the replica
+    reclaims its own.  When the primary has checkpointed (snapshot +
+    log reset) past the replica's position, the needed transactions
+    are gone from the log — the replica reloads the primary's snapshot
+    instead (cheap detection via the snapshot file's stat signature)
+    and continues tailing from there.  Dangling ops and torn tails are
+    invisible by construction: only committed transactions ship, and
+    the tail never advances past the last commit record.
 
     Two :class:`~repro.core.resilience.FaultInjector` sites model the
     infrastructure failures the supervision battery injects, both
@@ -218,6 +235,8 @@ class ReadReplica:
         self.database = Database(replica_id)  # guarded-by: _lock
         self.polls = 0  # guarded-by: _lock
         self.resyncs = 0  # guarded-by: _lock
+        self.log_restarts = 0  # guarded-by: _lock
+        self._tail: Tuple[int, bytes] = TAIL_START  # guarded-by: _lock
         self.quarantined: Optional[Dict[str, Any]] = None  # guarded-by: _lock
         self.closed = False  # guarded-by: _lock
         self._snapshot_signature: Optional[Tuple[int, int]] \
@@ -256,6 +275,9 @@ class ReadReplica:
             retired = self.database
             self.database = loaded
             self.resyncs += 1
+            # A forced swap may land *behind* the tail; the next poll
+            # must see the whole log again.
+            self._tail = TAIL_START
             retired.close()
         self._snapshot_signature = signature
 
@@ -274,7 +296,8 @@ class ReadReplica:
         self.polls += 1
         if self._faults is not None:
             self._faults.fire(f"replica.partition.{self.replica_id}")
-        transactions, _, _, _ = committed_prefix(self.wal_path)
+        transactions, offset, anchor, restarted = committed_since(
+            self.wal_path, *self._tail)
         fresh = [(number, ops) for number, ops in transactions
                  if number > self.applied_cn]
         gap = fresh and fresh[0][0] != self.applied_cn + 1
@@ -290,6 +313,13 @@ class ReadReplica:
             fresh = [(number, ops) for number, ops in transactions
                      if number > self.applied_cn]
         applied = self.database.apply_committed(fresh)
+        self._tail = (offset, anchor)
+        if restarted:
+            # The primary checkpointed (and collected its own dead
+            # versions) since the last poll; a replica is never
+            # checkpointed, so this is where it collects.
+            self.log_restarts += 1
+            self.database.vacuum()
         if self._faults is not None:
             try:
                 self._faults.fire(
@@ -309,6 +339,13 @@ class ReadReplica:
                 if row:
                     row[-1] = "\x00bitrot"
                     return
+
+    def shipping_counters(self) -> Dict[str, int]:
+        """How often this replica polled, resynced from a snapshot and
+        saw its primary's log restart."""
+        with self._lock:
+            return {"polls": self.polls, "resyncs": self.resyncs,
+                    "log_restarts": self.log_restarts}
 
     def quarantine(self, reason: str, at: float) -> None:
         """Pull the replica out of routing until it is healed."""
@@ -421,10 +458,18 @@ class Shard:
             return RouteHandle(self.shard_id, self.generation,
                                self.primary)
 
-    def read_handle(self, staleness_budget: int) -> RouteHandle:
+    def read_handle(self, staleness_budget: int,
+                    ship: bool = False) -> RouteHandle:  # blocking: ships WAL frames to replicas that are behind (disk reads)
         """The epoch-pinned read target: freshest healthy replica
         within budget, else the primary (never a wrong-er answer,
-        just no offload)."""
+        just no offload).
+
+        With ``ship`` every replica whose applied commit number is
+        below the primary's published one is polled first.  Equal
+        numbers mean every acknowledged commit is already applied —
+        the poll would find nothing — so a read with nothing to fetch
+        touches no file.  Lag is measured against the number compared.
+        """
         with self._lock:
             if self._promoting:
                 raise StaleEpochError(
@@ -436,6 +481,8 @@ class Shard:
         primary_cn = primary.committed_cn
         best: Optional[Tuple[int, ReadReplica]] = None
         for replica in replicas:
+            if ship and replica.applied_cn < primary_cn:
+                self._safe_poll(replica)
             if replica.quarantined is not None:
                 continue
             lag = max(0, primary_cn - replica.applied_cn)
@@ -619,6 +666,9 @@ class Shard:
                             max(0, primary.committed_cn
                                 - replica.applied_cn)
                             for replica in replicas},
+            "replica_shipping": {replica.replica_id:
+                                 replica.shipping_counters()
+                                 for replica in replicas},
             "quarantined_replicas": {
                 replica.replica_id: dict(replica.quarantined)
                 for replica in replicas
@@ -654,11 +704,18 @@ class ShardMap:
     :class:`~repro.errors.StaleEpochError`.
 
     ``route_polling`` is the shipment policy for routed reads: True
-    (default) polls the shard's replicas on every ``route_read`` /
-    ``read_handle`` (synchronous-on-demand, always freshest); the
-    supervision layer's background pump sets it False and ships
-    frames once per supervision tick instead, taking the WAL scan off
-    the read path entirely.
+    (default) ships on demand — every ``route_read`` /
+    ``read_handle`` compares commit numbers and polls exactly the
+    replicas that are behind the primary's published one, so a read
+    after an acknowledged write sees it and a read with nothing to
+    fetch opens no file; the supervision layer's background pump sets
+    it False and ships frames once per supervision tick instead,
+    taking the WAL read off the read path entirely.  Only the route
+    skips on equal numbers: :meth:`poll`, :meth:`Shard.poll_replicas`,
+    the supervisor's pump and audit, and failover's catch-up poll
+    unconditionally, because a commit that is durable but whose number
+    was never published (a crash between fsync and publish) is
+    invisible to the comparison and must still reach the replicas.
     """
 
     def __init__(self, directory: Union[str, Path],
@@ -760,17 +817,15 @@ class ShardMap:
         """Resolve the epoch-pinned read target for a tenant.
 
         ``poll`` overrides :attr:`route_polling` for this call; the
-        shipment (WAL disk I/O) runs outside every lock.
+        shipment (WAL disk I/O, and only to replicas that are behind)
+        runs outside every lock.
         """
         budget = (self.staleness_budget if max_staleness is None
                   else max_staleness)
         if budget < 0:
             raise ShardError("max_staleness must be >= 0")
-        shard = self.shard_for(tenant_id)
-        should_poll = self.route_polling if poll is None else poll
-        if should_poll:
-            shard.poll_replicas()
-        return shard.read_handle(budget)
+        ship = self.route_polling if poll is None else poll
+        return self.shard_for(tenant_id).read_handle(budget, ship=ship)
 
     def route_read(self, tenant_id: str,
                    max_staleness: Optional[int] = None,
@@ -778,12 +833,12 @@ class ShardMap:
             -> Tuple[Database, Dict[str, Any]]:
         """Pick the engine a read-only statement should run on.
 
-        Ships pending commits to the tenant's shard replicas first
-        (unless background pumping is on), then serves from the
-        freshest healthy replica whose lag fits the budget; when none
-        qualifies the primary serves.  Returns the database and a
-        routing record: shard id, generation, who served, and the lag
-        in commit numbers the caller accepted.
+        Ships pending commits to the replicas of the tenant's shard
+        that are behind (unless background pumping is on), then serves
+        from the freshest healthy replica whose lag fits the budget;
+        when none qualifies the primary serves.  Returns the database
+        and a routing record: shard id, generation, who served, and
+        the lag in commit numbers the caller accepted.
         """
         handle = self.read_handle(tenant_id, max_staleness, poll=poll)
         return handle.database, handle.route

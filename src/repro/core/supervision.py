@@ -148,7 +148,8 @@ class ShardSupervisor:
     into the replication pump: routed reads stop polling
     (``shards.route_polling = False``) and every tick ships pending
     frames instead, trading bounded staleness (one probe interval)
-    for a WAL-scan-free read path.
+    for a read path that never touches the log (on-demand shipping
+    touches it only on a read that finds its replica behind).
 
     Single-threaded by design — ticks are *driven* (by a scheduler,
     a test loop or :meth:`run`), never self-timed — so determinism is

@@ -27,6 +27,14 @@ tail a crash left).  Two record vocabularies share the framing:
   record per event (scheduler runs, dead letters, tenant
   registrations) and replay whatever prefix survives.
 
+What counts as *committed* has one definition —
+:func:`scan_frames` then :func:`committed_transactions` — and two
+readers built on it: :func:`committed_prefix` decodes the whole file
+(crash recovery, failover), :func:`committed_since` decodes only what
+was appended after a remembered commit record (a read replica tailing
+its primary), falling back to the whole file when that record is no
+longer where it was.
+
 The ``fsync`` policy knob trades latency for the durability window:
 ``always`` fsyncs every commit (nothing acknowledged is ever lost),
 ``batch`` fsyncs every ``batch_size`` commits (a crash may lose the
@@ -144,14 +152,20 @@ def scan_frames(data: bytes) \
     return entries, offset, None
 
 
+def _read_from(path: Union[str, Path], start: int) -> bytes:
+    """The file's bytes from ``start`` on; a missing file is empty."""
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(start)
+            return handle.read()
+    except FileNotFoundError:
+        return b""
+
+
 def read_log(path: Union[str, Path]) \
         -> Tuple[List[Tuple[Any, int]], int, Optional[str]]:
     """:func:`scan_frames` over a file; a missing file is empty."""
-    try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError:
-        return [], 0, None
-    return scan_frames(data)
+    return scan_frames(_read_from(path, 0))
 
 
 class _AppendLog:
@@ -380,6 +394,55 @@ def committed_prefix(path: Union[str, Path]) \
     if committed_length < len(MAGIC) and good_length >= len(MAGIC):
         committed_length = len(MAGIC)
     return transactions, committed_length, dangling, tail_reason
+
+
+#: Where a tailing reader that has consumed nothing stands: just past
+#: the magic, anchored on it.
+TAIL_START: Tuple[int, bytes] = (len(MAGIC), MAGIC)
+
+
+def committed_since(path: Union[str, Path], offset: int,
+                    anchor: bytes) \
+        -> Tuple[List[Tuple[int, List[Any]]], int, bytes, bool]:
+    """The committed transactions appended after a remembered position.
+
+    The tailing view of a primary's log: where :func:`committed_prefix`
+    decodes the whole file, a reader that polls the same log again and
+    again remembers how far it got — ``offset``, the byte just past the
+    last commit record it consumed, and ``anchor``, that record's frame
+    bytes (:data:`TAIL_START` for a reader that has consumed nothing)
+    — and decodes only what was appended since.  The position is trusted only
+    when the file still holds ``anchor`` ending at ``offset``.  Commit
+    numbers never repeat in a log's life (``last_number`` survives
+    :meth:`WriteAheadLog.reset`, and a promotion numbers onward), so
+    the same ``("commit", n)`` frame at the same place means the bytes
+    before it are the prefix already consumed.  Anything else — the log
+    was reset by a checkpoint (even if it has since regrown past
+    ``offset``), truncated, replaced or removed — *restarts* the
+    reader: it rewinds to the magic and reads the file in full.
+
+    Returns ``(transactions, offset, anchor, restarted)``.  The new
+    position ends at the last commit record read — never past a
+    dangling op run or a torn tail, which the next call therefore reads
+    again.  Frames are walked by :func:`scan_frames` and grouped by
+    :func:`committed_transactions`, the same two functions recovery
+    uses, so "committed" has one definition.
+    """
+    data = _read_from(path, offset - len(anchor))
+    restarted = offset > len(MAGIC) and not data.startswith(anchor)
+    if restarted:
+        offset, anchor = TAIL_START
+        data = _read_from(path, 0)
+    if offset > len(MAGIC):
+        data = MAGIC + data[len(anchor):]
+    entries, _, _ = scan_frames(data)
+    transactions, committed_length, _ = committed_transactions(entries)
+    if transactions:
+        ends = [len(MAGIC)] + [end for _, end in entries]
+        frame_start = ends[ends.index(committed_length) - 1]
+        anchor = data[frame_start:committed_length]
+        offset += committed_length - len(MAGIC)
+    return transactions, offset, anchor, restarted
 
 
 class JournalLog(_AppendLog):

@@ -4,6 +4,12 @@ A fast sanity layer between the unit tests and the full benchmark
 suite: a ~2-second check that plan compilation still beats the
 interpreted executor on the two E12 microbenchmark shapes, plus one
 end-to-end run of the analysis CLI over the example artifacts.
+
+Standing rule: no tier-1 wall-clock assert with less than 2x headroom
+over what was measured (compiled vs interpreted asserts 1.5x where 5-7x
+was measured; reuse vs recompute asserts 5x where ~150x was).  What a
+fast path must *not do* is asserted as a count — plans compiled, log
+frames decoded — which repeats exactly on any host.
 """
 
 import os
@@ -46,6 +52,20 @@ def best_ms(fn, repeats=3, before=None):
         fn()
         timings.append(time.perf_counter() - started)
     return min(timings) * 1000.0
+
+
+def spy(monkeypatch, owner, name):
+    """Rebind ``owner.name`` to itself plus a record of every result;
+    returns the (live) list of results."""
+    results = []
+    real = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, recording)
+    return results
 
 
 def touch_fact(database):
@@ -103,28 +123,94 @@ def test_unchanged_table_reuses_the_aggregate(big):
         f"recomputed {first_ms:.2f}ms vs reused {again_ms:.3f}ms")
 
 
-def test_moving_table_pays_nothing_for_the_cache(big):
-    """With a write between executions every read misses; the miss
-    costs the same as executing the plan with no cache in the way."""
-    statement = big._parse(GROUPED)
-    plan, _reason = big.plan_for(statement)
+def test_moving_table_pays_nothing_for_the_cache(big, monkeypatch):
+    """With a write between executions every read misses, and a miss
+    is the compiled plan executed once — nothing is planned again."""
+    from repro.engine import planner
 
-    def bare():
-        with big.open_snapshot() as snapshot:
-            return plan.execute((), snapshot)
-
+    big.execute(GROUPED)
+    planned = spy(monkeypatch, planner, "plan_select")
     misses = big.statistics["result_cache_misses"]
-    through, without = [], []
-    for _ in range(7):  # interleaved: host drift lands on both sides
-        through.append(best_ms(lambda: big.execute(GROUPED), repeats=1,
-                               before=lambda: touch_fact(big)))
-        without.append(best_ms(bare, repeats=1,
-                               before=lambda: touch_fact(big)))
+    for _ in range(7):
+        touch_fact(big)
+        big.execute(GROUPED)
     assert big.statistics["result_cache_misses"] == misses + 7
-    through_ms, bare_ms = min(through), min(without)
-    assert through_ms <= 1.15 * bare_ms, (
-        f"through the cache {through_ms:.2f}ms vs bare plan "
-        f"{bare_ms:.2f}ms")
+    assert planned == []
+
+
+def test_sharded_reads_decode_only_new_log_bytes(tmp_path, monkeypatch):
+    """The fence for on-demand shipping, in counts: a routed read with
+    nothing to fetch decodes no log frame, a read after one write
+    decodes that one transaction, and a checkpoint costs one re-read
+    of the (new, short) log — never a snapshot load."""
+    from repro.core import OdbisPlatform
+    from repro.engine import wal
+
+    platform = OdbisPlatform(data_dir=tmp_path, fsync="off", shards=2,
+                             replicas_per_shard=1)
+    by_shard = {}
+    for index in range(16):  # enough names to land on both shards
+        by_shard.setdefault(platform.shards.place(f"org-{index}"),
+                            f"org-{index}")
+    assert len(by_shard) == 2
+    headers = {}
+    for tenant in by_shard.values():
+        platform.provisioning.provision(tenant, tenant, plan="team")
+        login = platform.web.request(
+            "POST", "/login", body={"username": f"admin@{tenant}",
+                                    "password": "changeme"})
+        headers[tenant] = {"x-auth-token": login.json()["token"]}
+
+    def sql(tenant, statement):
+        response = platform.gateway.submit(
+            "POST", f"/tenants/{tenant}/sql", headers=headers[tenant],
+            body={"sql": statement}).result(30)
+        assert response.status == 200, response.body
+        return response.json()
+
+    rows = {}
+    for tenant in headers:
+        log = platform.shards.primary_for(tenant).wal
+        sql(tenant, "CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        rows[tenant] = 0
+        while log.commits < 50:  # provisioning wrote a few already
+            sql(tenant, f"INSERT INTO t VALUES ({rows[tenant]})")
+            rows[tenant] += 1
+        assert sql(tenant, "SELECT COUNT(*) AS n FROM t")["rows"] \
+            == [{"n": rows[tenant]}]
+
+    decoded = spy(monkeypatch, wal, "scan_frames")
+    loads = spy(monkeypatch, Database, "load")
+    try:
+        for _ in range(100):
+            for tenant in headers:
+                answer = sql(tenant, "SELECT COUNT(*) AS n FROM t")
+                assert answer["served_by"].endswith("-replica-0")
+                assert answer["replica_lag"] == 0
+        assert decoded == []
+
+        tenant = next(iter(headers))
+        sql(tenant, "INSERT INTO t VALUES (100)")
+        assert sql(tenant, "SELECT COUNT(*) AS n FROM t")["rows"] \
+            == [{"n": rows[tenant] + 1}]
+        assert [[record[0] for record, _ in entries]
+                for entries, _, _ in decoded] == [["op", "commit"]]
+
+        del decoded[:]
+        platform.checkpoint()
+        sql(tenant, "INSERT INTO t VALUES (101)")
+        answer = sql(tenant, "SELECT COUNT(*) AS n FROM t")
+        assert answer["rows"] == [{"n": rows[tenant] + 2}]
+        assert answer["served_by"].endswith("-replica-0")
+        assert [[record[0] for record, _ in entries]
+                for entries, _, _ in decoded] == [["op", "commit"]]
+        shipping = platform.shards.shard_for(tenant).health()[
+            "replica_shipping"]
+        assert [counters["log_restarts"]
+                for counters in shipping.values()] == [1]
+        assert loads == []
+    finally:
+        platform.close()
 
 
 def test_analysis_cli_runs_clean():

@@ -15,9 +15,10 @@ Marker ``shard``.  Three properties carry the tentpole:
 import pytest
 
 from repro.core import OdbisPlatform
+from repro.core.resilience import FaultInjector
 from repro.core.sharding import HashRing, ShardMap
-from repro.engine.wal import frame_record
-from repro.errors import ShardError, TenantError, WalError
+from repro.engine.wal import committed_prefix, frame_record
+from repro.errors import CrashPoint, ShardError, TenantError, WalError
 
 pytestmark = pytest.mark.shard
 
@@ -165,6 +166,157 @@ class TestReplication:
         assert replica.resyncs == 1
         assert replica.database.state_fingerprint() \
             == shard.primary.state_fingerprint()
+
+
+class TestShipOnDemand:
+    """The route ships only to a replica that is behind; every other
+    poll stays unconditional."""
+
+    def test_acknowledged_write_is_in_the_very_next_routed_read(
+            self, shard_map):
+        shard = seeded_shard(shard_map, rows=3)
+        replica = shard.replicas[0]
+        shard_map.route_read("acme")
+        for index in range(10, 15):
+            shard.primary.execute(
+                "INSERT INTO events VALUES (?, 'acked')", (index,))
+            polls = replica.polls
+            database, route = shard_map.route_read("acme")
+            assert route["served_by"] == replica.replica_id
+            assert route["replica_lag"] == 0
+            assert database.query(
+                "SELECT note FROM events WHERE id = ?", (index,)) \
+                == [{"note": "acked"}]
+            assert replica.polls == polls + 1
+
+    def test_reads_with_nothing_to_fetch_do_not_poll(self, shard_map):
+        shard = seeded_shard(shard_map, rows=3)
+        replica = shard.replicas[0]
+        shard_map.route_read("acme")
+        polls = replica.polls
+        for _ in range(25):
+            _, route = shard_map.route_read("acme")
+            assert route["served_by"] == replica.replica_id
+            assert route["replica_lag"] == 0
+        assert replica.polls == polls
+        # Every other shipment polls whether or not numbers differ.
+        shard.poll_replicas()
+        shard_map.poll()
+        assert replica.polls == polls + 2
+
+    def test_partitioned_replica_stays_behind_and_primary_serves(
+            self, tmp_path):
+        faults = FaultInjector()
+        shard_map = ShardMap(tmp_path / "shards", shards=1, replicas=1,
+                             fsync="off", faults=faults)
+        try:
+            shard = seeded_shard(shard_map, rows=2)
+            replica = shard.replicas[0]
+            shard_map.route_read("acme")
+            faults.inject(f"replica.partition.{replica.replica_id}")
+            shard.primary.execute(
+                "INSERT INTO events VALUES (50, 'unshipped')")
+            for _ in range(3):  # behind: polled, and cut off, each time
+                polls = replica.polls
+                database, route = shard_map.route_read("acme")
+                assert route["served_by"] == "primary"
+                assert database is shard.primary
+                assert replica.polls == polls + 1
+            assert shard.replica_lag()[replica.replica_id] == 1
+            _, route = shard_map.route_read("acme", max_staleness=1)
+            assert route["served_by"] == replica.replica_id
+            assert route["replica_lag"] == 1
+        finally:
+            shard_map.close()
+
+    def test_durable_unpublished_commit_ships_at_failover(
+            self, tmp_path):
+        """A crash between the log's fsync and the publish leaves a
+        commit no comparison of commit numbers can see — which is why
+        only the route may skip a poll."""
+        faults = FaultInjector()
+        shard_map = ShardMap(tmp_path / "shards", shards=1, replicas=1,
+                             fsync="off", faults=faults)
+        try:
+            shard = seeded_shard(shard_map, rows=0)
+            replica = shard.replicas[0]
+            primary, wal = shard.primary, shard.primary.wal
+            before = wal.offset
+            primary.execute("INSERT INTO events VALUES (1, 'one')")
+            chunk = wal.offset - before
+            shard_map.route_read("acme")
+            published = primary.committed_cn
+            # Same-sized row: the crash lands just past its commit
+            # record, after the fsync and before the acknowledgement.
+            faults.crash_at("wal.append", wal.offset + chunk)
+            with pytest.raises(CrashPoint):
+                primary.execute("INSERT INTO events VALUES (2, 'two')")
+            assert primary.committed_cn == published
+            assert committed_prefix(shard.wal_path)[0][-1][0] \
+                == published + 1
+            polls = replica.polls
+            _, route = shard_map.route_read("acme")
+            assert route["replica_lag"] == 0
+            assert replica.polls == polls  # equal numbers: not shipped
+            assert shard.failover() == replica.replica_id
+            assert shard.primary.committed_cn == published + 1
+            assert shard.primary.query(
+                "SELECT note FROM events WHERE id = 2") \
+                == [{"note": "two"}]
+        finally:
+            shard_map.close()
+
+
+class TestReplicaVersionCollection:
+    def test_replica_reclaims_versions_when_the_log_restarts(
+            self, shard_map):
+        shard = shard_map.shard_for("acme")
+        primary, replica = shard.primary, shard.replicas[0]
+        primary.execute(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        for index in range(20):
+            primary.execute("INSERT INTO t VALUES (?, 0)", (index,))
+        shard_map.route_read("acme")
+        pinned = replica.database.open_snapshot()
+        since_restart = 0
+        for update in range(300):
+            primary.execute("UPDATE t SET v = ? WHERE id = ?",
+                            (update + 1, update % 20))
+            shard_map.route_read("acme")
+            since_restart += 1
+            if update % 50 == 24:
+                primary.checkpoint()
+                since_restart = 0
+            elif update == 200:
+                # A snapshot pinned before the restarts still reads
+                # what it saw; it holds the horizon until released.
+                assert replica.log_restarts == 4
+                assert replica.database.version_count("t") == 20 + 201
+                old = replica.database.storage("t").snapshot_rows(
+                    pinned.cn)
+                assert sorted(row for _, row in old) \
+                    == [[index, 0] for index in range(20)]
+                pinned.close()
+        assert replica.log_restarts == 6
+        assert replica.resyncs == 0
+        assert primary.version_count("t") <= 20 + since_restart
+        # At the parent commit: primary 20, replica 320.
+        assert replica.database.version_count("t") \
+            <= 20 + since_restart
+        assert replica.database.state_fingerprint() \
+            == primary.state_fingerprint()
+
+    def test_health_reports_shipping_counters(self, shard_map):
+        shard = seeded_shard(shard_map, rows=4)
+        replica = shard.replicas[0]
+        shard_map.route_read("acme")
+        shard_map.route_read("acme")
+        shard.primary.checkpoint()
+        shard.primary.execute("INSERT INTO events VALUES (9, 'x')")
+        shard_map.route_read("acme")
+        assert shard_map.health()[shard.shard_id]["replica_shipping"] \
+            == {replica.replica_id:
+                {"polls": 2, "resyncs": 0, "log_restarts": 1}}
 
 
 class TestFailover:
