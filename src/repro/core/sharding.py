@@ -548,22 +548,6 @@ class Shard:
                 max(0, primary_cn - replica.applied_cn)
                 for replica in replicas}
 
-    def best_replica(self, staleness_budget: int) \
-            -> Optional[ReadReplica]:
-        """The freshest healthy replica within budget, or None."""
-        with self._lock:
-            primary_cn = self.primary.committed_cn
-            replicas = list(self.replicas)
-        best: Optional[Tuple[int, ReadReplica]] = None
-        for replica in replicas:
-            if replica.quarantined is not None:
-                continue
-            lag = max(0, primary_cn - replica.applied_cn)
-            if lag <= staleness_budget and \
-                    (best is None or lag < best[0]):
-                best = (lag, replica)
-        return None if best is None else best[1]
-
     # -- failover -----------------------------------------------------------------
 
     def failover(self) -> str:

@@ -4,12 +4,12 @@ Two sweeps:
 
 1. the shipped artifact directory (``examples/artifacts``) must lint
    completely clean through the CLI path;
-2. every SQL string literal embedded in ``examples/`` and
-   ``benchmarks/`` sources must analyze without errors against a
-   catalog assembled from all the DDL those same sources (and the
-   bundled workloads) declare.  Unknown tables are tolerated — the
-   catalog sweep is best-effort — but unknown columns, type mismatches
-   and the rest of the ODB1xx family are not.
+2. every SQL string literal embedded in ``examples/`` and in the
+   paper-regenerating tests (``tests/test_paper_*.py``) must analyze
+   without errors against a catalog assembled from all the DDL those
+   same sources (and the bundled workloads) declare.  Unknown tables
+   are tolerated — the catalog sweep is best-effort — but unknown
+   columns, type mismatches and the rest of the ODB1xx family are not.
 """
 
 import ast
@@ -23,8 +23,10 @@ from repro.analysis import (
 from repro.analysis.cli import lint_directory
 
 REPO = pathlib.Path(__file__).parent.parent
-SCAN_DIRS = [REPO / "examples", REPO / "benchmarks"]
-DDL_DIRS = SCAN_DIRS + [REPO / "src" / "repro" / "workloads"]
+SCAN_FILES = sorted((REPO / "examples").rglob("*.py")) \
+    + sorted((REPO / "tests").glob("test_paper_*.py"))
+DDL_FILES = SCAN_FILES \
+    + sorted((REPO / "src" / "repro" / "workloads").rglob("*.py"))
 
 SQL_STARTERS = ("SELECT ", "INSERT ", "UPDATE ", "DELETE ",
                 "CREATE ", "DROP ", "ALTER ")
@@ -60,12 +62,11 @@ def _sql_strings(path):
 def _global_catalog():
     """One catalog from all DDL strings the scanned sources declare."""
     ddl = []
-    for directory in DDL_DIRS:
-        for path in sorted(directory.rglob("*.py")):
-            for _line, text in _sql_strings(path):
-                if text.strip().upper().startswith(("CREATE", "ALTER")):
-                    ddl.append(text if text.rstrip().endswith(";")
-                               else text + ";")
+    for path in DDL_FILES:
+        for _line, text in _sql_strings(path):
+            if text.strip().upper().startswith(("CREATE", "ALTER")):
+                ddl.append(text if text.rstrip().endswith(";")
+                           else text + ";")
     for path in sorted((REPO / "examples").rglob("*.sql")):
         ddl.append(path.read_text())
     catalog, _views = catalog_from_script("\n".join(ddl))
@@ -78,17 +79,16 @@ def test_shipped_artifact_directory_is_clean():
     assert not collector.warnings, collector.render()
 
 
-def test_embedded_sql_in_examples_and_benchmarks_is_clean():
+def test_embedded_sql_in_examples_and_paper_tests_is_clean():
     catalog = _global_catalog()
     collector = DiagnosticCollector()
-    for directory in SCAN_DIRS:
-        for path in sorted(directory.rglob("*.py")):
-            if path.name in EXCLUDED_FILES:
-                continue
-            label = str(path.relative_to(REPO))
-            for line, text in _sql_strings(path):
-                analyze_script(text, catalog, collector,
-                               source=f"{label}:{line}")
+    for path in SCAN_FILES:
+        if path.name in EXCLUDED_FILES:
+            continue
+        label = str(path.relative_to(REPO))
+        for line, text in _sql_strings(path):
+            analyze_script(text, catalog, collector,
+                           source=f"{label}:{line}")
     offending = [
         diagnostic for diagnostic in collector.errors
         if diagnostic.code not in TOLERATED
@@ -100,7 +100,5 @@ def test_embedded_sql_in_examples_and_benchmarks_is_clean():
 
 def test_sweep_actually_finds_sql():
     """Guard against the scanner silently matching nothing."""
-    found = sum(1 for directory in SCAN_DIRS
-                for path in directory.rglob("*.py")
-                for _ in _sql_strings(path))
+    found = sum(1 for path in SCAN_FILES for _ in _sql_strings(path))
     assert found >= 10

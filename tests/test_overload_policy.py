@@ -1,24 +1,18 @@
-"""E19 — adaptive overload control: goodput vs offered load.
+"""E19 — overload control as policy, on the fake clock.
 
-Two measurements price the tentpole, both as discrete-event
-simulations on the fake clock (deterministic: same seed, same curves):
+Two discrete-event simulations over the real ``repro.core.overload``
+kernel (same seed, same curves; no wall clock is read, so this prices
+*policy* — cost is ``bench/``'s ``overload_open`` workload):
 
-* **offered-load sweep**: a backend of ``CAPACITY`` workers is driven
-  at 0.5x/1x/2x/4x its capacity with a seeded QoS mix.  The adaptive
-  stack (AIMD limiter + priority admission queue + brownout ladder)
-  is compared against an uncontrolled ablation that starts every
-  arrival immediately.  Service time degrades with concurrency beyond
-  capacity — the contention model that makes uncontrolled overload
-  collapse — so the sweep shows the contract: interactive goodput at
-  4x stays within 80% of its 1x value with bounded p99, while the
-  ablation's goodput collapses.
-* **retry storm**: a 2-second hard outage under steady load, clients
-  retrying failures with backoff.  With per-tenant retry budgets the
-  post-outage attempt rate converges back to the offered rate almost
-  immediately; without budgets the retry amplification keeps the
-  backend saturated past the measurement horizon.
-
-Regenerates ``E19_overload.txt`` and ``BENCH_overload.json``.
+* **offered-load sweep**: ``CAPACITY`` workers driven at 0.5x-4x with a
+  seeded QoS mix; service time degrades with concurrency beyond
+  capacity, which is what makes uncontrolled overload collapse.  The
+  adaptive stack (AIMD limiter + priority queue + brownout ladder)
+  must hold interactive goodput at 4x within 80% of its 1x value with
+  bounded p99 while an ablation that starts every arrival collapses.
+* **retry storm**: a 2-second outage under steady load, clients
+  retrying with backoff.  Retry budgets bring the attempt rate back to
+  the offered rate at once; without them it never comes back.
 """
 
 import heapq
@@ -34,10 +28,9 @@ from repro.core.overload import (
     RetryBudget,
 )
 from repro.core.resilience import Deadline, FakeClock
+from tests.test_paper_figures import show
 
-from _util import emit, format_table, write_bench_json
-
-pytestmark = pytest.mark.perfsmoke
+pytestmark = pytest.mark.overload
 
 CAPACITY = 4          # workers the backend can truly serve at once
 SERVICE = 0.02        # seconds per request at or below capacity
@@ -269,53 +262,36 @@ def run_retry_storm(budgets_on, seed=SEED):
     return amplification, None
 
 
-def test_bench_e19_overload():
-    cases = {}
-
-    # -- offered-load sweep: adaptive vs uncontrolled ---------------
-    sweep_rows = []
-    adaptive = {}
-    static = {}
+def test_offered_load_sweep_holds_interactive_goodput():
+    adaptive, static, sweep_rows = {}, {}, []
     for multiplier in MULTIPLIERS:
         adaptive[multiplier], controller = run_adaptive(multiplier)
         static[multiplier] = run_uncontrolled(multiplier)
         for qos, _, _ in MIX:
-            a = adaptive[multiplier][qos]
-            s = static[multiplier][qos]
+            a, s = adaptive[multiplier][qos], static[multiplier][qos]
             sweep_rows.append((
-                f"{multiplier:g}x", qos, a.offered,
-                a.goodput(), a.quantile(0.5) * 1000.0,
-                a.quantile(0.99) * 1000.0, a.degraded + a.shed
-                + a.expired, s.goodput()))
-            prefix = f"{multiplier:g}x_{qos}"
-            cases[f"goodput_adaptive_{prefix}_rps"] = a.goodput()
-            cases[f"goodput_uncontrolled_{prefix}_rps"] = s.goodput()
-            cases[f"p99_adaptive_{prefix}_ms"] = \
-                a.quantile(0.99) * 1000.0
-        if multiplier == max(MULTIPLIERS):
-            snap = controller.snapshot()
-            assert snap["brownout"]["level"] >= 2, (
-                "4x offered load never climbed the brownout ladder")
+                f"{multiplier:g}x", qos, a.offered, a.goodput(),
+                a.quantile(0.5) * 1000.0, a.quantile(0.99) * 1000.0,
+                a.degraded + a.shed + a.expired, s.goodput()))
+    show(f"E19 sweep: {CAPACITY} workers x {SERVICE * 1000:.0f} ms, "
+         f"{DURATION:.0f} s per point, seed {SEED}",
+         ("load", "class", "offered", "goodput (rps)", "p50 (ms)",
+          "p99 (ms)", "degr+shed", "uncontrolled (rps)"), sweep_rows)
+
+    # 4x offered load climbs the brownout ladder.
+    assert controller.snapshot()["brownout"]["level"] >= 2
 
     # The contract: interactive goodput at 4x holds >= 80% of its 1x
-    # value with bounded p99, while the ablation collapses.
+    # value with bounded p99, while the ablation collapses (if it does
+    # not, the contention model is not biting).
     interactive_1x = adaptive[1.0][QOS_INTERACTIVE].goodput()
     interactive_4x = adaptive[4.0][QOS_INTERACTIVE].goodput()
-    assert interactive_4x >= 0.8 * interactive_1x, (
-        f"interactive goodput fell to {interactive_4x:.1f} rps at 4x "
-        f"from {interactive_1x:.1f} rps at 1x")
-    p99_4x = adaptive[4.0][QOS_INTERACTIVE].quantile(0.99)
-    assert p99_4x <= DEADLINES[QOS_INTERACTIVE], (
-        f"interactive p99 {p99_4x:.3f}s blew the deadline at 4x")
+    assert interactive_4x >= 0.8 * interactive_1x
+    assert adaptive[4.0][QOS_INTERACTIVE].quantile(0.99) \
+        <= DEADLINES[QOS_INTERACTIVE]
     static_1x = static[1.0][QOS_INTERACTIVE].goodput()
     static_4x = static[4.0][QOS_INTERACTIVE].goodput()
-    assert static_4x < 0.5 * static_1x, (
-        "the uncontrolled ablation failed to collapse at 4x — the "
-        "contention model is not biting")
-    cases["interactive_retention_4x_over_1x"] = \
-        interactive_4x / interactive_1x
-    cases["uncontrolled_retention_4x_over_1x"] = \
-        static_4x / max(static_1x, 1e-9)
+    assert static_4x < 0.5 * static_1x
 
     # Determinism: the same seed reproduces the same curves.
     replay, _ = run_adaptive(4.0)
@@ -323,46 +299,18 @@ def test_bench_e19_overload():
         adaptive[4.0][QOS_INTERACTIVE].fresh
     assert replay[QOS_BATCH].shed == adaptive[4.0][QOS_BATCH].shed
 
-    # -- retry storm: budgets on vs off ------------------------------
+
+def test_retry_budgets_end_the_storm():
     amp_on, converge_on = run_retry_storm(budgets_on=True)
     amp_off, converge_off = run_retry_storm(budgets_on=False)
-    assert converge_on is not None and converge_on <= 1.0, (
-        f"budgeted retries did not converge promptly: {converge_on}")
-    assert converge_off is None, (
-        f"the unbudgeted storm converged at {converge_off}s — it "
-        f"should stay metastable past the horizon")
-    assert amp_off > 2.0 * amp_on, (
-        f"budgets did not damp the storm: {amp_on:.2f} vs "
-        f"{amp_off:.2f} attempts per arrival during the outage")
-    cases["storm_amplification_budgets_on"] = amp_on
-    cases["storm_amplification_budgets_off"] = amp_off
-    cases["storm_converge_s_budgets_on"] = converge_on
-    cases["storm_converge_s_budgets_off"] = \
-        converge_off if converge_off is not None else -1.0
+    show(f"E19 retry storm: {STORM_OUTAGE:.0f} s outage at "
+         f"{STORM_OFFERED:.0f} rps, <= {STORM_MAX_RETRIES} retries",
+         ("budgets", "amplification", "converged after (s)"),
+         [("on", amp_on, converge_on), ("off", amp_off, converge_off)])
 
-    lines = [
-        f"Offered-load sweep ({CAPACITY} workers x {SERVICE * 1000:.0f}ms "
-        f"service = {CAPACITY / SERVICE:.0f} rps capacity, "
-        f"{DURATION:.0f}s per point, seed {SEED}):",
-        format_table(
-            ("load", "class", "offered", "goodput (rps)",
-             "p50 (ms)", "p99 (ms)", "degr+shed", "uncontrolled"),
-            sweep_rows),
-        "",
-        f"interactive retention at 4x: "
-        f"{100.0 * interactive_4x / interactive_1x:.0f}% of its 1x "
-        f"goodput (contract: >= 80%); uncontrolled ablation retains "
-        f"{100.0 * static_4x / max(static_1x, 1e-9):.0f}%.",
-        "",
-        f"Retry storm ({STORM_OUTAGE:.0f}s outage at "
-        f"{STORM_OFFERED:.0f} rps, <= {STORM_MAX_RETRIES} retries):",
-        format_table(
-            ("budgets", "amplification", "converged after (s)"),
-            [("on", amp_on,
-              f"{converge_on:.1f}"),
-             ("off", amp_off,
-              "never (within horizon)" if converge_off is None
-              else f"{converge_off:.1f}")]),
-    ]
-    emit("E19_overload", "\n".join(lines))
-    write_bench_json("overload", cases)
+    # Budgeted retries reconverge promptly; the unbudgeted storm stays
+    # metastable past the horizon; budgets more than halve the
+    # attempts per arrival during the outage.
+    assert converge_on is not None and converge_on <= 1.0
+    assert converge_off is None
+    assert amp_off > 2.0 * amp_on

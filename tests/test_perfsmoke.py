@@ -1,15 +1,17 @@
 """Performance smoke tests (``pytest -m perfsmoke``).
 
-A fast sanity layer between the unit tests and the full benchmark
-suite: a ~2-second check that plan compilation still beats the
-interpreted executor on the two E12 microbenchmark shapes, plus one
-end-to-end run of the analysis CLI over the example artifacts.
+A fast sanity layer between the unit tests and ``bench/``: plan
+compilation still beats the interpreted executor on the two E12
+shapes, the E12 join and E9 index ablations hold, and the analysis CLI
+runs clean over the example artifacts.
 
 Standing rule: no tier-1 wall-clock assert with less than 2x headroom
-over what was measured (compiled vs interpreted asserts 1.5x where 5-7x
-was measured; reuse vs recompute asserts 5x where ~150x was).  What a
-fast path must *not do* is asserted as a count — plans compiled, log
-frames decoded — which repeats exactly on any host.
+over what was measured (asserted / measured: compiled vs interpreted
+1.5x / 4-6x, reuse vs recompute 5x / ~130x, hash join vs nested loop
+5x / ~110x, index vs scan 2x / ~20x).  What a fast path must *not do*
+is asserted as a count — plans compiled, log frames decoded — which
+repeats exactly on any host; what a statement *costs* is a ``bench/``
+metric (``engine.read_self_ms_per_stmt``).
 """
 
 import os
@@ -75,19 +77,17 @@ def touch_fact(database):
     database.execute("DELETE FROM fact WHERE k = 0")
 
 
+STAR_JOIN = ("SELECT d.label, SUM(f.amount) AS total FROM fact f "
+             "JOIN dim d ON f.k = d.k GROUP BY d.label ORDER BY d.label")
+
+
 @pytest.mark.parametrize("sql", [
-    "SELECT d.label, SUM(f.amount) AS total FROM fact f "
-    "JOIN dim d ON f.k = d.k GROUP BY d.label ORDER BY d.label",
+    STAR_JOIN,
     "SELECT k, amount FROM fact WHERE amount > 25.0 AND k < 150 "
     "ORDER BY amount",
 ])
 def test_compiled_plans_still_fast(sql):
-    """Compiled execution beats the interpreter with margin to spare.
-
-    The full >= 3x claim lives in benchmarks/test_bench_e12_engine.py;
-    this smoke check uses a small dataset and a loose 1.5x bar so it
-    stays fast and never flakes on a loaded machine.
-    """
+    """Compiled execution beats the interpreter with margin to spare."""
     compiled = build(4_000)
     interpreted = build(4_000, compile=False)
     assert compiled.query(sql) == interpreted.query(sql)
@@ -100,6 +100,40 @@ def test_compiled_plans_still_fast(sql):
     assert interpreted_ms > 1.5 * compiled_ms, (
         f"compiled {compiled_ms:.2f}ms vs "
         f"interpreted {interpreted_ms:.2f}ms")
+
+
+def test_hash_join_beats_nested_loop():
+    """E12's join ablation: the same star join written as CROSS JOIN +
+    WHERE misses the equi-join path and runs as a nested loop."""
+    database = build(500)
+    nested = ("SELECT d.label, SUM(f.amount) AS total "
+              "FROM fact f CROSS JOIN dim d WHERE f.k = d.k "
+              "GROUP BY d.label ORDER BY d.label")
+    rows = database.query(STAR_JOIN)
+    assert len(rows) == 10 and rows == database.query(nested)
+    hash_ms = best_ms(lambda: database.query(STAR_JOIN),
+                      before=lambda: touch_fact(database))
+    nested_ms = best_ms(lambda: database.query(nested), repeats=1,
+                        before=lambda: touch_fact(database))
+    assert nested_ms > 5 * hash_ms, (
+        f"hash join {hash_ms:.2f}ms vs nested loop {nested_ms:.2f}ms")
+
+
+def test_index_beats_full_scan_on_point_lookups():
+    """E9's index ablation: drill-through lookups by key."""
+    database = build(4_000)
+
+    def drill_through():
+        for key in range(1, 21):
+            database.query("SELECT amount FROM fact WHERE k = ?", (key,))
+
+    scan_ms = best_ms(drill_through, repeats=2,
+                      before=lambda: touch_fact(database))
+    database.execute("CREATE INDEX fact_k ON fact (k)")
+    index_ms = best_ms(drill_through, repeats=2,
+                       before=lambda: touch_fact(database))
+    assert scan_ms > 2 * index_ms, (
+        f"full scans {scan_ms:.2f}ms vs indexed {index_ms:.2f}ms")
 
 
 GROUPED = ("SELECT k, COUNT(*) AS n, SUM(amount) AS total FROM fact "

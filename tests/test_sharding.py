@@ -130,8 +130,8 @@ class TestReplication:
                 "INSERT INTO events VALUES (?, 'burst')", (index,))
         lag = shard.replica_lag()[replica.replica_id]
         assert lag == 5
-        assert shard.best_replica(lag - 1) is None
-        assert shard.best_replica(lag) is replica
+        assert shard.read_handle(lag - 1).served_by == "primary"
+        assert shard.read_handle(lag).served_by == replica.replica_id
 
     def test_route_read_ships_then_serves_replica(self, shard_map):
         seeded_shard(shard_map, rows=10)

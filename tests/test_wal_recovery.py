@@ -211,6 +211,22 @@ class TestDatabaseRecover:
             == rows
         recovered.close()
 
+    def test_fsync_policy_moves_the_window_not_the_data(self, tmp_path):
+        """E15: every policy logs, and recovers, the same state."""
+        fingerprints = set()
+        for fsync in ("off", "batch", "always"):
+            home = tmp_path / fsync
+            home.mkdir()
+            db = Database.recover(home, "main", fsync=fsync)
+            workload(db)
+            live = db.state_fingerprint()
+            db.close()
+            recovered = Database.recover(home, "main", fsync=fsync)
+            assert recovered.state_fingerprint() == live
+            recovered.close()
+            fingerprints.add(live)
+        assert len(fingerprints) == 1
+
     def test_rolled_back_transaction_never_reaches_the_log(
             self, tmp_path):
         db = Database.recover(tmp_path, "main", fsync="off")
