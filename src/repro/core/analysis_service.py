@@ -40,14 +40,12 @@ class AnalysisService:
 
     def define_cube(self, tenant_id: str,
                     definition: Dict[str, Any],
-                    database: str = "warehouse",
-                    validate: bool = True) -> CubeSchema:
+                    database: str = "warehouse") -> CubeSchema:
         """Register a cube from a definition dict (e.g. MDA codegen).
 
-        With ``validate`` on (the default) the cube is statically
-        checked against the target database's catalog and rejected
-        when its fact table, measure columns, dimension tables, keys
-        or level columns do not resolve.
+        The cube is statically checked against the target database's
+        catalog and rejected when its fact table, measure columns,
+        dimension tables, keys or level columns do not resolve.
         """
         self.tenants.require_active(tenant_id)
         schema = CubeSchema.from_definition(definition) \
@@ -58,13 +56,10 @@ class AnalysisService:
                 f"tenant {tenant_id!r} already has cube "
                 f"{schema.name!r}")
         target = self.resources.database(tenant_id, database)
-        if validate:
-            collector = lint_cube_schema(schema, target.catalog,
-                                         source=schema.name)
-            if collector.has_errors():
-                collector.raise_if_errors(
-                    ServiceError,
-                    prefix=f"cube {schema.name!r} rejected")
+        collector = lint_cube_schema(schema, target.catalog,
+                                     source=schema.name)
+        collector.raise_if_errors(
+            ServiceError, prefix=f"cube {schema.name!r} rejected")
         self._engines[key] = OlapEngine(target, schema)
         self.resources.publish_event(
             tenant_id, "cube-defined", schema.name)

@@ -375,18 +375,6 @@ class RequestGateway:
             headers={"retry-after": f"{retry_after:.3f}"})
 
     @staticmethod
-    def read_only_statement(sql: str) -> bool:
-        """True when ``sql`` dispatches as a lock-free snapshot read.
-
-        Delegates to :func:`repro.core.overload.read_only_statement`
-        (the overload kernel needs the same classification for QoS and
-        must not import the gateway): the decision is made on the
-        *outermost* statement class, so ``EXPLAIN UPDATE ...`` is
-        read-only, and unparseable SQL is conservatively a write.
-        """
-        return read_only_statement(sql)
-
-    @staticmethod
     def _sql_of(body: Any) -> Optional[str]:
         """The SQL text a request body carries, if any."""
         if isinstance(body, dict):
@@ -454,7 +442,7 @@ class RequestGateway:
 
         if sql is None:
             decision = "accepted"
-        elif self.read_only_statement(sql):
+        elif read_only_statement(sql):
             decision = "accepted-read"
         else:
             decision = "accepted-write"
@@ -528,7 +516,7 @@ class RequestGateway:
         if method in ("GET", "HEAD"):
             return (tenant_id, method, path, canonical)
         sql = self._sql_of(body)
-        if sql is not None and self.read_only_statement(sql):
+        if sql is not None and read_only_statement(sql):
             return (tenant_id, method, path,
                     canonical + (("sql", sql),))
         return None

@@ -112,16 +112,12 @@ class MetadataService:
     # -- data sets ---------------------------------------------------------------------
 
     def create_dataset(self, tenant_id: str, name: str,
-                       datasource: str, sql: str,
-                       validate: bool = True) -> None:
+                       datasource: str, sql: str) -> None:
         target = self.resolve_datasource(tenant_id, datasource)
-        if validate:
-            collector = SqlAnalyzer.for_database(target).analyze(
-                sql, source=name)
-            if collector.has_errors():
-                collector.raise_if_errors(
-                    ServiceError,
-                    prefix=f"data set {name!r} rejected")
+        collector = SqlAnalyzer.for_database(target).analyze(
+            sql, source=name)
+        collector.raise_if_errors(
+            ServiceError, prefix=f"data set {name!r} rejected")
         database = self._db(tenant_id)
         existing = database.query(
             "SELECT name FROM mds_datasets "

@@ -46,6 +46,7 @@ import threading
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import (
     Any,
     Callable,
@@ -57,12 +58,8 @@ from typing import (
 )
 
 from repro.core.resilience import Clock, Deadline, MonotonicClock
-from repro.engine.parser import (
-    CompoundSelect,
-    ExplainStatement,
-    SelectStatement,
-    parse_sql,
-)
+from repro.engine.database import STATEMENT_CACHE_CAPACITY
+from repro.engine.parser import READ_ONLY_STATEMENTS, parse_sql
 from repro.errors import ResilienceError
 
 __all__ = [
@@ -100,21 +97,31 @@ _REPORTING_SEGMENTS = frozenset({"reports"})
 _BATCH_SEGMENTS = frozenset({"design", "etl", "jobs"})
 
 
+@lru_cache(maxsize=STATEMENT_CACHE_CAPACITY)
 def read_only_statement(sql: str) -> bool:
     """True when ``sql`` dispatches as a lock-free snapshot read.
 
-    The decision is made on the *outermost* statement class, so
+    The front door's one answer to "is this a read?": admission, QoS
+    class, stale-cache identity and ``/sql`` routing all ask here.
+    The decision is made on the *outermost* statement class
+    (:data:`~repro.engine.parser.READ_ONLY_STATEMENTS`), so
     ``EXPLAIN UPDATE ...`` is a read — EXPLAIN renders a plan, it
     never executes the wrapped DML.  Unparseable SQL is conservatively
     classified as a write (the engine will reject it under the
     exclusive lock with a proper error).
+
+    The answer is a pure function of the text — no catalog, tenant or
+    clock enters it — so it is memoised per distinct text, bounded
+    like the engine's statement cache, and a request costs a parse
+    only the first time its text is seen.  ``parse_sql`` is reached
+    through this module's global so a tracer that rebinds it still
+    counts those first parses.
     """
     try:
         statement = parse_sql(sql)
     except Exception:
         return False
-    return isinstance(statement, (SelectStatement, CompoundSelect,
-                                  ExplainStatement))
+    return isinstance(statement, READ_ONLY_STATEMENTS)
 
 
 def classify_request(method: str, path: str,

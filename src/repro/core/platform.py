@@ -21,7 +21,11 @@ from repro.core.gateway import RequestGateway
 from repro.core.integration_service import IntegrationService
 from repro.core.mddws import MddwsService
 from repro.core.metadata_service import MetadataService
-from repro.core.overload import QOS_BATCH, OverloadController
+from repro.core.overload import (
+    QOS_BATCH,
+    OverloadController,
+    read_only_statement,
+)
 from repro.core.provisioning import ProvisioningService
 from repro.core.reporting_service import ReportingService
 from repro.core.resilience import (
@@ -483,11 +487,11 @@ class OdbisPlatform:
 
         The read path honors the replication contract (DESIGN.md §6):
         a read-only statement — classified by the same
-        :meth:`RequestGateway.read_only_statement` the dispatcher uses
-        — may be served by a shard replica whose lag fits the
-        staleness budget (``max_staleness`` in the body overrides the
-        platform default); the routing record comes back with the
-        rows.  Writes always execute on the tenant's primary.
+        :func:`~repro.core.overload.read_only_statement` the
+        dispatcher uses — may be served by a shard replica whose lag
+        fits the staleness budget (``max_staleness`` in the body
+        overrides the platform default); the routing record comes back
+        with the rows.  Writes always execute on the tenant's primary.
 
         On a sharded platform every dispatch is *epoch-fenced*
         (DESIGN.md §7): the route resolves to a handle pinned at the
@@ -501,13 +505,19 @@ class OdbisPlatform:
         sql = body.get("sql")
         if not isinstance(sql, str) or not sql.strip():
             raise HttpError(400, "body needs a 'sql' field")
-        params = tuple(body.get("params", ()))
+        params = body.get("params", [])
+        if not isinstance(params, list):
+            # A string or an object would iterate — and bind — as
+            # something the client never meant; a scalar would raise.
+            raise HttpError(400, "'params' must be a JSON array")
+        params = tuple(params)
         context = self.tenants.require_active(request.tenant)
-        if RequestGateway.read_only_statement(sql):
+        if read_only_statement(sql):
             if self.shards is not None:
                 budget = body.get("max_staleness")
                 if budget is not None and \
-                        (not isinstance(budget, int) or budget < 0):
+                        (isinstance(budget, bool) or
+                         not isinstance(budget, int) or budget < 0):
                     raise HttpError(
                         400, "'max_staleness' must be an integer >= 0")
                 handle = self.shards.read_handle(request.tenant,

@@ -31,15 +31,12 @@ class ProvisioningService:
                  resources: TechnicalResourcesLayer,
                  billing: BillingService,
                  admin: AdminService,
-                 metadata: MetadataService,
-                 validate_artifacts: bool = True):
+                 metadata: MetadataService):
         self.tenants = tenants
         self.resources = resources
         self.billing = billing
         self.admin = admin
         self.metadata = metadata
-        #: platform-wide opt-out for static artifact validation.
-        self.validate_artifacts = validate_artifacts
         self.provision_log: List[Dict[str, Any]] = []
         self.artifact_log: List[Dict[str, Any]] = []
 
@@ -98,19 +95,16 @@ class ProvisioningService:
     def register_artifact(self, tenant_id: str, kind: str,
                           payload: Any, *,
                           name: Optional[str] = None,
-                          database: str = "warehouse",
-                          validate: Optional[bool] = None
+                          database: str = "warehouse"
                           ) -> DiagnosticCollector:
         """Statically validate and record one tenant artifact.
 
         ``kind`` is one of :data:`ARTIFACT_KINDS`; ``payload`` is the
         artifact itself (SQL/rule text, a model extent, a dashboard
-        definition or a cube definition dict).  When validation is on
-        (the default — pass ``validate=False`` or construct the service
-        with ``validate_artifacts=False`` to opt out) any *error*-level
+        definition or a cube definition dict).  Any *error*-level
         diagnostic rejects the artifact with a
         :class:`~repro.errors.ProvisioningError`; warnings are returned
-        to the caller in the collector either way.
+        to the caller in the collector.
         """
         self.tenants.require_active(tenant_id)
         if kind not in ARTIFACT_KINDS:
@@ -135,12 +129,8 @@ class ProvisioningService:
             lint_cube_schema(payload, target.catalog, collector,
                              source=label)
 
-        should_validate = self.validate_artifacts \
-            if validate is None else validate
-        if should_validate and collector.has_errors():
-            collector.raise_if_errors(
-                ProvisioningError,
-                prefix=f"artifact {label!r} rejected")
+        collector.raise_if_errors(
+            ProvisioningError, prefix=f"artifact {label!r} rejected")
         self.artifact_log.append({
             "tenant": tenant_id,
             "kind": kind,

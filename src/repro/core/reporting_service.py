@@ -153,14 +153,12 @@ class ReportingService:
         return AdhocReportBuilder(rows)
 
     def define_dashboard(self, tenant_id: str,
-                         definition: DashboardDefinition,
-                         validate: bool = True) -> None:
+                         definition: DashboardDefinition) -> None:
         """Persist a dashboard definition (re-rendered on access).
 
-        With ``validate`` on (the default) the definition is linted
-        against the output columns of the tenant's data sets and
-        rejected when any element reads an unknown data set or a
-        column its data set does not produce.
+        The definition is linted against the output columns of the
+        tenant's data sets and rejected when any element reads an
+        unknown data set or a column its data set does not produce.
         """
         if not definition.rows:
             raise ServiceError(
@@ -172,14 +170,12 @@ class ReportingService:
                 raise ServiceError(
                     f"dashboard {definition.name!r} references "
                     f"unknown data set {dataset!r}")
-        if validate:
-            collector = lint_dashboard(
-                definition, self._dataset_shapes(tenant_id),
-                source=definition.name)
-            if collector.has_errors():
-                collector.raise_if_errors(
-                    ServiceError,
-                    prefix=f"dashboard {definition.name!r} rejected")
+        collector = lint_dashboard(
+            definition, self._dataset_shapes(tenant_id),
+            source=definition.name)
+        collector.raise_if_errors(
+            ServiceError,
+            prefix=f"dashboard {definition.name!r} rejected")
         database = self._db(tenant_id)
         existing = database.query(
             "SELECT name FROM rs_dashboards "

@@ -18,7 +18,7 @@ Quickstart::
     assert rows[0]["name"] == "ada"
 """
 
-from repro.engine.database import Connection, Database, ResultSet
+from repro.engine.database import Database, ResultSet
 from repro.engine.locking import WriterLock
 from repro.engine.parser import parse_sql
 from repro.engine.schema import (
@@ -35,7 +35,6 @@ __all__ = [
     "Catalog",
     "Column",
     "ColumnType",
-    "Connection",
     "Database",
     "JournalLog",
     "ResultSet",

@@ -2,8 +2,6 @@
 
 A Database owns the catalog, the per-table storages and the statement
 cache, and exposes ``execute``/``query`` plus explicit transactions.
-Connections are thin cursors over one database, mirroring the way the
-ODBIS data layer hands JDBC-style connections to the services above it.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.engine.executor import Executor, ResultSet
 from repro.engine.locking import WriterLock
 from repro.engine.parser import (
+    READ_ONLY_STATEMENTS,
     CompoundSelect,
     ExplainStatement,
     SelectStatement,
@@ -355,15 +354,10 @@ class Database:
 
     @staticmethod
     def _is_read(statement: Any) -> bool:
-        """True for a statement that cannot mutate.
-
-        Classification happens on the *outermost* statement class:
-        ``EXPLAIN <anything>`` is read-only because it only renders a
-        plan (or a typed error) — it never runs the wrapped DML, so it
-        must not take (or wait for) the writer lock.
-        """
-        return isinstance(statement, (SelectStatement, CompoundSelect,
-                                      ExplainStatement))
+        """True for a statement that cannot mutate, and so must not
+        take (or wait for) the writer lock — the rule is spelled at
+        :data:`~repro.engine.parser.READ_ONLY_STATEMENTS`."""
+        return isinstance(statement, READ_ONLY_STATEMENTS)
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Any:
         """Run any statement.
@@ -1069,51 +1063,4 @@ class _TransactionScope:
             self._db.commit()
         else:
             self._db.rollback()
-        return False
-
-
-class Connection:
-    """A lightweight DB-API-flavoured cursor over a Database.
-
-    The ODBIS persistence layer (``repro.orm``) talks to the engine
-    through this class, mirroring how Hibernate sits on JDBC.
-    """
-
-    def __init__(self, database: Database):
-        self.database = database
-        self.closed = False
-
-    def _check(self) -> None:
-        if self.closed:
-            raise EngineError("connection is closed")
-
-    def execute(self, sql: str, params: Sequence[Any] = ()) -> Any:
-        self._check()
-        return self.database.execute(sql, params)
-
-    def query(self, sql: str, params: Sequence[Any] = ()) \
-            -> List[Dict[str, Any]]:
-        self._check()
-        return self.database.query(sql, params)
-
-    def begin(self) -> None:
-        self._check()
-        self.database.begin()
-
-    def commit(self) -> None:
-        self._check()
-        self.database.commit()
-
-    def rollback(self) -> None:
-        self._check()
-        self.database.rollback()
-
-    def close(self) -> None:
-        self.closed = True
-
-    def __enter__(self) -> "Connection":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
         return False

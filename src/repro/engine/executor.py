@@ -3,7 +3,9 @@
 The executor walks the statement AST produced by :mod:`repro.engine.parser`
 and runs it against the table storages.  Joins are left-deep; equality
 joins are executed as hash joins, everything else as nested loops.
-Single-table equality predicates use a matching hash index when present.
+Every table is full-scanned: index access paths belong to the planner
+(:mod:`repro.engine.planner`), and this module is the reference the
+compiled plans are compared against.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from repro.engine.expressions import (
     ColumnRef,
     EvalContext,
     Expression,
-    Literal,
-    Parameter,
     Star,
     _expr_text,
     find_aggregates,
@@ -129,12 +129,6 @@ class _Source:
             return
         for rowid, row in self.storage.scan():
             yield self.row_context(rowid, row)
-
-    def fetch_row(self, rowid: int) -> Optional[List[Any]]:
-        """The row for ``rowid`` on this source's read path (or None)."""
-        if self.snapshot is not None:
-            return self.storage.visible_row(rowid, self.snapshot.cn)
-        return self.storage.rows.get(rowid)
 
     def row_context(self, rowid: int, row: List[Any]) -> Dict[str, Any]:
         values: Dict[str, Any] = {self._rowid_key: rowid}
@@ -436,20 +430,6 @@ class Executor:
         sources: List[_Source] = []
         if statement.from_clause is None:
             contexts: List[Dict[str, Any]] = [{}]
-        elif isinstance(statement.from_clause, TableRef) \
-                and statement.where is not None \
-                and statement.from_clause.name.lower() \
-                not in self._db.views:
-            # Single-table query: try an index-accelerated scan for an
-            # equality predicate before falling back to a full scan.
-            source = self._resolve(statement.from_clause, snapshot)
-            sources.append(source)
-            indexed = self._try_index_scan(
-                source, statement.where, params)
-            if indexed is not None:
-                contexts = indexed
-            else:
-                contexts = list(source.contexts())
         else:
             contexts = list(self._from_contexts(
                 statement.from_clause, sources, params, snapshot))
@@ -552,67 +532,6 @@ class Executor:
                         unique.append(row)
                 rows = unique
         return ResultSet(results[0].columns, rows)
-
-    # -- index-accelerated scans --------------------------------------------------------
-
-    def _try_index_scan(self, source: _Source, where: Expression,
-                        params: Sequence[Any]) \
-            -> Optional[List[Dict[str, Any]]]:
-        """Candidate row contexts via an index, or None to full-scan.
-
-        Handles a top-level equality predicate ``column = constant``
-        (possibly inside an AND conjunction) where ``column`` has a
-        single-column index.  The full WHERE is still re-applied by the
-        caller, so the index only needs to be a superset filter.
-        """
-        candidates = self._find_indexable_equality(source, where, params)
-        if candidates is None:
-            return None
-        index, key = candidates
-        rowids = index.lookup((key,))
-        wanted = (key,)
-        contexts: List[Dict[str, Any]] = []
-        for rowid in rowids:
-            row = source.fetch_row(rowid)
-            # MVCC buckets keep tombstones for superseded versions;
-            # verify the fetched row really holds the looked-up key.
-            if row is not None and index.key_for(row) == wanted:
-                contexts.append(source.row_context(rowid, row))
-        return contexts
-
-    def _find_indexable_equality(self, source: _Source,
-                                 where: Expression,
-                                 params: Sequence[Any]):
-        if isinstance(where, BinaryOp) and where.op == "AND":
-            left = self._find_indexable_equality(
-                source, where.left, params)
-            if left is not None:
-                return left
-            return self._find_indexable_equality(
-                source, where.right, params)
-        if not isinstance(where, BinaryOp) or where.op != "=":
-            return None
-        column_side, value_side = where.left, where.right
-        if not isinstance(column_side, ColumnRef):
-            column_side, value_side = where.right, where.left
-        if not isinstance(column_side, ColumnRef):
-            return None
-        if not isinstance(value_side, (Literal, Parameter)):
-            return None
-        name = column_side.name.lower()
-        if "." in name:
-            prefix, name = name.split(".", 1)
-            if prefix != source.alias.lower():
-                return None
-        if not source.schema.has_column(name):
-            return None
-        index = source.storage.find_index(name)
-        if index is None or len(index.column_names) != 1:
-            return None
-        key = value_side.evaluate(_RowContext({}, params))
-        if key is None:
-            return None
-        return index, key
 
     # -- FROM / joins ----------------------------------------------------------------
 

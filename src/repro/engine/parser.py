@@ -247,6 +247,13 @@ class ExplainStatement:
 
 Statement = Any
 
+#: The statement classes that cannot mutate — the one definition of
+#: "is this a read?" for the engine's lock-free path and the front
+#: door's routing alike.  Decided on the *outermost* class:
+#: ``EXPLAIN <anything>`` only renders a plan (or a typed error) and
+#: never runs the wrapped DML.
+READ_ONLY_STATEMENTS = (SelectStatement, CompoundSelect, ExplainStatement)
+
 
 # --- parser ------------------------------------------------------------------
 

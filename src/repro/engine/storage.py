@@ -150,14 +150,6 @@ class TableStorage:
     def drop_index(self, name: str) -> None:
         self.indexes.pop(name.lower(), None)
 
-    def find_index(self, column_name: str) -> Optional[Index]:
-        """Return some index whose leading column is ``column_name``."""
-        target = column_name.lower()
-        for index in list(self.indexes.values()):
-            if index.column_names[0].lower() == target:
-                return index
-        return None
-
     def add_column(self, column) -> None:
         """Extend the schema and backfill existing rows.
 

@@ -1,15 +1,14 @@
 """Artifact validation wired into the platform services.
 
 Every analyzer error class must cause provisioning to reject the
-artifact; the opt-out flag must let all of them through.
+artifact, and every service gate rejects what its linter rejects.
 """
 
 import pytest
 
 from repro.core import OdbisPlatform
 from repro.cwm import TransformationBuilder, cwm_metamodel
-from repro.errors import CubeDefinitionError, ProvisioningError, \
-    ServiceError
+from repro.errors import ProvisioningError, ServiceError
 from repro.mof import ModelExtent
 from repro.reporting import DashboardDefinition
 
@@ -63,16 +62,6 @@ class TestSqlArtifacts:
         assert not collector.has_errors()
         assert platform.provisioning.artifact_log[-1]["name"] == \
             "totals.sql"
-
-    def test_opt_out_flag_accepts_broken_sql(self, platform):
-        collector = register(platform, "sql", "SELECT * FROM ghosts",
-                             validate=False)
-        assert collector.has_errors()  # reported but not enforced
-
-    def test_platform_wide_opt_out(self, platform):
-        platform.provisioning.validate_artifacts = False
-        collector = register(platform, "sql", "SELECT * FROM ghosts")
-        assert collector.has_errors()
 
     def test_unknown_kind_is_rejected(self, platform):
         with pytest.raises(ProvisioningError, match="artifact kind"):
@@ -168,13 +157,6 @@ class TestServiceGates:
                 "acme", "bad", "warehouse",
                 "SELECT colour FROM sales")
 
-    def test_dataset_opt_out(self, platform):
-        platform.metadata.create_dataset(
-            "acme", "bad", "warehouse", "SELECT colour FROM sales",
-            validate=False)
-        assert [d["name"] for d in platform.metadata.datasets("acme")
-                ] == ["bad"]
-
     def test_parameterized_dataset_sql_is_accepted(self, platform):
         platform.metadata.create_dataset(
             "acme", "by-region", "warehouse",
@@ -190,11 +172,7 @@ class TestServiceGates:
             "totals", "by-region", "bar", "region", "profit"))
         with pytest.raises(ServiceError, match="ODB402"):
             platform.reporting.define_dashboard("acme", definition)
-        # opt-out still stores it
-        platform.reporting.define_dashboard("acme", definition,
-                                            validate=False)
-        assert platform.reporting.dashboard_definitions("acme") == \
-            ["revenue"]
+        assert platform.reporting.dashboard_definitions("acme") == []
 
     def test_cube_validated_at_definition(self, platform):
         definition = {
@@ -208,10 +186,6 @@ class TestServiceGates:
         }
         with pytest.raises(ServiceError, match="ODB204"):
             platform.analysis.define_cube("acme", definition)
-        # Opting out falls through to the engine's own runtime check.
-        with pytest.raises(CubeDefinitionError):
-            platform.analysis.define_cube("acme", definition,
-                                          validate=False)
         definition["measures"][0]["column"] = "amount"
         platform.analysis.define_cube("acme", definition)
         assert platform.analysis.cubes("acme") == ["sales"]

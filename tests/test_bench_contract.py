@@ -8,9 +8,11 @@ start no platform and take milliseconds.
 """
 
 from bench.trace import default_targets
+from repro.core import overload
 from repro.core.analysis_service import AnalysisService
 from repro.engine import Database
 from repro.olap import CubeDimension, CubeSchema, Measure, OlapEngine
+from tests.test_perfsmoke import spy
 
 
 def test_every_traced_function_is_where_the_tracer_rebinds_it():
@@ -35,3 +37,16 @@ def test_olap_engine_counters_read_by_the_traced_run():
         "C", "f", [Measure("amount", "amount", "sum")],
         [CubeDimension("D", "d", "k", ["name"])]))
     assert {"queries", "cache_hits"} <= set(engine.statistics)
+
+
+def test_a_new_text_is_parsed_through_the_name_the_tracer_rebinds(
+        monkeypatch):
+    # bench/trace.py counts the front door's parses by rebinding
+    # overload.parse_sql; the memo in front of it must reach the
+    # parser through that module global, and only for unseen text.
+    overload.read_only_statement.cache_clear()
+    parses = spy(monkeypatch, overload, "parse_sql")
+    assert overload.read_only_statement("SELECT 23 AS pr")
+    assert len(parses) == 1
+    assert overload.read_only_statement("SELECT 23 AS pr")
+    assert len(parses) == 1

@@ -11,9 +11,11 @@ import threading
 
 import pytest
 
-from repro.core import OdbisPlatform, RequestGateway, TenancyMode
+from repro.core import OdbisPlatform, RequestGateway, TenancyMode, overload
+from repro.core.overload import read_only_statement
 from repro.core.tenancy import TenantManager
 from repro.errors import TenantError
+from tests.test_perfsmoke import spy
 
 TENANTS = ("acme", "globex")
 
@@ -100,7 +102,7 @@ class TestReadWriteClassification:
         "EXPLAIN INSERT INTO t VALUES (1)",
     ])
     def test_read_only_statements(self, sql):
-        assert RequestGateway.read_only_statement(sql)
+        assert read_only_statement(sql)
 
     @pytest.mark.parametrize("sql", [
         "INSERT INTO t VALUES (1)",
@@ -111,7 +113,7 @@ class TestReadWriteClassification:
         "this is not sql at all",
     ])
     def test_write_or_unparseable_statements(self, sql):
-        assert not RequestGateway.read_only_statement(sql)
+        assert not read_only_statement(sql)
 
     def test_dispatch_log_refines_accepted_for_sql_bodies(
             self, platform):
@@ -135,6 +137,82 @@ class TestReadWriteClassification:
                      if path == "/echo-sql"]
         assert decisions == ["accepted-read", "accepted-write",
                              "accepted-read", "accepted"]
+
+    @pytest.mark.parametrize("config", [
+        {},
+        {"overload": True},
+        {"shards": 2, "replicas_per_shard": 1},
+    ], ids=["default", "overload", "sharded"])
+    def test_a_repeated_statement_is_parsed_for_class_at_most_once(
+            self, config, tmp_path, monkeypatch):
+        """Admission, QoS class, ``/sql`` routing and the stale-cache
+        fill all ask "is this a read?" of the same text; fifty
+        requests carrying it cost the front door one parse, not 150."""
+        if "shards" in config:
+            config = dict(config, data_dir=tmp_path, fsync="off")
+        platform = OdbisPlatform(**config)
+        try:
+            platform.provisioning.provision("acme", "Acme", plan="team")
+            headers = login(platform, "acme")
+
+            def sql(statement):
+                response = platform.gateway.submit(
+                    "POST", "/tenants/acme/sql", headers=headers,
+                    body={"sql": statement}).result(30)
+                assert response.status == 200, response.body
+                return response.json()
+
+            sql("CREATE TABLE parsed_once (id INTEGER PRIMARY KEY)")
+            sql("INSERT INTO parsed_once VALUES (1)")
+            read_only_statement.cache_clear()
+            parses = spy(monkeypatch, overload, "parse_sql")
+            for _ in range(50):
+                assert sql("SELECT COUNT(*) AS n FROM parsed_once")[
+                    "rows"] == [{"n": 1}]
+            assert len(parses) <= 1
+        finally:
+            platform.close()
+
+
+class TestSqlBodyValidation:
+    """A malformed ``/sql`` body is the client's 400, never a 500
+    charged to the tenant's breaker, and never a silent rebinding."""
+
+    @staticmethod
+    def post(platform, headers, **body):
+        return platform.gateway.submit(
+            "POST", "/tenants/acme/sql", headers=headers,
+            body=body).result(30)
+
+    def test_params_must_be_a_json_array(self, platform):
+        headers = login(platform, "acme")
+        for params in (5, "abc", {"k": 1}) * 2:  # > breaker threshold
+            response = self.post(platform, headers,
+                                 sql="SELECT ? AS v", params=params)
+            assert response.status == 400
+            assert "'params'" in response.json()["error"]
+        assert platform.gateway.breaker("acme") \
+            .consecutive_failures == 0
+        bound = self.post(platform, headers, sql="SELECT ? AS v",
+                          params=["abc"])
+        assert bound.json()["rows"] == [{"v": "abc"}]
+
+    def test_max_staleness_rejects_booleans(self, tmp_path):
+        platform = OdbisPlatform(data_dir=tmp_path, fsync="off",
+                                 shards=2, replicas_per_shard=1)
+        try:
+            platform.provisioning.provision("acme", "Acme", plan="team")
+            headers = login(platform, "acme")
+            response = self.post(platform, headers, sql="SELECT 1 AS v",
+                                 max_staleness=True)
+            assert response.status == 400
+            assert "'max_staleness'" in response.json()["error"]
+            assert platform.gateway.breaker("acme") \
+                .consecutive_failures == 0
+            assert self.post(platform, headers, sql="SELECT 1 AS v",
+                             max_staleness=1).status == 200
+        finally:
+            platform.close()
 
 
 class TestAdmissionControl:

@@ -390,17 +390,3 @@ class TestResultSet:
     def test_query_rejects_non_select(self, db):
         with pytest.raises(EngineError):
             db.query("DELETE FROM emp")
-
-
-class TestConnection:
-    def test_connection_runs_statements(self, db):
-        from repro.engine import Connection
-        with Connection(db) as conn:
-            assert conn.query("SELECT COUNT(*) AS n FROM emp")[0]["n"] == 4
-
-    def test_closed_connection_raises(self, db):
-        from repro.engine import Connection
-        conn = Connection(db)
-        conn.close()
-        with pytest.raises(EngineError):
-            conn.query("SELECT 1")

@@ -13,6 +13,8 @@ unhandled escapes under 30% fault injection with the limiter active.
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.gateway import RequestGateway
 from repro.core.overload import (
@@ -27,6 +29,7 @@ from repro.core.overload import (
     RetryBudget,
     classify_request,
     hedged_call,
+    read_only_statement,
 )
 from repro.core.platform import OdbisPlatform
 from repro.core.resilience import (
@@ -38,6 +41,7 @@ from repro.core.resilience import (
     RetryPolicy,
 )
 from repro.core.tenancy import TenancyMode, TenantManager
+from repro.engine.parser import READ_ONLY_STATEMENTS, parse_sql
 from repro.errors import BulkheadReleaseError, RetryExhaustedError
 from repro.web import JsonResponse, WebApplication
 
@@ -45,6 +49,27 @@ pytestmark = pytest.mark.overload
 
 
 # -- QoS classification -----------------------------------------------------------
+
+_NAMES = st.sampled_from(["t", "u", "orders", "select_", "v1"])
+_SELECTS = st.builds("SELECT {} FROM {} WHERE a = {}".format,
+                     st.sampled_from(["*", "a", "COUNT(*)", "a, b"]),
+                     _NAMES, st.integers(-3, 3))
+_WRITES = st.one_of(
+    st.builds("INSERT INTO {} VALUES ({})".format, _NAMES,
+              st.integers(0, 9)),
+    st.builds("UPDATE {} SET a = {}".format, _NAMES, st.integers(0, 9)),
+    st.builds("DELETE FROM {}".format, _NAMES),
+    st.builds("CREATE TABLE {} (id INTEGER)".format, _NAMES),
+    st.builds("DROP TABLE {}".format, _NAMES),
+    st.sampled_from(["BEGIN", "COMMIT", "ROLLBACK"]))
+#: Generated statements of every class, bare and under EXPLAIN, plus
+#: compounds and texts a stray prefix or suffix makes unparseable.
+STATEMENTS = st.one_of(
+    _SELECTS, _WRITES,
+    st.builds("{} UNION {}".format, _SELECTS, _SELECTS),
+    st.builds("EXPLAIN {}".format, st.one_of(_SELECTS, _WRITES)),
+    st.builds("{} {}".format, st.one_of(_SELECTS, _WRITES),
+              st.sampled_from([")", "SELECT", ";;", "'"])))
 
 
 class TestClassification:
@@ -67,10 +92,21 @@ class TestClassification:
     def test_classes(self, method, path, sql, expected):
         assert classify_request(method, path, sql) == expected
 
-    def test_gateway_read_only_delegates_to_overload(self):
-        assert RequestGateway.read_only_statement("SELECT 1")
-        assert not RequestGateway.read_only_statement(
-            "DELETE FROM t")
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(STATEMENTS, st.text(max_size=40)),
+                    min_size=1, max_size=8))
+    def test_memoised_answer_is_the_parsed_class(self, texts):
+        """The memo is a pure function of the text: whatever was asked
+        before, and however often, the answer is the class of the
+        parsed statement — and a parse error is a write."""
+        def expected(sql):
+            try:
+                return isinstance(parse_sql(sql), READ_ONLY_STATEMENTS)
+            except Exception:
+                return False
+
+        for sql in texts + texts[::-1]:
+            assert read_only_statement(sql) is expected(sql)
 
 
 # -- AIMD limiter -----------------------------------------------------------------
