@@ -32,6 +32,7 @@ database — reads overlap in both modes.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -331,7 +332,9 @@ class RequestGateway:
     def _log(self, path: str, decision: str,
              qos: Optional[str] = None) -> None:
         with self._log_lock:
-            self.dispatch_log.append((path, decision))
+            # Interned: a full ring holds a handful of distinct paths,
+            # not one string per request.
+            self.dispatch_log.append((sys.intern(path), decision))
             self.decision_counts[decision] = \
                 self.decision_counts.get(decision, 0) + 1
         if self.overload is not None and qos is not None:

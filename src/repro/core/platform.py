@@ -173,6 +173,7 @@ class OdbisPlatform:
             journal=tenant_journal,
             operational_router=operational_router)
         self.billing = BillingService(self.tenants.platform_db)
+        self.billing.clock = self.clock
         self.admin = AdminService(self.tenants, self.billing)
         # Layer 4: core BI services.
         self.metadata = MetadataService(self.tenants, self.resources)
@@ -259,11 +260,14 @@ class OdbisPlatform:
 
         Returns ``{database name: checkpoint ordinal}``.  Requires a
         ``data_dir`` platform; recovery after a checkpoint loads the
-        fresh snapshots and replays only what came after.
+        fresh snapshots and replays only what came after.  Metered
+        usage not yet written is written first, so the snapshot holds
+        it.
         """
         if self.data_dir is None:
             raise ReproError(
                 "checkpoint requires a platform with a data_dir")
+        self.billing.flush()
         ordinals: Dict[str, int] = {}
         for database in self._durable_databases():
             ordinals[database.name] = database.checkpoint()
@@ -277,9 +281,11 @@ class OdbisPlatform:
         commits (and its WAL frames are flushed below) or was rejected
         with :class:`~repro.errors.GatewayShutdownError` at submit —
         no worker can reach a database whose log is already closed,
-        and no accepted write is ever silently lost.
+        and no accepted write is ever silently lost — metered usage
+        included, which is written before the logs close.
         """
         self.gateway.shutdown(permanent=True)
+        self.billing.flush()
         for database in self._durable_databases():
             database.close()
         for journal in self._journals:

@@ -4,19 +4,34 @@
 are directly aligned with usage" (paper §2).  The billing service
 meters every chargeable action (queries, reports, ETL rows), and turns
 a month's meter readings plus the tenant's plan into an invoice.
+
+Metering must not tax the metered operation, so a meter call only adds
+its units to an in-memory total per ``(tenant, period, kind)``.  The
+totals are written as one ``usage_events`` row per key, in one
+transaction, by the meter call that finds :data:`METER_FLUSH_SECONDS`
+elapsed since the oldest unwritten unit, and by every reader of usage
+(:meth:`BillingService.usage`, ``platform_usage``, ``invoice``) and
+the platform's ``checkpoint()`` and ``close()``.  A crash loses what
+was not yet written: at most one interval of metering, always as an
+undercount.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.resilience import Clock, MonotonicClock
 from repro.engine.database import Database
 from repro.errors import SubscriptionError
 
 #: Chargeable usage kinds and their unit labels.
 USAGE_KINDS = ("query", "report", "etl_rows", "dashboard", "storage_mb")
+
+#: Seconds of metering held in memory before it is written — the most
+#: usage a crash can lose.
+METER_FLUSH_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -90,9 +105,18 @@ class BillingService:
             "CREATE TABLE IF NOT EXISTS usage_events ("
             "id INTEGER, tenant TEXT NOT NULL, period TEXT NOT NULL, "
             "kind TEXT NOT NULL, units INTEGER NOT NULL)")
-        # Gateway workers meter concurrently; the id counter is a
-        # check-then-increment that must not mint duplicates.
-        self._next_id = 1  # guarded-by: _meter_lock
+        #: Time source of the flush interval; the platform installs
+        #: its own injectable clock here.
+        self.clock: Clock = MonotonicClock()
+        # Gateway workers meter concurrently: the unwritten totals and
+        # the id counter change only under the mutex, and no database
+        # call ever runs under it.
+        self._pending: Dict[Tuple[str, str, str], int] = {}  # guarded-by: _meter_lock
+        self._pending_since = 0.0  # guarded-by: _meter_lock
+        # Ids continue after the rows a recovered database holds.
+        last_id = self.database.query_value(
+            "SELECT MAX(id) FROM usage_events")
+        self._next_id = (last_id or 0) + 1  # guarded-by: _meter_lock
         self._meter_lock = threading.Lock()
 
     def plan(self, name: str) -> Plan:
@@ -105,21 +129,42 @@ class BillingService:
 
     def meter(self, tenant: str, kind: str, units: int = 1,
               period: str = "current") -> None:
-        """Record one usage event."""
+        """Add usage to the unwritten totals; write them once the
+        oldest is :data:`METER_FLUSH_SECONDS` old."""
         if kind not in USAGE_KINDS:
             raise SubscriptionError(f"unknown usage kind {kind!r}")
         if units < 0:
             raise SubscriptionError("usage units cannot be negative")
+        now = self.clock.now()
+        key = (tenant, period, kind)
         with self._meter_lock:
-            event_id = self._next_id
-            self._next_id += 1
-        self.database.execute(
-            "INSERT INTO usage_events VALUES (?, ?, ?, ?, ?)",
-            (event_id, tenant, period, kind, units))
+            if not self._pending:
+                self._pending_since = now
+            self._pending[key] = self._pending.get(key, 0) + units
+            due = now - self._pending_since >= METER_FLUSH_SECONDS
+        if due:
+            self.flush()
+
+    def flush(self) -> int:
+        """Write the unwritten totals, one ``usage_events`` row per
+        ``(tenant, period, kind)`` in one transaction; returns the
+        number of rows written."""
+        with self._meter_lock:
+            pending, self._pending = self._pending, {}
+            first_id = self._next_id
+            self._next_id += len(pending)
+        if pending:
+            self.database.executemany(
+                "INSERT INTO usage_events VALUES (?, ?, ?, ?, ?)",
+                [(first_id + offset, tenant, period, kind, units)
+                 for offset, ((tenant, period, kind), units)
+                 in enumerate(pending.items())])
+        return len(pending)
 
     def usage(self, tenant: str,
               period: str = "current") -> Dict[str, int]:
         """Total units per kind for one tenant and period."""
+        self.flush()
         rows = self.database.query(
             "SELECT kind, SUM(units) AS total FROM usage_events "
             "WHERE tenant = ? AND period = ? GROUP BY kind",
@@ -129,6 +174,7 @@ class BillingService:
     def platform_usage(self, period: str = "current") \
             -> Dict[str, Dict[str, int]]:
         """Usage per tenant — the administration layer's view."""
+        self.flush()
         rows = self.database.query(
             "SELECT tenant, kind, SUM(units) AS total FROM usage_events "
             "WHERE period = ? GROUP BY tenant, kind", (period,))

@@ -429,11 +429,15 @@ class Database:
             self._plan_generation += 1
             self._plan_cache.clear()
 
-    def plan_for(self, statement: SelectStatement):
-        """The cached ``(plan, reason)`` pair for one parsed SELECT.
+    def plan_for(self, statement: Any):
+        """The cached ``(plan, reason)`` pair for one parsed SELECT,
+        UPDATE or DELETE.
 
-        ``plan`` is None when the statement must run interpreted, in
-        which case ``reason`` says why.
+        A SELECT plans to a :class:`~repro.engine.planner.SelectPlan`;
+        an UPDATE or DELETE to the scan node that chooses its target
+        rows (:func:`~repro.engine.planner.plan_dml`).  ``plan`` is
+        None when the statement must run interpreted, in which case
+        ``reason`` says why.
         """
         key = id(statement)
         with self._state_lock:
@@ -442,9 +446,12 @@ class Database:
                 self._plan_cache.move_to_end(key)
             generation = self._plan_generation
         if entry is None:
-            from repro.engine.planner import plan_select
+            from repro.engine import planner
 
-            plan, reason = plan_select(self, statement)
+            if isinstance(statement, SelectStatement):
+                plan, reason = planner.plan_select(self, statement)
+            else:
+                plan, reason = planner.plan_dml(self, statement)
             fresh = (statement, plan, reason)
             with self._state_lock:
                 if self._plan_generation != generation:
@@ -782,14 +789,27 @@ class Database:
             database.catalog.add_table(schema)
             storage = TableStorage(schema)
             storage.indexes.clear()
-            storage.rows = dict(entry["rows"])
+            # Unpickled lists carry growth slack, and every text value
+            # arrives as its own string however often it repeats (a
+            # category, a status, a customer).  Each row is copied to
+            # its exact size as it leaves the payload, so the table is
+            # never held twice, and equal texts share one string.
+            # Rowid order, whatever order a rolled-back delete left
+            # the saved dict in (TableStorage.in_rowid_order).
+            saved = entry["rows"]
+            texts: Dict[str, str] = {}
+            for rowid in sorted(saved):
+                row = saved.pop(rowid)[:]
+                for position, value in enumerate(row):
+                    if value.__class__ is str:
+                        row[position] = texts.setdefault(value, value)
+                storage.rows[rowid] = row
             storage._next_rowid = entry["next_rowid"]
             for index_name, column_names, unique in entry["indexes"]:
                 storage.add_index(index_name, column_names, unique=unique)
-            # Migration on load: the flat seed format persists only
-            # live rows, so every row becomes the base version created
-            # at the snapshot's WAL commit number.
-            storage.seed_versions(base_cn)
+            # The flat format persists only live rows, all committed
+            # at or before the snapshot's WAL commit number: settled.
+            storage.settle_all(base_cn)
             storage.attach_clock(database._stamp_cn)
             database._storages[schema.name.lower()] = storage
         database._committed_cn = base_cn

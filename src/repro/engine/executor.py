@@ -5,7 +5,9 @@ and runs it against the table storages.  Joins are left-deep; equality
 joins are executed as hash joins, everything else as nested loops.
 Every table is full-scanned: index access paths belong to the planner
 (:mod:`repro.engine.planner`), and this module is the reference the
-compiled plans are compared against.
+compiled plans are compared against.  UPDATE and DELETE take their
+target rows from the planner too, unless the database was built with
+``compile=False``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.engine.expressions import (
     EvalContext,
     Expression,
     Star,
-    _expr_text,
     find_aggregates,
 )
 from repro.engine.parser import (
@@ -374,46 +375,55 @@ class Executor:
             count += 1
         return count
 
+    def _where_matches(self, statement, source: _Source,
+                       params: Sequence[Any]) \
+            -> Iterable[Tuple[int, List[Any]]]:
+        """Live ``(rowid, row)`` pairs an UPDATE's or DELETE's WHERE
+        accepts, in live-scan order, before any of them is mutated.
+
+        Compiled, the planner's scan node chooses them — an index
+        point/prefix scan when the WHERE equates indexed columns with
+        constants — and applies the compiled WHERE.  ``compile=False``
+        (or a WHERE the compiler rejects) evaluates it row by row over
+        a full scan: the reference.
+        """
+        if self._db._compile_enabled:
+            plan, _reason = self._db.plan_for(statement)
+            if plan is not None:
+                return plan.live_targets(params)
+        where = statement.where
+        return (
+            (rowid, row) for rowid, row in list(source.storage.scan())
+            if where is None or where.evaluate(_RowContext(
+                source.row_context(rowid, row), params)) is True)
+
     def _execute_update(self, statement: UpdateStatement,
                         params: Sequence[Any]) -> int:
         storage = self._db.storage(statement.table)
         schema = storage.schema
         source = _Source(statement.table, schema, storage)
-        count = 0
         targets: List[Tuple[int, List[Any]]] = []
-        for rowid, row in list(storage.scan()):
+        for rowid, row in self._where_matches(statement, source, params):
             context = _RowContext(source.row_context(rowid, row), params)
-            if statement.where is not None \
-                    and statement.where.evaluate(context) is not True:
-                continue
             new_row = list(row)
             for column_name, expr in statement.assignments:
-                position = schema.column_index(column_name)
-                value = expr.evaluate(context)
-                values = {column_name: value}
-                coerced = schema.coerce_row(
-                    {**dict(zip(schema.column_names, new_row)), **values})
-                new_row = coerced
-            targets.append((rowid, new_row))
+                new_row[schema.column_index(column_name)] = \
+                    expr.evaluate(context)
+            targets.append((rowid, schema.coerce_row(
+                dict(zip(schema.column_names, new_row)))))
         for rowid, new_row in targets:
             old_row = storage.update(rowid, new_row)
             self._db.record_undo(("update", schema.name, rowid, old_row))
             self._db.record_redo(
                 ("update", schema.name, rowid, list(new_row)))
-            count += 1
-        return count
+        return len(targets)
 
     def _execute_delete(self, statement: DeleteStatement,
                         params: Sequence[Any]) -> int:
         storage = self._db.storage(statement.table)
         source = _Source(statement.table, storage.schema, storage)
-        doomed: List[int] = []
-        for rowid, row in list(storage.scan()):
-            context = _RowContext(source.row_context(rowid, row), params)
-            if statement.where is not None \
-                    and statement.where.evaluate(context) is not True:
-                continue
-            doomed.append(rowid)
+        doomed = [rowid for rowid, _row
+                  in self._where_matches(statement, source, params)]
         for rowid in doomed:
             old_row = storage.delete(rowid)
             self._db.record_undo(

@@ -10,28 +10,57 @@ liveness against the table's live-row dict.  Superseded entries are
 physically reclaimed when the storage's version garbage collector
 rebuilds the buckets.
 
-Buckets map a key tuple to an immutable *tuple* of rowids and are only
-ever replaced whole, so lock-free snapshot readers can look keys up
-while a writer appends — they see either the old tuple or the new one,
-never a half-mutated set.
+Buckets are kept small because most keys hold one row: a single-column
+index is keyed on the bare column value (a composite one on the value
+tuple), and a bucket is a bare rowid until its key gains a second
+rowid, then an immutable *tuple* of rowids.  Buckets are only ever
+replaced whole, so lock-free snapshot readers can look keys up while a
+writer appends — they see either the old bucket or the new one, never
+a half-mutated set.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ConstraintViolation
 
 _Key = Tuple[Any, ...]
+#: One rowid, or a tuple of two or more.
+_Bucket = Union[int, Tuple[int, ...]]
+
+
+def _rowids(bucket: Optional[_Bucket]) -> Tuple[int, ...]:
+    if bucket is None:
+        return ()
+    if bucket.__class__ is tuple:
+        return bucket
+    return (bucket,)
+
+
+def _add(buckets: Dict[Any, _Bucket], key: Any, rowid: int) -> bool:
+    """Put ``rowid`` in ``key``'s bucket; False when already there."""
+    bucket = buckets.get(key)
+    if bucket is None:
+        buckets[key] = rowid
+    elif bucket.__class__ is tuple:
+        if rowid in bucket:
+            return False
+        # Whole-bucket replacement keeps concurrent lookups atomic.
+        buckets[key] = bucket + (rowid,)
+    elif bucket == rowid:
+        return False
+    else:
+        buckets[key] = (bucket, rowid)
+    return True
 
 
 class Index:
     """A hash index over one or more columns of a table.
 
-    The index maps a tuple of column values to the rowids that hold (or
-    once held) those values.  NULL keys are indexed but never
-    participate in uniqueness checks (mirroring SQL semantics where
-    NULL != NULL).
+    The index maps column values to the rowids that hold (or once
+    held) those values.  NULL keys are indexed but never participate
+    in uniqueness checks (mirroring SQL semantics where NULL != NULL).
     """
 
     def __init__(self, name: str, column_names: List[str],
@@ -40,7 +69,9 @@ class Index:
         self.column_names = list(column_names)
         self.positions = list(positions)
         self.unique = unique
-        self._buckets: Dict[_Key, Tuple[int, ...]] = {}
+        # Single-column buckets are keyed on the value, not a 1-tuple.
+        self._single = len(self.positions) == 1
+        self._buckets: Dict[Any, _Bucket] = {}
         # Maintained entry count: ``__len__`` feeds planner cardinality
         # estimates from lock-free readers, which must never iterate
         # the bucket dict while a writer resizes it.
@@ -53,99 +84,55 @@ class Index:
     def key_for(self, row: List[Any]) -> _Key:
         return tuple(row[position] for position in self.positions)
 
-    def _key_has_null(self, key: _Key) -> bool:
-        return any(part is None for part in key)
+    def _bucket_key(self, row: List[Any]) -> Any:
+        if self._single:
+            return row[self.positions[0]]
+        return tuple(row[position] for position in self.positions)
 
-    def _conflicts(self, key: _Key, rowid: int,
-                   live_rows: Optional[Dict[int, List[Any]]]) -> bool:
-        """Is some *other live* row already holding ``key``?
+    def _probe(self, key: _Key) -> Any:
+        """The bucket key of a full key tuple."""
+        return key[0] if self._single else tuple(key)
+
+    def check_unique(self, rowid: int, row: List[Any], table: str,
+                     live_rows: Optional[Dict[int, List[Any]]] = None) \
+            -> None:
+        """Raise if writing ``row`` as ``rowid`` would violate uniqueness.
 
         ``live_rows`` is the owning table's live-row dict; bucket
         entries whose rowid is absent from it are MVCC tombstones and
-        do not count against uniqueness.  ``None`` falls back to the
-        pre-MVCC rule (every entry counts).
+        do not count.  ``None`` falls back to the pre-MVCC rule (every
+        entry counts).
         """
-        for existing in self._buckets.get(key, ()):
-            if existing == rowid:
-                continue
-            if live_rows is None:
-                return True
-            row = live_rows.get(existing)
-            if row is not None and self.key_for(row) == key:
-                return True
-        return False
-
-    def check_insert(self, rowid: int, row: List[Any], table: str,
-                     live_rows: Optional[Dict[int, List[Any]]] = None) \
-            -> None:
-        """Raise if inserting ``row`` would violate uniqueness."""
         if not self.unique:
             return
         key = self.key_for(row)
-        if self._key_has_null(key):
+        if any(part is None for part in key):
             return
-        if self._conflicts(key, rowid, live_rows):
+        for existing in _rowids(self._buckets.get(self._probe(key))):
+            if existing == rowid:
+                continue
+            if live_rows is not None:
+                other = live_rows.get(existing)
+                if other is None or self.key_for(other) != key:
+                    continue
             columns = ", ".join(self.column_names)
             raise ConstraintViolation(
                 f"UNIQUE constraint failed: {table}({columns}) = {key!r}")
 
-    def check_update(self, rowid: int, old_row: List[Any],
-                     new_row: List[Any], table: str,
-                     live_rows: Optional[Dict[int, List[Any]]] = None) \
-            -> None:
-        if not self.unique:
-            return
-        new_key = self.key_for(new_row)
-        if self._key_has_null(new_key):
-            return
-        if self._conflicts(new_key, rowid, live_rows):
-            columns = ", ".join(self.column_names)
-            raise ConstraintViolation(
-                f"UNIQUE constraint failed: {table}({columns}) = {new_key!r}")
-
     def insert(self, rowid: int, row: List[Any]) -> None:
-        key = self.key_for(row)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = (rowid,)
-            self._entries += 1
-        elif rowid not in bucket:
-            # Whole-tuple replacement keeps concurrent lookups atomic.
-            self._buckets[key] = bucket + (rowid,)
+        if _add(self._buckets, self._bucket_key(row), rowid):
             self._entries += 1
 
-    def delete(self, rowid: int, row: List[Any]) -> None:
-        """Physically remove one entry (GC and index maintenance only).
-
-        MVCC row mutations never call this — tombstoned entries stay
-        until :meth:`rebuild` reclaims them — but dropping a column's
-        implicit index or rebuilding after collection does.
-        """
-        key = self.key_for(row)
-        bucket = self._buckets.get(key)
-        if bucket is not None and rowid in bucket:
-            remaining = tuple(r for r in bucket if r != rowid)
-            if remaining:
-                self._buckets[key] = remaining
-            else:
-                del self._buckets[key]
-            self._entries -= 1
-
-    def rebuild(self, entries: Iterable[Tuple[_Key, int]]) -> None:
-        """Swap in fresh buckets built from ``(key, rowid)`` pairs.
+    def rebuild(self, rows: Iterable[Tuple[int, List[Any]]]) -> None:
+        """Swap in fresh buckets built from ``(rowid, row)`` pairs.
 
         The new dict is built on the side and published with one
         attribute store, so readers mid-lookup keep the old buckets.
         """
-        fresh: Dict[_Key, Tuple[int, ...]] = {}
+        fresh: Dict[Any, _Bucket] = {}
         count = 0
-        for key, rowid in entries:
-            bucket = fresh.get(key)
-            if bucket is None:
-                fresh[key] = (rowid,)
-                count += 1
-            elif rowid not in bucket:
-                fresh[key] = bucket + (rowid,)
+        for rowid, row in rows:
+            if _add(fresh, self._bucket_key(row), rowid):
                 count += 1
         self._buckets = fresh
         self._entries = count
@@ -156,7 +143,7 @@ class Index:
         Callers must verify each candidate against the row version they
         fetch — entries may be MVCC tombstones for superseded versions.
         """
-        return self._buckets.get(tuple(key), ())
+        return _rowids(self._buckets.get(self._probe(key)))
 
     def lookup_prefix(self, prefix: _Key) -> Tuple[int, ...]:
         """Rowids whose leading indexed columns equal ``prefix``.
@@ -172,9 +159,10 @@ class Index:
         out: List[int] = []
         # list() over items() is a single C-level copy, safe against a
         # concurrent writer resizing the dict under a lock-free reader.
+        # (A prefix is shorter than the key, so keys here are tuples.)
         for key, bucket in list(self._buckets.items()):
             if key[:width] == wanted:
-                out.extend(bucket)
+                out.extend(_rowids(bucket))
         return tuple(dict.fromkeys(out))
 
     def bucket_count(self) -> int:

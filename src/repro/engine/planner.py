@@ -17,13 +17,26 @@ Anything the planner cannot prove it can compile faithfully — view
 sources, unresolvable references, exotic shapes — returns ``(None,
 reason)`` and the caller falls back to the interpreted executor, so
 compiled and interpreted execution always agree.
+
+UPDATE and DELETE choose their target rows through the same scan node
+and index chooser (:func:`plan_dml`).
 """
 
 from __future__ import annotations
 
 import operator
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.engine.compiler import (
     CompiledExpr,
@@ -158,6 +171,19 @@ class ScanNode:
 
     # -- execution ---------------------------------------------------------
 
+    def _probe(self, params: Sequence[Any]) -> Tuple[tuple, List[int]]:
+        """The index key for ``params`` and its candidate rowids in
+        rowid order (none when a key part is NULL).  Candidates may be
+        MVCC tombstones: callers re-verify the key against the row
+        version they fetch."""
+        empty: Sequence[Any] = ()
+        key = tuple(fn(empty, params) for fn in self.key_fns)
+        if any(part is None for part in key):
+            return key, []
+        if self.point:
+            return key, sorted(self.index.lookup(key))
+        return key, sorted(self.index.lookup_prefix(key))
+
     def rows(self, params: Sequence[Any],
              snapshot=None) -> List[list]:
         """Candidate rows after pushed filters.
@@ -170,33 +196,20 @@ class ScanNode:
         is never aliased by anything that outlives execution.
         """
         if self.index is not None:
-            empty: Sequence[Any] = ()
-            key = tuple(fn(empty, params) for fn in self.key_fns)
-            if any(part is None for part in key):
-                candidates: List[list] = []
+            key, rowids = self._probe(params)
+            if snapshot is None:
+                table_rows = self.storage.rows
+                fetched = (table_rows.get(rowid) for rowid in rowids)
             else:
-                if self.point:
-                    rowids = self.index.lookup(key)
-                else:
-                    rowids = self.index.lookup_prefix(key)
-                if snapshot is None:
-                    table_rows = self.storage.rows
-                    fetched = ((table_rows.get(rowid))
-                               for rowid in sorted(rowids))
-                else:
-                    cn = snapshot.cn
-                    visible = self.storage.visible_row
-                    fetched = (visible(rowid, cn)
-                               for rowid in sorted(rowids))
-                # MVCC buckets keep tombstones for superseded
-                # versions; re-verify the key against the row the
-                # read path actually produced.
-                width = len(key)
-                key_for = self.index.key_for
-                candidates = [
-                    row for row in fetched
-                    if row is not None and key_for(row)[:width] == key
-                ]
+                cn = snapshot.cn
+                visible = self.storage.visible_row
+                fetched = (visible(rowid, cn) for rowid in rowids)
+            width = len(key)
+            key_for = self.index.key_for
+            candidates = [
+                row for row in fetched
+                if row is not None and key_for(row)[:width] == key
+            ]
         elif snapshot is None:
             candidates = list(self.storage.rows.values())
         else:
@@ -225,6 +238,43 @@ class ScanNode:
             else:
                 out.append(row)
         return out
+
+    def live_targets(self, params: Sequence[Any]) \
+            -> Iterator[Tuple[int, list]]:
+        """Live ``(rowid, row)`` pairs every filter accepts, in
+        live-scan order: how UPDATE and DELETE choose their target
+        rows, under the writer lock.
+
+        The candidates are fixed before the first pair is yielded, so
+        the caller may evaluate and mutate as it goes.  Index
+        candidates come in rowid order, which is the live-scan order
+        only while the table is in rowid order; otherwise (after a
+        rolled-back delete, until the next collection) the whole
+        table is the candidate set.  An empty table evaluates nothing,
+        as the interpreted scan does.
+        """
+        storage = self.storage
+        table_rows = storage.rows
+        if not table_rows:
+            return
+        if self.index is not None and storage.in_rowid_order:
+            key, rowids = self._probe(params)
+            width = len(key)
+            key_for = self.index.key_for
+            candidates = [
+                (rowid, row) for rowid in rowids
+                if (row := table_rows.get(rowid)) is not None
+                and key_for(row)[:width] == key
+            ]
+        else:
+            candidates = list(table_rows.items())
+        fns = [fn for fn, _text in self.filters]
+        for rowid, row in candidates:
+            for fn in fns:
+                if fn(row, params) is not True:
+                    break
+            else:
+                yield rowid, row
 
     # -- display -----------------------------------------------------------
 
@@ -749,6 +799,32 @@ def plan_select(database, statement: SelectStatement) \
         return None, str(exc)
 
 
+def plan_dml(database, statement) \
+        -> Tuple[Optional[ScanNode], Optional[str]]:
+    """Plan how an UPDATE or DELETE chooses its target rows: the scan
+    node SELECT would build for the same WHERE — index point/prefix
+    scan from its equality conjuncts — with the whole WHERE compiled
+    as the one filter, so it is evaluated as the interpreter does,
+    both sides of every AND included.  ``(None, reason)`` means the
+    statement runs interpreted."""
+    try:
+        storage = database.storage(statement.table)
+        scan = ScanNode(statement.table, statement.table, storage,
+                        len(storage.schema.columns))
+        if statement.where is not None:
+            slots = SlotMap()
+            slots.add_source(statement.table,
+                             storage.schema.column_names)
+            scan.filters.append((
+                compile_expression(statement.where, Scope(slots)),
+                predicate_text(statement.where)))
+            _index_for_scan(scan, storage.schema,
+                            split_conjuncts(statement.where))
+    except EngineError as exc:
+        return None, str(exc)
+    return scan, None
+
+
 def _flatten_from(database, node) \
         -> Tuple[List[TableRef], List[Tuple[str, Optional[Expression]]]]:
     """Left-deep FROM tree -> ordered table refs + join (kind, cond)."""
@@ -1009,17 +1085,21 @@ def _build_plan(database, statement: SelectStatement) -> SelectPlan:
     # Post-grouping expressions see source slots (representative row)
     # plus the appended aggregate slots.
     output_scope = Scope(slots, agg_slots=agg_slots)
-    plan.item_fns = [
+    item_fns = [
         compile_expression(item.expression, output_scope)
         for item in items
     ]
-    item_slots = [getattr(fn, "_slot", None) for fn in plan.item_fns]
+    item_slots = [getattr(fn, "_slot", None) for fn in item_fns]
     if item_slots and all(slot is not None for slot in item_slots):
+        # The getter replaces the per-item closures, which a cached
+        # plan would otherwise keep for nothing.
         if len(item_slots) == 1:
             only = item_slots[0]
             plan.project_getter = lambda row, _slot=only: (row[_slot],)
         else:
             plan.project_getter = operator.itemgetter(*item_slots)
+    else:
+        plan.item_fns = item_fns
     if plan.grouped and statement.having is not None:
         plan.having_fn = compile_expression(statement.having, output_scope)
         plan.having_text = predicate_text(statement.having)

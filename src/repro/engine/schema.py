@@ -112,9 +112,11 @@ class TableSchema:
         if unknown:
             raise CatalogError(
                 f"table {self.name!r} has no column {unknown[0]!r}")
-        row: List[Any] = []
+        # Sized up front: a stored row holds exactly its columns, with
+        # no append growth slack (rows are the bulk of a table).
+        row: List[Any] = [None] * len(self.columns)
         provided = {key.lower(): value for key, value in values.items()}
-        for column in self.columns:
+        for position, column in enumerate(self.columns):
             key = column.name.lower()
             if key in provided:
                 value = coerce_value(provided[key], column.type)
@@ -123,7 +125,7 @@ class TableSchema:
             if value is None and not column.nullable:
                 raise ConstraintViolation(
                     f"column {self.name}.{column.name} is NOT NULL")
-            row.append(value)
+            row[position] = value
         return row
 
 

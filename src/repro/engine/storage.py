@@ -13,15 +13,24 @@ Each table keeps two synchronized representations:
   so they never take the lock and never observe a writer's
   in-progress effects.
 
+Only rows that some snapshot may see differently from the live row
+carry a chain.  A row whose one version every snapshot can see is
+*settled*: garbage collection (:meth:`TableStorage.collect`) and
+snapshot load drop its chain, and the live row in ``rows`` is its
+version.  A writer gives a settled row its chain on the first update
+or delete, *before* it touches ``rows``; a new row gets its chain
+before it enters ``rows``.
+
 The lock-free read protocol relies on CPython/GIL atomicity of whole
-C-level operations (``list(d.items())``, ``dict.get``, tuple loads)
-plus one ordering rule: a writer bumps ``_last_version_cn`` *before*
-touching ``rows``.  A snapshot reader copies the live dict and then
+C-level operations (``dict.copy``, ``dict.get``, tuple loads) plus two
+ordering rules.  (1) A writer bumps ``_last_version_cn`` *before*
+touching ``rows``: a snapshot reader copies the live dict and then
 re-checks the counter — if it is still at or below the snapshot's
 commit number, no writer stamped a newer effect during the copy and
-the copy *is* the snapshot; otherwise the reader falls back to
-walking the version chains, which are append-only between
-collections.
+the copy *is* the snapshot.  (2) Otherwise the reader reads ``rows``
+*before* ``_versions``: a row it finds with no chain had none when its
+live value was read, so no writer had touched it since and that value
+is visible at every open snapshot's commit number.
 
 Mutations are funnelled through three primitives (insert, delete,
 update) which report enough information for the transaction layer to
@@ -32,11 +41,15 @@ in any snapshot.
 
 from __future__ import annotations
 
+from itertools import chain as concat
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.indexes import Index
 from repro.engine.schema import TableSchema
 from repro.errors import ConstraintViolation
+
+_ROWID = itemgetter(0)
 
 
 class RowVersion:
@@ -50,14 +63,19 @@ class RowVersion:
         self.deleted_cn = deleted_cn
         self.row = row
 
-    def visible_at(self, cn: int) -> bool:
-        return self.created_cn <= cn and (
-            self.deleted_cn is None or cn < self.deleted_cn)
-
     def __repr__(self) -> str:
         return (f"<RowVersion [{self.created_cn}, "
                 f"{self.deleted_cn if self.deleted_cn is not None else '∞'}) "
                 f"{self.row!r}>")
+
+
+def _visible(chain: List[RowVersion], cn: int) -> Optional[List[Any]]:
+    """The row of the version in ``chain`` visible at ``cn`` (or None)."""
+    for version in reversed(tuple(chain)):
+        deleted = version.deleted_cn
+        if version.created_cn <= cn and (deleted is None or cn < deleted):
+            return version.row
+    return None
 
 
 class TableStorage:
@@ -68,15 +86,17 @@ class TableStorage:
         self.rows: Dict[int, List[Any]] = {}
         self._next_rowid = 1
         self.indexes: Dict[str, Index] = {}
-        # Version chains, keyed by rowid; _version_order remembers
-        # insertion order so snapshot scans match live-scan order.
-        # Both are guarded by the *owning database's* exclusive lock
+        # Version chains of the rows that are not settled, keyed by
+        # rowid.  Guarded by the *owning database's* exclusive lock
         # (the analyzer's "engine-exclusive" virtual guard): only
         # mutated while that lock (or single-threaded recovery)
-        # serializes writers; snapshot readers walk them lock-free
-        # through atomic whole-structure copies.
+        # serializes writers; snapshot readers walk it lock-free.
         self._versions: Dict[int, List[RowVersion]] = {}  # guarded-by: engine-exclusive
-        self._version_order: List[int] = []  # guarded-by: engine-exclusive
+        # Whether ``rows`` iterates in rowid order.  Only a rolled-back
+        # delete (or a replayed insert) can put a rowid behind a larger
+        # one; keyed DML reads index candidates in rowid order and
+        # uses them only while it equals the live-scan order.
+        self.in_rowid_order = True  # guarded-by: engine-exclusive
         # Highest commit number any effect on this table was stamped
         # with.  Bumped BEFORE the first mutation of a statement so
         # the snapshot fast path's copy-then-recheck is race-free.
@@ -182,25 +202,37 @@ class TableStorage:
 
     # -- mutations ----------------------------------------------------------
 
+    def _put_row(self, rowid: int, row: List[Any]) -> None:  # requires: engine-exclusive
+        """Add ``rowid`` to ``rows``, noting when it lands behind a
+        larger rowid (the dict keeps insertion order)."""
+        rows = self.rows
+        if rows and next(reversed(rows)) > rowid:
+            self.in_rowid_order = False
+        rows[rowid] = row
+
+    def _add_live(self, rowid: int, row: List[Any], cn: int) -> None:  # requires: engine-exclusive
+        """Enter a new live row: chain first, then ``rows``, then the
+        indexes — so no reader can find it without its lifetime."""
+        chain = self._versions.get(rowid)
+        if chain is None:
+            self._versions[rowid] = [RowVersion(cn, None, row)]
+        else:
+            chain.append(RowVersion(cn, None, row))
+        self._put_row(rowid, row)
+        for index in self.indexes.values():
+            index.insert(rowid, row)
+
     def insert(self, row: List[Any]) -> int:  # requires: engine-exclusive
         """Insert a coerced row, returning its rowid."""
         if self._monitor is not None:
             self._monitor.on_write(self.schema.name)
         rowid = self._next_rowid
         for index in self.indexes.values():
-            index.check_insert(rowid, row, self.schema.name,
+            index.check_unique(rowid, row, self.schema.name,
                                live_rows=self.rows)
         cn = self._stamp()
         self._next_rowid += 1
-        self.rows[rowid] = row
-        chain = self._versions.get(rowid)
-        if chain is None:
-            self._versions[rowid] = [RowVersion(cn, None, row)]
-            self._version_order.append(rowid)
-        else:
-            chain.append(RowVersion(cn, None, row))
-        for index in self.indexes.values():
-            index.insert(rowid, row)
+        self._add_live(rowid, row, cn)
         return rowid
 
     def delete(self, rowid: int) -> List[Any]:  # requires: engine-exclusive
@@ -212,11 +244,15 @@ class TableStorage:
         """
         if self._monitor is not None:
             self._monitor.on_write(self.schema.name)
+        row = self.rows[rowid]
         cn = self._stamp()
-        row = self.rows.pop(rowid)
         chain = self._versions.get(rowid)
-        if chain:
+        if chain is None:
+            # Settled until now: visible to every snapshot from 0.
+            self._versions[rowid] = [RowVersion(0, cn, row)]
+        else:
             chain[-1].deleted_cn = cn
+        del self.rows[rowid]
         return row
 
     def update(self, rowid: int, new_row: List[Any]) -> List[Any]:  # requires: engine-exclusive
@@ -225,16 +261,18 @@ class TableStorage:
             self._monitor.on_write(self.schema.name)
         old_row = self.rows[rowid]
         for index in self.indexes.values():
-            index.check_update(rowid, old_row, new_row, self.schema.name,
+            index.check_unique(rowid, new_row, self.schema.name,
                                live_rows=self.rows)
         cn = self._stamp()
         chain = self._versions.get(rowid)
-        if chain:
+        if chain is None:
+            # Settled until now: the chain is published whole, before
+            # ``rows`` changes.
+            self._versions[rowid] = [RowVersion(0, cn, old_row),
+                                     RowVersion(cn, None, new_row)]
+        else:
             chain[-1].deleted_cn = cn
             chain.append(RowVersion(cn, None, new_row))
-        else:
-            self._versions[rowid] = [RowVersion(cn, None, new_row)]
-            self._version_order.append(rowid)
         self.rows[rowid] = new_row
         # The old-key entries stay as tombstones; only the new key is
         # added.  Readers verify candidates against the fetched row.
@@ -251,16 +289,8 @@ class TableStorage:
             raise ConstraintViolation(
                 f"rowid {rowid} already present in {self.schema.name}")
         cn = self._stamp()
-        self.rows[rowid] = row
         self._next_rowid = max(self._next_rowid, rowid + 1)
-        chain = self._versions.get(rowid)
-        if chain is None:
-            self._versions[rowid] = [RowVersion(cn, None, row)]
-            self._version_order.append(rowid)
-        else:
-            chain.append(RowVersion(cn, None, row))
-        for index in self.indexes.values():
-            index.insert(rowid, row)
+        self._add_live(rowid, row, cn)
 
     def unallocate(self, rowid: int) -> None:
         """Roll the rowid counter back past an undone insert.
@@ -286,49 +316,38 @@ class TableStorage:
         self.rows.pop(rowid, None)
         chain = self._versions.get(rowid)
         if chain:
+            # An emptied chain stays until collection: a reader that
+            # read the row before the pop must still find a chain.
             chain.pop()
-            if not chain:
-                del self._versions[rowid]
-                self._version_order.remove(rowid)
 
     def undo_delete(self, rowid: int, row: List[Any]) -> None:  # requires: engine-exclusive
         """Unwind an aborted delete: clear the death stamp."""
         if self._monitor is not None:
             self._monitor.on_write(self.schema.name)
-        self.rows[rowid] = row
-        chain = self._versions.get(rowid)
-        if chain:
-            chain[-1].deleted_cn = None
-        else:
-            self._versions[rowid] = [RowVersion(0, None, row)]
-            self._version_order.append(rowid)
+        # A delete always leaves a chain, and no collection runs
+        # inside a transaction.
+        self._versions[rowid][-1].deleted_cn = None
+        self._put_row(rowid, row)
 
     def undo_update(self, rowid: int, old_row: List[Any]) -> None:  # requires: engine-exclusive
         """Unwind an aborted update: pop the new version, revive the old."""
         if self._monitor is not None:
             self._monitor.on_write(self.schema.name)
         self.rows[rowid] = old_row
-        chain = self._versions.get(rowid)
-        if chain and len(chain) > 1:
-            chain.pop()
-            chain[-1].deleted_cn = None
-        elif chain:
-            # The updated row had no prior version (legacy storage);
-            # rewrite the single version in place.
-            chain[-1].row = old_row
-            chain[-1].deleted_cn = None
+        # An update always leaves the old and the new version.
+        chain = self._versions[rowid]
+        chain.pop()
+        chain[-1].deleted_cn = None
 
     # -- snapshot visibility --------------------------------------------------
 
     def visible_row(self, rowid: int, cn: int) -> Optional[List[Any]]:
         """The row version visible at commit number ``cn`` (or None)."""
+        row = self.rows.get(rowid)  # before _versions: rule (2)
         chain = self._versions.get(rowid)
         if chain is None:
-            return None
-        for version in reversed(tuple(chain)):
-            if version.visible_at(cn):
-                return version.row
-        return None
+            return row
+        return _visible(chain, cn)
 
     def snapshot_rows(self, cn: int) -> List[Tuple[int, List[Any]]]:
         """All ``(rowid, row)`` pairs visible at commit number ``cn``.
@@ -336,7 +355,9 @@ class TableStorage:
         Lock-free.  Fast path: when no effect newer than ``cn`` has
         been stamped, the live dict *is* the snapshot — copy it and
         re-check the stamp counter to close the copy-during-write
-        race.  Slow path: walk the version chains.
+        race.  Slow path: settled live rows as they are, chained rows
+        through their chains, in rowid order when deleted rows are
+        among them.
         """
         if self._monitor is not None:
             self._monitor.on_snapshot_read(self.schema.name, cn)
@@ -344,33 +365,42 @@ class TableStorage:
             items = list(self.rows.items())
             if self._last_version_cn <= cn:
                 return items
+        live = self.rows.copy()
+        versions = self._versions  # loaded after rows: rule (2)
         visible: List[Tuple[int, List[Any]]] = []
-        for rowid in list(self._version_order):
-            chain = self._versions.get(rowid)
-            if chain is None:
-                continue
-            for version in reversed(tuple(chain)):
-                if version.visible_at(cn):
-                    visible.append((rowid, version.row))
-                    break
+        append = visible.append
+        get = versions.get
+        for rowid, row in live.items():
+            chain = get(rowid)
+            if chain is not None:
+                row = _visible(chain, cn)
+                if row is None:
+                    continue
+            append((rowid, row))
+        deleted = [(rowid, old) for rowid, chain in list(versions.items())
+                   if rowid not in live
+                   and (old := _visible(chain, cn)) is not None]
+        if deleted:
+            visible.extend(deleted)
+            visible.sort(key=_ROWID)
         return visible
 
     def version_count(self) -> int:
-        """Total retained versions across all chains (GC observability)."""
-        return sum(len(chain) for chain in list(self._versions.values()))
+        """Retained versions, a settled row counting as one (GC
+        observability)."""
+        live = self.rows.copy()
+        return len(live) + sum(len(chain) - (rowid in live)
+                               for rowid, chain
+                               in list(self._versions.items()))
 
-    def seed_versions(self, cn: int) -> None:  # requires: engine-exclusive
-        """Rebuild version chains from the live rows (snapshot load).
+    def settle_all(self, cn: int) -> None:  # requires: engine-exclusive
+        """Mark every live row settled (snapshot load).
 
-        Flat snapshots persist only the live rows; on load every row
-        becomes the base version created at the snapshot's WAL commit
-        number, so any snapshot pinned at ``cn`` or later sees it.
+        Flat snapshots persist only the live rows, and the loaded
+        database's commit number starts at the snapshot's ``cn``, so
+        every snapshot it can open sees each row as it is.
         """
         self._versions = {}
-        self._version_order = []
-        for rowid, row in self.rows.items():
-            self._versions[rowid] = [RowVersion(cn, None, row)]
-            self._version_order.append(rowid)
         if cn > self._last_version_cn:
             self._last_version_cn = cn
 
@@ -379,31 +409,35 @@ class TableStorage:
 
         A version is dead once ``deleted_cn <= horizon``: every open
         snapshot is pinned at ``>= horizon`` and new snapshots only
-        pin later numbers.  Chains, the order list and every index's
-        buckets are rebuilt into fresh structures and swapped in with
-        single stores, so readers mid-walk keep the old (still
-        correct) structures.  Returns the number of reclaimed
-        versions.
+        pin later numbers.  A chain left holding one live version
+        created at or before ``horizon`` is dropped: the row is
+        settled.  Chains and every index's buckets are rebuilt into
+        fresh structures and swapped in with single stores, so readers
+        mid-walk keep the old (still correct) structures; a live dict
+        out of rowid order is re-stored in order.  Returns the number
+        of reclaimed versions.
         """
         fresh: Dict[int, List[RowVersion]] = {}
-        order: List[int] = []
         reclaimed = 0
-        for rowid in self._version_order:
-            chain = self._versions.get(rowid, [])
+        for rowid, chain in self._versions.items():
             kept = [version for version in chain
                     if version.deleted_cn is None
                     or version.deleted_cn > horizon]
             reclaimed += len(chain) - len(kept)
+            if len(kept) == 1 and kept[0].deleted_cn is None \
+                    and kept[0].created_cn <= horizon:
+                continue
             if kept:
                 fresh[rowid] = kept
-                order.append(rowid)
+        if not self.in_rowid_order:
+            self.rows = dict(sorted(self.rows.items(), key=_ROWID))
+            self.in_rowid_order = True
         self._versions = fresh
-        self._version_order = order
         for index in self.indexes.values():
-            index.rebuild(
-                (index.key_for(version.row), rowid)
-                for rowid in order
-                for version in fresh[rowid])
+            index.rebuild(concat(
+                self.rows.items(),
+                ((rowid, version.row)
+                 for rowid, kept in fresh.items() for version in kept)))
         return reclaimed
 
     # -- state identity -------------------------------------------------------

@@ -111,6 +111,14 @@ class AuthenticationManager:
                 f"account {username!r} is disabled")
         principal = self.store.resolve_principal(username)
         now = self.clock()
+        # Sessions nobody presents again would otherwise live for
+        # ever.  The dict is in creation order, so the expired ones
+        # are at its front: free them until the first live one (over
+        # a copy — concurrent logins change the dict).
+        for token, older in list(self._sessions.items()):
+            if older.expires_at > now:
+                break
+            self._sessions.pop(token, None)
         session = SecuritySession(
             token=secrets.token_urlsafe(24),
             principal=principal,

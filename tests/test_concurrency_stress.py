@@ -375,6 +375,105 @@ class TestResultReuseStress:
             == sum(answers) + N_WORKERS * 3
 
 
+class TestSettledRowsUnderKeyedWriters:
+    """Lock-free readers against rows that vacuum keeps settling.
+
+    One writer moves balance between two accounts of a group (two
+    keyed UPDATEs in one transaction), replaces accounts (DELETE plus
+    INSERT of the same balance), rolls back inserts and vacuums, so
+    the rows it touches
+    keep passing from settled to chained and back.  Every snapshot
+    read — the index scan of one group, the full scan of the table —
+    must see each group whole: 50 accounts, 5 000 in total.
+    """
+
+    GROUPS, ACCOUNTS, ROUNDS = 4, 50, 400
+
+    def test_snapshots_see_whole_groups(self):
+        database = Database("settled")
+        database.execute("CREATE TABLE accounts (id INTEGER PRIMARY "
+                         "KEY, grp INTEGER, balance INTEGER)")
+        database.execute("CREATE INDEX accounts_grp ON accounts (grp)")
+        ids = {grp: list(range(grp * self.ACCOUNTS,
+                               (grp + 1) * self.ACCOUNTS))
+               for grp in range(self.GROUPS)}
+        database.executemany(
+            "INSERT INTO accounts VALUES (?, ?, 100)",
+            [(key, grp) for grp, keys in ids.items() for key in keys])
+        database.vacuum()
+        done = threading.Event()
+        reads = [0] * N_WORKERS
+
+        def write():
+            next_id = self.GROUPS * self.ACCOUNTS
+            for round_no in range(self.ROUNDS):
+                grp = round_no % self.GROUPS
+                first, second = ids[grp][round_no % 7], ids[grp][-1]
+                with database.transaction():
+                    database.execute("UPDATE accounts SET balance = "
+                                     "balance - 7 WHERE id = ?", (first,))
+                    database.execute("UPDATE accounts SET balance = "
+                                     "balance + 7 WHERE id = ?", (second,))
+                if round_no % 5 == 0:
+                    old = ids[grp].pop(0)
+                    with database.transaction():
+                        balance = database.query_value(
+                            "SELECT balance FROM accounts WHERE id = ?",
+                            (old,))
+                        database.execute(
+                            "DELETE FROM accounts WHERE id = ?", (old,))
+                        database.execute(
+                            "INSERT INTO accounts VALUES (?, ?, ?)",
+                            (next_id, grp, balance))
+                    ids[grp].append(next_id)
+                    next_id += 1
+                if round_no % 4 == 1:  # an insert nobody may see
+                    database.execute("BEGIN")
+                    database.execute(
+                        "INSERT INTO accounts VALUES (?, ?, 1)",
+                        (next_id, grp))
+                    database.execute("ROLLBACK")
+                if round_no % 3 == 0:
+                    database.vacuum()
+
+        def read(wid):
+            while not done.is_set() or not reads[wid]:
+                for grp in range(self.GROUPS):
+                    assert database.query(
+                        "SELECT COUNT(*) AS n, SUM(balance) AS total "
+                        "FROM accounts WHERE grp = ?", (grp,)) \
+                        == [{"n": self.ACCOUNTS,
+                             "total": 100 * self.ACCOUNTS}]
+                assert database.query(
+                    "SELECT grp, COUNT(*) AS n, SUM(balance) AS total "
+                    "FROM accounts GROUP BY grp ORDER BY grp") \
+                    == [{"grp": grp, "n": self.ACCOUNTS,
+                         "total": 100 * self.ACCOUNTS}
+                        for grp in range(self.GROUPS)]
+                reads[wid] += 1
+
+        def worker(wid):
+            if wid == 0:
+                try:
+                    write()
+                finally:
+                    done.set()
+            else:
+                read(wid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_workers(worker, n_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(reads[1:4])
+        database.vacuum()
+        assert len(database.storage("accounts")._versions) == 0
+        assert database.version_count("accounts") \
+            == self.GROUPS * self.ACCOUNTS
+
+
 class TestTenantStress:
     def test_shared_mode_tenants_serialize_writes_correctly(self):
         """8 tenants on one shared operational database."""

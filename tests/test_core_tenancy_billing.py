@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import OdbisPlatform
-from repro.core.subscription import BillingService, Plan
+from repro.core.resilience import FakeClock
+from repro.core.subscription import METER_FLUSH_SECONDS, BillingService, Plan
 from repro.core.tenancy import TenancyMode, TenantManager
 from repro.engine import Database
 from repro.errors import (
@@ -115,6 +116,31 @@ class TestBilling:
         billing.meter("b", "report", 2)
         rollup = billing.platform_usage()
         assert rollup == {"a": {"query": 1}, "b": {"report": 2}}
+
+    def test_crash_loses_only_usage_since_the_last_flush(self, tmp_path):
+        clock = FakeClock()
+        platform = OdbisPlatform(data_dir=tmp_path, fsync="off",
+                                 clock=clock)
+        billing = platform.billing
+        billing.meter("acme", "query", 3)
+        clock.advance(METER_FLUSH_SECONDS)
+        billing.meter("acme", "query", 4)  # the interval is up: writes 7
+        billing.meter("acme", "report", 1)
+        clock.advance(METER_FLUSH_SECONDS / 2)
+        billing.meter("acme", "query", 5)  # still inside the new interval
+        # Crash: the platform is dropped without close().
+        platform.gateway.shutdown()
+        recovered = OdbisPlatform(data_dir=tmp_path, fsync="off",
+                                  clock=FakeClock())
+        try:
+            assert recovered.billing.usage("acme") == {"query": 7}
+            recovered.billing.meter("acme", "query", 1)
+            assert recovered.billing.usage("acme") == {"query": 8}
+            ids = recovered.billing.database.query(
+                "SELECT id FROM usage_events")
+            assert len({row["id"] for row in ids}) == len(ids) == 2
+        finally:
+            recovered.close()
 
 
 class TestProvisioning:

@@ -11,7 +11,10 @@ steps: the interpreter never remembers a result, so after every step a
 set of aggregates read from *another* thread (the lock-free snapshot
 path, where the compiled database may reuse a remembered result) must
 equal the twin's answers — with a transaction open, with one rolled
-back, and with nothing having happened in between.
+back, and with nothing having happened in between.  Only the compiled
+database indexes ``t``, so its keyed UPDATEs and DELETEs choose their
+rows by index point and prefix scans while the twin full-scans, and a
+``vacuum`` step settles rows between writes.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +30,7 @@ from hypothesis.stateful import (
 )
 
 from repro.engine import Database
+from repro.errors import ConstraintViolation
 
 keys = st.integers(min_value=0, max_value=20)
 values = st.integers(min_value=-100, max_value=100)
@@ -41,6 +45,8 @@ class EngineModel(RuleBasedStateMachine):
         self.db = Database()
         self.twin = Database("twin", compile=False)
         self.both("CREATE TABLE t (k INTEGER, v INTEGER, tag TEXT)")
+        self.db.execute("CREATE INDEX t_k ON t (k)")
+        self.db.execute("CREATE INDEX t_tag_k ON t (tag, k)")
         self.oracle = []          # committed + pending rows
         self.snapshot = None      # oracle at BEGIN, for rollback
         self.reader = ThreadPoolExecutor(max_workers=1)
@@ -75,6 +81,14 @@ class EngineModel(RuleBasedStateMachine):
         self.both("DELETE FROM t WHERE k = ?", (k,))
         self.oracle = [row for row in self.oracle if row["k"] != k]
 
+    @rule(tag=tags, k=keys, v=values)
+    def update_by_tag_and_key(self, tag, k, v):
+        self.both("UPDATE t SET v = ? WHERE tag = ? AND k = ?",
+                  (v, tag, k))
+        for row in self.oracle:
+            if row["tag"] == tag and row["k"] == k:
+                row["v"] = v
+
     @rule(threshold=values)
     def delete_below(self, threshold):
         self.both("DELETE FROM t WHERE v < ?", (threshold,))
@@ -104,6 +118,16 @@ class EngineModel(RuleBasedStateMachine):
         self.twin.rollback()
         self.oracle = self.snapshot
         self.snapshot = None
+
+    @precondition(lambda self: self.snapshot is None)
+    @rule()
+    def vacuum(self):
+        self.db.vacuum()
+        self.twin.vacuum()
+        # No snapshot is open: every live row settles, every dead
+        # version goes, and a settled row still counts as a version.
+        assert len(self.db.storage("t")._versions) == 0
+        assert self.db.version_count("t") == len(self.oracle)
 
     # -- invariants ----------------------------------------------------------------
 
@@ -174,3 +198,39 @@ class EngineModel(RuleBasedStateMachine):
 EngineModel.TestCase.settings = settings(
     max_examples=30, stateful_step_count=30, deadline=None)
 TestEngineStateful = EngineModel.TestCase
+
+
+@pytest.mark.parametrize("rolled_back_delete", [False, True])
+def test_unique_violation_fails_on_the_same_row(rolled_back_delete):
+    """A multi-row UPDATE that breaks UNIQUE part-way fails on the same
+    row, with the same error and the same rows already written, whether
+    its targets come from an index (compiled) or a full scan (twin).
+    A rolled-back delete moves its row to the end of the live scan,
+    and the compiled database must follow that order too."""
+    outcomes = []
+    compiled, twin = Database(), Database("twin", compile=False)
+    for database in (compiled, twin):
+        database.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, "
+                         "grp TEXT, code INTEGER UNIQUE)")
+        database.execute("CREATE INDEX u_grp ON u (grp)")
+        database.executemany("INSERT INTO u VALUES (?, ?, ?)", [
+            (1, "a", 10), (2, "a", 30), (3, "a", 40), (4, "b", 50)])
+        if rolled_back_delete:
+            database.execute("BEGIN")
+            database.execute("DELETE FROM u WHERE id = 1")
+            database.execute("ROLLBACK")
+        with pytest.raises(ConstraintViolation) as failure:
+            database.execute(
+                "UPDATE u SET code = code + 10 WHERE grp = ?", ("a",))
+        rows = database.execute("SELECT id, code FROM u").rows
+        outcomes.append((str(failure.value), sorted(rows)))
+    plan, _reason = compiled.plan_for(compiled._parse(
+        "UPDATE u SET code = code + 10 WHERE grp = ?"))
+    assert plan.index.name == "u_grp"
+    (error, rows), (twin_error, twin_rows) = outcomes
+    assert error == twin_error == \
+        "UNIQUE constraint failed: u(code) = (40,)"
+    # Live order 1, 2, 3 writes id 1 before id 2 fails; after the
+    # rolled-back delete the order is 2, 3, 1 and nothing is written.
+    first = 10 if rolled_back_delete else 20
+    assert rows == twin_rows == [(1, first), (2, 30), (3, 40), (4, 50)]

@@ -9,8 +9,10 @@ Standing rule: no tier-1 wall-clock assert with less than 2x headroom
 over what was measured (asserted / measured: compiled vs interpreted
 1.5x / 4-6x, reuse vs recompute 5x / ~130x, hash join vs nested loop
 5x / ~110x, index vs scan 2x / ~20x).  What a fast path must *not do*
-is asserted as a count — plans compiled, log frames decoded — which
-repeats exactly on any host; what a statement *costs* is a ``bench/``
+is asserted as a count — plans compiled, log frames decoded, tables
+scanned and WHERE clauses evaluated by keyed DML, version chains kept,
+usage rows written — which repeats exactly on any host; what a
+statement *costs* is a ``bench/``
 metric (``engine.read_self_ms_per_stmt``).
 """
 
@@ -245,6 +247,113 @@ def test_sharded_reads_decode_only_new_log_bytes(tmp_path, monkeypatch):
         assert loads == []
     finally:
         platform.close()
+
+
+def orders(database, rows=20_000):
+    database.execute("CREATE TABLE orders (id INTEGER PRIMARY KEY, "
+                     "status TEXT, amount REAL)")
+    database.executemany("INSERT INTO orders VALUES (?, ?, ?)",
+                         [(key, "new", 1.0) for key in range(rows)])
+    return database
+
+
+def counting_where(database, sql):
+    """Wrap the WHERE filter of ``sql``'s cached DML plan in a counter;
+    returns the (live) list of rows it was evaluated on."""
+    seen = []
+    plan, _reason = database.plan_for(database._parse(sql))
+    (where, text), = plan.filters
+
+    def counted(row, params):
+        seen.append(row)
+        return where(row, params)
+
+    plan.filters[0] = (counted, text)
+    return seen
+
+
+@pytest.mark.parametrize("sql, params", [
+    ("UPDATE orders SET status = ?, amount = ? WHERE id = ?",
+     ("paid", 2.0, 12_345)),
+    ("DELETE FROM orders WHERE id = ?", (12_345,)),
+])
+def test_keyed_dml_touches_one_row(sql, params, monkeypatch):
+    """The fence for keyed DML, in counts: a keyed UPDATE or DELETE on
+    a 20 000-row table makes no table scan and evaluates its WHERE on
+    at most the one row its key names; the compile=False reference
+    scans once."""
+    from repro.engine.storage import TableStorage
+
+    database = orders(Database())
+    reference = orders(Database(compile=False))
+    where_rows = counting_where(database, sql)
+    scans = spy(monkeypatch, TableStorage, "scan")
+    assert database.execute(sql, params) == 1
+    assert scans == [] and len(where_rows) <= 1
+    assert reference.execute(sql, params) == 1
+    assert len(scans) == 1
+    assert database.query("SELECT * FROM orders WHERE id = 12345") \
+        == reference.query("SELECT * FROM orders WHERE id = 12345")
+
+
+def test_checkpoint_leaves_no_version_chains(tmp_path):
+    """After a checkpoint every row of a 20 000-row table is settled:
+    no version chain, one version per live row."""
+    database = orders(Database.recover(tmp_path, "main", fsync="off"))
+    storage = database.storage("orders")
+    assert len(storage._versions) == 20_000  # fresh rows carry chains
+    database.checkpoint()
+    assert len(storage._versions) == 0
+    assert database.version_count("orders") == 20_000
+    database.execute("UPDATE orders SET amount = 3.0 WHERE id = 7")
+    assert len(storage._versions) == 1
+    assert database.version_count("orders") == 20_001
+    database.vacuum()
+    assert len(storage._versions) == 0
+    assert database.version_count("orders") == 20_000
+    database.close()
+
+
+def test_metered_reads_write_one_row_per_key():
+    """Metering leaves the read path: 50 metered reads inside one flush
+    interval write no usage row; the flush writes one per (tenant,
+    period, kind); a meter call past the interval flushes itself."""
+    from repro.core import OdbisPlatform
+    from repro.core.resilience import FakeClock
+    from repro.core.subscription import METER_FLUSH_SECONDS
+
+    clock = FakeClock()
+    platform = OdbisPlatform(clock=clock)
+    headers = {}
+    for tenant in ("acme", "globex"):
+        platform.provisioning.provision(tenant, tenant, plan="team")
+        login = platform.web.request(
+            "POST", "/login", body={"username": f"admin@{tenant}",
+                                    "password": "changeme"})
+        headers[tenant] = {"x-auth-token": login.json()["token"]}
+    platform.tenants.platform_db.execute(
+        "CREATE TABLE t (id INTEGER PRIMARY KEY)")
+    written = platform.billing.database
+
+    def events():
+        return written.query_value("SELECT COUNT(*) FROM usage_events")
+
+    for read in range(50):
+        tenant = ("acme", "globex")[read % 2]
+        response = platform.web.request(
+            "POST", f"/tenants/{tenant}/sql", headers=headers[tenant],
+            body={"sql": "SELECT COUNT(*) AS n FROM t"})
+        assert response.status == 200, response.body
+    assert events() == 0
+    assert platform.billing.flush() == 2
+    assert events() == 2
+    assert platform.billing.usage("acme") == {"query": 25}
+    platform.billing.meter("acme", "report")
+    assert events() == 2
+    clock.advance(METER_FLUSH_SECONDS)
+    platform.billing.meter("acme", "report")
+    assert events() == 3
+    assert platform.billing.usage("acme") == {"query": 25, "report": 2}
 
 
 def test_analysis_cli_runs_clean():

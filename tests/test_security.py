@@ -145,6 +145,21 @@ class TestAuthentication:
         manager._test_clock["now"] += 120
         assert manager.active_sessions() == 0
 
+    def test_expired_sessions_are_freed_at_login(self, store):
+        clock = {"now": 0.0}
+        manager = AuthenticationManager(
+            store, encoder=PasswordEncoder(iterations=1),
+            session_ttl_seconds=60, clock=lambda: clock["now"])
+        manager.register_user("ada", "pw")
+        spacing = 0.18  # 1 000 logins spread over three TTLs
+        for login in range(1000):
+            clock["now"] = login * spacing
+            manager.authenticate("ada", "pw")
+        # Only sessions nobody presented again, so only the login
+        # sweep can have freed them: one TTL's worth is left.
+        assert len(manager._sessions) == manager.active_sessions()
+        assert len(manager._sessions) <= 60 / spacing + 1
+
 
 def make_principal(**kwargs):
     defaults = {"user_id": 1, "username": "ada", "tenant": "acme",
