@@ -716,7 +716,10 @@ class Database:
                 "tables": [
                     {
                         "schema": storage.schema,
-                        "rows": dict(storage.rows),
+                        # The live dict itself, not a copy: nothing
+                        # mutates it under this hold, and a copy is an
+                        # O(rows) dict built under the writer lock.
+                        "rows": storage.rows,
                         "next_rowid": storage._next_rowid,
                         "indexes": [
                             (index.name, index.column_names, index.unique)

@@ -6,7 +6,8 @@ SELECT it produces a :class:`SelectPlan` that
 * resolves every column reference to a positional slot (via
   :mod:`repro.engine.compiler`) so execution never builds per-row dicts
   or performs string lookups,
-* chooses index point/prefix scans from the pushed-down predicates,
+* chooses index point, prefix and range scans from the pushed-down
+  predicates,
 * pushes single-source WHERE conjuncts below joins (never onto the
   null-supplying side of a LEFT join),
 * detects multi-key equi-joins and picks the hash-join build side by
@@ -46,6 +47,7 @@ from repro.engine.compiler import (
 )
 from repro.engine.expressions import (
     AggregateCall,
+    Between,
     BinaryOp,
     ColumnRef,
     Expression,
@@ -60,7 +62,8 @@ from repro.engine.parser import (
     SelectStatement,
     TableRef,
 )
-from repro.engine.types import sort_key
+from repro.engine.indexes import unordered
+from repro.engine.types import orders_with, sort_key
 from repro.errors import EngineError
 
 
@@ -153,7 +156,8 @@ def output_name(item: SelectItem, index: int) -> str:
 # -- plan nodes ----------------------------------------------------------------
 
 class ScanNode:
-    """One FROM source: full scan or index point/prefix scan + filters."""
+    """One FROM source: full scan or index point/prefix/range scan +
+    filters."""
 
     def __init__(self, alias: str, table: str, storage, width: int):
         self.alias = alias
@@ -162,7 +166,13 @@ class ScanNode:
         self.width = width
         self.index = None
         self.point = False
+        # Equality values for a leading run of the index's columns ...
         self.key_fns: List[CompiledExpr] = []
+        # ... then optional ``(fn, inclusive)`` bounds on the next one,
+        # whose SQL type a bound value must compare with.
+        self.low: Optional[Tuple[CompiledExpr, bool]] = None
+        self.high: Optional[Tuple[CompiledExpr, bool]] = None
+        self.bound_type = None
         self.key_text = ""
         # Locally-compiled pushed predicates (slot 0 = first own column).
         self.filters: List[Tuple[CompiledExpr, str]] = []
@@ -171,18 +181,35 @@ class ScanNode:
 
     # -- execution ---------------------------------------------------------
 
-    def _probe(self, params: Sequence[Any]) -> Tuple[tuple, List[int]]:
-        """The index key for ``params`` and its candidate rowids in
-        rowid order (none when a key part is NULL).  Candidates may be
-        MVCC tombstones: callers re-verify the key against the row
-        version they fetch."""
+    def _seekable(self, prefix: tuple, low, high) -> Optional[bool]:
+        """Whether the index can seek these evaluated key values: False
+        when no row can match them (a NULL or NaN), None when a bound's
+        type does not compare with the column's — the table is scanned
+        then, so the full WHERE raises the engine's own error."""
+        bounds = [bound[0] for bound in (low, high) if bound is not None]
+        if any(value is not None and not orders_with(self.bound_type, value)
+               for value in bounds):
+            return None
+        return not (any(map(unordered, prefix))
+                    or any(map(unordered, bounds)))
+
+    def _probe(self, params: Sequence[Any]) -> Optional[List[int]]:
+        """The index candidates for ``params`` in rowid order, or None
+        when the table must be scanned instead.  Candidates may be MVCC
+        tombstones or lie outside a range the filters state more
+        tightly: callers apply the filters to the row version they
+        fetch."""
         empty: Sequence[Any] = ()
-        key = tuple(fn(empty, params) for fn in self.key_fns)
-        if any(part is None for part in key):
-            return key, []
-        if self.point:
-            return key, sorted(self.index.lookup(key))
-        return key, sorted(self.index.lookup_prefix(key))
+        prefix = tuple([fn(empty, params) for fn in self.key_fns])
+        low = high = None
+        if self.low is not None:
+            low = (self.low[0](empty, params), self.low[1])
+        if self.high is not None:
+            high = (self.high[0](empty, params), self.high[1])
+        seekable = self._seekable(prefix, low, high)
+        if not seekable:
+            return None if seekable is None else []
+        return self.index.seek(prefix, low, high)
 
     def rows(self, params: Sequence[Any],
              snapshot=None) -> List[list]:
@@ -195,21 +222,16 @@ class ScanNode:
         (joins, group representatives) builds fresh lists, so storage
         is never aliased by anything that outlives execution.
         """
-        if self.index is not None:
-            key, rowids = self._probe(params)
+        rowids = None if self.index is None else self._probe(params)
+        if rowids is not None:
             if snapshot is None:
                 table_rows = self.storage.rows
-                fetched = (table_rows.get(rowid) for rowid in rowids)
+                fetched = [table_rows.get(rowid) for rowid in rowids]
             else:
                 cn = snapshot.cn
                 visible = self.storage.visible_row
-                fetched = (visible(rowid, cn) for rowid in rowids)
-            width = len(key)
-            key_for = self.index.key_for
-            candidates = [
-                row for row in fetched
-                if row is not None and key_for(row)[:width] == key
-            ]
+                fetched = [visible(rowid, cn) for rowid in rowids]
+            candidates = [row for row in fetched if row is not None]
         elif snapshot is None:
             candidates = list(self.storage.rows.values())
         else:
@@ -257,15 +279,12 @@ class ScanNode:
         table_rows = storage.rows
         if not table_rows:
             return
+        rowids = None
         if self.index is not None and storage.in_rowid_order:
-            key, rowids = self._probe(params)
-            width = len(key)
-            key_for = self.index.key_for
-            candidates = [
-                (rowid, row) for rowid in rowids
-                if (row := table_rows.get(rowid)) is not None
-                and key_for(row)[:width] == key
-            ]
+            rowids = self._probe(params)
+        if rowids is not None:
+            candidates = [(rowid, row) for rowid in rowids
+                          if (row := table_rows.get(rowid)) is not None]
         else:
             candidates = list(table_rows.items())
         fns = [fn for fn, _text in self.filters]
@@ -280,16 +299,37 @@ class ScanNode:
 
     def describe(self) -> str:
         if self.index is not None:
-            kind = "point" if self.point else "prefix"
+            if self.point:
+                kind = "point"
+            elif self.low is not None or self.high is not None:
+                kind = "range"
+            else:
+                kind = "prefix"
             return (f"index {kind} scan {self.index.name} "
                     f"({self.key_text}) (~{self.est_scan_rows()} rows)")
         return f"full scan (~{self.est_rows} rows)"
 
     def est_scan_rows(self) -> int:
-        if self.index is None:
+        """Rows the scan reads: an index scan's count comes from its
+        seek's bisect positions, with a constant where the statement
+        has one, the index's median key for a parameter equality and an
+        open end for a parameter bound."""
+        index = self.index
+        if index is None:
             return self.est_rows
-        buckets = max(1, self.index.bucket_count())
-        return max(1, len(self.index) // buckets)
+        sample = index.sample()
+        if sample is None:
+            return 1
+        prefix = tuple([getattr(fn, "_const", sample[position])
+                        for position, fn in enumerate(self.key_fns)])
+        low, high = [
+            (bound[0]._const, bound[1])
+            if bound is not None and hasattr(bound[0], "_const") else None
+            for bound in (self.low, self.high)]
+        seekable = self._seekable(prefix, low, high)
+        if seekable is None:
+            return self.est_rows
+        return max(1, index.estimate(prefix, low, high) if seekable else 0)
 
     def explain_lines(self) -> List[str]:
         lines = [f"scan {self.table} {self.alias}: {self.describe()}"]
@@ -802,8 +842,8 @@ def plan_select(database, statement: SelectStatement) \
 def plan_dml(database, statement) \
         -> Tuple[Optional[ScanNode], Optional[str]]:
     """Plan how an UPDATE or DELETE chooses its target rows: the scan
-    node SELECT would build for the same WHERE — index point/prefix
-    scan from its equality conjuncts — with the whole WHERE compiled
+    node SELECT would build for the same WHERE — index point, prefix or
+    range scan from its conjuncts — with the whole WHERE compiled
     as the one filter, so it is evaluated as the interpreter does,
     both sides of every AND included.  ``(None, reason)`` means the
     statement runs interpreted."""
@@ -873,60 +913,92 @@ def _conjunct_source(conjunct: Expression, slots: SlotMap) -> Set[int]:
     }
 
 
+#: ``value < column`` is ``column > value``.
+_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _own_column(expr: Expression, scan: ScanNode, schema) -> Optional[str]:
+    """The lowercased name of the scan's column ``expr`` reads, if any."""
+    if not isinstance(expr, ColumnRef):
+        return None
+    name = expr.name.lower()
+    if "." in name:
+        prefix, name = name.split(".", 1)
+        if prefix != scan.alias.lower():
+            return None
+    return name if schema.has_column(name) else None
+
+
 def _index_for_scan(scan: ScanNode, schema,
                     pushed: List[Expression]) -> None:
-    """Pick the best index point/prefix scan from equality conjuncts."""
-    eq_exprs: Dict[str, Expression] = {}
+    """Pick the best index scan: equality conjuncts on a leading run of
+    an index's columns, then ``<``, ``<=``, ``>``, ``>=`` or
+    ``BETWEEN`` bounds on the next column.  A point scan beats a longer
+    prefix, which beats a shorter one; bounds break ties."""
+    values = (Literal, Parameter)
+    equal: Dict[str, Expression] = {}
+    # column -> (value, inclusive)
+    lows: Dict[str, Tuple[Expression, bool]] = {}
+    highs: Dict[str, Tuple[Expression, bool]] = {}
     for conjunct in pushed:
-        if not isinstance(conjunct, BinaryOp) or conjunct.op != "=":
+        if isinstance(conjunct, Between):
+            column = _own_column(conjunct.operand, scan, schema)
+            if column is not None and not conjunct.negated \
+                    and isinstance(conjunct.low, values) \
+                    and isinstance(conjunct.high, values):
+                lows.setdefault(column, (conjunct.low, True))
+                highs.setdefault(column, (conjunct.high, True))
             continue
-        column_side, value_side = conjunct.left, conjunct.right
-        if not isinstance(column_side, ColumnRef):
-            column_side, value_side = conjunct.right, conjunct.left
-        if not isinstance(column_side, ColumnRef):
+        if not isinstance(conjunct, BinaryOp) or conjunct.op not in _FLIPPED:
             continue
-        if not isinstance(value_side, (Literal, Parameter)):
+        op, value = conjunct.op, conjunct.right
+        column = _own_column(conjunct.left, scan, schema)
+        if column is None:
+            op, value = _FLIPPED[op], conjunct.left
+            column = _own_column(conjunct.right, scan, schema)
+        if column is None or not isinstance(value, values):
             continue
-        name = column_side.name.lower()
-        if "." in name:
-            prefix, name = name.split(".", 1)
-            if prefix != scan.alias.lower():
-                continue
-        if schema.has_column(name):
-            eq_exprs.setdefault(name, value_side)
-    if not eq_exprs:
-        return
-    best = None  # (covered, is_point, index)
+        if op == "=":
+            equal.setdefault(column, value)
+        elif op[0] == ">":
+            lows.setdefault(column, (value, op == ">="))
+        else:
+            highs.setdefault(column, (value, op == "<="))
+    best = None  # (rank, index, columns)
     # list() is one atomic copy: planning may run lock-free on the
     # MVCC read path while a writer adds/drops an index.
     for index in list(scan.storage.indexes.values()):
+        columns = [column.lower() for column in index.column_names]
         covered = 0
-        for column in index.column_names:
-            if column.lower() in eq_exprs:
-                covered += 1
-            else:
-                break
-        if covered == 0:
+        while covered < len(columns) and columns[covered] in equal:
+            covered += 1
+        ranged = covered < len(columns) and (
+            columns[covered] in lows or columns[covered] in highs)
+        if not (covered or ranged):
             continue
-        is_point = covered == len(index.column_names)
-        rank = (is_point, covered)
+        rank = (covered == len(columns), covered, ranged)
         if best is None or rank > best[0]:
-            best = (rank, index)
+            best = (rank, index, columns)
     if best is None:
         return
-    _rank, index = best
-    covered = _rank[1]
+    (scan.point, covered, ranged), index, columns = best
     empty_scope = Scope(SlotMap())
-    key_columns = [c.lower() for c in index.column_names[:covered]]
     scan.index = index
-    scan.point = covered == len(index.column_names)
-    scan.key_fns = [
-        compile_expression(eq_exprs[column], empty_scope)
-        for column in key_columns
-    ]
-    scan.key_text = ", ".join(
-        f"{column} = {predicate_text(eq_exprs[column])}"
-        for column in key_columns)
+    scan.key_fns = [compile_expression(equal[column], empty_scope)
+                    for column in columns[:covered]]
+    texts = [f"{column} = {predicate_text(equal[column])}"
+             for column in columns[:covered]]
+    if ranged:
+        column = columns[covered]
+        scan.bound_type = schema.column(column).type
+        for side, bounds, op in (("low", lows, ">"), ("high", highs, "<")):
+            if column in bounds:
+                value, inclusive = bounds[column]
+                setattr(scan, side, (
+                    compile_expression(value, empty_scope), inclusive))
+                op += "=" if inclusive else ""
+                texts.append(f"{column} {op} {predicate_text(value)}")
+    scan.key_text = ", ".join(texts)
 
 
 def _build_plan(database, statement: SelectStatement) -> SelectPlan:

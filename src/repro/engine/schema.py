@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from sys import intern
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.engine.types import SqlType, coerce_value
@@ -10,6 +11,11 @@ from repro.errors import CatalogError, ConstraintViolation
 
 # ``ColumnType`` is the public alias used throughout the library.
 ColumnType = SqlType
+
+#: A stored text this short is interned: a tenant, a status or a
+#: category repeats across rows, and one string then serves them all
+#: (an interned string is freed with its last row).
+SHARED_TEXT_LENGTH = 16
 
 
 @dataclass
@@ -120,6 +126,9 @@ class TableSchema:
             key = column.name.lower()
             if key in provided:
                 value = coerce_value(provided[key], column.type)
+                if value.__class__ is str \
+                        and len(value) <= SHARED_TEXT_LENGTH:
+                    value = intern(value)
             else:
                 value = column.default
             if value is None and not column.nullable:

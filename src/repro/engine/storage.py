@@ -41,7 +41,6 @@ in any snapshot.
 
 from __future__ import annotations
 
-from itertools import chain as concat
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -156,14 +155,10 @@ class TableStorage:
             self._monitor.on_write(self.schema.name)
         positions = [self.schema.column_index(c) for c in column_names]
         index = Index(name, column_names, positions, unique=unique)
-        for rowid, row in self.rows.items():
-            index.insert(rowid, row)
-        # Backfill retained (superseded) versions too, so a snapshot
+        # Retained (superseded) versions are indexed too, so a snapshot
         # pinned before this DDL can still reach its rows through the
-        # new index; Index.insert de-duplicates shared row objects.
-        for rowid, chain in self._versions.items():
-            for version in chain:
-                index.insert(rowid, version.row)
+        # new index.
+        index.rebuild(self.rows, self._versions)
         self.indexes[name.lower()] = index
         return index
 
@@ -260,7 +255,11 @@ class TableStorage:
         if self._monitor is not None:
             self._monitor.on_write(self.schema.name)
         old_row = self.rows[rowid]
-        for index in self.indexes.values():
+        # Only an index whose key the update moves gains an entry; the
+        # live row already holds its unchanged key in every other one.
+        moved = [index for index in self.indexes.values()
+                 if index.changed(old_row, new_row)]
+        for index in moved:
             index.check_unique(rowid, new_row, self.schema.name,
                                live_rows=self.rows)
         cn = self._stamp()
@@ -276,7 +275,7 @@ class TableStorage:
         self.rows[rowid] = new_row
         # The old-key entries stay as tombstones; only the new key is
         # added.  Readers verify candidates against the fetched row.
-        for index in self.indexes.values():
+        for index in moved:
             index.insert(rowid, new_row)
         return old_row
 
@@ -411,7 +410,7 @@ class TableStorage:
         snapshot is pinned at ``>= horizon`` and new snapshots only
         pin later numbers.  A chain left holding one live version
         created at or before ``horizon`` is dropped: the row is
-        settled.  Chains and every index's buckets are rebuilt into
+        settled.  Chains and every index's run are rebuilt into
         fresh structures and swapped in with single stores, so readers
         mid-walk keep the old (still correct) structures; a live dict
         out of rowid order is re-stored in order.  Returns the number
@@ -434,10 +433,7 @@ class TableStorage:
             self.in_rowid_order = True
         self._versions = fresh
         for index in self.indexes.values():
-            index.rebuild(concat(
-                self.rows.items(),
-                ((rowid, version.row)
-                 for rowid, kept in fresh.items() for version in kept)))
+            index.rebuild(self.rows, fresh)
         return reclaimed
 
     # -- state identity -------------------------------------------------------

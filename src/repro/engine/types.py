@@ -132,6 +132,23 @@ def is_comparable(left: Any, right: Any) -> bool:
     return type(left) is type(right)
 
 
+#: One value of each type's Python representation.
+_SAMPLES = {
+    SqlType.INTEGER: 0,
+    SqlType.REAL: 0.0,
+    SqlType.TEXT: "",
+    SqlType.BOOLEAN: False,
+    SqlType.DATE: datetime.date.min,
+    SqlType.TIMESTAMP: datetime.datetime.min,
+}
+
+
+def orders_with(sql_type: SqlType, value: Any) -> bool:
+    """True when ``<`` / ``>`` between ``value`` and the values a
+    ``sql_type`` column stores is defined (:func:`is_comparable`)."""
+    return is_comparable(value, _SAMPLES[sql_type])
+
+
 def sort_key(value: Any) -> tuple:
     """Total ordering key: NULLs first, then by type group, then value."""
     if value is None:

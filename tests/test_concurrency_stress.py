@@ -474,6 +474,98 @@ class TestSettledRowsUnderKeyedWriters:
             == self.GROUPS * self.ACCOUNTS
 
 
+class TestRangeReadsUnderMergingWriters:
+    """Lock-free range reads against an index whose tail keeps merging.
+
+    One writer moves balance between two accounts, opens an account
+    with money taken from another (its key is in the tail until the
+    next merge), moves an account to a fresh id inside the read range
+    (its old key stays behind, so the range reaches the row twice),
+    inserts empty accounts outside the range until the tail merges,
+    rolls back an insert inside it and vacuums.  Every snapshot range
+    read must count each account once: the 20 000 never change.
+    """
+
+    ACCOUNTS, ROUNDS, OUTSIDE = 200, 600, 100_000
+
+    def test_range_reads_count_each_row_once(self, monkeypatch):
+        from repro.engine.indexes import Index
+
+        merges = []
+        merge = Index._merge
+        monkeypatch.setattr(Index, "_merge", lambda index: (
+            merges.append(1), merge(index)))
+        database = Database("ranges")
+        database.execute("CREATE TABLE accounts (id INTEGER PRIMARY KEY, "
+                         "balance INTEGER)")
+        database.executemany("INSERT INTO accounts VALUES (?, 100)",
+                             [(key,) for key in range(self.ACCOUNTS)])
+        database.vacuum()
+        done = threading.Event()
+        reads = [0] * N_WORKERS
+
+        def write():
+            ids = list(range(self.ACCOUNTS))
+            fresh = self.ACCOUNTS
+            for round_no in range(self.ROUNDS):
+                first, second = ids[round_no % 11], ids[-1 - round_no % 5]
+                with database.transaction():
+                    database.execute("UPDATE accounts SET balance = "
+                                     "balance - 7 WHERE id = ?", (first,))
+                    database.execute("UPDATE accounts SET balance = "
+                                     "balance + 7 WHERE id = ?", (second,))
+                with database.transaction():
+                    database.execute("UPDATE accounts SET balance = "
+                                     "balance - 5 WHERE id = ?", (second,))
+                    database.execute("INSERT INTO accounts VALUES (?, 5)",
+                                     (fresh,))
+                ids.append(fresh)
+                moved = ids.pop(round_no % len(ids))
+                database.execute("UPDATE accounts SET id = ? WHERE id = ?",
+                                 (fresh + 1, moved))
+                ids.append(fresh + 1)
+                fresh += 2
+                database.executemany(
+                    "INSERT INTO accounts VALUES (?, 0)",
+                    [(self.OUTSIDE + 3 * round_no + extra,)
+                     for extra in range(3)])
+                if round_no % 4 == 1:  # an insert nobody may see
+                    database.execute("BEGIN")
+                    database.execute("INSERT INTO accounts VALUES (?, 1)",
+                                     (fresh,))
+                    database.execute("ROLLBACK")
+                if round_no % 50 == 0:
+                    database.vacuum()
+
+        def read(wid):
+            while not done.is_set() or not reads[wid]:
+                assert database.query_value(
+                    "SELECT SUM(balance) FROM accounts "
+                    "WHERE id BETWEEN ? AND ?", (0, self.OUTSIDE - 1)) \
+                    == 100 * self.ACCOUNTS
+                assert database.query_value(
+                    "SELECT SUM(balance) FROM accounts WHERE id >= ?",
+                    (0,)) == 100 * self.ACCOUNTS
+                reads[wid] += 1
+
+        def worker(wid):
+            if wid == 0:
+                try:
+                    write()
+                finally:
+                    done.set()
+            else:
+                read(wid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_workers(worker, n_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(reads[1:4]) and merges
+
+
 class TestTenantStress:
     def test_shared_mode_tenants_serialize_writes_correctly(self):
         """8 tenants on one shared operational database."""

@@ -64,6 +64,10 @@ PARITY_QUERIES = [
     ("SELECT CASE WHEN salary >= 90 THEN 'high' ELSE 'low' END AS band "
      "FROM emp ORDER BY id", ()),
     ("SELECT 1 + 2 AS three", ()),
+    ("SELECT name FROM emp WHERE id > 1 AND id <= 4", ()),
+    ("SELECT name FROM emp WHERE id BETWEEN ? AND ?", (2, 4)),
+    ("SELECT name FROM emp WHERE 3 > id", ()),
+    ("SELECT COUNT(*) FROM emp WHERE id >= ? AND id < ?", (2.5, 99)),
 ]
 
 
@@ -160,6 +164,51 @@ class TestExplain:
             "scan emp emp: index point scan idx_dept (dept = 'eng')")
         # The pushed predicate is still applied after the index probe.
         assert "  filter [pushed]: dept = 'eng'" in lines
+
+    def explain(self, db, sql):
+        return [row[0] for row in db.execute("EXPLAIN " + sql).rows]
+
+    def test_range_scan_counts_rows_from_bisect_positions(self, db):
+        db.execute("CREATE INDEX idx_salary ON emp (salary)")
+        lines = self.explain(
+            db, "SELECT name FROM emp WHERE salary BETWEEN 80 AND 95")
+        # 80, 80 and 90 lie in the range; the NULL salary never does.
+        assert lines[0] == ("scan emp emp: index range scan idx_salary "
+                            "(salary >= 80, salary <= 95) (~3 rows)")
+        assert lines[1] == "  filter [pushed]: salary BETWEEN 80 AND 95"
+
+    def test_range_scan_on_the_primary_key(self, db):
+        lines = self.explain(
+            db, "SELECT name FROM emp WHERE id >= 2 AND id < 4")
+        assert lines[0] == ("scan emp emp: index range scan __uniq_emp_id "
+                            "(id >= 2, id < 4) (~2 rows)")
+
+    def test_prefix_and_prefix_range_scans(self, db):
+        db.execute("CREATE INDEX idx_dept_salary ON emp (dept, salary)")
+        assert self.explain(
+            db, "SELECT name FROM emp WHERE dept = 'ops'")[0] == (
+            "scan emp emp: index prefix scan idx_dept_salary "
+            "(dept = 'ops') (~2 rows)")
+        assert self.explain(
+            db, "SELECT name FROM emp WHERE dept = 'eng' "
+                "AND salary > 95")[0] == (
+            "scan emp emp: index range scan idx_dept_salary "
+            "(dept = 'eng', salary > 95) (~1 rows)")
+
+    def test_oltp_range_statement_seeks_the_primary_key(self):
+        database = Database()
+        database.execute("CREATE TABLE orders (id INTEGER PRIMARY KEY, "
+                         "tenant TEXT NOT NULL, amount REAL NOT NULL)")
+        database.executemany(
+            "INSERT INTO orders VALUES (?, ?, ?)",
+            [(key, f"shop-{key % 4}", 1.0) for key in range(400)])
+        lines = self.explain(
+            database, "SELECT COUNT(*) AS n, SUM(amount) AS total "
+                      "FROM orders WHERE tenant = ? AND id >= ? AND id < ?")
+        # A parameter bound is an open end: the estimate is the index.
+        assert lines[0] == ("scan orders orders: index range scan "
+                            "__uniq_orders_id (id >= ?, id < ?) (~400 rows)")
+        assert lines[1] == "  filter [pushed]: tenant = ?"
 
     def test_hash_join_and_grouping(self, db):
         lines = [row[0] for row in db.execute(
@@ -274,6 +323,22 @@ class TestFallbackParity:
                 "WHERE salary >= 90")
         sql = "SELECT name FROM rich ORDER BY name"
         assert db.execute(sql).rows == interpreted.execute(sql).rows
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT name FROM emp WHERE id > 'x'",
+        "SELECT name FROM emp WHERE id BETWEEN 1 AND TRUE",
+        "UPDATE emp SET salary = 1.0 WHERE id < 'x'",
+    ])
+    def test_mismatched_range_bound_raises_same_error(
+            self, db, interpreted, sql):
+        """A bound that does not compare with the column scans the
+        table, so the comparison error is the interpreter's."""
+        with pytest.raises(EngineError) as compiled_exc:
+            db.execute(sql)
+        with pytest.raises(EngineError) as interpreted_exc:
+            interpreted.execute(sql)
+        assert str(compiled_exc.value) == str(interpreted_exc.value)
+        assert str(compiled_exc.value).startswith("cannot compare int with")
 
     def test_missing_parameter_raises_same_error(self, db, interpreted):
         sql = "SELECT name FROM emp WHERE id = ?"

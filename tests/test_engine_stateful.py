@@ -13,10 +13,15 @@ path, where the compiled database may reuse a remembered result) must
 equal the twin's answers — with a transaction open, with one rolled
 back, and with nothing having happened in between.  Only the compiled
 database indexes ``t``, so its keyed UPDATEs and DELETEs choose their
-rows by index point and prefix scans while the twin full-scans, and a
-``vacuum`` step settles rows between writes.
+rows by index point, prefix and range scans while the twin full-scans,
+and a ``vacuum`` step settles rows between writes.  Range reads,
+updates and deletes (``<``, ``<=``, ``>``, ``>=``, ``BETWEEN`` on ``k``
+and under a ``tag`` prefix) run on both databases and must agree, with
+NULL ``k`` rows, keys moved inside the range, and bounds of the wrong
+type (which must raise the same error on both) in the mix.
 """
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -30,11 +35,22 @@ from hypothesis.stateful import (
 )
 
 from repro.engine import Database
-from repro.errors import ConstraintViolation
+from repro.errors import ConstraintViolation, EngineError
 
 keys = st.integers(min_value=0, max_value=20)
 values = st.integers(min_value=-100, max_value=100)
 tags = st.sampled_from(["a", "b", "c"])
+bounds = st.one_of(keys, st.floats(min_value=-1, max_value=21,
+                                   allow_nan=False))
+comparisons = st.sampled_from(["<", "<=", ">", ">="])
+COMPARE = {"<": operator.lt, "<=": operator.le,
+           ">": operator.gt, ">=": operator.ge}
+
+
+def in_range(row, op, bound, tag=None):
+    """The oracle's ``[tag = ? AND] k <op> ?``."""
+    return row["k"] is not None and COMPARE[op](row["k"], bound) \
+        and (tag is None or row["tag"] == tag)
 
 
 class EngineModel(RuleBasedStateMachine):
@@ -89,6 +105,79 @@ class EngineModel(RuleBasedStateMachine):
             if row["tag"] == tag and row["k"] == k:
                 row["v"] = v
 
+    @rule(v=values, tag=tags)
+    def insert_null_key(self, v, tag):
+        self.both("INSERT INTO t VALUES (NULL, ?, ?)", (v, tag))
+        self.oracle.append({"k": None, "v": v, "tag": tag})
+
+    @rule(k=keys, to=keys)
+    def move_key(self, k, to):
+        # The old key's entry stays behind: a range over both keys
+        # reaches the row twice and must return it once.
+        self.both("UPDATE t SET k = ? WHERE k = ?", (to, k))
+        for row in self.oracle:
+            if row["k"] == k:
+                row["k"] = to
+
+    @rule(op=comparisons, bound=bounds, v=values,
+          tag=st.one_of(st.none(), tags))
+    def update_range(self, op, bound, v, tag):
+        where = f"k {op} ?" if tag is None else f"tag = ? AND k {op} ?"
+        params = (v, bound) if tag is None else (v, tag, bound)
+        self.both(f"UPDATE t SET v = ? WHERE {where}", params)
+        for row in self.oracle:
+            if in_range(row, op, bound, tag):
+                row["v"] = v
+
+    @rule(low=bounds, high=bounds, tag=st.one_of(st.none(), tags))
+    def delete_between(self, low, high, tag):
+        if tag is None:
+            self.both("DELETE FROM t WHERE k BETWEEN ? AND ?", (low, high))
+        else:
+            self.both("DELETE FROM t WHERE tag = ? AND k BETWEEN ? AND ?",
+                      (tag, low, high))
+        self.oracle = [row for row in self.oracle
+                       if not (in_range(row, ">=", low, tag)
+                               and in_range(row, "<=", high))]
+
+    @rule(op=comparisons, bound=bounds, low=bounds, high=bounds, tag=tags)
+    def range_reads_agree(self, op, bound, low, high, tag):
+        """Every range shape reads the same rows on both databases
+        (row order aside: index candidates come in rowid order)."""
+        for sql, params in (
+                (f"SELECT k, v, tag FROM t WHERE k {op} ?", (bound,)),
+                (f"SELECT k, v, tag FROM t WHERE tag = ? AND k {op} ?",
+                 (tag, bound)),
+                ("SELECT k, v, tag FROM t WHERE k BETWEEN ? AND ?",
+                 (low, high)),
+                ("SELECT k, v, tag FROM t WHERE tag = ? "
+                 "AND k BETWEEN ? AND ?", (tag, low, high)),
+                ("SELECT k, v, tag FROM t WHERE tag = ?", (tag,))):
+            assert sorted(self.db.execute(sql, params).rows, key=repr) \
+                == sorted(self.twin.execute(sql, params).rows, key=repr)
+        expected = [row for row in self.oracle
+                    if in_range(row, op, bound, tag)]
+        assert len(self.db.execute(
+            f"SELECT v FROM t WHERE tag = ? AND k {op} ?",
+            (tag, bound)).rows) == len(expected)
+
+    @rule(op=comparisons, tag=tags)
+    def mismatched_bound_agrees(self, op, tag):
+        """A text bound on the integer ``k`` raises the interpreter's
+        error on both databases (or, with no non-NULL ``k``, nothing),
+        for a read and for an UPDATE that would change nothing."""
+        for sql, params in (
+                (f"SELECT k, v, tag FROM t WHERE k {op} ?", ("x",)),
+                (f"UPDATE t SET v = v WHERE tag = ? AND k {op} ?",
+                 (tag, "x"))):
+            outcomes = []
+            for database in (self.db, self.twin):
+                try:
+                    outcomes.append(repr(database.execute(sql, params)))
+                except EngineError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+
     @rule(threshold=values)
     def delete_below(self, threshold):
         self.both("DELETE FROM t WHERE v < ?", (threshold,))
@@ -134,12 +223,10 @@ class EngineModel(RuleBasedStateMachine):
     @invariant()
     def table_matches_oracle(self):
         engine_rows = sorted(
-            self.db.query("SELECT k, v, tag FROM t"),
-            key=lambda row: (row["k"], row["v"], row["tag"]))
+            self.db.query("SELECT k, v, tag FROM t"), key=repr)
         oracle_rows = sorted(
             ({"k": r["k"], "v": r["v"], "tag": r["tag"]}
-             for r in self.oracle),
-            key=lambda row: (row["k"], row["v"], row["tag"]))
+             for r in self.oracle), key=repr)
         assert engine_rows == oracle_rows
 
     @invariant()

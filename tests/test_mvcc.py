@@ -63,6 +63,40 @@ class TestSnapshotVisibility:
         assert rows_of(db) == [(1, "changed"), (3, "v3"), (4, "v4"),
                                (5, "v5"), (6, "new")]
 
+    def test_range_reads_hold_across_index_merges(self, monkeypatch):
+        """A range read pinned at a snapshot keeps its answer while
+        writers grow the index tail past a merge, move keys into and
+        out of the range and delete rows; fresh reads match the
+        full-scan reference throughout."""
+        from repro.engine.indexes import Index
+
+        merges = []
+        merge = Index._merge
+        monkeypatch.setattr(Index, "_merge", lambda index: (
+            merges.append(index.name), merge(index)))
+        compiled, reference = make_db(), make_db(compile=False)
+        sql = "SELECT id, v FROM t WHERE id BETWEEN ? AND ?"
+        statement = compiled._parse(sql)
+
+        def both(sql, params=()):
+            compiled.execute(sql, params)
+            reference.execute(sql, params)
+
+        with compiled.open_snapshot() as snapshot:
+            pinned = compiled._run_select(statement, (2, 150), snapshot)
+            for key in range(6, 300):
+                both("INSERT INTO t VALUES (?, ?)", (key, f"v{key}"))
+            both("UPDATE t SET id = id + 1000 WHERE id BETWEEN 50 AND 60")
+            both("UPDATE t SET id = id - 1000 WHERE id > 1050")
+            both("DELETE FROM t WHERE id BETWEEN 100 AND 120")
+            again = compiled._run_select(statement, (2, 150), snapshot)
+            assert again.rows == pinned.rows == [
+                (2, "v2"), (3, "v3"), (4, "v4"), (5, "v5")]
+        assert merges
+        for low, high in ((2, 150), (40, 70), (0, 10_000)):
+            assert sorted(compiled.execute(sql, (low, high)).rows) \
+                == sorted(reference.execute(sql, (low, high)).rows)
+
     def test_commit_number_advances_per_statement(self):
         db = make_db()
         base = db.committed_cn

@@ -296,6 +296,82 @@ def test_keyed_dml_touches_one_row(sql, params, monkeypatch):
         == reference.query("SELECT * FROM orders WHERE id = 12345")
 
 
+def tenant_orders(database, rows=20_000):
+    """``oltp_wal``'s shape: four tenants interleaved over the ids."""
+    database.execute("CREATE TABLE orders (id INTEGER PRIMARY KEY, "
+                     "tenant TEXT NOT NULL, amount REAL)")
+    database.executemany("INSERT INTO orders VALUES (?, ?, ?)",
+                         [(key, f"shop-{key % 4}", 1.0)
+                          for key in range(rows)])
+    return database
+
+
+def counting(monkeypatch, owner, name):
+    """Rebind ``owner.name`` to itself plus a record of each call's
+    first argument after ``self``; returns the (live) list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def test_range_read_fetches_only_its_span(monkeypatch):
+    """The fence for range seeks, in counts: a 100-of-400-id range
+    over 20 000 rows scans nothing and fetches at most the span plus
+    the index tail; a keyed point lookup still fetches one row."""
+    from repro.engine.storage import TableStorage
+
+    database = tenant_orders(Database())
+    reference = tenant_orders(Database(compile=False))
+    for key in range(30_000, 30_050):  # a tail, all outside the range
+        database.execute("INSERT INTO orders VALUES (?, 'shop-0', 1.0)",
+                         (key,))
+    _keys, _rowids, tail, _nulls = \
+        database.storage("orders").indexes["__uniq_orders_id"]._state
+    assert len(tail) >= 50
+    sql = ("SELECT COUNT(*) AS n, SUM(amount) AS total FROM orders "
+           "WHERE tenant = ? AND id >= ? AND id < ?")
+    scans = spy(monkeypatch, TableStorage, "scan")
+    snapshots = spy(monkeypatch, TableStorage, "snapshot_rows")
+    fetched = counting(monkeypatch, TableStorage, "visible_row")
+    answer = database.query(sql, ("shop-1", 8_000, 8_400))
+    assert scans == [] and snapshots == []
+    assert 400 <= len(fetched) <= 400 + len(tail)
+    assert answer == reference.query(sql, ("shop-1", 8_000, 8_400)) \
+        == [{"n": 100, "total": 100.0}]
+
+    del fetched[:]
+    assert database.query("SELECT * FROM orders WHERE id = ?", (12_345,)) \
+        == [{"id": 12_345, "tenant": "shop-1", "amount": 1.0}]
+    assert len(fetched) == 1
+
+
+def test_index_builds_sort_each_run_once(tmp_path, monkeypatch):
+    """CREATE INDEX and Database.load build each run with one sort and
+    no merge, however many rows the table holds."""
+    from repro.engine import indexes
+
+    database = tenant_orders(Database())
+    sorted_runs = counting(monkeypatch, indexes, "_sorted_run")
+    merges = counting(monkeypatch, indexes.Index, "_merge")
+    database.execute("CREATE INDEX orders_tenant ON orders (tenant, id)")
+    assert [len(keys) for keys in sorted_runs] == [20_000]
+    database.save(tmp_path / "orders.snap")
+    del sorted_runs[:]
+    loaded = Database.load(tmp_path / "orders.snap")
+    assert sorted(len(keys) for keys in sorted_runs if keys) \
+        == [20_000, 20_000]
+    assert merges == []
+    assert loaded.query_value(
+        "SELECT COUNT(*) FROM orders WHERE tenant = ? AND id < ?",
+        ("shop-2", 1_000)) == 250
+
+
 def test_checkpoint_leaves_no_version_chains(tmp_path):
     """After a checkpoint every row of a 20 000-row table is settled:
     no version chain, one version per live row."""
