@@ -315,11 +315,10 @@ class ReadReplica:
         applied = self.database.apply_committed(fresh)
         self._tail = (offset, anchor)
         if restarted:
-            # The primary checkpointed (and collected its own dead
-            # versions) since the last poll; a replica is never
-            # checkpointed, so this is where it collects.
+            # The primary checkpointed since the last poll.  A replica
+            # is never checkpointed; applying settles it as committing
+            # settles its primary (Database._publish_commit).
             self.log_restarts += 1
-            self.database.vacuum()
         if self._faults is not None:
             try:
                 self._faults.fire(

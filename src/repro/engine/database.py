@@ -49,6 +49,9 @@ from repro.errors import (
 #: least recently used pair is evicted beyond this.
 STATEMENT_CACHE_CAPACITY = 512
 
+#: Redo records that name the table whose rows they change.
+_ROW_EFFECTS = frozenset(("insert", "delete", "update"))
+
 
 def _params_key(params: Sequence[Any]) -> Optional[tuple]:
     """A type-sensitive identity of one parameter tuple.
@@ -153,7 +156,8 @@ class Database:
         self._plan_cache: "OrderedDict[int, Any]" = OrderedDict()  # guarded-by: _state_lock
         self.statistics = {  # guarded-by: _state_lock
             "statements": 0, "rows_returned": 0,
-            "result_cache_hits": 0, "result_cache_misses": 0}
+            "result_cache_hits": 0, "result_cache_misses": 0,
+            "result_cache_folds": 0}
         if sanitize is None:
             sanitize = os.environ.get(
                 "REPRO_SANITIZE", "").strip().lower() in (
@@ -267,10 +271,25 @@ class Database:
         """
         return self._committed_cn + 1
 
-    def _publish_commit(self) -> None:  # requires: _lock
-        """Make the just-committed effects visible to new snapshots."""
+    def _publish_commit(self, ops: Sequence[Any]) -> None:  # requires: _lock
+        """Make one committed transaction's effects (its redo ``ops``)
+        visible to new snapshots, then settle the tables it wrote.
+
+        The one post-publish hook: commit, autocommit, recovery replay
+        and ``apply_committed`` all come through here.  The writer still
+        holds the lock, so it collects each written table whose row
+        effects since its last collection passed the settle threshold
+        (``storage.SETTLE_FRACTION`` of its rows plus ``SETTLE_FLOOR``).
+        """
         with self._state_lock:
             self._committed_cn += 1
+        horizon = None
+        for name in {op[1] for op in ops if op[0] in _ROW_EFFECTS}:
+            storage = self._storages.get(name.lower())
+            if storage is not None and storage.wants_collection():
+                if horizon is None:
+                    horizon = self.version_horizon()
+                storage.collect(horizon)
 
     @property
     def committed_cn(self) -> int:
@@ -489,7 +508,9 @@ class Database:
     def _run_reusable(self, plan, params: Sequence[Any],
                       snapshot: Snapshot) -> ResultSet:
         """Run an aggregate plan, reusing its last result for these
-        parameters while every table it scans stands still.
+        parameters while every table it scans stands still, and
+        continuing its group state while rows are only appended to the
+        table it is driven by.
 
         Validity is checked at read time from the per-table commit
         stamps MVCC already maintains (``TableStorage._stamp`` bumps
@@ -503,12 +524,26 @@ class Database:
         were quiescent at it); stamps never decrease, so a writer that
         stamps while the statement runs leaves an entry no reader can
         match.  The mutex is never held while executing.
+
+        A *fold* (``SelectPlan.reusable_result``): when only the driving
+        table's stamp moved, every stamp is ``<= S.cn``, and nothing but
+        appends happened to that table since the remembered stamp
+        (``_rewritten_cn``), the rows it gained since the remembered
+        rowid watermark are read at ``S`` and folded into the
+        remembered group state.  Accumulation stays in scan order, so
+        the answer equals a rescan bit for bit.  If any stamp moved
+        while folding, the statement runs in full instead.  A fold is
+        a miss, not a reuse; ``result_cache_folds`` counts them.
         """
         key = _params_key(params)
         if key is None:
             return plan.execute(params, snapshot)
+        # The watermark before the stamps: storage.py rule (3).
+        watermark = plan.watermark()
+        stamps = plan.stamps()
         with self._state_lock:
-            remembered = plan.reusable_result(key, snapshot.cn)
+            remembered, base = plan.reusable_result(key, stamps,
+                                                    snapshot.cn)
             outcome = "result_cache_misses" if remembered is None \
                 else "result_cache_hits"
             self.statistics[outcome] += 1
@@ -519,14 +554,24 @@ class Database:
             result = ResultSet(list(columns), list(rows))
             result.reused = True
             return result
-        stamps = plan.stamps()
-        result = plan.execute(params, snapshot)
+        result = None
+        if base is not None:
+            start, groups = base
+            result, groups = plan.run(params, snapshot,
+                                      range(start, watermark), groups)
+            if plan.stamps() != stamps:
+                result = None
+            else:
+                with self._state_lock:
+                    self.statistics["result_cache_folds"] += 1
+        if result is None:
+            result, groups = plan.run(params, snapshot)
         if len(result.rows) <= RESULT_CACHE_MAX_ROWS \
                 and all(stamp <= snapshot.cn for stamp in stamps):
             with self._state_lock:
                 plan.remember_result(
-                    key, stamps,
-                    (tuple(result.columns), tuple(result.rows)))
+                    key, stamps, watermark,
+                    (tuple(result.columns), tuple(result.rows)), groups)
         return result
 
     def _explain(self, statement: Any) -> ResultSet:
@@ -637,7 +682,7 @@ class Database:
                     # log; the commit number published below is the
                     # one the WAL just assigned.
                     self._wal.commit(redo)
-                self._publish_commit()
+                self._publish_commit(redo)
         finally:
             self._lock.release_write()
 
@@ -677,7 +722,7 @@ class Database:
         self._lock.require_exclusive("WAL commit")
         if self._wal is not None:
             self._wal.commit(ops)
-        self._publish_commit()
+        self._publish_commit(ops)
 
     def transaction(self) -> "_TransactionScope":
         """Context manager: commit on success, roll back on exception."""
@@ -972,11 +1017,12 @@ class Database:
         try:
             # Replay stamps each transaction's effects with its actual
             # WAL commit number, rebuilding the same version lifetimes
-            # the pre-crash database had published.
+            # the pre-crash database had published; publishing settles
+            # as a live commit does.
             for number, ops in replayable:
                 database._committed_cn = number - 1
                 database._apply_redo(ops)
-                database._committed_cn = number
+                database._publish_commit(ops)
         finally:
             database._suppress_redo = False
         for select in database.views.values():
@@ -1042,8 +1088,7 @@ class Database:
                             f"{self.name!r} is at "
                             f"#{self._committed_cn}")
                     self._apply_redo(ops)
-                    with self._state_lock:
-                        self._committed_cn = number
+                    self._publish_commit(ops)
                     applied += 1
             finally:
                 self._suppress_redo = False

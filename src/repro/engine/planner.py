@@ -26,6 +26,7 @@ and index chooser (:func:`plan_dml`).
 from __future__ import annotations
 
 import operator
+import sys
 from collections import OrderedDict
 from typing import (
     Any,
@@ -72,6 +73,10 @@ RESULT_CACHE_PARAM_SETS = 64
 #: A result larger than this is never remembered: reuse is for
 #: aggregates, whose output is small relative to their input.
 RESULT_CACHE_MAX_ROWS = 1024
+#: Whether ``sum(values, total)`` continues a float total exactly as
+#: one ``sum`` over both batches would: true before Python 3.12, whose
+#: ``sum`` compensates float rounding within a call.
+_FLOAT_SUMS_RESUME = sys.version_info < (3, 12)
 
 
 class Unplannable(Exception):
@@ -211,18 +216,21 @@ class ScanNode:
             return None if seekable is None else []
         return self.index.seek(prefix, low, high)
 
-    def rows(self, params: Sequence[Any],
-             snapshot=None) -> List[list]:
+    def rows(self, params: Sequence[Any], snapshot=None,
+             rowids: Optional[Sequence[int]] = None) -> List[list]:
         """Candidate rows after pushed filters.
 
         ``snapshot`` pins the scan to one commit number (lock-free
         MVCC read); ``None`` reads the live rows under the exclusive
-        lock.  Rows flow through the plan as the storage's own row
+        lock.  ``rowids`` fetches just those rows, in that order,
+        instead of probing or scanning (a fold's appended rows).  Rows
+        flow through the plan as the storage's own row
         lists — never copied — and every combination downstream
         (joins, group representatives) builds fresh lists, so storage
         is never aliased by anything that outlives execution.
         """
-        rowids = None if self.index is None else self._probe(params)
+        if rowids is None and self.index is not None:
+            rowids = self._probe(params)
         if rowids is not None:
             if snapshot is None:
                 table_rows = self.storage.rows
@@ -550,7 +558,16 @@ class JoinNode:
 
 
 class CompiledAggregate:
-    """One unique aggregate of a grouped query, with a compiled argument."""
+    """One unique aggregate of a grouped query, with a compiled argument.
+
+    Its value over a group is a left fold in scan order: :meth:`fold`
+    continues a state over more member rows and :meth:`final` reads the
+    value off it, so folding two batches one after the other leaves the
+    state one pass over both would, bit for bit.  The states: COUNT an
+    int; SUM and AVG ``(total, n)``, continued with ``sum(values,
+    total)``; MIN and MAX the first best value so far (None before
+    one); a DISTINCT aggregate the distinct values seen, by marker.
+    """
 
     __slots__ = ("name", "distinct", "arg_fn", "arg_slot", "text")
 
@@ -562,9 +579,12 @@ class CompiledAggregate:
         self.arg_slot = getattr(arg_fn, "_slot", None)
         self.text = text
 
-    def compute(self, members: List[list], params: Sequence[Any]) -> Any:
+    def fold(self, members: List[list], params: Sequence[Any],
+             prev: Any = None) -> Any:
+        """The state after ``members``, continuing ``prev`` (None: the
+        empty state).  ``prev`` itself is never modified."""
         if self.arg_fn is None:  # COUNT(*)
-            return len(members)
+            return len(members) + (prev or 0)
         slot = self.arg_slot
         if slot is not None:  # plain column argument: index directly
             values = [value for row in members
@@ -577,28 +597,40 @@ class CompiledAggregate:
                 if value is not None:
                     values.append(value)
         if self.distinct:
-            seen: Set[Any] = set()
-            unique: List[Any] = []
+            seen = dict(prev or ())
             for value in values:
-                marker = (type(value).__name__, value)
-                if marker not in seen:
-                    seen.add(marker)
-                    unique.append(value)
-            values = unique
+                seen.setdefault((type(value).__name__, value), value)
+            return seen
+        return self._accumulate(values, prev)
+
+    def _accumulate(self, values: List[Any], prev: Any) -> Any:
         name = self.name
         if name == "COUNT":
-            return len(values)
+            return len(values) + (prev or 0)
+        if name == "SUM" or name == "AVG":
+            total, count = prev or (0, 0)
+            return sum(values, total), count + len(values)
+        if prev is not None:
+            values.insert(0, prev)
         if not values:
             return None
-        if name == "SUM":
-            return sum(values)
-        if name == "AVG":
-            return sum(values) / len(values)
         if name == "MIN":
             return min(values, key=sort_key)
         if name == "MAX":
             return max(values, key=sort_key)
         raise EngineError(f"unknown aggregate {name!r}")  # pragma: no cover
+
+    def final(self, state: Any) -> Any:
+        """The aggregate's value in ``state``."""
+        if self.distinct:
+            state = self._accumulate(list(state.values()), None)
+        name = self.name
+        if name == "SUM" or name == "AVG":
+            total, count = state
+            if not count:
+                return None
+            return total if name == "SUM" else total / count
+        return state
 
 
 class SelectPlan:
@@ -630,14 +662,19 @@ class SelectPlan:
         self.order_specs: List[Tuple[CompiledExpr, bool, str]] = []
         self.limit_fn: Optional[CompiledExpr] = None
         self.offset_fn: Optional[CompiledExpr] = None
+        # Whether a remembered group state may be continued over rows
+        # appended to the driving table (scans[0]): no DISTINCT
+        # aggregate, and the driving table is read once.  Set by the
+        # planner.
+        self.foldable = False
         # Last result per parameter set, for Database._run_reusable:
-        # params key -> (table stamps at execution, payload), least
-        # recently used first.  The plan is owned by its database's
-        # plan cache and dies with its entry there, so DDL drops these
-        # with the plan; readers share them under that database's
-        # state mutex.
-        self.results: "OrderedDict[tuple, Tuple[tuple, Any]]" = \
-            OrderedDict()  # guarded-by: engine-state
+        # params key -> (table stamps at execution, driving-table rowid
+        # watermark, payload, group state or None), least recently used
+        # first.  The plan is owned by its database's plan cache and
+        # dies with its entry there, so DDL drops these with the plan;
+        # readers share them under that database's state mutex.
+        self.results: "OrderedDict[tuple, Tuple[tuple, int, Any, Any]]" \
+            = OrderedDict()  # guarded-by: engine-state
 
     # -- result reuse ------------------------------------------------------
 
@@ -653,44 +690,96 @@ class SelectPlan:
         return tuple([scan.storage._last_version_cn
                       for scan in self.scans])
 
-    def reusable_result(self, key: tuple, cn: int) -> Any:  # requires: engine-state
-        """The payload remembered for ``key`` if it is what executing
-        at commit number ``cn`` would produce, else None."""
-        remembered = self.results.get(key)
-        if remembered is None:
-            return None
-        stamps, payload = remembered
-        if stamps != self.stamps() or any(stamp > cn for stamp in stamps):
-            return None
-        self.results.move_to_end(key)
-        return payload
+    def watermark(self) -> int:
+        """The driving table's next rowid (read before :meth:`stamps`:
+        storage rule (3))."""
+        return self.scans[0].storage._next_rowid
 
-    def remember_result(self, key: tuple, stamps: tuple, payload: Any) -> None:  # requires: engine-state
-        self.results[key] = (stamps, payload)
+    def reusable_result(self, key: tuple, stamps: tuple, cn: int):  # requires: engine-state
+        """What is remembered for ``key``, judged by the tables' current
+        ``stamps`` for a reader at commit number ``cn``: ``(payload,
+        None)`` when the payload is what executing would produce;
+        ``(None, (watermark, groups))`` when only rows appended to the
+        driving table from rowid ``watermark`` on separate the
+        remembered group state from it; else ``(None, None)``.
+
+        Either needs every stamp ``<= cn`` and no table rewritten after
+        its remembered stamp (``TableStorage._rewritten_cn``: besides
+        deletes and updates, a collection that re-sorts a table's scan
+        order, which moves no stamp)."""
+        remembered = self.results.get(key)
+        if remembered is None or any(stamp > cn for stamp in stamps):
+            return None, None
+        then, watermark, payload, groups = remembered
+        if any(scan.storage._rewritten_cn > stamp
+               for scan, stamp in zip(self.scans, then)):
+            return None, None
+        if then == stamps:
+            self.results.move_to_end(key)
+            return payload, None
+        if groups is not None and then[1:] == stamps[1:]:
+            return None, (watermark, groups)
+        return None, None
+
+    def remember_result(self, key, stamps, watermark, payload, groups):  # requires: engine-state
+        if not (self.foldable and len(groups) <= RESULT_CACHE_MAX_ROWS
+                and self._resumable(groups)):
+            groups = None
+        self.results[key] = (stamps, watermark, payload, groups)
         self.results.move_to_end(key)
         if len(self.results) > RESULT_CACHE_PARAM_SETS:
             self.results.popitem(last=False)
 
+    def _resumable(self, groups: Dict[Any, list]) -> bool:
+        """Whether ``sum`` can continue every SUM and AVG total exactly.
+        From Python 3.12 it compensates float rounding within one call,
+        so only an int total resumes bit for bit there."""
+        if _FLOAT_SUMS_RESUME:
+            return True
+        positions = [position + 1
+                     for position, agg in enumerate(self.aggregates)
+                     if agg.name in ("SUM", "AVG")]
+        return not any(state[position][0].__class__ is float
+                       for state in groups.values()
+                       for position in positions)
+
     # -- execution ---------------------------------------------------------
 
     def execute(self, params: Sequence[Any], snapshot=None):
-        from repro.engine.executor import ResultSet
+        """Run the statement at ``snapshot`` (None: the live rows)."""
+        return self.run(params, snapshot)[0]
 
+    def run(self, params: Sequence[Any], snapshot=None,
+            rowids: Optional[Sequence[int]] = None,
+            groups: Optional[Dict[Any, list]] = None):
+        """Execute, returning ``(result, groups)``: the group state an
+        aggregate's result was finalized from (None when the plan does
+        not group).  With ``rowids`` the driving table contributes just
+        those rows and ``groups`` is the state they continue — a fold,
+        whose caller vouches that nothing else changed
+        (``Database._run_reusable``)."""
         if self.no_from:
             rows: List[list] = [[]]
         else:
-            rows = self.scans[0].rows(params, snapshot)
+            rows = self.scans[0].rows(params, snapshot, rowids)
             for join in self.joins:
                 rows = join.run(rows, params, snapshot)
 
         for fn, _text in self.residuals:
             rows = [row for row in rows if fn(row, params) is True]
 
-        if self.grouped:
-            rows = self._group(rows, params)
-            if rows is None:  # zero-row edge: interpreted raises here
-                return self.database._executor.execute_select(
-                    self.statement, params, snapshot)
+        if not self.grouped:
+            return self._project(rows, params), None
+        groups = self._fold(rows, params, groups)
+        ext_rows = self._final(groups, params)
+        if ext_rows is None:  # zero-row edge: interpreted raises here
+            return self.database._executor.execute_select(
+                self.statement, params, snapshot), groups
+        return self._project(ext_rows, params), groups
+
+    def _project(self, rows: List[list], params: Sequence[Any]):
+        """Projection, DISTINCT, ORDER BY and OFFSET/LIMIT."""
+        from repro.engine.executor import ResultSet
 
         getter = self.project_getter
         if getter is not None:
@@ -732,57 +821,82 @@ class SelectPlan:
             out_rows = out_rows[:int(self.limit_fn(empty, params))]
         return ResultSet(list(self.columns), out_rows)
 
-    def _group(self, rows: List[list],
-               params: Sequence[Any]) -> Optional[List[list]]:
-        if self.group_key_fns:
-            key_fns = self.group_key_fns
-            groups: Dict[Any, List[list]] = {}
-            order: List[Any] = []
-            if len(key_fns) == 1:
-                fn = key_fns[0]
-                slot = getattr(fn, "_slot", None)
-                # One key: group on sort_key of the value directly (no
-                # per-row 1-tuple), indexing the slot when possible.
-                if slot is not None:
-                    for row in rows:
-                        key = sort_key(row[slot])
-                        bucket = groups.get(key)
-                        if bucket is None:
-                            groups[key] = bucket = []
-                            order.append(key)
-                        bucket.append(row)
-                else:
-                    for row in rows:
-                        key = sort_key(fn(row, params))
-                        bucket = groups.get(key)
-                        if bucket is None:
-                            groups[key] = bucket = []
-                            order.append(key)
-                        bucket.append(row)
-            else:
+    def _buckets(self, rows: List[list],
+                 params: Sequence[Any]) -> Dict[Any, List[list]]:
+        """``rows`` by group key, in first-appearance order (one lone
+        group, however empty, without GROUP BY)."""
+        if not self.group_key_fns:
+            return {(): rows}
+        key_fns = self.group_key_fns
+        groups: Dict[Any, List[list]] = {}
+        if len(key_fns) == 1:
+            fn = key_fns[0]
+            slot = getattr(fn, "_slot", None)
+            # One key: group on sort_key of the value directly (no
+            # per-row 1-tuple), indexing the slot when possible.
+            if slot is not None:
                 for row in rows:
-                    key = tuple(sort_key(fn(row, params))
-                                for fn in key_fns)
+                    key = sort_key(row[slot])
                     bucket = groups.get(key)
                     if bucket is None:
                         groups[key] = bucket = []
-                        order.append(key)
                     bucket.append(row)
-            member_lists = [groups[key] for key in order]
+            else:
+                for row in rows:
+                    key = sort_key(fn(row, params))
+                    bucket = groups.get(key)
+                    if bucket is None:
+                        groups[key] = bucket = []
+                    bucket.append(row)
         else:
-            if not rows and self.empty_group_fallback:
-                # The interpreter raises "unknown column" when the lone
-                # group is empty and an output expression reads a source
-                # column; delegate so the error matches exactly.
-                return None
-            member_lists = [rows]
+            for row in rows:
+                key = tuple(sort_key(fn(row, params)) for fn in key_fns)
+                bucket = groups.get(key)
+                if bucket is None:
+                    groups[key] = bucket = []
+                bucket.append(row)
+        return groups
+
+    def _fold(self, rows: List[list], params: Sequence[Any],
+              groups: Optional[Dict[Any, list]] = None) \
+            -> Dict[Any, list]:
+        """Fold ``rows`` into a group state continuing ``groups`` (which
+        is left as it was): group key -> ``[representative, aggregate
+        state, ...]`` in first-appearance order.  The representative is
+        the group's first row — None while the lone group of an
+        aggregate without GROUP BY has none."""
+        folded = dict(groups or ())
+        aggregates = self.aggregates
+        empty = [None] * (len(aggregates) + 1)
+        for key, members in self._buckets(rows, params).items():
+            prev = folded.get(key, empty)
+            representative = prev[0]
+            if representative is None and members:
+                representative = members[0]
+            folded[key] = [representative] + [
+                agg.fold(members, params, state)
+                for agg, state in zip(aggregates, prev[1:])]
+        return folded
+
+    def _final(self, groups: Dict[Any, list],
+               params: Sequence[Any]) -> Optional[List[list]]:
+        """One row per group — representative plus aggregate values —
+        that passes HAVING; None for the interpreter's zero-row edge."""
+        if not self.group_key_fns and self.empty_group_fallback \
+                and groups[()][0] is None:
+            # The interpreter raises "unknown column" when the lone
+            # group is empty and an output expression reads a source
+            # column; delegate so the error matches exactly.
+            return None
         null_rep = [None] * self.source_width
         aggregates = self.aggregates
         ext_rows: List[list] = []
-        for members in member_lists:
-            representative = members[0] if members else null_rep
-            ext_rows.append(representative + [
-                agg.compute(members, params) for agg in aggregates])
+        for state in groups.values():
+            representative = state[0]
+            ext_rows.append(
+                (null_rep if representative is None else representative)
+                + [agg.final(value)
+                   for agg, value in zip(aggregates, state[1:])])
         if self.having_fn is not None:
             having = self.having_fn
             ext_rows = [row for row in ext_rows
@@ -1199,6 +1313,10 @@ def _build_plan(database, statement: SelectStatement) -> SelectPlan:
         plan.grouped and not statement.group_by
         and bool(output_scope.touched_source_slots
                  or order_scope.touched_source_slots))
+    storages = [scan.storage for scan in plan.scans]
+    plan.foldable = plan.cacheable \
+        and storages.count(storages[0]) == 1 \
+        and not any(agg.distinct for agg in plan.aggregates)
     return plan
 
 

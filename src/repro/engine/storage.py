@@ -30,7 +30,31 @@ commit number, no writer stamped a newer effect during the copy and
 the copy *is* the snapshot.  (2) Otherwise the reader reads ``rows``
 *before* ``_versions``: a row it finds with no chain had none when its
 live value was read, so no writer had touched it since and that value
-is visible at every open snapshot's commit number.
+is visible at every open snapshot's commit number.  (3) A reader that
+remembers which rows a result covers reads ``_next_rowid`` *before*
+the stamps: an insert stamps before it allocates its rowid, so every
+row below the watermark read is either visible at a snapshot no newer
+than the stamps then read or was stamped past it — and only a result
+whose stamps are at or below its snapshot is remembered.  Every row a
+later snapshot sees at or above the watermark was appended since.
+
+Appending is the one effect that keeps a remembered aggregate
+continuable: ``_rewritten_cn`` records the commit number of every other
+effect — delete, update, each ``undo_*``, ``unallocate``, a ``restore``
+below the watermark — and, past every stamp so far, of a collection
+that re-sorts ``rows`` (which moves no stamp but changes scan order).
+A result remembered at a stamp below it is neither reused nor
+continued; one at or above it may fold in the rows appended since
+instead of rescanning (``Database._run_reusable``).
+
+Settling is the writer's job.  Each row effect adds at most one
+version, and ``_since_collect`` counts the effects stamped since the
+table's last collection.  After publishing a commit, the writer (still
+holding the lock) collects each table it wrote whose count exceeds
+:data:`SETTLE_FRACTION` of its live rows plus :data:`SETTLE_FLOOR`.
+So with no snapshot open a table retains at most ``rows * 9/8 + 256``
+versions, and since collection restarts the count whatever it could
+reclaim, a pinned snapshot cannot make every commit collect.
 
 Mutations are funnelled through three primitives (insert, delete,
 update) which report enough information for the transaction layer to
@@ -49,6 +73,12 @@ from repro.engine.schema import TableSchema
 from repro.errors import ConstraintViolation
 
 _ROWID = itemgetter(0)
+
+#: A committing writer collects a table it wrote once the row effects
+#: stamped since the table's last collection exceed this share of its
+#: live rows plus :data:`SETTLE_FLOOR` (``Database._publish_commit``).
+SETTLE_FRACTION = 1 / 8
+SETTLE_FLOOR = 256
 
 
 class RowVersion:
@@ -100,6 +130,13 @@ class TableStorage:
         # with.  Bumped BEFORE the first mutation of a statement so
         # the snapshot fast path's copy-then-recheck is race-free.
         self._last_version_cn = 0  # guarded-by: engine-exclusive
+        # Highest commit number of an effect other than an append
+        # (module docstring): a result remembered at a stamp below it
+        # is neither reused nor continued.
+        self._rewritten_cn = 0  # guarded-by: engine-exclusive
+        # Row effects stamped since the last collection (the settle
+        # mark the committing writer compares with the table's size).
+        self._since_collect = 0  # guarded-by: engine-exclusive
         # The commit-number clock: attached by the owning Database
         # (returns committed_cn + 1, the number the in-flight
         # transaction will commit as).  Stand-alone storages fall back
@@ -145,7 +182,13 @@ class TableStorage:
             cn = self._local_cn
         if cn > self._last_version_cn:
             self._last_version_cn = cn
+        self._since_collect += 1
         return cn
+
+    def _rewrite(self, cn: int) -> None:  # requires: engine-exclusive
+        """Note an effect at ``cn`` that is not an append."""
+        if cn > self._rewritten_cn:
+            self._rewritten_cn = cn
 
     # -- indexes ------------------------------------------------------------
 
@@ -241,6 +284,7 @@ class TableStorage:
             self._monitor.on_write(self.schema.name)
         row = self.rows[rowid]
         cn = self._stamp()
+        self._rewrite(cn)
         chain = self._versions.get(rowid)
         if chain is None:
             # Settled until now: visible to every snapshot from 0.
@@ -263,6 +307,7 @@ class TableStorage:
             index.check_unique(rowid, new_row, self.schema.name,
                                live_rows=self.rows)
         cn = self._stamp()
+        self._rewrite(cn)
         chain = self._versions.get(rowid)
         if chain is None:
             # Settled until now: the chain is published whole, before
@@ -288,10 +333,12 @@ class TableStorage:
             raise ConstraintViolation(
                 f"rowid {rowid} already present in {self.schema.name}")
         cn = self._stamp()
+        if rowid < self._next_rowid:
+            self._rewrite(cn)
         self._next_rowid = max(self._next_rowid, rowid + 1)
         self._add_live(rowid, row, cn)
 
-    def unallocate(self, rowid: int) -> None:
+    def unallocate(self, rowid: int) -> None:  # requires: engine-exclusive
         """Roll the rowid counter back past an undone insert.
 
         Rollback replays insert-undos in reverse allocation order, so
@@ -300,6 +347,7 @@ class TableStorage:
         what WAL recovery (which never sees the aborted inserts)
         would rebuild.
         """
+        self._rewrite(self._last_version_cn)
         self._next_rowid = min(self._next_rowid, rowid)
 
     # -- rollback unwinding ---------------------------------------------------
@@ -312,6 +360,9 @@ class TableStorage:
         """
         if self._monitor is not None:
             self._monitor.on_write(self.schema.name)
+        # The undone effect carried the in-flight number, which no
+        # later stamp can have passed yet.
+        self._rewrite(self._last_version_cn)
         self.rows.pop(rowid, None)
         chain = self._versions.get(rowid)
         if chain:
@@ -323,6 +374,7 @@ class TableStorage:
         """Unwind an aborted delete: clear the death stamp."""
         if self._monitor is not None:
             self._monitor.on_write(self.schema.name)
+        self._rewrite(self._last_version_cn)
         # A delete always leaves a chain, and no collection runs
         # inside a transaction.
         self._versions[rowid][-1].deleted_cn = None
@@ -332,6 +384,7 @@ class TableStorage:
         """Unwind an aborted update: pop the new version, revive the old."""
         if self._monitor is not None:
             self._monitor.on_write(self.schema.name)
+        self._rewrite(self._last_version_cn)
         self.rows[rowid] = old_row
         # An update always leaves the old and the new version.
         chain = self._versions[rowid]
@@ -403,6 +456,12 @@ class TableStorage:
         if cn > self._last_version_cn:
             self._last_version_cn = cn
 
+    def wants_collection(self) -> bool:
+        """Whether the row effects since the last collection passed the
+        settle threshold (module docstring)."""
+        return self._since_collect \
+            > len(self.rows) * SETTLE_FRACTION + SETTLE_FLOOR
+
     def collect(self, horizon: int) -> int:  # requires: engine-exclusive
         """Reclaim versions no snapshot at or beyond ``horizon`` can see.
 
@@ -429,9 +488,13 @@ class TableStorage:
             if kept:
                 fresh[rowid] = kept
         if not self.in_rowid_order:
+            # Scan order changes: nothing remembered before this may
+            # be reused or continued (marked past every stamp so far).
+            self._rewrite(self._last_version_cn + 1)
             self.rows = dict(sorted(self.rows.items(), key=_ROWID))
             self.in_rowid_order = True
         self._versions = fresh
+        self._since_collect = 0
         for index in self.indexes.values():
             index.rebuild(self.rows, fresh)
         return reclaimed

@@ -19,6 +19,16 @@ updates and deletes (``<``, ``<=``, ``>``, ``>=``, ``BETWEEN`` on ``k``
 and under a ``tag`` prefix) run on both databases and must agree, with
 NULL ``k`` rows, keys moved inside the range, and bounds of the wrong
 type (which must raise the same error on both) in the mix.
+
+A small star schema (facts ``f`` over dimension ``d``) takes appends —
+single rows, and bulk commits large enough to make the committing
+writer settle the table — deletes, updates, rolled-back appends and
+dimension relabels, interleaved with star-join aggregates read from
+the other thread, where an append is folded into the remembered
+groups instead of rescanned: each answer must equal the twin's by
+``repr``, REAL values like ``-0.0``, ``1e16`` and ``1e-9`` included.
+With no transaction open, no table retains more than ``rows * 9/8 +
+256`` versions (the settle bound).
 """
 
 import operator
@@ -37,8 +47,17 @@ from hypothesis.stateful import (
 from repro.engine import Database
 from repro.errors import ConstraintViolation, EngineError
 
+from repro.engine.storage import SETTLE_FLOOR, SETTLE_FRACTION
+
 keys = st.integers(min_value=0, max_value=20)
 values = st.integers(min_value=-100, max_value=100)
+#: REAL values whose sums expose any change of accumulation order.
+reals = st.sampled_from([None, 1e16, -1e16, 1.0, -0.0, 0.0, 1e-9, 0.1,
+                         2.5, -3.0])
+fact_tags = st.sampled_from([None, "a", "b", "c", "z"])
+facts = st.lists(st.tuples(fact_tags, reals,
+                           st.one_of(st.none(), values)),
+                 min_size=1, max_size=4)
 tags = st.sampled_from(["a", "b", "c"])
 bounds = st.one_of(keys, st.floats(min_value=-1, max_value=21,
                                    allow_nan=False))
@@ -63,6 +82,10 @@ class EngineModel(RuleBasedStateMachine):
         self.both("CREATE TABLE t (k INTEGER, v INTEGER, tag TEXT)")
         self.db.execute("CREATE INDEX t_k ON t (k)")
         self.db.execute("CREATE INDEX t_tag_k ON t (tag, k)")
+        self.both("CREATE TABLE d (tag TEXT PRIMARY KEY, label TEXT)")
+        self.both("INSERT INTO d VALUES ('a', 'Alpha'), ('b', 'Beta'), "
+                  "('c', NULL)")
+        self.both("CREATE TABLE f (tag TEXT, x REAL, n INTEGER)")
         self.oracle = []          # committed + pending rows
         self.snapshot = None      # oracle at BEGIN, for rollback
         self.reader = ThreadPoolExecutor(max_workers=1)
@@ -184,6 +207,103 @@ class EngineModel(RuleBasedStateMachine):
         self.oracle = [row for row in self.oracle
                        if row["v"] >= threshold]
 
+    # -- the star schema (compared with the twin, not the oracle) -----------
+
+    STAR = [
+        ("SELECT d.label, COUNT(*) AS c, SUM(f.x) AS s, AVG(f.x) AS a, "
+         "MIN(f.x) AS lo, MAX(f.n) AS hi FROM f JOIN d ON f.tag = d.tag "
+         "GROUP BY d.label ORDER BY d.label", ()),
+        ("SELECT d.label, SUM(f.n) AS s, COUNT(f.x) AS cx FROM f "
+         "JOIN d ON f.tag = d.tag GROUP BY d.label HAVING COUNT(*) > 1 "
+         "ORDER BY s DESC LIMIT 2", ()),
+        ("SELECT COUNT(*) AS c, SUM(f.x) AS s, MIN(f.tag) AS t, "
+         "MAX(f.x) AS m FROM f LEFT JOIN d ON f.tag = d.tag "
+         "WHERE d.label IS NULL", ()),
+        ("SELECT f.tag, AVG(f.n) AS a, SUM(f.x) AS s, MAX(f.x) AS m "
+         "FROM f GROUP BY f.tag", ()),
+        ("SELECT d.label, SUM(f.x) AS s, MIN(f.n) AS lo FROM f "
+         "JOIN d ON f.tag = d.tag WHERE f.n > ? GROUP BY d.label "
+         "ORDER BY d.label", (0,)),
+    ]
+
+    @rule(rows=facts)
+    def append_facts(self, rows):
+        for row in rows:
+            self.both("INSERT INTO f VALUES (?, ?, ?)", row)
+
+    @precondition(lambda self: self.snapshot is None
+                  and self.db.row_count("f") < 100)
+    @rule(x=reals)
+    def bulk_append_facts(self, x):
+        """One commit past the settle threshold: the committing writer
+        collects ``f``, and folding goes on."""
+        rows = [("abcz"[index % 4], x, index) for index in range(320)]
+        for database in (self.db, self.twin):
+            database.executemany("INSERT INTO f VALUES (?, ?, ?)", rows)
+        assert len(self.db.storage("f")._versions) == 0
+
+    @precondition(lambda self: self.snapshot is None)
+    @rule(rows=facts)
+    def rolled_back_append(self, rows):
+        for database in (self.db, self.twin):
+            database.begin()
+            for row in rows:
+                database.execute("INSERT INTO f VALUES (?, ?, ?)", row)
+            database.rollback()
+
+    @rule(x=reals)
+    def delete_facts(self, x):
+        self.both("DELETE FROM f WHERE x = ? OR x IS NULL", (x,))
+
+    @rule(tag=fact_tags, n=values)
+    def update_facts(self, tag, n):
+        self.both("UPDATE f SET n = n + ? WHERE tag = ?", (n, tag))
+
+    @rule(tag=tags, label=st.sampled_from([None, "Alpha", "Beta", "Q"]))
+    def relabel(self, tag, label):
+        self.both("UPDATE d SET label = ? WHERE tag = ?", (label, tag))
+
+    def star_reads(self, database):
+        """Every star aggregate, twice, as another thread sees them."""
+        def read():
+            return [repr(database.execute(sql, params).rows)
+                    for _ in range(2) for sql, params in self.STAR]
+        return self.reader.submit(read).result(30)
+
+    @rule()
+    def star_aggregates_agree(self):
+        for sql, params in self.STAR:
+            assert repr(self.db.execute(sql, params).rows) \
+                == repr(self.twin.execute(sql, params).rows)
+        assert self.star_reads(self.db) == self.star_reads(self.twin)
+
+    @precondition(lambda self: self.snapshot is None)
+    @rule(rows=facts)
+    def append_is_folded(self, rows):
+        """Read, append, read: each star aggregate folds the appended
+        rows (unless a collection re-sorted ``f`` since it was last
+        stamped, which refuses until the next write) and still equals
+        the twin."""
+        committed = self.db.committed_cn
+
+        def quiet(storage):
+            # A rolled-back write leaves a stamp past every snapshot
+            # (and marks the table rewritten) until the next commit; a
+            # re-sort marks it past its stamp until the next write.
+            return storage._rewritten_cn <= storage._last_version_cn \
+                <= committed
+
+        expected = sum(
+            all(quiet(scan.storage) for scan in
+                self.db.plan_for(self.db._parse(sql))[0].scans)
+            for sql, _params in self.STAR)
+        self.star_reads(self.db)
+        before = self.db.statistics["result_cache_folds"]
+        self.append_facts(rows)
+        assert self.star_reads(self.db) == self.star_reads(self.twin)
+        assert self.db.statistics["result_cache_folds"] - before \
+            == expected
+
     # -- transactions -----------------------------------------------------------
 
     @precondition(lambda self: self.snapshot is None)
@@ -219,6 +339,17 @@ class EngineModel(RuleBasedStateMachine):
         assert self.db.version_count("t") == len(self.oracle)
 
     # -- invariants ----------------------------------------------------------------
+
+    @precondition(lambda self: self.snapshot is None)
+    @invariant()
+    def versions_stay_settled(self):
+        """With no snapshot or transaction open, the committing writers'
+        settling bounds every table's versions."""
+        for database in (self.db, self.twin):
+            for table in ("t", "d", "f"):
+                assert database.version_count(table) <= \
+                    database.row_count(table) * (1 + SETTLE_FRACTION) \
+                    + SETTLE_FLOOR
 
     @invariant()
     def table_matches_oracle(self):

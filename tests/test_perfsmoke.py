@@ -10,8 +10,9 @@ over what was measured (asserted / measured: compiled vs interpreted
 1.5x / 4-6x, reuse vs recompute 5x / ~130x, hash join vs nested loop
 5x / ~110x, index vs scan 2x / ~20x).  What a fast path must *not do*
 is asserted as a count — plans compiled, log frames decoded, tables
-scanned and WHERE clauses evaluated by keyed DML, version chains kept,
-usage rows written — which repeats exactly on any host; what a
+scanned and WHERE clauses evaluated by keyed DML, rows a fold re-reads,
+version chains kept and collections run, usage rows written — which
+repeats exactly on any host; what a
 statement *costs* is a ``bench/``
 metric (``engine.read_self_ms_per_stmt``).
 """
@@ -374,10 +375,17 @@ def test_index_builds_sort_each_run_once(tmp_path, monkeypatch):
 
 def test_checkpoint_leaves_no_version_chains(tmp_path):
     """After a checkpoint every row of a 20 000-row table is settled:
-    no version chain, one version per live row."""
+    no version chain, one version per live row.  The bulk load settled
+    itself at its commit; rows appended below the settle threshold
+    carry chains until the checkpoint."""
     database = orders(Database.recover(tmp_path, "main", fsync="off"))
     storage = database.storage("orders")
-    assert len(storage._versions) == 20_000  # fresh rows carry chains
+    assert len(storage._versions) == 0
+    for key in range(20_000, 20_100):
+        database.execute("INSERT INTO orders VALUES (?, 'new', 1.0)",
+                         (key,))
+    assert len(storage._versions) == 100
+    database.execute("DELETE FROM orders WHERE id >= 20000")
     database.checkpoint()
     assert len(storage._versions) == 0
     assert database.version_count("orders") == 20_000
@@ -388,6 +396,81 @@ def test_checkpoint_leaves_no_version_chains(tmp_path):
     assert len(storage._versions) == 0
     assert database.version_count("orders") == 20_000
     database.close()
+
+
+def per_table(monkeypatch, owner, name):
+    """Rebind ``owner.name`` (a TableStorage method) to itself plus a
+    record of the table each call was made on; returns the list."""
+    tables = []
+    real = getattr(owner, name)
+
+    def recording(self, *args, **kwargs):
+        tables.append(self.schema.name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return tables
+
+
+def test_appended_facts_fold_without_a_scan(monkeypatch):
+    """The fence for folding, in counts: after 50 facts are appended, a
+    re-run star join reads none of the 4 000 older facts — no
+    ``snapshot_rows`` call on ``fact``, at most 50 row fetches — and
+    answers what the compile=False reference does.  A DELETE, or a
+    change to the dimension, costs exactly one full scan of ``fact``."""
+    from repro.engine.storage import TableStorage
+
+    database, reference = build(4_000), build(4_000, compile=False)
+    database.query(STAR_JOIN)
+    appended = [(key % 200 + 1, key * 0.5) for key in range(50)]
+    for target in (database, reference):
+        target.executemany("INSERT INTO fact VALUES (?, ?)", appended)
+    expected = reference.query(STAR_JOIN)
+    scans = per_table(monkeypatch, TableStorage, "snapshot_rows")
+    fetched = per_table(monkeypatch, TableStorage, "visible_row")
+    assert database.query(STAR_JOIN) == expected
+    assert scans.count("fact") == 0 and fetched.count("fact") <= 50
+    assert database.statistics["result_cache_folds"] == 1
+
+    for write in ("DELETE FROM fact WHERE k = 3",
+                  "UPDATE dim SET label = 'moved' WHERE k = 7"):
+        database.execute(write)
+        reference.execute(write)
+        expected = reference.query(STAR_JOIN)
+        del scans[:]
+        assert database.query(STAR_JOIN) == expected
+        assert scans.count("fact") == 1
+    assert database.statistics["result_cache_folds"] == 1
+
+
+def test_bulk_load_settles_at_its_commit():
+    """The committing writer settles what it wrote: after a 10 000-row
+    ``executemany`` at most ``rows/8 + 256`` rows carry a chain."""
+    from repro.engine.storage import SETTLE_FLOOR, SETTLE_FRACTION
+
+    database = orders(Database(), rows=10_000)
+    storage = database.storage("orders")
+    assert len(storage._versions) \
+        <= len(storage) * SETTLE_FRACTION + SETTLE_FLOOR
+    assert database.version_count("orders") == 10_000
+
+
+def test_pinned_snapshot_does_not_collect_on_every_commit(monkeypatch):
+    """With a snapshot pinned nothing can be reclaimed, and collection
+    restarts its count anyway: 2 000 single-row commits on a 100-row
+    table collect a handful of times, not 2 000."""
+    from repro.engine.storage import SETTLE_FLOOR, TableStorage
+
+    database = orders(Database(), rows=100)
+    collections = per_table(monkeypatch, TableStorage, "collect")
+    with database.open_snapshot() as pinned:
+        for update in range(2_000):
+            database.execute("UPDATE orders SET amount = ? WHERE id = ?",
+                             (float(update), update % 100))
+        assert 0 < len(collections) <= 2_000 // SETTLE_FLOOR
+        old = database.storage("orders").snapshot_rows(pinned.cn)
+        assert {row[2] for _, row in old} == {1.0}
+    assert database.version_count("orders") > 2_000
 
 
 def test_metered_reads_write_one_row_per_key():

@@ -268,8 +268,13 @@ class TestShipOnDemand:
 
 
 class TestReplicaVersionCollection:
-    def test_replica_reclaims_versions_when_the_log_restarts(
-            self, shard_map):
+    def test_replica_settles_versions_as_it_applies(self, shard_map):
+        """A replica is never checkpointed: applying shipped commits
+        settles it as committing settles its primary, so its versions
+        end under the settle bound, while a snapshot pinned on it keeps
+        what it saw until released."""
+        from repro.engine.storage import SETTLE_FLOOR, SETTLE_FRACTION
+
         shard = shard_map.shard_for("acme")
         primary, replica = shard.primary, shard.replicas[0]
         primary.execute(
@@ -278,31 +283,26 @@ class TestReplicaVersionCollection:
             primary.execute("INSERT INTO t VALUES (?, 0)", (index,))
         shard_map.route_read("acme")
         pinned = replica.database.open_snapshot()
-        since_restart = 0
-        for update in range(300):
+        bound = 20 + 20 * SETTLE_FRACTION + SETTLE_FLOOR
+        for update in range(600):
             primary.execute("UPDATE t SET v = ? WHERE id = ?",
                             (update + 1, update % 20))
             shard_map.route_read("acme")
-            since_restart += 1
             if update % 50 == 24:
                 primary.checkpoint()
-                since_restart = 0
-            elif update == 200:
-                # A snapshot pinned before the restarts still reads
-                # what it saw; it holds the horizon until released.
-                assert replica.log_restarts == 4
-                assert replica.database.version_count("t") == 20 + 201
+            elif update == 300:
+                # The pinned snapshot held the horizon through the
+                # collections so far and still reads what it saw.
+                assert replica.database.version_count("t") == 20 + 301
                 old = replica.database.storage("t").snapshot_rows(
                     pinned.cn)
                 assert sorted(row for _, row in old) \
                     == [[index, 0] for index in range(20)]
                 pinned.close()
-        assert replica.log_restarts == 6
+        assert replica.log_restarts == 12
         assert replica.resyncs == 0
-        assert primary.version_count("t") <= 20 + since_restart
-        # At the parent commit: primary 20, replica 320.
-        assert replica.database.version_count("t") \
-            <= 20 + since_restart
+        assert replica.database.version_count("t") <= bound
+        assert primary.version_count("t") <= bound
         assert replica.database.state_fingerprint() \
             == primary.state_fingerprint()
 
