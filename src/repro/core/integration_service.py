@@ -4,7 +4,9 @@
 integration jobs, jobs scheduling, etc." (paper §3.1).  Jobs are
 defined against the tenant's registered databases, validated, run
 through the ETL substrate and optionally scheduled; every run is
-metered for pay-as-you-go billing and journalled.
+metered for pay-as-you-go billing and recorded in the platform
+database, as are the scheduler's clock and each scheduled job's
+posture, so a restarted platform picks up where it stopped.
 """
 
 from __future__ import annotations
@@ -28,6 +30,26 @@ from repro.etl import (
     TableSource,
 )
 
+#: Runs each job keeps in ``etl_runs``; past it, recording a run
+#: overwrites the job's oldest.
+RUN_HISTORY_PER_JOB = 100
+
+_TABLES = (
+    "CREATE TABLE etl_runs ("
+    "id INTEGER PRIMARY KEY, tenant TEXT NOT NULL, job TEXT NOT NULL, "
+    "seq INTEGER NOT NULL, rows_read INTEGER NOT NULL, "
+    "rows_written INTEGER NOT NULL, rows_rejected INTEGER NOT NULL, "
+    "status TEXT NOT NULL, error TEXT)",
+    # Finding a job's oldest run and reading a tenant's are seeks.
+    "CREATE INDEX etl_runs_job ON etl_runs (tenant, job, seq)",
+    "CREATE TABLE etl_jobs ("
+    "job TEXT PRIMARY KEY, runs INTEGER NOT NULL, "
+    "consecutive_failures INTEGER NOT NULL, "
+    "quarantined BOOLEAN NOT NULL)",
+    "CREATE TABLE etl_clock (minute INTEGER NOT NULL)",
+    "INSERT INTO etl_clock VALUES (0)",
+)
+
 
 class IntegrationService:
     """Per-tenant ETL job management and scheduling."""
@@ -37,27 +59,31 @@ class IntegrationService:
 
     def __init__(self, tenants: TenantManager,
                  resources: TechnicalResourcesLayer,
-                 billing: Optional[BillingService] = None,
-                 journal=None):
+                 billing: Optional[BillingService] = None):
         self.tenants = tenants
         self.resources = resources
         self.billing = billing
         self._jobs: Dict[Tuple[str, str], EtlJob] = {}
         self._runner = JobRunner(error_policy="skip",
                                  faults=resources.faults)
-        # One shared JournalLog carries both vocabularies: the
-        # scheduler's ("sched"/"clock"/"unquarantine") records and
-        # this service's ("run", {...}) history — each reader skips
-        # the other's kinds.
-        self.journal = journal
+        self.database = tenants.platform_db
+        if "etl_runs" not in self.database.table_names():
+            with self.database.transaction():
+                for ddl in _TABLES:
+                    self.database.execute(ddl)
         self.scheduler = Scheduler(
             self._runner, quarantine_after=self.QUARANTINE_AFTER,
-            journal=journal)
-        self._run_journal: List[Dict[str, Any]] = []
-        if journal is not None:
-            for record in journal.recovered:
-                if record and record[0] == "run":
-                    self._run_journal.append(dict(record[1]))
+            start_minute=self.database.query_value(
+                "SELECT minute FROM etl_clock"))
+        # Both counters continue after the rows already recorded and
+        # advance only inside a platform-database transaction.
+        self._last_run_id = self.database.query_value(
+            "SELECT MAX(id) FROM etl_runs") or 0
+        self._last_seq: Dict[Tuple[str, str], int] = {
+            (row["tenant"], row["job"]): row["seq"]
+            for row in self.database.query(
+                "SELECT tenant, job, MAX(seq) AS seq FROM etl_runs "
+                "GROUP BY tenant, job")}
 
     # -- job definition ---------------------------------------------------------------
 
@@ -124,13 +150,15 @@ class IntegrationService:
                 f"quarantined after repeated failures; "
                 f"unquarantine it first")
         result = self._runner.run(job)
-        self._journal(tenant_id, name, result)
+        self._record([_run_row(tenant_id, name, result)])
+        self._announce(tenant_id, name, result)
         return result
 
     def unquarantine_job(self, tenant_id: str, name: str) -> None:
         """Readmit a quarantined scheduled job."""
-        self.job(tenant_id, name)  # validates ownership
-        self.scheduler.unquarantine(f"{tenant_id}:{name}")
+        job = self.job(tenant_id, name)  # validates ownership
+        self.scheduler.unquarantine(job.name)
+        self._record([], postures=[job.name])
 
     def run_graph(self, tenant_id: str,
                   dependencies: Dict[str, Sequence[str]]) \
@@ -145,35 +173,69 @@ class IntegrationService:
                       depends_on=[f"{tenant_id}:{dep}"
                                   for dep in depends_on])
         results = graph.run_all(self._runner)
-        out: Dict[str, JobResult] = {}
-        for qualified, result in results.items():
-            short = qualified.split(":", 1)[1]
-            self._journal(tenant_id, short, result)
-            out[short] = result
+        out = {qualified.split(":", 1)[1]: result
+               for qualified, result in results.items()}
+        self._record([_run_row(tenant_id, name, result)
+                      for name, result in out.items()])
+        for name, result in out.items():
+            self._announce(tenant_id, name, result)
         return out
 
-    def _journal(self, tenant_id: str, name: str,
-                 result: JobResult) -> None:
+    def _announce(self, tenant_id: str, name: str,
+                  result: JobResult) -> None:
+        """Meter a completed run and publish it on the bus."""
         if self.billing is not None:
             self.billing.meter(tenant_id, "etl_rows",
                                result.rows_written)
-        entry = {
-            "tenant": tenant_id,
-            "job": name,
-            "rows_read": result.rows_read,
-            "rows_written": result.rows_written,
-            "rows_rejected": result.rows_rejected,
-        }
-        self._run_journal.append(entry)
-        if self.journal is not None:
-            self.journal.append(("run", entry))
         self.resources.publish_event(
             tenant_id, "etl-run",
             f"{name}: {result.rows_written} rows")
 
+    def _record(self, runs: Sequence[Tuple[Any, ...]],
+                postures: Sequence[str] = (),
+                clock: Optional[int] = None) -> None:
+        """Write :func:`_run_row` tuples, the postures of the named
+        scheduled jobs and the clock in one transaction."""
+        database = self.database
+        with database.transaction():
+            for tenant_id, name, *rest in runs:
+                key = (tenant_id, name)
+                seq = self._last_seq.get(key, 0) + 1
+                self._last_seq[key] = seq
+                self._last_run_id += 1
+                if seq <= RUN_HISTORY_PER_JOB or not database.execute(
+                        "UPDATE etl_runs SET id = ?, seq = ?, "
+                        "rows_read = ?, rows_written = ?, "
+                        "rows_rejected = ?, status = ?, error = ? "
+                        "WHERE tenant = ? AND job = ? AND seq = ?",
+                        (self._last_run_id, seq, *rest, tenant_id, name,
+                         seq - RUN_HISTORY_PER_JOB)):
+                    database.execute(
+                        "INSERT INTO etl_runs VALUES "
+                        "(?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                        (self._last_run_id, tenant_id, name, seq, *rest))
+            for job_name in postures:
+                entry = self.scheduler.entry(job_name)
+                posture = (entry.runs, entry.consecutive_failures,
+                           entry.quarantined)
+                if not database.execute(
+                        "UPDATE etl_jobs SET runs = ?, "
+                        "consecutive_failures = ?, quarantined = ? "
+                        "WHERE job = ?", (*posture, job_name)):
+                    database.execute(
+                        "INSERT INTO etl_jobs VALUES (?, ?, ?, ?)",
+                        (job_name, *posture))
+            if clock is not None:
+                database.execute("UPDATE etl_clock SET minute = ?",
+                                 (clock,))
+
     def run_history(self, tenant_id: str) -> List[Dict[str, Any]]:
-        return [entry for entry in self._run_journal
-                if entry["tenant"] == tenant_id]
+        """The tenant's recorded runs, oldest first (at most
+        :data:`RUN_HISTORY_PER_JOB` per job)."""
+        return self.database.query(
+            "SELECT tenant, job, rows_read, rows_written, rows_rejected, "
+            "status, error FROM etl_runs WHERE tenant = ? ORDER BY id",
+            (tenant_id,))
 
     # -- datamart materialization --------------------------------------------------------
 
@@ -201,37 +263,37 @@ class IntegrationService:
 
     def schedule_job(self, tenant_id: str, name: str,
                      schedule: Schedule, retry_policy=None) -> None:
+        """Schedule a job; a job scheduled before a restart gets its
+        recorded posture (runs, failures, quarantine) back."""
         job = self.job(tenant_id, name)
-        self.scheduler.add(job, schedule, owner=tenant_id,
-                           retry_policy=retry_policy)
+        entry = self.scheduler.add(job, schedule, owner=tenant_id,
+                                   retry_policy=retry_policy)
+        for row in self.database.query(
+                "SELECT runs, consecutive_failures, quarantined "
+                "FROM etl_jobs WHERE job = ?", (job.name,)):
+            entry.runs, entry.consecutive_failures, entry.quarantined = \
+                row.values()
 
     def advance_clock(self, minutes: int) -> int:
         """Drive the virtual clock; returns the number of runs fired.
 
-        Failed and quarantine-skipped runs are journalled too (with
-        zero row counts) so the tenant's run history shows *why* data
-        is missing, but only completed runs meter billing.
+        Failed, quarantine-skipped and deferred runs are recorded too
+        (with zero row counts) so the tenant's run history shows *why*
+        data is missing, but only completed runs meter billing.  The
+        runs, the postures of the jobs that ran and the new clock are
+        one platform-database transaction.
         """
         records = self.scheduler.advance(minutes)
+        self._record([_run_row(*record.job.split(":", 1), record.result,
+                               record.status, record.error)
+                      for record in records],
+                     postures=sorted({record.job for record in records}),
+                     clock=self.scheduler.now)
         fired = 0
         for record in records:
-            tenant_id, name = record.job.split(":", 1)
             if record.result is not None:
-                self._journal(tenant_id, name, record.result)
+                self._announce(*record.job.split(":", 1), record.result)
                 fired += 1
-            else:
-                entry = {
-                    "tenant": tenant_id,
-                    "job": name,
-                    "rows_read": 0,
-                    "rows_written": 0,
-                    "rows_rejected": 0,
-                    "status": record.status,
-                    "error": record.error,
-                }
-                self._run_journal.append(entry)
-                if self.journal is not None:
-                    self.journal.append(("run", entry))
         return fired
 
     def quarantined_jobs(self, tenant_id: str) -> List[str]:
@@ -240,3 +302,13 @@ class IntegrationService:
         return [name[len(prefix):]
                 for name in self.scheduler.quarantined_jobs()
                 if name.startswith(prefix)]
+
+
+def _run_row(tenant_id: str, name: str, result: Optional[JobResult],
+             status: str = "ok",
+             error: Optional[str] = None) -> Tuple[Any, ...]:
+    """One ``etl_runs`` row, without its id and sequence number; a run
+    that produced no result counts zero rows."""
+    counts = (0, 0, 0) if result is None else (
+        result.rows_read, result.rows_written, result.rows_rejected)
+    return (tenant_id, name, *counts, status, error)

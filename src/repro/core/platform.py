@@ -40,7 +40,6 @@ from repro.core.subscription import BillingService
 from repro.core.supervision import ShardSupervisor
 from repro.core.tenancy import TenancyMode, TenantManager
 from repro.engine.database import Database
-from repro.engine.wal import JournalLog
 from repro.errors import HttpError, ReproError
 from repro.security import AccessDecisionManager
 from repro.web import JsonResponse, Request, Response, WebApplication
@@ -61,16 +60,15 @@ class OdbisPlatform:
     """The assembled on-demand BI platform.
 
     ``data_dir`` switches the platform into *durable* mode: every
-    tenant database lives under ``data_dir/tenants/`` as a snapshot +
-    write-ahead log pair (created via
-    :meth:`~repro.engine.database.Database.recover`, so constructing
-    the platform over an existing directory IS crash recovery), the
-    tenant registry, the ETL scheduler history and the ESB dead-letter
-    queue journal to ``platform.journal`` / ``etl.journal`` /
-    ``esb.journal``, and recovered tenants are re-provisioned from the
-    registry journal with all journals suspended so replay never
-    re-journals itself.  ``fsync`` is the WAL policy for every log
-    (``always`` / ``batch`` / ``off``).
+    database — the platform's own and each tenant's — lives under
+    ``data_dir/tenants/`` as a snapshot + write-ahead log pair
+    (created via :meth:`~repro.engine.database.Database.recover`, so
+    constructing the platform over an existing directory IS crash
+    recovery).  Platform state (the tenant registry, the ETL run
+    history, scheduler posture and clock, the ESB dead letters) is
+    tables in the platform database, and the tenants its registry
+    holds are re-provisioned at construction.  ``fsync`` is the WAL
+    policy for every log (``always`` / ``batch`` / ``off``).
 
     ``shards > 0`` additionally shards tenant *operational* data
     across that many engine instances under ``data_dir/shards/``
@@ -111,25 +109,13 @@ class OdbisPlatform:
                 else {}
             self.overload = OverloadController(clock=self.clock,
                                                **kwargs)
-        # Durability: data directory, journals and database factory.
+        # Durability: data directory and database factory.
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.fsync = fsync
-        self._journals: List[JournalLog] = []
-        tenant_journal = etl_journal = bus_journal = None
         database_factory = None
         if self.data_dir is not None:
             tenants_dir = self.data_dir / "tenants"
             tenants_dir.mkdir(parents=True, exist_ok=True)
-            tenant_journal = JournalLog(
-                self.data_dir / "platform.journal", fsync=fsync,
-                faults=self.faults, site="journal.platform")
-            etl_journal = JournalLog(
-                self.data_dir / "etl.journal", fsync=fsync,
-                faults=self.faults, site="journal.etl")
-            bus_journal = JournalLog(
-                self.data_dir / "esb.journal", fsync=fsync,
-                faults=self.faults, site="journal.esb")
-            self._journals = [tenant_journal, etl_journal, bus_journal]
 
             def database_factory(name: str) -> Database:
                 return Database.recover(tenants_dir, name,
@@ -163,23 +149,22 @@ class OdbisPlatform:
             self.supervisor = ShardSupervisor(
                 self.shards, clock=self.clock, faults=self.faults,
                 failover=self.failover, **(supervision or {}))
-        # Layer 5: technical resources.
-        self.resources = TechnicalResourcesLayer(
-            faults=self.faults, clock=self.clock,
-            bus_journal=bus_journal)
-        # Tenancy + layer 3: administration and configuration.
+        # Tenancy: the registry and the platform database.
         self.tenants = TenantManager(
             mode, database_factory=database_factory,
-            journal=tenant_journal,
             operational_router=operational_router)
+        # Layer 5: technical resources.
+        self.resources = TechnicalResourcesLayer(
+            faults=self.faults, clock=self.clock)
+        self.resources.keep_dead_letters(self.tenants.platform_db)
+        # Layer 3: administration and configuration.
         self.billing = BillingService(self.tenants.platform_db)
         self.billing.clock = self.clock
         self.admin = AdminService(self.tenants, self.billing)
         # Layer 4: core BI services.
         self.metadata = MetadataService(self.tenants, self.resources)
         self.integration = IntegrationService(
-            self.tenants, self.resources, self.billing,
-            journal=etl_journal)
+            self.tenants, self.resources, self.billing)
         self.analysis = AnalysisService(
             self.tenants, self.resources, self.billing)
         self.reporting = ReportingService(
@@ -212,12 +197,17 @@ class OdbisPlatform:
         self.last_trace = []
         self._install_middleware()
         self._install_routes()
-        # With a data directory, re-provision the tenants the registry
-        # journal remembers — after every service is wired, so replay
-        # runs through the same provisioning path as the original
-        # registrations did.
-        if tenant_journal is not None:
-            self._recover_tenants(tenant_journal)
+        # Re-provision the tenants a recovered registry holds — after
+        # every service is wired, so recovery runs through the same
+        # provisioning path as the original registrations did.
+        for row in self.tenants.platform_db.query(
+                "SELECT tenant, display_name, plan, active "
+                "FROM platform_tenants"):
+            self.provisioning.provision(
+                row["tenant"], row["display_name"], plan=row["plan"],
+                exist_ok=True)
+            if not row["active"]:
+                self.tenants.deactivate(row["tenant"])
 
     @property
     def last_trace(self) -> List[str]:
@@ -233,27 +223,6 @@ class OdbisPlatform:
         self._trace_local.trace = value
 
     # -- durability ---------------------------------------------------------------------
-
-    def _recover_tenants(self, tenant_journal: JournalLog) -> None:
-        """Replay journaled tenant registrations through provisioning.
-
-        All journals are suspended for the duration so the replay
-        cannot append the records it is reading (or re-journal the
-        provisioning events it re-fires).
-        """
-        records = [record for record in tenant_journal.recovered
-                   if record and record[0] == "tenant"]
-        if not records:
-            return
-        for journal in self._journals:
-            journal.suspended = True
-        try:
-            for _, tenant_id, display_name, plan in records:
-                self.provisioning.provision(
-                    tenant_id, display_name, plan=plan, exist_ok=True)
-        finally:
-            for journal in self._journals:
-                journal.suspended = False
 
     def checkpoint(self) -> Dict[str, int]:
         """Snapshot every durable database and truncate its WAL.
@@ -274,7 +243,7 @@ class OdbisPlatform:
         return ordinals
 
     def close(self) -> None:
-        """Drain traffic, then flush and close every WAL and journal.
+        """Drain traffic, then flush and close every WAL.
 
         Ordering is the shutdown contract: the gateway is drained
         *permanently* first, so every accepted in-flight request either
@@ -288,8 +257,6 @@ class OdbisPlatform:
         self.billing.flush()
         for database in self._durable_databases():
             database.close()
-        for journal in self._journals:
-            journal.close()
         if self.shards is not None:
             self.shards.close()
 

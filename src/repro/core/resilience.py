@@ -128,7 +128,9 @@ class RetryPolicy:
 
     ``retryable`` limits which exception classes are retried;
     ``non_retryable`` carves exceptions out of that set (checked
-    first).  Anything non-retryable propagates raw on first failure.
+    first).  Anything non-retryable propagates raw on first failure,
+    and so does a :class:`~repro.errors.CrashPoint` (a simulated
+    process death is never retried past).
     """
 
     def __init__(self, attempts: int = 3, base_delay: float = 0.0,
@@ -162,7 +164,7 @@ class RetryPolicy:
         return schedule
 
     def should_retry(self, error: BaseException) -> bool:
-        if isinstance(error, self.non_retryable):
+        if isinstance(error, (CrashPoint,) + self.non_retryable):
             return False
         return isinstance(error, self.retryable)
 

@@ -11,12 +11,13 @@ every core service resolves physical resources through it.
 
 from __future__ import annotations
 
+import json
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.resilience import Clock, FaultInjector, RetryPolicy
 from repro.engine.database import Database
 from repro.errors import EsbError, TenantError
-from repro.esb import MessageBus
+from repro.esb import DEAD_LETTER_CHANNEL, Message, MessageBus
 
 #: Channel carrying resource-level events (deploys, loads, queries).
 EVENTS_CHANNEL = "platform-events"
@@ -40,16 +41,41 @@ class TechnicalResourcesLayer:
     """
 
     def __init__(self, faults: Optional[FaultInjector] = None,
-                 clock: Optional[Clock] = None,
-                 bus_journal=None) -> None:
+                 clock: Optional[Clock] = None) -> None:
         self._databases: Dict[Tuple[str, str], Database] = {}
         self.faults = faults or FaultInjector()
         self.bus = MessageBus(
             retry_policy=RetryPolicy(
                 attempts=DEFAULT_BUS_RETRIES, base_delay=0.0,
                 non_retryable=(EsbError,)),
-            clock=clock, faults=self.faults, journal=bus_journal)
+            clock=clock, faults=self.faults)
         self.bus.create_channel(EVENTS_CHANNEL)
+
+    def keep_dead_letters(self, database: Database) -> None:
+        """Restore ``bus.dead_letters`` from the ``esb_dead_letters``
+        rows of ``database``, then record each new dead letter there,
+        payload and headers as JSON text (``repr()`` for a value JSON
+        cannot encode)."""
+        database.execute(
+            "CREATE TABLE IF NOT EXISTS esb_dead_letters ("
+            "message_id INTEGER NOT NULL, payload TEXT NOT NULL, "
+            "headers TEXT NOT NULL)")
+        self.bus.dead_letters.extend(
+            Message(payload=json.loads(row["payload"]),
+                    headers=json.loads(row["headers"]),
+                    message_id=row["message_id"])
+            for row in database.query(
+                "SELECT message_id, payload, headers "
+                "FROM esb_dead_letters"))
+
+        def record(message: Message) -> None:
+            database.execute(
+                "INSERT INTO esb_dead_letters VALUES (?, ?, ?)",
+                (message.message_id,
+                 json.dumps(message.payload, default=repr),
+                 json.dumps(message.headers, default=repr)))
+
+        self.bus.wiretap(DEAD_LETTER_CHANNEL, record)
 
     # -- databases -----------------------------------------------------------------
 

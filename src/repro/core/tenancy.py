@@ -7,7 +7,7 @@ makes the overall system scalable at a far lower cost."
 
 Two isolation modes are implemented so experiment E7 can compare them:
 
-* ``SHARED`` — one platform database holds every tenant's operational
+* ``SHARED`` — one shared operational database holds every tenant's
   rows, discriminated by a ``tenant`` column (the paper's choice);
 * ``ISOLATED`` — a dedicated database per tenant (the classical
   alternative the paper argues against on cost).
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.engine.database import Database
-from repro.engine.wal import JournalLog
 from repro.errors import TenantError
 
 
@@ -55,21 +54,20 @@ class TenantManager:
     ``database_factory`` is the durability hook: when the platform
     runs against a data directory it supplies a factory that recovers
     each database from its snapshot + WAL instead of creating it
-    blank.  ``journal`` (a :class:`~repro.engine.wal.JournalLog`)
-    records one ``("tenant", ...)`` record per registration so a
-    restarted platform can re-provision the same tenants.
+    blank.  :attr:`platform_db` holds platform-wide state, the
+    registry's ``platform_tenants`` table included, in every mode; it
+    is never a tenant's operational database, so tenant SQL cannot
+    name a platform table.
     """
 
     def __init__(self, mode: TenancyMode = TenancyMode.SHARED,
                  database_factory: Optional[
                      Callable[[str], Database]] = None,
-                 journal: Optional[JournalLog] = None,
                  operational_router: Optional[
                      Callable[[str], Database]] = None):
         self.mode = mode
         self._factory = database_factory or (
             lambda name: Database(name))
-        self.journal = journal
         # Sharded deployments place each tenant's operational data by
         # consistent hash: the router (e.g. ``ShardMap.primary_for``)
         # overrides the SHARED/ISOLATED operational choice.  Kept as a
@@ -80,22 +78,14 @@ class TenantManager:
         # with request dispatch; guard the check-then-insert.
         self._tenants: Dict[str, TenantContext] = {}  # guarded-by: _registry_lock
         self._registry_lock = threading.Lock()
-        if mode is TenancyMode.SHARED:
-            self._shared_db: Optional[Database] = \
-                self._factory("platform")
-        else:
-            self._shared_db = None
-
-    @property
-    def platform_db(self) -> Database:
-        """The database holding platform-wide (cross-tenant) state."""
-        if self._shared_db is not None:
-            return self._shared_db
-        # In isolated mode platform state still needs one home.
-        with self._registry_lock:
-            if not hasattr(self, "_platform_only_db"):
-                self._platform_only_db = self._factory("platform")
-            return self._platform_only_db
+        # SHARED mode's one operational database, built by the first
+        # registration that needs it.
+        self._shared_db: Optional[Database] = None  # guarded-by: _registry_lock
+        self.platform_db = self._factory("platform")
+        self.platform_db.execute(
+            "CREATE TABLE IF NOT EXISTS platform_tenants ("
+            "tenant TEXT PRIMARY KEY, display_name TEXT NOT NULL, "
+            "plan TEXT NOT NULL, active BOOLEAN NOT NULL)")
 
     def register(self, tenant_id: str, display_name: str,
                  plan: str = "starter") -> TenantContext:
@@ -106,6 +96,8 @@ class TenantManager:
             if self._operational_router is not None:
                 operational = self._operational_router(tenant_id)
             elif self.mode is TenancyMode.SHARED:
+                if self._shared_db is None:
+                    self._shared_db = self._factory("shared")
                 operational = self._shared_db
             else:
                 operational = self._factory(f"op-{tenant_id}")
@@ -117,9 +109,14 @@ class TenantManager:
                 warehouse_db=self._factory(f"dw-{tenant_id}"),
             )
             self._tenants[tenant_id] = context
-            if self.journal is not None:
-                self.journal.append(
-                    ("tenant", tenant_id, display_name, plan))
+            # A recovered platform re-registers the tenants its
+            # registry already holds; their rows stay as they are.
+            if not self.platform_db.query_value(
+                    "SELECT COUNT(*) FROM platform_tenants "
+                    "WHERE tenant = ?", (tenant_id,)):
+                self.platform_db.execute(
+                    "INSERT INTO platform_tenants VALUES (?, ?, ?, TRUE)",
+                    (tenant_id, display_name, plan))
             return context
 
     def deactivate(self, tenant_id: str) -> None:
@@ -132,6 +129,9 @@ class TenantManager:
             # locked registry state transition, serialized against
             # register() and visible to the lock-discipline check.
             self._tenants[tenant_id] = context
+            self.platform_db.execute(
+                "UPDATE platform_tenants SET active = FALSE "
+                "WHERE tenant = ? AND active", (tenant_id,))
 
     def repoint_operational(self, old: Database,
                             new: Database) -> List[str]:

@@ -288,7 +288,7 @@ class Database:
             storage = self._storages.get(name.lower())
             if storage is not None and storage.wants_collection():
                 if horizon is None:
-                    horizon = self.version_horizon()
+                    horizon = self._reclaim_horizon()
                 storage.collect(horizon)
 
     @property
@@ -321,11 +321,17 @@ class Database:
     def version_horizon(self) -> int:
         """The oldest commit number any live (or future) snapshot may
         read at — versions dead at or before it are reclaimable."""
+        return min(self._reclaim_horizon(), self._committed_cn)
+
+    def _reclaim_horizon(self) -> int:
+        """:meth:`version_horizon`, but one past the committed number
+        when no snapshot is open: an aborted insert's version dies at
+        that in-flight stamp, and no reader can still hold its row."""
         with self._state_lock:
             if self._open_snapshots:
                 return min(min(self._open_snapshots.values()),
                            self._committed_cn)
-            return self._committed_cn
+            return self._committed_cn + 1
 
     def collect_versions(self) -> int:  # requires: _lock
         """Reclaim row versions older than the oldest live snapshot.
@@ -333,7 +339,7 @@ class Database:
         Returns the number of versions collected.  Runs as part of
         :meth:`checkpoint` and :meth:`vacuum`.
         """
-        horizon = self.version_horizon()
+        horizon = self._reclaim_horizon()
         reclaimed = 0
         for storage in list(self._storages.values()):
             reclaimed += storage.collect(horizon)

@@ -353,10 +353,11 @@ class TableStorage:
     # -- rollback unwinding ---------------------------------------------------
 
     def undo_insert(self, rowid: int) -> None:  # requires: engine-exclusive
-        """Unwind an aborted insert: pop its version, drop the row.
+        """Unwind an aborted insert: drop the row, kill its version.
 
-        Unlike :meth:`delete` this leaves *no* tombstone — an aborted
-        effect must be invisible at every commit number.
+        Unlike :meth:`delete` the version dies at its own stamp, so it
+        is visible at *no* commit number — an aborted effect must be
+        invisible everywhere.
         """
         if self._monitor is not None:
             self._monitor.on_write(self.schema.name)
@@ -366,9 +367,10 @@ class TableStorage:
         self.rows.pop(rowid, None)
         chain = self._versions.get(rowid)
         if chain:
-            # An emptied chain stays until collection: a reader that
-            # read the row before the pop must still find a chain.
-            chain.pop()
+            # The dead version stays until collection: a reader that
+            # read the row before the pop must still find a chain, and
+            # collection keeps it while such a reader's snapshot is open.
+            chain[-1].deleted_cn = chain[-1].created_cn
 
     def undo_delete(self, rowid: int, row: List[Any]) -> None:  # requires: engine-exclusive
         """Unwind an aborted delete: clear the death stamp."""
@@ -467,9 +469,10 @@ class TableStorage:
 
         A version is dead once ``deleted_cn <= horizon``: every open
         snapshot is pinned at ``>= horizon`` and new snapshots only
-        pin later numbers.  A chain left holding one live version
-        created at or before ``horizon`` is dropped: the row is
-        settled.  Chains and every index's run are rebuilt into
+        pin later numbers (with none open it may pass the committed
+        number, the stamp of aborted inserts).  A chain left holding
+        one live version created at or before ``horizon`` is dropped:
+        the row is settled.  Chains and every index's run are rebuilt into
         fresh structures and swapped in with single stores, so readers
         mid-walk keep the old (still correct) structures; a live dict
         out of rowid order is re-stored in order.  Returns the number

@@ -23,9 +23,8 @@ tail a crash left).  Two record vocabularies share the framing:
   records followed by one ``("commit", n)`` record per transaction —
   an ``executemany`` batch or an explicit BEGIN…COMMIT scope is one
   commit record, so recovery replays all of it or none of it;
-* platform journals (:class:`JournalLog`) append one self-contained
-  record per event (scheduler runs, dead letters, tenant
-  registrations) and replay whatever prefix survives.
+* a journal (:class:`JournalLog`) appends one self-contained record
+  per event and reads back whatever prefix survives.
 
 What counts as *committed* has one definition —
 :func:`scan_frames` then :func:`committed_transactions` — and two
@@ -446,24 +445,14 @@ def committed_since(path: Union[str, Path], offset: int,
 
 
 class JournalLog(_AppendLog):
-    """A platform journal: one self-contained record per event.
+    """A journal: one self-contained record per event.
 
-    Used by the ETL scheduler (run/quarantine records), the ESB
-    dead-letter queue and the tenant registry.  ``recovered`` holds
-    the intact prefix found at open time; ``suspended`` silences
-    appends while a recovery replay re-executes recorded events, so
-    replay cannot duplicate the journal it is reading.
+    ``recovered`` holds the intact prefix found at open time.  The
+    platform keeps its own state in tables of its database, so nothing
+    in the platform opens one; the class stays because the benchmark's
+    tracer binds :meth:`append`.
     """
 
-    def __init__(self, path: Union[str, Path], fsync: str = "always",
-                 batch_size: int = DEFAULT_BATCH_SIZE,
-                 faults=None, site: str = "journal.append"):
-        super().__init__(path, fsync=fsync, batch_size=batch_size,
-                         faults=faults, site=site)
-        self.suspended = False
-
     def append(self, record: Any) -> None:
-        if self.suspended:
-            return
         self._write(frame_record(record))
         self._commit_written()

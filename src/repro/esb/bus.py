@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import EsbError, RetryExhaustedError
+from repro.errors import CrashPoint, EsbError, RetryExhaustedError
 
 DEAD_LETTER_CHANNEL = "dead-letter"
 
@@ -81,7 +81,7 @@ class MessageBus:
     """
 
     def __init__(self, max_hops: int = 100, retry_policy=None,
-                 clock=None, faults=None, journal=None):
+                 clock=None, faults=None):
         self._channels: Dict[str, List[_Endpoint]] = {
             DEAD_LETTER_CHANNEL: [],
         }
@@ -89,21 +89,8 @@ class MessageBus:
         self.retry_policy = retry_policy
         self.clock = clock
         self.faults = faults
-        # ``journal`` (duck-typed JournalLog) makes the dead-letter
-        # queue crash-durable: every dead letter is appended as a
-        # ``("dead_letter", ...)`` record, and the intact prefix found
-        # at open time is restored here — an operator can still
-        # inspect and replay failures that predate the crash.
-        self.journal = journal
         self.dead_letters: List[Message] = []
         self.delivery_log: List[str] = []
-        if journal is not None:
-            for record in journal.recovered:
-                if record and record[0] == "dead_letter":
-                    _, message_id, payload, headers = record
-                    self.dead_letters.append(Message(
-                        payload=payload, headers=dict(headers),
-                        message_id=message_id))
         #: One ``(channel, message_id, attempts)`` triple per endpoint
         #: invocation that needed more than one attempt.
         self.retry_log: List[Tuple[str, int, int]] = []
@@ -162,7 +149,9 @@ class MessageBus:
         try:
             self._invoke(channel, message,
                          lambda: self._publish_once(channel, message))
-        except EsbError:
+        except (EsbError, CrashPoint):
+            # A crash point is the process dying: nothing after it
+            # may run, so it is never parked as a dead letter.
             raise
         except Exception as exc:
             self._dead_letter(channel, message, exc)
@@ -225,10 +214,6 @@ class MessageBus:
         self.delivery_log.append(f"{channel}:{message.message_id}")
         if channel == DEAD_LETTER_CHANNEL:
             self.dead_letters.append(message)
-            if self.journal is not None:
-                self.journal.append(
-                    ("dead_letter", message.message_id,
-                     message.payload, dict(message.headers)))
         for endpoint in self._channel(channel):
             try:
                 if endpoint.kind in ("wiretap", "activator"):
@@ -249,7 +234,7 @@ class MessageBus:
                             channel, endpoint, message))
                     if target is not None:
                         self._deliver(target, message, hops + 1)
-            except EsbError:
+            except (EsbError, CrashPoint):
                 raise
             except Exception as exc:  # route failures to dead letters
                 failed = Message(

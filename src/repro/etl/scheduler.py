@@ -10,7 +10,7 @@ property benchmark E10 measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import SchedulerError
 from repro.etl.jobs import EtlJob, JobResult, JobRunner
@@ -108,21 +108,16 @@ class Scheduler:
     ``"quarantined"`` record, never a silent drop) until
     :meth:`unquarantine` readmits it.
 
-    ``journal`` (a :class:`~repro.engine.wal.JournalLog`, duck-typed)
-    makes the execution history crash-durable: every
-    :class:`ExecutionRecord` and clock advance is appended, and a
-    scheduler built over the surviving journal restores its clock,
-    its run log and each job's quarantine posture.  Jobs themselves
-    (callables) cannot be journaled — re-adding a job under its old
-    name (as platform re-provisioning does) re-attaches the recovered
-    state.  Journaled history records carry ``result=None``; the
-    status/error fields are what survive.
+    The scheduler keeps its state in memory only: :attr:`log` holds the
+    records of this object's own ticks.  A caller that must survive a
+    restart persists what it needs and hands it back through
+    ``start_minute`` and the :class:`ScheduledJob` that :meth:`add`
+    returns.
     """
 
     def __init__(self, runner: Optional[JobRunner] = None,
                  start_minute: int = 0,
                  quarantine_after: Optional[int] = None,
-                 journal=None,
                  admission: Optional[Callable[[str], bool]] = None):
         if quarantine_after is not None and quarantine_after < 1:
             raise SchedulerError("quarantine_after must be >= 1")
@@ -136,63 +131,29 @@ class Scheduler:
         self._entries: Dict[str, ScheduledJob] = {}
         self.log: List[ExecutionRecord] = []
         self._rotation: List[str] = []  # owner round-robin order
-        self.journal = journal
-        # job name -> state to re-attach when the job is re-added.
-        self._recovered_jobs: Dict[str, Dict[str, Any]] = {}
-        if journal is not None:
-            for record in journal.recovered:
-                self._replay_journal_record(record)
-
-    def _replay_journal_record(self, record: Any) -> None:
-        kind = record[0]
-        if kind == "sched":
-            data = record[1]
-            self.log.append(ExecutionRecord(
-                minute=data["minute"], owner=data["owner"],
-                job=data["job"], result=None,
-                status=data["status"], error=data.get("error")))
-            state = self._recovered_jobs.setdefault(
-                data["job"],
-                {"runs": 0, "consecutive_failures": 0,
-                 "quarantined": False})
-            if data["status"] == "ok":
-                state["runs"] += 1
-                state["consecutive_failures"] = 0
-            elif data["status"] == "failed":
-                state["consecutive_failures"] += 1
-                if self.quarantine_after is not None and \
-                        state["consecutive_failures"] \
-                        >= self.quarantine_after:
-                    state["quarantined"] = True
-        elif kind == "clock":
-            self.now = max(self.now, record[1])
-        elif kind == "unquarantine":
-            state = self._recovered_jobs.get(record[1])
-            if state is not None:
-                state["quarantined"] = False
-                state["consecutive_failures"] = 0
 
     def add(self, job: EtlJob, schedule: Schedule,
-            owner: str = "default", retry_policy=None) -> None:
+            owner: str = "default", retry_policy=None) -> ScheduledJob:
         if job.name in self._entries:
             raise SchedulerError(f"job {job.name!r} already scheduled")
         entry = ScheduledJob(
             job=job, schedule=schedule, owner=owner,
             next_run=schedule.next_run_after(self.now),
             retry_policy=retry_policy)
-        recovered = self._recovered_jobs.get(job.name)
-        if recovered is not None:
-            entry.runs = recovered["runs"]
-            entry.consecutive_failures = \
-                recovered["consecutive_failures"]
-            entry.quarantined = recovered["quarantined"]
         self._entries[job.name] = entry
         if owner not in self._rotation:
             self._rotation.append(owner)
+        return entry
+
+    def entry(self, job_name: str) -> ScheduledJob:
+        """The scheduled state of one job (runs, failures, posture)."""
+        entry = self._entries.get(job_name)
+        if entry is None:
+            raise SchedulerError(f"job {job_name!r} is not scheduled")
+        return entry
 
     def remove(self, job_name: str) -> None:
-        if job_name not in self._entries:
-            raise SchedulerError(f"job {job_name!r} is not scheduled")
+        self.entry(job_name)  # raises when it is not scheduled
         del self._entries[job_name]
 
     def scheduled_jobs(self) -> List[str]:
@@ -216,17 +177,7 @@ class Scheduler:
                 self.log.append(record)
                 executed.append(record)
                 entry.next_run = entry.schedule.next_run_after(tick)
-                if self.journal is not None:
-                    self.journal.append(("sched", {
-                        "minute": record.minute,
-                        "owner": record.owner,
-                        "job": record.job,
-                        "status": record.status,
-                        "error": record.error,
-                    }))
         self.now = target
-        if self.journal is not None and minutes:
-            self.journal.append(("clock", target))
         return executed
 
     def _run_due(self, entry: ScheduledJob,
@@ -271,13 +222,9 @@ class Scheduler:
 
     def unquarantine(self, job_name: str) -> None:
         """Readmit a quarantined job (resets its failure count)."""
-        entry = self._entries.get(job_name)
-        if entry is None:
-            raise SchedulerError(f"job {job_name!r} is not scheduled")
+        entry = self.entry(job_name)
         entry.quarantined = False
         entry.consecutive_failures = 0
-        if self.journal is not None:
-            self.journal.append(("unquarantine", job_name))
 
     def _fair_order(self, entries: List[ScheduledJob]) \
             -> List[ScheduledJob]:

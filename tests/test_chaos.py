@@ -97,10 +97,11 @@ def run_chaos_session(seed):
         "retry_log": [(channel, attempts) for channel, _mid, attempts
                       in platform.resources.bus.retry_log],
         "health": platform.health_report().to_dict(),
-        "journal": [
+        "run_history": [
             {key: entry[key] for key in ("tenant", "job",
                                          "rows_written")}
-            for entry in platform.integration._run_journal
+            for tenant in TENANTS
+            for entry in platform.integration.run_history(tenant)
         ],
     }
     platform.gateway.shutdown()
@@ -232,7 +233,7 @@ class TestQuarantineVisibility:
         report = platform.health_report()
         assert report.tenants["acme"].quarantined_jobs == ["doomed"]
         assert not report.healthy
-        # Skips are journalled ("reported, not dropped").
+        # Skips are recorded ("reported, not dropped").
         history = platform.integration.run_history("acme")
         assert any(entry.get("status") == "quarantined"
                    for entry in history)

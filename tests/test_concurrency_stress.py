@@ -572,7 +572,7 @@ class TestTenantStress:
         manager = TenantManager(TenancyMode.SHARED)
         for wid in range(N_WORKERS):
             manager.register(f"t{wid}", f"Tenant {wid}")
-        shared = manager.platform_db
+        shared = manager.context("t0").operational_db
         shared.execute(
             "CREATE TABLE orders (id INTEGER PRIMARY KEY, "
             "tenant TEXT, amount INTEGER)")

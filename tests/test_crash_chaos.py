@@ -10,6 +10,12 @@ acknowledged commit, never a resurrected aborted transaction.
 Everything is deterministic by seed: the same seed replays the same
 workload, the same WAL bytes and the same fingerprints, so a failure
 here is reproducible byte-for-byte.
+
+The same frames cover the platform database, where the platform keeps
+its own state: a scripted platform run is killed before each commit
+its platform database makes, and the recovered platform must hold the
+registry, run history, job postures, clock and dead letters of exactly
+the committed prefix.
 """
 
 import random
@@ -18,10 +24,12 @@ import threading
 
 import pytest
 
-from repro.core.resilience import FaultInjector
+from repro.core import OdbisPlatform
+from repro.core.resilience import FakeClock, FaultInjector
 from repro.engine.database import Database
 from repro.engine.wal import MAGIC, read_log
 from repro.errors import CrashPoint
+from repro.etl import CallableSource, RowsSource, Schedule
 
 pytestmark = pytest.mark.recovery
 
@@ -264,3 +272,159 @@ class TestConcurrentWorkloadRoundTrip:
         assert compiled.query(contents) == interpreted.query(contents)
         compiled.close()
         interpreted.close()
+
+
+def always_down():
+    raise OSError("upstream gone")
+
+
+def schedule_jobs(platform):
+    """Define and schedule acme's healthy and doomed jobs."""
+    integration = platform.integration
+    integration.define_job("acme", "tick", RowsSource([{"x": 1}]))
+    integration.schedule_job("acme", "tick", Schedule(every_minutes=10))
+    integration.define_job("acme", "doomed", CallableSource(always_down))
+    integration.schedule_job("acme", "doomed",
+                             Schedule(every_minutes=10))
+
+
+def platform_script(platform):
+    """Every kind of platform-state write, in a fixed order."""
+    platform.provisioning.provision("acme", "Acme", plan="team")
+    platform.provisioning.provision("globex", "Globex")
+    platform.provisioning.deprovision("globex")
+    schedule_jobs(platform)
+    integration = platform.integration
+    for _ in range(integration.QUARANTINE_AFTER + 1):
+        integration.advance_clock(10)
+    assert integration.quarantined_jobs("acme") == ["doomed"]
+    integration.unquarantine_job("acme", "doomed")
+    bus = platform.resources.bus
+    bus.create_channel("orders")
+
+    def broken(message):
+        raise RuntimeError("handler down")
+
+    bus.service_activator("orders", broken)
+    bus.send("orders", {"order": 1})
+
+
+def table_state(database):
+    """The platform state a platform database holds, read as rows."""
+    postures = {
+        row["job"]: (row["runs"], row["consecutive_failures"],
+                     row["quarantined"])
+        for row in database.query(
+            "SELECT job, runs, consecutive_failures, quarantined "
+            "FROM etl_jobs")}
+    return {
+        "registry": [tuple(row.values()) for row in database.query(
+            "SELECT tenant, display_name, plan, active "
+            "FROM platform_tenants ORDER BY tenant")],
+        "runs": [tuple(row.values()) for row in database.query(
+            "SELECT tenant, job, status, rows_written FROM etl_runs "
+            "ORDER BY tenant, id")],
+        "postures": {job: posture for job, posture in postures.items()
+                     if posture != (0, 0, False)},
+        "clock": database.query_value(
+            "SELECT MAX(minute) FROM etl_clock") or 0,
+        "dead_letters": database.query_value(
+            "SELECT COUNT(*) FROM esb_dead_letters"),
+    }
+
+
+def served_state(platform):
+    """The same state as a live or recovered platform serves it."""
+    tenants = platform.tenants
+    contexts = [tenants.context(tenant) for tenant in tenants.tenant_ids()]
+    postures = {}
+    if "acme" in tenants.tenant_ids():
+        if not platform.integration.jobs("acme"):
+            schedule_jobs(platform)
+        for name in platform.integration.scheduler.scheduled_jobs():
+            entry = platform.integration.scheduler.entry(name)
+            posture = (entry.runs, entry.consecutive_failures,
+                       entry.quarantined)
+            if posture != (0, 0, False):
+                postures[name] = posture
+    return {
+        "registry": [(context.tenant_id, context.display_name,
+                      context.plan, context.active)
+                     for context in contexts],
+        "runs": [(entry["tenant"], entry["job"], entry["status"],
+                  entry["rows_written"])
+                 for context in contexts
+                 for entry in platform.integration.run_history(
+                     context.tenant_id)],
+        "postures": postures,
+        "clock": platform.integration.scheduler.now,
+        "dead_letters": len(platform.resources.bus.dead_letters),
+    }
+
+
+class TestPlatformDatabaseCrashFrames:
+    """Kill a scripted platform run at every commit boundary of its
+    platform database's WAL; recovery yields the committed prefix."""
+
+    def build(self, directory):
+        return OdbisPlatform(data_dir=directory, fsync="off",
+                             clock=FakeClock())
+
+    def test_every_platform_commit_boundary_recovers_its_prefix(
+            self, tmp_path):
+        golden = self.build(tmp_path / "golden")
+        first = golden.tenants.platform_db.wal.commits
+        platform_script(golden)
+        wal = golden.tenants.platform_db.wal
+        assert table_state(golden.tenants.platform_db) \
+            == served_state(golden)
+        ends = list(wal.commit_offsets)
+        golden.close()
+        golden.gateway.shutdown()
+        log = (tmp_path / "golden" / "tenants" / "platform.wal") \
+            .read_bytes()
+        assert len(ends) - first >= 10
+
+        for survived in range(first, len(ends)):
+            prefix_dir = tmp_path / f"prefix-{survived}"
+            prefix_dir.mkdir()
+            (prefix_dir / "platform.wal").write_bytes(
+                log[:ends[survived - 1]])
+            prefix = Database.recover(prefix_dir, "platform", fsync="off")
+            expected = table_state(prefix)
+            prefix.close()
+
+            crash_dir = tmp_path / f"crash-{survived}"
+            platform = self.build(crash_dir)
+            wal = platform.tenants.platform_db.wal
+            commit = wal.commit
+
+            def crash_before_commit(ops, wal=wal, commit=commit,
+                                    faults=platform.faults,
+                                    survived=survived):
+                if wal.commits == survived:
+                    faults.crash_at("wal.append", wal.offset)
+                return commit(ops)
+
+            wal.commit = crash_before_commit
+            with pytest.raises(CrashPoint):
+                platform_script(platform)
+            parked = [message.message_id
+                      for message in platform.resources.bus.dead_letters]
+            platform.gateway.shutdown()
+
+            recovered = self.build(crash_dir)
+            try:
+                database = recovered.tenants.platform_db
+                assert table_state(database) == expected, survived
+                assert served_state(recovered) == expected, survived
+                assert [message.message_id for message
+                        in recovered.resources.bus.dead_letters] \
+                    == parked[:expected["dead_letters"]]
+                for tenant in recovered.tenants.tenant_ids():
+                    assert recovered.admin.accounts_of_tenant(
+                        tenant).count(f"admin@{tenant}") == 1
+            finally:
+                recovered.close()
+                recovered.gateway.shutdown()
+

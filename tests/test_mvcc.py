@@ -23,6 +23,7 @@ import threading
 import pytest
 
 from repro.engine import Database
+from repro.engine.storage import _visible
 from repro.engine.wal import WriteAheadLog
 
 pytestmark = pytest.mark.mvcc
@@ -267,6 +268,29 @@ class TestVersionGC:
         snapshot.close()
         assert snapshot.closed
         assert db.version_horizon() == db.committed_cn
+
+    def test_an_aborted_insert_stays_dead_for_a_reader_that_saw_it(self):
+        """A lock-free reader reads ``rows`` before ``_versions`` and
+        takes a row without a chain as settled, so a rollback plus a
+        collection landing between its two reads must leave the
+        aborted row a chain that shows nothing at the reader's
+        snapshot."""
+        db = make_db()
+        storage = db.storage("t")
+        with db.open_snapshot() as snapshot:
+            db.execute("BEGIN")
+            db.execute("INSERT INTO t VALUES (7, 'ghost')")
+            rowid = next(reversed(storage.rows))
+            assert storage.rows.get(rowid) is not None  # first read
+            db.execute("ROLLBACK")
+            db.vacuum()
+            chain = storage._versions.get(rowid)  # second read
+            assert chain is not None
+            assert _visible(chain, snapshot.cn) is None
+        db.vacuum()
+        assert len(storage._versions) == 0
+        assert rows_of(db) == [
+            (1, "v1"), (2, "v2"), (3, "v3"), (4, "v4"), (5, "v5")]
 
     def test_checkpoint_runs_version_gc(self, tmp_path):
         db = Database.recover(tmp_path, "main", fsync="off")

@@ -490,7 +490,7 @@ def test_metered_reads_write_one_row_per_key():
             "POST", "/login", body={"username": f"admin@{tenant}",
                                     "password": "changeme"})
         headers[tenant] = {"x-auth-token": login.json()["token"]}
-    platform.tenants.platform_db.execute(
+    platform.tenants.context("acme").operational_db.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY)")
     written = platform.billing.database
 

@@ -1,12 +1,13 @@
 """Platform-wide crash recovery: the data-directory mode.
 
 An :class:`OdbisPlatform` built with ``data_dir=`` persists every
-tenant database through a WAL and every platform-state stream (tenant
-registry, ETL scheduler, ESB dead letters) through a journal.
-Constructing a second platform over the same directory *is* crash
-recovery — these tests kill platforms (politely and mid-write) and
-assert the successor serves the same tenants, data, views, quarantine
-postures and dead letters.
+database through a WAL, its own platform database included, and keeps
+its platform state (tenant registry, ETL run history, scheduler posture
+and clock, ESB dead letters) as tables there.  Constructing a second
+platform over the same directory *is* crash recovery — these tests
+kill platforms (politely and mid-write) and assert the successor
+serves the same tenants, data, views, quarantine postures and dead
+letters.
 
 Also hosts the gateway stale-cache LRU tests (satellite b): the
 degraded-serving cache is bounded, evicts least-recently-used, and a
@@ -17,7 +18,9 @@ import pytest
 
 from repro.core import OdbisPlatform, RequestGateway, TenancyMode
 from repro.core.gateway import DEFAULT_STALE_CACHE_CAPACITY
+from repro.core.integration_service import RUN_HISTORY_PER_JOB
 from repro.core.tenancy import TenantManager
+from repro.errors import TenantError
 from repro.etl import CallableSource, RowsSource, Schedule
 from repro.web import JsonResponse, WebApplication
 
@@ -85,7 +88,7 @@ def populate(platform):
 
 def redefine_jobs(platform):
     """Re-register the job *code* after a restart (callables cannot be
-    journaled); recovered scheduler state re-attaches by name."""
+    stored); recovered scheduler state re-attaches by name."""
     integration = platform.integration
     integration.define_job(TENANT, "tick", RowsSource([{"x": 1}]),
                            target_table="ticks")
@@ -190,7 +193,7 @@ class TestPlatformRoundTrip:
     def test_repeated_restarts_are_stable(self, tmp_path):
         """Recovery replay must be idempotent: three generations of
         the same platform converge, never duplicating defaults,
-        datasources, accounts or journal records."""
+        datasources, accounts or registry rows."""
         first = build_platform(tmp_path)
         facts = populate(first)
         first.close()
@@ -207,6 +210,76 @@ class TestPlatformRoundTrip:
             assert accounts.count(f"admin@{TENANT}") == 1
             platform.close()
             platform.gateway.shutdown()
+
+
+class TestPlatformStateTables:
+    def test_deactivation_survives_a_restart(self, tmp_path):
+        first = build_platform(tmp_path)
+        first.provisioning.provision(TENANT, "Acme Corp", plan="team")
+        first.provisioning.provision("globex", "Globex")
+        first.provisioning.deprovision("globex")
+        first.close()
+        first.gateway.shutdown()
+
+        second = build_platform(tmp_path)
+        try:
+            second.tenants.require_active(TENANT)
+            with pytest.raises(TenantError):
+                second.tenants.require_active("globex")
+        finally:
+            second.close()
+            second.gateway.shutdown()
+
+    def test_dead_letters_round_trip_exactly(self, tmp_path):
+        first = build_platform(tmp_path)
+        first.provisioning.provision(TENANT, "Acme Corp", plan="team")
+        bus = first.resources.bus
+
+        def broken(message):
+            raise RuntimeError("subscriber down")
+
+        bus.service_activator("platform-events", broken)
+        first.resources.publish_event(TENANT, "etl-run", "tick: 1 rows")
+        parked = [(message.message_id, message.payload, message.headers)
+                  for message in bus.dead_letters]
+        first.close()
+        first.gateway.shutdown()
+
+        second = build_platform(tmp_path)
+        try:
+            assert parked and [
+                (message.message_id, message.payload, message.headers)
+                for message in second.resources.bus.dead_letters] \
+                == parked
+        finally:
+            second.close()
+            second.gateway.shutdown()
+
+    def test_a_restart_replays_state_not_ticks(self, tmp_path):
+        first = build_platform(tmp_path)
+        first.provisioning.provision(TENANT, "Acme Corp", plan="team")
+        integration = first.integration
+        integration.define_job(TENANT, "tick", RowsSource([]))
+        integration.schedule_job(TENANT, "tick",
+                                 Schedule(every_minutes=1))
+        for _ in range(10_000):
+            integration.advance_clock(1)
+        first.checkpoint()
+        first.close()
+        first.gateway.shutdown()
+
+        second = build_platform(tmp_path)
+        try:
+            database = second.tenants.platform_db
+            assert database.recovery_info["transactions_replayed"] == 0
+            assert database.query_value(
+                "SELECT COUNT(*) FROM etl_runs WHERE job = 'tick'") \
+                <= RUN_HISTORY_PER_JOB
+            assert second.integration.scheduler.now == 10_000
+            assert not list(tmp_path.rglob("*.journal"))
+        finally:
+            second.close()
+            second.gateway.shutdown()
 
 
 class TestTornPlatformLogs:
