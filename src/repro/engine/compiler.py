@@ -9,11 +9,11 @@ a Python closure ``fn(row, params) -> value`` where ``row`` is a flat
 tuple of column values.
 
 Compilation is strict: unknown or ambiguous column references raise
-:class:`~repro.errors.EngineError` immediately.  The planner catches
-those errors and falls back to the interpreted executor, which then
-reproduces the exact runtime behaviour (including the "no rows, no
-error" cases), so compiled and interpreted execution stay observably
-identical.
+:class:`~repro.errors.EngineError` immediately, with the text the
+interpreter raises when it meets the same reference in a row.  Those
+errors are the statement's errors: nothing falls back to the
+interpreter.  Only over zero rows do the two paths differ, where the
+interpreter, which never evaluates the reference, returns no rows.
 """
 
 from __future__ import annotations
@@ -54,7 +54,9 @@ class SlotMap:
     Sources are appended in FROM-clause order; each contributes one slot
     per column.  Qualified names (``alias.column``) from a later source
     shadow earlier ones (mirroring context-merge semantics), unqualified
-    names that appear in more than one source become ambiguous.
+    names that appear in more than one source become ambiguous.  Within
+    one source (a view may repeat an output name) the later column
+    shadows the earlier, as the interpreter's row dict does.
     """
 
     def __init__(self) -> None:
@@ -74,7 +76,7 @@ class SlotMap:
             self.slots[f"{alias_key}.{name}"] = start + offset
             if name in self.ambiguous:
                 continue
-            if name in self._unqualified:
+            if name in self._unqualified and self.slots[name] < start:
                 # Bare name claimed by an earlier source: ambiguous.
                 self.ambiguous.add(name)
                 self.slots.pop(name, None)
@@ -109,9 +111,9 @@ class Scope:
     result keys to appended slots (grouped execution); ``alias_slots``
     maps projected output names to slots appended after everything else
     (ORDER BY may reference output aliases).  ``touched_source_slots``
-    records which source slots any compiled expression read — the plan
-    uses it to reproduce the interpreter's behaviour for aggregate
-    queries over zero rows.
+    records which source slots any compiled expression read — the
+    planner uses it to tell which side of a join an equality's operands
+    read, and so whether it can be a hash-join key.
     """
 
     def __init__(self, slots: SlotMap,

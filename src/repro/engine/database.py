@@ -455,14 +455,12 @@ class Database:
             self._plan_cache.clear()
 
     def plan_for(self, statement: Any):
-        """The cached ``(plan, reason)`` pair for one parsed SELECT,
-        UPDATE or DELETE.
+        """The cached plan of one parsed SELECT, UPDATE or DELETE.
 
         A SELECT plans to a :class:`~repro.engine.planner.SelectPlan`;
         an UPDATE or DELETE to the scan node that chooses its target
-        rows (:func:`~repro.engine.planner.plan_dml`).  ``plan`` is
-        None when the statement must run interpreted, in which case
-        ``reason`` says why.
+        rows (:func:`~repro.engine.planner.plan_dml`).  Planning raises
+        the statement's name and aggregate errors.
         """
         key = id(statement)
         with self._state_lock:
@@ -474,28 +472,29 @@ class Database:
             from repro.engine import planner
 
             if isinstance(statement, SelectStatement):
-                plan, reason = planner.plan_select(self, statement)
+                plan = planner.plan_select(self, statement)
             else:
-                plan, reason = planner.plan_dml(self, statement)
-            fresh = (statement, plan, reason)
+                plan = planner.plan_dml(self, statement)
+            fresh = (statement, plan)
             with self._state_lock:
                 if self._plan_generation != generation:
                     # DDL invalidated the cache while we planned; the
                     # plan may reference dropped schema state, so hand
                     # it to the caller but do not cache it.
-                    return plan, reason
+                    return plan
                 entry = self._plan_cache.setdefault(key, fresh)
                 if len(self._plan_cache) > STATEMENT_CACHE_CAPACITY:
                     # Plans of sub-statements (UNION parts, view and
                     # CTAS bodies) have no statement-cache entry to be
                     # evicted with, so the bound is enforced here too.
                     self._plan_cache.popitem(last=False)
-        return entry[1], entry[2]
+        return entry[1]
 
     def _run_select(self, statement: SelectStatement,
                     params: Sequence[Any],
                     snapshot: Optional[Snapshot] = None) -> ResultSet:
-        """Execute one SELECT: compiled when possible, else interpreted.
+        """Execute one SELECT: its compiled plan, or the interpreter
+        under ``compile=False``.
 
         ``snapshot`` pins every scan to one commit number; None means
         the live read path (inside a transaction, under the exclusive
@@ -503,13 +502,12 @@ class Database:
         snapshot is a per-execution argument, and the plan cache's
         invalidation generation only moves on DDL.
         """
-        if self._compile_enabled:
-            plan, _reason = self.plan_for(statement)
-            if plan is not None:
-                if snapshot is not None and plan.cacheable:
-                    return self._run_reusable(plan, params, snapshot)
-                return plan.execute(params, snapshot)
-        return self._executor.execute_select(statement, params, snapshot)
+        if not self._compile_enabled:
+            return self._executor.execute_select(statement, params, snapshot)
+        plan = self.plan_for(statement)
+        if snapshot is not None and plan.cacheable:
+            return self._run_reusable(plan, params, snapshot)
+        return plan.execute(params, snapshot)
 
     def _run_reusable(self, plan, params: Sequence[Any],
                       snapshot: Snapshot) -> ResultSet:
@@ -595,9 +593,7 @@ class Database:
         return ResultSet(["plan"], [(line,) for line in lines])
 
     def _plan_lines(self, statement: SelectStatement) -> List[str]:
-        plan, reason = self.plan_for(statement)
-        if plan is None:
-            return [f"interpreted execution: {reason}"]
+        plan = self.plan_for(statement)
         lines = plan.explain_lines()
         if self._compile_enabled and plan.cacheable:
             tables = ", ".join(scan.table for scan in plan.scans)
@@ -875,7 +871,7 @@ class Database:
                 storage.attach_monitor(database._storage_monitor)
         database.views.update(payload.get("views", {}))
         for select in database.views.values():
-            database._executor.execute_select(select, ())
+            database._run_select(select, ())
         database.statistics.update(payload.get("statistics", {}))
         database._snapshot_wal_number = \
             payload.get("wal_commit_number") or 0
@@ -1032,7 +1028,7 @@ class Database:
         finally:
             database._suppress_redo = False
         for select in database.views.values():
-            database._executor.execute_select(select, ())
+            database._run_select(select, ())
         discarded = 0
         if wal_path.exists():
             # Keep exactly the committed prefix: behind it may sit an

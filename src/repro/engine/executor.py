@@ -1,13 +1,18 @@
 """Iterator-model execution of parsed SQL statements.
 
-The executor walks the statement AST produced by :mod:`repro.engine.parser`
-and runs it against the table storages.  Joins are left-deep; equality
-joins are executed as hash joins, everything else as nested loops.
-Every table is full-scanned: index access paths belong to the planner
-(:mod:`repro.engine.planner`), and this module is the reference the
-compiled plans are compared against.  UPDATE and DELETE take their
-target rows from the planner too, unless the database was built with
-``compile=False``.
+The executor dispatches every statement the parser produces: DDL, DML
+and UNION here, each SELECT to ``Database._run_select``.  Under
+``compile=True`` that runs the compiled plan (:mod:`repro.engine.planner`),
+which is also how UPDATE and DELETE choose their target rows.
+
+:meth:`Executor.execute_select` is the interpreter, which runs SELECTs
+only under ``Database(compile=False)``: the reference the compiled
+plans are compared against.  It walks the AST and evaluates each
+expression per row against a dict context, resolving names as it
+meets them.  Joins are left-deep; equality joins are hash joins,
+everything else nested loops (a nested loop would make a 4 000 × 200
+star join 800 000 pairs).  Every table is full-scanned: index access
+paths belong to the planner.
 """
 
 from __future__ import annotations
@@ -141,8 +146,7 @@ class _Source:
     def null_context(self) -> Dict[str, Any]:
         values: Dict[str, Any] = {"__rowid_" + self.alias.lower(): None}
         alias = self.alias.lower()
-        for column in self.schema.columns:
-            name = column.name.lower()
+        for name in self.schema.lower_names:
             values[f"{alias}.{name}"] = None
             values[name] = None
         return values
@@ -161,31 +165,27 @@ def _merge_contexts(left: Dict[str, Any],
     return merged
 
 
-class _PseudoColumn:
-    """Column stand-in for view outputs (star expansion only)."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-class _ViewSource:
+class _ViewSource(_Source):
     """A FROM-clause source backed by a view's materialized output."""
 
-    def __init__(self, alias: str, column_names):
-        self.alias = alias
-        self.schema = _PseudoSchema(column_names)
+    def __init__(self, alias: str, result: ResultSet):
+        super().__init__(alias, _PseudoSchema(result.columns), None)
+        self._rows = result.rows
+
+    def contexts(self) -> Iterable[Dict[str, Any]]:
+        for row in self._rows:
+            yield self.row_context(None, row)
 
 
 class _PseudoSchema:
-    def __init__(self, column_names):
-        self.columns = [_PseudoColumn(name) for name in column_names]
+    """A view's output columns, as much of a schema as a source reads."""
+
+    def __init__(self, column_names: List[str]):
+        self.column_names = column_names
+        self.lower_names = [name.lower() for name in column_names]
 
     def has_column(self, name: str) -> bool:
-        target = name.lower()
-        return any(column.name.lower() == target
-                   for column in self.columns)
+        return name.lower() in self.lower_names
 
 
 class _RowContext(EvalContext):
@@ -211,7 +211,7 @@ class Executor:
 
     def execute(self, statement, params: Sequence[Any]) -> Any:
         if isinstance(statement, SelectStatement):
-            # Compiled plan when available, interpreted otherwise.
+            # The compiled plan, or the interpreter under compile=False.
             return self._db._run_select(statement, params)
         if isinstance(statement, CompoundSelect):
             return self.execute_compound(statement, params)
@@ -330,7 +330,7 @@ class Executor:
                 f"a table named {statement.name!r} already exists")
         # Validate the defining query eagerly so broken views fail at
         # creation, not first use.
-        self.execute_select(statement.select, ())
+        self._db._run_select(statement.select, ())
         self._db.views[key] = statement.select
         self._db.record_redo(("create_view", key, statement.select))
         self._db.invalidate_plans()
@@ -384,13 +384,10 @@ class Executor:
         Compiled, the planner's scan node chooses them — an index
         point/prefix scan when the WHERE equates indexed columns with
         constants — and applies the compiled WHERE.  ``compile=False``
-        (or a WHERE the compiler rejects) evaluates it row by row over
-        a full scan: the reference.
+        evaluates it row by row over a full scan: the reference.
         """
         if self._db._compile_enabled:
-            plan, _reason = self._db.plan_for(statement)
-            if plan is not None:
-                return plan.live_targets(params)
+            return self._db.plan_for(statement).live_targets(params)
         where = statement.where
         return (
             (rowid, row) for rowid, row in list(source.storage.scan())
@@ -462,7 +459,7 @@ class Executor:
         grouped = bool(statement.group_by) or bool(aggregates)
         if grouped:
             contexts = self._group(
-                contexts, statement.group_by, aggregates, params)
+                contexts, statement.group_by, aggregates, params, sources)
             if statement.having is not None:
                 contexts = [
                     values for values in contexts
@@ -545,44 +542,27 @@ class Executor:
 
     # -- FROM / joins ----------------------------------------------------------------
 
-    def _resolve(self, ref: TableRef, snapshot=None) -> Optional[_Source]:
+    def _resolve(self, ref: TableRef, params: Sequence[Any],
+                 snapshot=None) -> _Source:
+        """A table, or a view whose defining SELECT runs once here."""
+        select = self._db.views.get(ref.name.lower())
+        if select is not None:
+            return _ViewSource(
+                ref.alias, self._db._run_select(select, params, snapshot))
         storage = self._db.storage(ref.name)
         return _Source(ref.alias, storage.schema, storage, snapshot)
-
-    def _view_materialize(self, ref: TableRef, params: Sequence[Any],
-                          snapshot=None) \
-            -> Tuple["_ViewSource", List[Dict[str, Any]]]:
-        """Run a view's defining SELECT once; source + row contexts."""
-        select = self._db.views[ref.name.lower()]
-        result = self._db._run_select(select, params, snapshot)
-        alias = ref.alias.lower()
-        keys = [(f"{alias}.{column.lower()}", column.lower())
-                for column in result.columns]
-        contexts: List[Dict[str, Any]] = []
-        for row in result.rows:
-            values: Dict[str, Any] = {}
-            for (qualified, name), value in zip(keys, row):
-                values[qualified] = value
-                values[name] = value
-            contexts.append(values)
-        return _ViewSource(ref.alias, result.columns), contexts
 
     def _from_contexts(self, node, sources: List[_Source],
                        params: Sequence[Any],
                        snapshot=None) -> Iterable[Dict[str, Any]]:
         if isinstance(node, TableRef):
-            if node.name.lower() in self._db.views:
-                view_source, contexts = self._view_materialize(
-                    node, params, snapshot)
-                sources.append(view_source)
-                return contexts
-            source = self._resolve(node, snapshot)
+            source = self._resolve(node, params, snapshot)
             sources.append(source)
             return source.contexts()
         if isinstance(node, Join):
             left_contexts = list(
                 self._from_contexts(node.left, sources, params, snapshot))
-            right_source = self._resolve(node.right, snapshot)
+            right_source = self._resolve(node.right, params, snapshot)
             sources.append(right_source)
             return self._join(
                 left_contexts, right_source, node.kind, node.condition, params)
@@ -667,7 +647,10 @@ class Executor:
     def _group(self, contexts: List[Dict[str, Any]],
                group_by: List[Expression],
                aggregates: List[AggregateCall],
-               params: Sequence[Any]) -> List[Dict[str, Any]]:
+               params: Sequence[Any],
+               sources: List[_Source]) -> List[Dict[str, Any]]:
+        """One context per group: its first member's, or for an empty
+        lone group its sources' null row, plus the aggregate values."""
         groups: Dict[tuple, List[Dict[str, Any]]] = {}
         order: List[tuple] = []
         if group_by:
@@ -691,7 +674,13 @@ class Executor:
         result: List[Dict[str, Any]] = []
         for key in order:
             members = groups[key]
-            representative = dict(members[0]) if members else {}
+            if members:
+                representative = dict(members[0])
+            else:
+                representative = {}
+                for source in sources:
+                    representative = _merge_contexts(
+                        representative, source.null_context())
             member_contexts = [_RowContext(m, params) for m in members]
             for slot, aggregate in unique_aggregates.items():
                 representative[slot] = aggregate.compute(member_contexts)
@@ -716,9 +705,9 @@ class Executor:
                 if qualifier is not None \
                         and source.alias.lower() != qualifier:
                     continue
-                for column in source.schema.columns:
-                    ref = ColumnRef(f"{source.alias}.{column.name}")
-                    expanded.append(SelectItem(ref, column.name))
+                for name in source.schema.column_names:
+                    ref = ColumnRef(f"{source.alias}.{name}")
+                    expanded.append(SelectItem(ref, name))
         return expanded
 
     def _output_name(self, item: SelectItem, index: int) -> str:

@@ -11,13 +11,18 @@ SELECT it produces a :class:`SelectPlan` that
 * pushes single-source WHERE conjuncts below joins (never onto the
   null-supplying side of a LEFT join),
 * detects multi-key equi-joins and picks the hash-join build side by
-  estimated cardinality, and
+  estimated cardinality,
+* reads a view in FROM, on either side of a join, as a source whose
+  rows are its body run through ``Database._run_select``, and
 * renders itself as an ``EXPLAIN`` result set.
 
-Anything the planner cannot prove it can compile faithfully — view
-sources, unresolvable references, exotic shapes — returns ``(None,
-reason)`` and the caller falls back to the interpreted executor, so
-compiled and interpreted execution always agree.
+Under ``Database(compile=True)`` the plan is the only way a SELECT
+runs.  Name and aggregate errors (unknown or ambiguous columns, an ON
+clause naming a table joined later, an aggregate outside a grouped
+query) raise here, at plan time, with the interpreter's error text.
+The interpreter resolves names per row instead, so over zero rows it
+returns no rows where planning raises: the one divergence between the
+two paths, and it applies only to invalid SQL.
 
 UPDATE and DELETE choose their target rows through the same scan node
 and index chooser (:func:`plan_dml`).
@@ -77,14 +82,6 @@ RESULT_CACHE_MAX_ROWS = 1024
 #: one ``sum`` over both batches would: true before Python 3.12, whose
 #: ``sum`` compensates float rounding within a call.
 _FLOAT_SUMS_RESUME = sys.version_info < (3, 12)
-
-
-class Unplannable(Exception):
-    """Internal signal: this statement must run interpreted."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 # -- predicate rendering (EXPLAIN) --------------------------------------------
@@ -182,7 +179,7 @@ class ScanNode:
         # Locally-compiled pushed predicates (slot 0 = first own column).
         self.filters: List[Tuple[CompiledExpr, str]] = []
         self._filter_fns: Optional[List[CompiledExpr]] = None
-        self.est_rows = len(storage)
+        self.est_rows = 0 if storage is None else len(storage)
 
     # -- execution ---------------------------------------------------------
 
@@ -229,22 +226,7 @@ class ScanNode:
         (joins, group representatives) builds fresh lists, so storage
         is never aliased by anything that outlives execution.
         """
-        if rowids is None and self.index is not None:
-            rowids = self._probe(params)
-        if rowids is not None:
-            if snapshot is None:
-                table_rows = self.storage.rows
-                fetched = [table_rows.get(rowid) for rowid in rowids]
-            else:
-                cn = snapshot.cn
-                visible = self.storage.visible_row
-                fetched = [visible(rowid, cn) for rowid in rowids]
-            candidates = [row for row in fetched if row is not None]
-        elif snapshot is None:
-            candidates = list(self.storage.rows.values())
-        else:
-            candidates = [row for _rowid, row
-                          in self.storage.snapshot_rows(snapshot.cn)]
+        candidates = self._candidates(params, snapshot, rowids)
         fns = self._filter_fns
         if fns is None:
             # Lazily frozen: ON-clause pushes land after construction.
@@ -268,6 +250,25 @@ class ScanNode:
             else:
                 out.append(row)
         return out
+
+    def _candidates(self, params: Sequence[Any], snapshot,
+                    rowids: Optional[Sequence[int]]) -> List[list]:
+        """The rows :meth:`rows` filters."""
+        if rowids is None and self.index is not None:
+            rowids = self._probe(params)
+        if rowids is not None:
+            if snapshot is None:
+                table_rows = self.storage.rows
+                fetched = [table_rows.get(rowid) for rowid in rowids]
+            else:
+                cn = snapshot.cn
+                visible = self.storage.visible_row
+                fetched = [visible(rowid, cn) for rowid in rowids]
+            return [row for row in fetched if row is not None]
+        if snapshot is None:
+            return list(self.storage.rows.values())
+        return [row for _rowid, row
+                in self.storage.snapshot_rows(snapshot.cn)]
 
     def live_targets(self, params: Sequence[Any]) \
             -> Iterator[Tuple[int, list]]:
@@ -344,6 +345,29 @@ class ScanNode:
         for _fn, text in self.filters:
             lines.append(f"  filter [pushed]: {text}")
         return lines
+
+
+class ViewScanNode(ScanNode):
+    """A view in FROM: the rows of its body, run through
+    ``Database._run_select`` at the reader's snapshot (the live rows
+    inside a transaction), then the pushed filters.  It has no index
+    and no commit stamps; the body's own plan reuses and folds."""
+
+    def __init__(self, alias: str, name: str, database,
+                 body_plan: SelectPlan):
+        super().__init__(alias, name, None, len(body_plan.columns))
+        self.database = database
+        self.body = body_plan.statement
+        self.est_rows = body_plan.scans[0].est_scan_rows() \
+            if body_plan.scans else 1
+
+    def _candidates(self, params: Sequence[Any], snapshot,
+                    rowids: Optional[Sequence[int]]) -> List[list]:
+        result = self.database._run_select(self.body, params, snapshot)
+        return [list(row) for row in result.rows]
+
+    def describe(self) -> str:
+        return f"view scan (~{self.est_rows} rows)"
 
 
 class JoinNode:
@@ -636,8 +660,7 @@ class CompiledAggregate:
 class SelectPlan:
     """A fully compiled SELECT, ready to execute against live storages."""
 
-    def __init__(self, database, statement: SelectStatement):
-        self.database = database
+    def __init__(self, statement: SelectStatement):
         self.statement = statement
         self.columns: List[str] = []
         self.no_from = statement.from_clause is None
@@ -650,7 +673,6 @@ class SelectPlan:
         self.aggregates: List[CompiledAggregate] = []
         self.having_fn: Optional[CompiledExpr] = None
         self.having_text = ""
-        self.empty_group_fallback = False
         self.source_width = 0
         self.item_fns: List[CompiledExpr] = []
         # When every item is a plain slot read, projection collapses to
@@ -683,7 +705,8 @@ class SelectPlan:
         """Whether a result of this plan may be remembered: it
         aggregates (output small relative to input) and every source is
         a base table, whose commit stamps say when it last changed."""
-        return self.grouped and bool(self.scans)
+        return self.grouped and bool(self.scans) and not any(
+            isinstance(scan, ViewScanNode) for scan in self.scans)
 
     def stamps(self) -> Tuple[int, ...]:
         """The commit number each scanned table was last stamped with."""
@@ -771,11 +794,7 @@ class SelectPlan:
         if not self.grouped:
             return self._project(rows, params), None
         groups = self._fold(rows, params, groups)
-        ext_rows = self._final(groups, params)
-        if ext_rows is None:  # zero-row edge: interpreted raises here
-            return self.database._executor.execute_select(
-                self.statement, params, snapshot), groups
-        return self._project(ext_rows, params), groups
+        return self._project(self._final(groups, params), params), groups
 
     def _project(self, rows: List[list], params: Sequence[Any]):
         """Projection, DISTINCT, ORDER BY and OFFSET/LIMIT."""
@@ -879,15 +898,10 @@ class SelectPlan:
         return folded
 
     def _final(self, groups: Dict[Any, list],
-               params: Sequence[Any]) -> Optional[List[list]]:
+               params: Sequence[Any]) -> List[list]:
         """One row per group — representative plus aggregate values —
-        that passes HAVING; None for the interpreter's zero-row edge."""
-        if not self.group_key_fns and self.empty_group_fallback \
-                and groups[()][0] is None:
-            # The interpreter raises "unknown column" when the lone
-            # group is empty and an output expression reads a source
-            # column; delegate so the error matches exactly.
-            return None
+        that passes HAVING.  An empty lone group's representative is
+        its sources' null row."""
         null_rep = [None] * self.source_width
         aggregates = self.aggregates
         ext_rows: List[list] = []
@@ -939,63 +953,35 @@ class SelectPlan:
 
 # -- the planner ----------------------------------------------------------------
 
-def plan_select(database, statement: SelectStatement) \
-        -> Tuple[Optional[SelectPlan], Optional[str]]:
-    """Plan one SELECT; ``(None, reason)`` means run interpreted."""
-    try:
-        return _build_plan(database, statement), None
-    except Unplannable as exc:
-        return None, exc.reason
-    except EngineError as exc:
-        # Compilation errors (unknown/ambiguous columns, bad aggregates)
-        # fall back so the interpreter raises — or silently succeeds on
-        # zero rows — exactly as before.
-        return None, str(exc)
-
-
-def plan_dml(database, statement) \
-        -> Tuple[Optional[ScanNode], Optional[str]]:
+def plan_dml(database, statement) -> ScanNode:
     """Plan how an UPDATE or DELETE chooses its target rows: the scan
     node SELECT would build for the same WHERE — index point, prefix or
     range scan from its conjuncts — with the whole WHERE compiled
     as the one filter, so it is evaluated as the interpreter does,
-    both sides of every AND included.  ``(None, reason)`` means the
-    statement runs interpreted."""
-    try:
-        storage = database.storage(statement.table)
-        scan = ScanNode(statement.table, statement.table, storage,
-                        len(storage.schema.columns))
-        if statement.where is not None:
-            slots = SlotMap()
-            slots.add_source(statement.table,
-                             storage.schema.column_names)
-            scan.filters.append((
-                compile_expression(statement.where, Scope(slots)),
-                predicate_text(statement.where)))
-            _index_for_scan(scan, storage.schema,
-                            split_conjuncts(statement.where))
-    except EngineError as exc:
-        return None, str(exc)
-    return scan, None
+    both sides of every AND included."""
+    storage = database.storage(statement.table)
+    scan = ScanNode(statement.table, statement.table, storage,
+                    len(storage.schema.columns))
+    if statement.where is not None:
+        slots = SlotMap()
+        slots.add_source(statement.table, storage.schema.column_names)
+        scan.filters.append((
+            compile_expression(statement.where, Scope(slots)),
+            predicate_text(statement.where)))
+        _index_for_scan(scan, storage.schema,
+                        split_conjuncts(statement.where))
+    return scan
 
 
-def _flatten_from(database, node) \
+def _flatten_from(node) \
         -> Tuple[List[TableRef], List[Tuple[str, Optional[Expression]]]]:
     """Left-deep FROM tree -> ordered table refs + join (kind, cond)."""
-    if isinstance(node, TableRef):
-        if node.name.lower() in database.views:
-            raise Unplannable(f"view source {node.name!r}")
-        return [node], []
     if isinstance(node, Join):
-        refs, joins = _flatten_from(database, node.left)
-        if not isinstance(node.right, TableRef):  # pragma: no cover
-            raise Unplannable("non-table join operand")
-        if node.right.name.lower() in database.views:
-            raise Unplannable(f"view source {node.right.name!r}")
+        refs, joins = _flatten_from(node.left)
         refs.append(node.right)
         joins.append((node.kind, node.condition))
         return refs, joins
-    raise Unplannable(f"unsupported FROM node {type(node).__name__}")
+    return [node], []
 
 
 def _expand_stars(items: List[SelectItem],
@@ -1006,7 +992,7 @@ def _expand_stars(items: List[SelectItem],
             expanded.append(item)
             continue
         if not sources:
-            raise Unplannable("SELECT * without FROM")
+            raise EngineError("SELECT * requires a FROM clause")
         qualifier = None
         if item.alias and item.alias.endswith(".*"):
             qualifier = item.alias[:-2].lower()
@@ -1115,23 +1101,30 @@ def _index_for_scan(scan: ScanNode, schema,
     scan.key_text = ", ".join(texts)
 
 
-def _build_plan(database, statement: SelectStatement) -> SelectPlan:
-    plan = SelectPlan(database, statement)
+def plan_select(database, statement: SelectStatement) -> SelectPlan:
+    """Plan one SELECT; raises its name and aggregate errors."""
+    plan = SelectPlan(statement)
 
     # -- sources and slots -------------------------------------------------
     slots = SlotMap()
-    source_schemas = []
+    sources: List[Tuple[str, List[str]]] = []  # (alias, column names)
+    refs, joins = [], []
     if statement.from_clause is not None:
-        refs, joins = _flatten_from(database, statement.from_clause)
-        for ref in refs:
+        refs, joins = _flatten_from(statement.from_clause)
+    for ref in refs:
+        body = database.views.get(ref.name.lower())
+        if body is not None:
+            body_plan = database.plan_for(body)
+            scan: ScanNode = ViewScanNode(ref.alias, ref.name, database,
+                                          body_plan)
+            columns = body_plan.columns
+        else:
             storage = database.storage(ref.name)
-            slots.add_source(ref.alias, storage.schema.column_names)
-            source_schemas.append(storage.schema)
-            plan.scans.append(ScanNode(
-                ref.alias, ref.name, storage,
-                len(storage.schema.columns)))
-    else:
-        refs, joins = [], []
+            columns = storage.schema.column_names
+            scan = ScanNode(ref.alias, ref.name, storage, len(columns))
+        slots.add_source(ref.alias, columns)
+        sources.append((ref.alias, columns))
+        plan.scans.append(scan)
     plan.source_width = slots.width
 
     # Which sources sit on the null-supplying side of a LEFT join?
@@ -1159,34 +1152,38 @@ def _build_plan(database, statement: SelectStatement) -> SelectPlan:
     local_scopes = []
     for position, scan in enumerate(plan.scans):
         local_slots = SlotMap()
-        local_slots.add_source(
-            scan.alias, source_schemas[position].column_names)
+        local_slots.add_source(*sources[position])
         local_scope = Scope(local_slots)
         local_scopes.append(local_scope)
         for conjunct in pushed_raw[position]:
             scan.filters.append((
                 compile_expression(conjunct, local_scope),
                 predicate_text(conjunct)))
-        _index_for_scan(scan, source_schemas[position],
-                        pushed_raw[position])
+        if scan.storage is not None:  # a view has no index
+            _index_for_scan(scan, scan.storage.schema,
+                            pushed_raw[position])
 
     # -- joins -------------------------------------------------------------
+    # An ON clause sees only the sources joined so far, so a reference
+    # to a later table is an unknown column, as in the interpreter.
+    joined = SlotMap()
+    if sources:
+        joined.add_source(*sources[0])
     est_rows = plan.scans[0].est_scan_rows() if plan.scans else 1
     for position, (kind, condition) in enumerate(joins):
         right_scan = plan.scans[position + 1]
-        right_start, right_width = (
-            slots.sources[position + 1][1], right_scan.width)
+        right_start = joined.add_source(*sources[position + 1])
         join = JoinNode(kind, right_scan, right_start)
         join.est_left = est_rows
         residual_parts: List[Expression] = []
         key_texts: List[str] = []
         for conjunct in split_conjuncts(condition):
-            if _try_hash_key(conjunct, join, slots, local_scopes,
-                             position, right_start, right_width):
+            if _try_hash_key(conjunct, join, joined,
+                             local_scopes[position + 1], right_start):
                 key_texts.append(predicate_text(conjunct))
                 continue
             if kind in ("INNER", "CROSS"):
-                owners = _conjunct_source(conjunct, slots)
+                owners = _conjunct_source(conjunct, joined)
                 if owners == {position + 1}:
                     # INNER ON-filter over the new source only: push
                     # into its scan (ON == WHERE for inner joins).
@@ -1197,14 +1194,9 @@ def _build_plan(database, statement: SelectStatement) -> SelectPlan:
                     continue
             residual_parts.append(conjunct)
         if residual_parts:
-            checked = Scope(slots)
-            fns = [compile_expression(part, checked)
+            on_scope = Scope(joined)
+            fns = [compile_expression(part, on_scope)
                    for part in residual_parts]
-            if checked.touched_source_slots and max(
-                    checked.touched_source_slots) \
-                    >= right_start + right_width:
-                raise Unplannable(
-                    "join condition references a later table")
 
             def combined(row, params, fns=fns):
                 result: Any = True
@@ -1219,21 +1211,13 @@ def _build_plan(database, statement: SelectStatement) -> SelectPlan:
             join.condition_text = " AND ".join(
                 predicate_text(part) for part in residual_parts)
         join.key_text = " AND ".join(key_texts)
-        if not join.is_hash and kind == "LEFT" and condition is not None \
-                and not residual_parts:
-            # LEFT JOIN whose whole ON clause got consumed elsewhere
-            # cannot happen (nothing is pushed for LEFT); guard anyway.
-            raise Unplannable("LEFT join without usable condition")
         plan.joins.append(join)
         est_rows = max(1, est_rows) * max(1, right_scan.est_scan_rows()) \
             if not join.is_hash else max(est_rows,
                                          right_scan.est_scan_rows())
 
     # -- items / aggregates / grouping ------------------------------------
-    items = _expand_stars(
-        statement.items,
-        [(scan.alias, source_schemas[i].column_names)
-         for i, scan in enumerate(plan.scans)])
+    items = _expand_stars(statement.items, sources)
     plan.columns = [output_name(item, index)
                     for index, item in enumerate(items)]
 
@@ -1309,10 +1293,6 @@ def _build_plan(database, statement: SelectStatement) -> SelectPlan:
     if statement.offset is not None:
         plan.offset_fn = compile_expression(statement.offset, empty_scope)
 
-    plan.empty_group_fallback = (
-        plan.grouped and not statement.group_by
-        and bool(output_scope.touched_source_slots
-                 or order_scope.touched_source_slots))
     storages = [scan.storage for scan in plan.scans]
     plan.foldable = plan.cacheable \
         and storages.count(storages[0]) == 1 \
@@ -1320,43 +1300,28 @@ def _build_plan(database, statement: SelectStatement) -> SelectPlan:
     return plan
 
 
-def _try_hash_key(conjunct: Expression, join: JoinNode, slots: SlotMap,
-                  local_scopes, position: int, right_start: int,
-                  right_width: int) -> bool:
-    """Register ``conjunct`` as a hash-join key when it equates a
-    prior-sources expression with a new-source expression."""
+def _try_hash_key(conjunct: Expression, join: JoinNode, joined: SlotMap,
+                  right_scope: Scope, right_start: int) -> bool:
+    """Register ``conjunct`` as a hash-join key when it equates an
+    expression over the sources joined before with one over the new
+    source (its slots start at ``right_start``)."""
     if join.kind not in ("INNER", "LEFT"):
         return False
     if not isinstance(conjunct, BinaryOp) or conjunct.op != "=":
         return False
-
-    def side_slots(expr: Expression) -> Optional[Set[int]]:
-        probe = Scope(slots)
-        compile_expression(expr, probe)  # may raise EngineError -> fallback
-        return probe.touched_source_slots
-
-    left_slots = side_slots(conjunct.left)
-    right_slots = side_slots(conjunct.right)
-    right_range = range(right_start, right_start + right_width)
-
-    def classify(touched: Set[int]) -> Optional[str]:
-        if not touched:
-            return None
-        if all(slot in right_range for slot in touched):
-            return "right"
-        if all(slot < right_start for slot in touched):
-            return "left"
-        return None
-
-    left_side = classify(left_slots)
-    right_side = classify(right_slots)
-    if left_side == "left" and right_side == "right":
-        left_expr, right_expr = conjunct.left, conjunct.right
-    elif left_side == "right" and right_side == "left":
-        left_expr, right_expr = conjunct.right, conjunct.left
-    else:
+    sides = []
+    for expr in (conjunct.left, conjunct.right):
+        probe = Scope(joined)
+        fn = compile_expression(expr, probe)
+        touched = probe.touched_source_slots
+        if not touched or min(touched) < right_start <= max(touched):
+            return False
+        sides.append((min(touched) >= right_start, fn, expr))
+    (left_new, left_fn, left_expr), (right_new, right_fn, right_expr) = sides
+    if left_new == right_new:
         return False
-    join.left_key_fns.append(compile_expression(left_expr, Scope(slots)))
-    join.right_key_fns.append(
-        compile_expression(right_expr, local_scopes[position + 1]))
+    if left_new:
+        left_fn, right_expr = right_fn, left_expr
+    join.left_key_fns.append(left_fn)
+    join.right_key_fns.append(compile_expression(right_expr, right_scope))
     return True

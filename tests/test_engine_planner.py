@@ -68,6 +68,8 @@ PARITY_QUERIES = [
     ("SELECT name FROM emp WHERE id BETWEEN ? AND ?", (2, 4)),
     ("SELECT name FROM emp WHERE 3 > id", ()),
     ("SELECT COUNT(*) FROM emp WHERE id >= ? AND id < ?", (2.5, 99)),
+    # An empty lone group reads its sources' null row.
+    ("SELECT COUNT(*) AS n, name FROM emp WHERE id < 0", ()),
 ]
 
 
@@ -225,12 +227,23 @@ class TestExplain:
         assert lines[-2] == "project: label, n"
         assert lines[-1] == "result cache: eligible (tables: emp, dept)"
 
-    def test_view_reports_interpreted_fallback(self, db):
+    def test_view_plans_as_a_view_scan(self, db):
         db.execute("CREATE VIEW ops_emp AS "
                    "SELECT * FROM emp WHERE dept = 'ops'")
-        lines = [row[0] for row in db.execute(
-            "EXPLAIN SELECT name FROM ops_emp").rows]
-        assert lines == ["interpreted execution: view source 'ops_emp'"]
+        assert self.explain(db, "SELECT name FROM ops_emp") == [
+            "scan ops_emp ops_emp: view scan (~5 rows)",
+            "project: name"]
+        # On the right of a join it is the build side of a hash join,
+        # with the WHERE conjunct on it pushed into its scan.
+        assert self.explain(
+            db, "SELECT e.name, v.salary FROM emp e "
+                "JOIN ops_emp v ON e.id = v.id WHERE v.salary > 50") == [
+            "scan emp e: full scan (~5 rows)",
+            "hash join INNER ops_emp v: e.id = v.id "
+            "(build=right, ~5 x ~5 rows)",
+            "  scan ops_emp v: view scan (~5 rows)",
+            "    filter [pushed]: v.salary > 50",
+            "project: name, salary"]
 
     def test_explain_union_labels_parts(self, db):
         lines = [row[0] for row in db.execute(
@@ -298,7 +311,7 @@ class TestPlanCache:
 
 
 class TestFallbackParity:
-    """Statements the planner refuses still behave identically."""
+    """Invalid statements raise the same error on both paths."""
 
     def test_unknown_column_raises_same_error(self, db, interpreted):
         with pytest.raises(EngineError) as compiled_exc:
@@ -347,3 +360,28 @@ class TestFallbackParity:
         with pytest.raises(EngineError) as interpreted_exc:
             interpreted.execute(sql, ())
         assert str(compiled_exc.value) == str(interpreted_exc.value)
+
+
+class TestPlanTimeErrors:
+    """A compiled database raises name errors when it plans, even over
+    zero rows; the interpreter meets a name only in a row, so over none
+    it returns no rows.  The one divergence, and only for invalid SQL."""
+
+    @pytest.fixture
+    def empty(self, db, interpreted):
+        for database in (db, interpreted):
+            database.execute("CREATE TABLE empty_t (a INTEGER)")
+
+    def test_unknown_column_over_no_rows(self, db, interpreted, empty):
+        with pytest.raises(EngineError,
+                           match="unknown column 'missing' in expression"):
+            db.execute("SELECT missing FROM empty_t")
+        assert interpreted.execute("SELECT missing FROM empty_t").rows == []
+
+    def test_on_clause_naming_a_later_table(self, db, interpreted):
+        sql = ("SELECT e.name FROM emp e JOIN dept d ON e.dept = x.code "
+               "JOIN emp x ON x.id = e.id")
+        for database in (db, interpreted):
+            with pytest.raises(EngineError,
+                               match="unknown column 'x.code' in expression"):
+                database.execute(sql)

@@ -27,7 +27,9 @@ dimension relabels, interleaved with star-join aggregates read from
 the other thread, where an append is folded into the remembered
 groups instead of rescanned: each answer must equal the twin's by
 ``repr``, REAL values like ``-0.0``, ``1e16`` and ``1e-9`` included.
-With no transaction open, no table retains more than ``rows * 9/8 +
+A view whose body aggregates ``f``, joined with ``d`` on either side,
+is read the same way, with a transaction open and appends pending in
+it, and with none.  With no transaction open, no table retains more than ``rows * 9/8 +
 256`` versions (the settle bound).
 """
 
@@ -86,6 +88,8 @@ class EngineModel(RuleBasedStateMachine):
         self.both("INSERT INTO d VALUES ('a', 'Alpha'), ('b', 'Beta'), "
                   "('c', NULL)")
         self.both("CREATE TABLE f (tag TEXT, x REAL, n INTEGER)")
+        self.both("CREATE VIEW f_by_tag AS SELECT tag, COUNT(*) AS c, "
+                  "SUM(x) AS s, MAX(n) AS hi FROM f GROUP BY tag")
         self.oracle = []          # committed + pending rows
         self.snapshot = None      # oracle at BEGIN, for rollback
         self.reader = ThreadPoolExecutor(max_workers=1)
@@ -277,6 +281,38 @@ class EngineModel(RuleBasedStateMachine):
                 == repr(self.twin.execute(sql, params).rows)
         assert self.star_reads(self.db) == self.star_reads(self.twin)
 
+    VIEW_JOINS = [
+        "SELECT d.label, v.c, v.s, v.hi FROM d JOIN f_by_tag v "
+        "ON d.tag = v.tag ORDER BY d.tag",
+        "SELECT v.tag, v.s, d.label FROM f_by_tag v LEFT JOIN d "
+        "ON v.tag = d.tag WHERE v.c > 1 ORDER BY v.tag",
+    ]
+
+    def view_joins_agree(self):
+        """Each view join answers as the twin's, on this thread (the
+        live rows when a transaction is open) and on another."""
+        def read(database):
+            return [repr(database.execute(sql).rows)
+                    for sql in self.VIEW_JOINS]
+        assert read(self.db) == read(self.twin)
+        assert self.reader.submit(read, self.db).result(30) \
+            == self.reader.submit(read, self.twin).result(30)
+
+    @rule(rows=facts)
+    def view_joins_agree_in_and_out_of_a_transaction(self, rows):
+        """As things stand, then with ``rows`` appended inside an open
+        transaction: the machine's own, else one rolled back after."""
+        self.view_joins_agree()
+        opened = self.snapshot is None
+        if opened:
+            self.db.begin()
+            self.twin.begin()
+        self.append_facts(rows)
+        self.view_joins_agree()
+        if opened:
+            self.db.rollback()
+            self.twin.rollback()
+
     @precondition(lambda self: self.snapshot is None)
     @rule(rows=facts)
     def append_is_folded(self, rows):
@@ -295,7 +331,7 @@ class EngineModel(RuleBasedStateMachine):
 
         expected = sum(
             all(quiet(scan.storage) for scan in
-                self.db.plan_for(self.db._parse(sql))[0].scans)
+                self.db.plan_for(self.db._parse(sql)).scans)
             for sql, _params in self.STAR)
         self.star_reads(self.db)
         before = self.db.statistics["result_cache_folds"]
@@ -442,7 +478,7 @@ def test_unique_violation_fails_on_the_same_row(rolled_back_delete):
                 "UPDATE u SET code = code + 10 WHERE grp = ?", ("a",))
         rows = database.execute("SELECT id, code FROM u").rows
         outcomes.append((str(failure.value), sorted(rows)))
-    plan, _reason = compiled.plan_for(compiled._parse(
+    plan = compiled.plan_for(compiled._parse(
         "UPDATE u SET code = code + 10 WHERE grp = ?"))
     assert plan.index.name == "u_grp"
     (error, rows), (twin_error, twin_rows) = outcomes

@@ -44,6 +44,15 @@ class TestViewDefinition:
         with pytest.raises(EngineError):
             db.execute("CREATE VIEW bad AS SELECT ghost FROM sales")
 
+    def test_broken_view_over_no_rows_fails_at_creation(self, db):
+        """The body is planned, so a bad name fails with no row to
+        evaluate it on."""
+        db.execute("CREATE TABLE empty_t (a INTEGER)")
+        with pytest.raises(EngineError,
+                           match="unknown column 'ghost' in expression"):
+            db.execute("CREATE VIEW bad AS SELECT ghost FROM empty_t")
+        assert db.view_names() == ["regional"]
+
     def test_drop_view(self, db):
         db.execute("DROP VIEW regional")
         assert db.view_names() == []
@@ -100,6 +109,64 @@ class TestViewQuerying:
             db.execute("INSERT INTO regional (region) VALUES ('X')")
         with pytest.raises(CatalogError):
             db.execute("DELETE FROM regional")
+
+
+def twins():
+    """A compiled database and its ``compile=False`` reference, each with
+    a view over a table, an aggregating view, a view over that and a
+    view that names two columns alike."""
+    databases = []
+    for compile in (True, False):
+        database = Database(compile=compile)
+        database.execute("CREATE TABLE emp (id INTEGER PRIMARY KEY, "
+                         "name TEXT, dept TEXT)")
+        database.execute("INSERT INTO emp VALUES (1, 'ada', 'eng'), "
+                         "(2, 'bob', 'ops'), (3, 'cy', 'hr'), "
+                         "(4, 'dee', NULL), (5, 'eve', 'ops')")
+        database.execute("CREATE TABLE dept (code TEXT, label TEXT)")
+        database.execute("INSERT INTO dept VALUES ('eng', 'Engineering'), "
+                         "('ops', 'Operations'), ('fin', 'Finance')")
+        database.execute("CREATE VIEW dv AS SELECT code, label FROM dept")
+        database.execute("CREATE VIEW heads AS SELECT dept, COUNT(*) AS n "
+                         "FROM emp GROUP BY dept")
+        database.execute("CREATE VIEW busy AS "
+                         "SELECT dept, n FROM heads WHERE n > 1")
+        database.execute("CREATE VIEW staff AS SELECT e.name, "
+                         "d.label AS name FROM emp e JOIN dept d "
+                         "ON e.dept = d.code")
+        databases.append(database)
+    return databases
+
+
+class TestViewJoinParity:
+    """A view on either side of a join answers what the reference does."""
+
+    @pytest.mark.parametrize("sql", [
+        # A view on the left.
+        "SELECT v.label, e.name FROM dv v JOIN emp e ON v.code = e.dept "
+        "ORDER BY e.id",
+        "SELECT v.label, e.name FROM dv v LEFT JOIN emp e "
+        "ON v.code = e.dept ORDER BY v.code, e.id",
+        # A view on the right.
+        "SELECT e.name, v.label FROM emp e JOIN dv v ON e.dept = v.code "
+        "ORDER BY e.id",
+        "SELECT e.name, v.label FROM emp e LEFT JOIN dv v "
+        "ON e.dept = v.code AND v.label > 'F' ORDER BY e.id",
+        # A view over a view, joined with a table.
+        "SELECT b.dept, b.n, d.label FROM busy b JOIN dept d "
+        "ON b.dept = d.code ORDER BY b.dept",
+        "SELECT d.label, h.n FROM dept d JOIN heads h ON h.dept = d.code "
+        "WHERE h.n >= 1 ORDER BY d.label",
+        # A view that repeats an output name: the later column wins.
+        "SELECT name, s.name FROM staff s ORDER BY name",
+    ])
+    def test_compiled_matches_reference(self, sql):
+        compiled, reference = twins()
+        expected = reference.execute(sql)
+        assert expected.rows
+        result = compiled.execute(sql)
+        assert (result.columns, result.rows) \
+            == (expected.columns, expected.rows)
 
 
 class TestUnion:

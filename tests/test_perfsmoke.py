@@ -9,7 +9,8 @@ Standing rule: no tier-1 wall-clock assert with less than 2x headroom
 over what was measured (asserted / measured: compiled vs interpreted
 1.5x / 4-6x, reuse vs recompute 5x / ~130x, hash join vs nested loop
 5x / ~110x, index vs scan 2x / ~20x).  What a fast path must *not do*
-is asserted as a count — plans compiled, log frames decoded, tables
+is asserted as a count — plans compiled, SELECTs a compiled database
+hands to the interpreter, log frames decoded, tables
 scanned and WHERE clauses evaluated by keyed DML, rows a fold re-reads,
 version chains kept and collections run, usage rows written — which
 repeats exactly on any host; what a
@@ -175,6 +176,61 @@ def test_moving_table_pays_nothing_for_the_cache(big, monkeypatch):
     assert planned == []
 
 
+#: The view, UNION and CTAS statements of ``tests/test_engine_views.py``
+#: as one script, plus a view on the right of a join.
+VIEW_SCRIPT = [
+    "CREATE TABLE sales (region TEXT, amount REAL)",
+    "INSERT INTO sales VALUES ('N', 10.0), ('N', 5.0), ('S', 7.0)",
+    "CREATE VIEW regional AS SELECT region, SUM(amount) AS total "
+    "FROM sales GROUP BY region",
+    "SELECT * FROM regional ORDER BY region",
+    "SELECT total FROM regional WHERE region = 'S'",
+    "SELECT r.total FROM regional r WHERE r.region = 'S'",
+    "SELECT DISTINCT r.region FROM regional r JOIN sales s "
+    "ON r.region = s.region WHERE s.amount > 9 ORDER BY r.region",
+    "SELECT s.amount, r.total FROM sales s LEFT JOIN regional r "
+    "ON s.region = r.region",
+    "SELECT SUM(total) FROM regional",
+    "CREATE VIEW big_regions AS "
+    "SELECT region FROM regional WHERE total > 10",
+    "SELECT * FROM big_regions",
+    "SELECT b.region, s.amount FROM big_regions b JOIN sales s "
+    "ON b.region = s.region",
+    "SELECT region FROM sales UNION SELECT region FROM regional",
+    "SELECT region FROM big_regions UNION ALL SELECT region FROM sales",
+    "CREATE TABLE mart AS SELECT region, SUM(amount) AS total "
+    "FROM sales GROUP BY region",
+    "CREATE TABLE mart_copy AS SELECT region, total FROM regional",
+    "SELECT total FROM mart WHERE region = 'N'",
+]
+
+
+def test_compiled_selects_never_reach_the_interpreter(tmp_path,
+                                                      monkeypatch):
+    """The fence for one SELECT path, in counts: a compiled database runs
+    every parity query and every view, UNION and CTAS statement —
+    outside and inside a transaction, and again after a snapshot load
+    revalidates its views — without one interpreted SELECT."""
+    from repro.engine.executor import Executor
+    from tests.test_engine_planner import PARITY_QUERIES, seed
+
+    interpreted = spy(monkeypatch, Executor, "execute_select")
+    database = seed(Database())
+    for sql, params in PARITY_QUERIES:
+        database.execute(sql, params)
+    for sql in VIEW_SCRIPT:
+        database.execute(sql)
+    reads = [sql for sql in VIEW_SCRIPT if sql.startswith("SELECT")]
+    with database.transaction():
+        for sql in reads:
+            database.execute(sql)
+    database.save(tmp_path / "views.snap")
+    loaded = Database.load(tmp_path / "views.snap")
+    for sql in reads:
+        loaded.execute(sql)
+    assert interpreted == []
+
+
 def test_sharded_reads_decode_only_new_log_bytes(tmp_path, monkeypatch):
     """The fence for on-demand shipping, in counts: a routed read with
     nothing to fetch decodes no log frame, a read after one write
@@ -262,7 +318,7 @@ def counting_where(database, sql):
     """Wrap the WHERE filter of ``sql``'s cached DML plan in a counter;
     returns the (live) list of rows it was evaluated on."""
     seen = []
-    plan, _reason = database.plan_for(database._parse(sql))
+    plan = database.plan_for(database._parse(sql))
     (where, text), = plan.filters
 
     def counted(row, params):
