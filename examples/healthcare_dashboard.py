@@ -1,8 +1,9 @@
 """The paper's Fig. 6: a healthcare dashboard via ad-hoc reporting.
 
 Builds the hospital-admissions warehouse, defines data sets through
-the meta-data service, assembles the dashboard with the ad-hoc
-reporting module, and renders it for the terminal and as HTML.
+the meta-data service, publishes a dashboard definition over them
+with the ad-hoc reporting module, and renders it for the terminal
+and as HTML.
 
 Run with::
 
@@ -13,7 +14,7 @@ import sys
 
 from repro import OdbisPlatform
 from repro.core import Channel
-from repro.reporting import Dashboard
+from repro.reporting import DashboardDefinition
 from repro.workloads import HealthcareWorkload
 
 
@@ -42,31 +43,27 @@ def main() -> None:
         "SELECT department, region, SUM(cost) AS cost "
         "FROM admissions GROUP BY department, region")
 
-    # Ad-hoc reporting: charts + data table, laid out in rows.
-    by_department = platform.reporting.adhoc_builder(
-        "st-vincent", "by-department")
-    by_severity = platform.reporting.adhoc_builder(
-        "st-vincent", "by-severity")
-    detail = platform.reporting.adhoc_builder(
-        "st-vincent", "costly-departments")
-
-    dashboard = Dashboard(
+    # Ad-hoc reporting: charts + data table, laid out in rows and
+    # published; each delivery re-renders it from the live data sets.
+    definition = DashboardDefinition(
         "healthcare-overview",
         "Admissions, costs and stays across departments")
-    dashboard.add_row(
-        by_department.bar_chart("admissions-by-department",
-                                "department", "admissions"),
-        by_severity.pie_chart("admissions-by-severity",
-                              "severity", "admissions"),
+    definition.add_row(
+        definition.chart("by-department", "admissions-by-department",
+                         "bar", "department", "admissions"),
+        definition.chart("by-severity", "admissions-by-severity",
+                         "pie", "severity", "admissions"),
     )
-    dashboard.add_row(
-        by_department.line_chart("avg-stay-by-department",
-                                 "department", "avg_stay"),
-        detail.data_table("top-cost-centres",
-                          ["department", "region", "cost"],
-                          sort_by="cost", descending=True, limit=8),
+    definition.add_row(
+        definition.chart("by-department", "avg-stay-by-department",
+                         "line", "department", "avg_stay"),
+        definition.table("costly-departments", "top-cost-centres",
+                         ["department", "region", "cost"],
+                         sort_by="cost", descending=True, limit=8),
     )
-    platform.reporting.save_dashboard("st-vincent", dashboard)
+    platform.reporting.define_dashboard("st-vincent", definition)
+    dashboard = platform.reporting.render_dashboard(
+        "st-vincent", "healthcare-overview")
 
     # Deliver to the terminal (mobile channel) and print in full.
     print()

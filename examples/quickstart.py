@@ -42,19 +42,20 @@ def main() -> None:
         print(f"  {row['Product.category']:<12} "
               f"{row['revenue']:>12,.2f}  qty {row['quantity']}")
 
-    # 5. Reporting service: an ad-hoc dashboard from the data set.
-    from repro.reporting import Dashboard
+    # 5. Reporting service: publish a dashboard over the data set.
+    from repro.reporting import DashboardDefinition
 
-    builder = platform.reporting.adhoc_builder(
-        "acme", "revenue-by-region")
-    dashboard = Dashboard("regional-overview", "Revenue per region")
-    dashboard.add_row(
-        builder.bar_chart("revenue", "region", "revenue"))
-    platform.reporting.save_dashboard("acme", dashboard)
+    definition = DashboardDefinition("regional-overview",
+                                     "Revenue per region")
+    definition.add_row(definition.chart(
+        "revenue-by-region", "revenue", "bar", "region", "revenue"))
+    platform.reporting.define_dashboard("acme", definition)
 
-    # 6. Information delivery: render for two channels.
+    # 6. Information delivery: re-render from live data and deliver.
     from repro.core import Channel
 
+    dashboard = platform.reporting.render_dashboard(
+        "acme", "regional-overview")
     print("\n" + platform.delivery.deliver_dashboard(
         dashboard, Channel.MOBILE))
 

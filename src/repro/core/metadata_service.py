@@ -20,7 +20,7 @@ from repro.analysis import SqlAnalyzer
 from repro.cwm import BusinessBuilder, OdmBuilder, SemanticMatcher, cwm_metamodel
 from repro.cwm.relational import reflect_physical_table
 from repro.engine.database import Database
-from repro.errors import ServiceError
+from repro.errors import ConstraintViolation, ServiceError
 from repro.mof.kernel import ModelExtent
 from repro.mof.xmi import read_xmi, write_xmi
 from repro.core.resources import TechnicalResourcesLayer
@@ -29,32 +29,34 @@ from repro.core.tenancy import TenantManager
 _URL_PREFIX = "repro://"
 
 _TABLES = (
-    ("mds_datasources",
-     "CREATE TABLE IF NOT EXISTS mds_datasources ("
-     "tenant TEXT NOT NULL, name TEXT NOT NULL, "
-     "url TEXT NOT NULL, username TEXT, password TEXT)"),
-    ("mds_datasets",
-     "CREATE TABLE IF NOT EXISTS mds_datasets ("
-     "tenant TEXT NOT NULL, name TEXT NOT NULL, "
-     "datasource TEXT NOT NULL, sql TEXT NOT NULL)"),
+    "CREATE TABLE mds_datasources (tenant TEXT NOT NULL, "
+    "name TEXT NOT NULL, url TEXT NOT NULL, username TEXT)",
+    "CREATE UNIQUE INDEX mds_datasources_name "
+    "ON mds_datasources (tenant, name)",
+    "CREATE TABLE mds_datasets (tenant TEXT NOT NULL, "
+    "name TEXT NOT NULL, datasource TEXT NOT NULL, sql TEXT NOT NULL)",
+    "CREATE UNIQUE INDEX mds_datasets_name ON mds_datasets (tenant, name)",
 )
 
 
-def ensure_tables(database: Database, tables) -> None:
-    """Create each ``(name, ddl)`` table the database lacks.
-
-    Asked of the catalog on every call (a dictionary lookup) rather
-    than remembered per service: a database promoted by a failover, or
-    recovered from disk, is checked like any other, and a call issues
-    no statement once the tables exist.
-    """
-    for name, ddl in tables:
-        if not database.catalog.has_table(name):
-            database.execute(ddl)
+def insert_artefact(database: Database, kind: str, table: str,
+                    row: tuple) -> None:
+    """Insert one ``(tenant, name, ...)`` row; the table's unique
+    ``(tenant, name)`` index rejects a second artefact of that name."""
+    marks = ", ".join("?" * len(row))
+    try:
+        database.execute(f"INSERT INTO {table} VALUES ({marks})", row)
+    except ConstraintViolation as exc:
+        raise ServiceError(f"tenant {row[0]!r} already has {kind} "
+                           f"{row[1]!r}") from exc
 
 
 class MetadataService:
-    """Per-tenant data sources, data sets and business glossaries."""
+    """Per-tenant data sources, data sets and business glossaries.
+
+    Data sources and data sets are platform state: rows of the
+    platform database, which tenant SQL cannot name.
+    """
 
     def __init__(self, tenants: TenantManager,
                  resources: TechnicalResourcesLayer):
@@ -62,45 +64,35 @@ class MetadataService:
         self.resources = resources
         self._glossaries: Dict[str, ModelExtent] = {}
         self._metamodel = cwm_metamodel()
-
-    def _db(self, tenant_id: str) -> Database:
-        context = self.tenants.require_active(tenant_id)
-        database = context.operational_db
-        ensure_tables(database, _TABLES)
-        return database
+        self.database = tenants.platform_db
+        if "mds_datasources" not in self.database.table_names():
+            with self.database.transaction():
+                for ddl in _TABLES:
+                    self.database.execute(ddl)
 
     # -- data sources -----------------------------------------------------------------
 
     def create_datasource(self, tenant_id: str, name: str, url: str,
-                          username: Optional[str] = None,
-                          password: Optional[str] = None) -> None:
+                          username: Optional[str] = None) -> None:
+        self.tenants.require_active(tenant_id)
         if not url.startswith(_URL_PREFIX):
             raise ServiceError(
                 f"data source URLs must start with {_URL_PREFIX!r}, "
                 f"got {url!r}")
-        database = self._db(tenant_id)
-        existing = database.query(
-            "SELECT name FROM mds_datasources "
-            "WHERE tenant = ? AND name = ?", (tenant_id, name))
-        if existing:
-            raise ServiceError(
-                f"tenant {tenant_id!r} already has data source "
-                f"{name!r}")
-        database.execute(
-            "INSERT INTO mds_datasources VALUES (?, ?, ?, ?, ?)",
-            (tenant_id, name, url, username, password))
+        insert_artefact(self.database, "data source", "mds_datasources",
+                        (tenant_id, name, url, username))
 
     def datasources(self, tenant_id: str) -> List[Dict[str, Any]]:
-        database = self._db(tenant_id)
-        return database.query(
+        self.tenants.require_active(tenant_id)
+        return self.database.query(
             "SELECT name, url, username FROM mds_datasources "
             "WHERE tenant = ? ORDER BY name", (tenant_id,))
 
     def resolve_datasource(self, tenant_id: str,
                            name: str) -> Database:
         """The physical database behind a data source."""
-        database = self._db(tenant_id)
-        rows = database.query(
+        self.tenants.require_active(tenant_id)
+        rows = self.database.query(
             "SELECT url FROM mds_datasources "
             "WHERE tenant = ? AND name = ?", (tenant_id, name))
         if not rows:
@@ -118,28 +110,20 @@ class MetadataService:
             sql, source=name)
         collector.raise_if_errors(
             ServiceError, prefix=f"data set {name!r} rejected")
-        database = self._db(tenant_id)
-        existing = database.query(
-            "SELECT name FROM mds_datasets "
-            "WHERE tenant = ? AND name = ?", (tenant_id, name))
-        if existing:
-            raise ServiceError(
-                f"tenant {tenant_id!r} already has data set {name!r}")
-        database.execute(
-            "INSERT INTO mds_datasets VALUES (?, ?, ?, ?)",
-            (tenant_id, name, datasource, sql))
+        insert_artefact(self.database, "data set", "mds_datasets",
+                        (tenant_id, name, datasource, sql))
 
     def datasets(self, tenant_id: str) -> List[Dict[str, Any]]:
-        database = self._db(tenant_id)
-        return database.query(
+        self.tenants.require_active(tenant_id)
+        return self.database.query(
             "SELECT name, datasource, sql FROM mds_datasets "
             "WHERE tenant = ? ORDER BY name", (tenant_id,))
 
     def dataset_rows(self, tenant_id: str, name: str,
                      params: tuple = ()) -> List[Dict[str, Any]]:
         """Execute a data set's SQL and return its rows."""
-        database = self._db(tenant_id)
-        rows = database.query(
+        self.tenants.require_active(tenant_id)
+        rows = self.database.query(
             "SELECT datasource, sql FROM mds_datasets "
             "WHERE tenant = ? AND name = ?", (tenant_id, name))
         if not rows:

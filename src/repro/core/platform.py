@@ -438,12 +438,8 @@ class OdbisPlatform:
 
     def _handle_deliver_dashboard(self, request: Request) -> Response:
         self._trace("core-bi-services")
-        name = request.require_param("name")
-        if name in self.reporting.dashboard_definitions(request.tenant):
-            dashboard = self.reporting.render_dashboard(
-                request.tenant, name)
-        else:
-            dashboard = self.reporting.dashboard(request.tenant, name)
+        dashboard = self.reporting.render_dashboard(
+            request.tenant, request.require_param("name"))
         channel_name = request.query.get("channel", "webservice")
         try:
             channel = Channel(channel_name)

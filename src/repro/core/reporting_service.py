@@ -3,23 +3,22 @@
 Per the paper (§3.3) the reporting service provides: (i) report-group
 and report management; (ii) a BIRT module that uploads and executes
 report designs; (iii) an ad-hoc module for chart reports, data-table
-reports and dashboards.  All three are implemented here, with report
-designs persisted in the tenant's operational database and all data
-flowing through the metadata service's data sets.
+reports and dashboards.  All three are implemented here.  Report
+groups, report designs and dashboard definitions are platform state,
+persisted in the platform database, and all data flows through the
+metadata service's data sets.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, List, Optional
 
 from repro.analysis import dataset_columns_from_sql, lint_dashboard
-from repro.core.metadata_service import MetadataService, ensure_tables
+from repro.core.metadata_service import MetadataService, insert_artefact
 from repro.core.subscription import BillingService
 from repro.core.tenancy import TenantManager
-from repro.engine.database import Database
 from repro.errors import ServiceError
-import json
-
 from repro.reporting import (
     AdhocReportBuilder,
     BirtRunner,
@@ -30,18 +29,18 @@ from repro.reporting import (
 from repro.reporting.birt import ReportOutput
 
 _TABLES = (
-    ("rs_report_groups",
-     "CREATE TABLE IF NOT EXISTS rs_report_groups ("
-     "tenant TEXT NOT NULL, name TEXT NOT NULL)"),
-    ("rs_reports",
-     "CREATE TABLE IF NOT EXISTS rs_reports ("
-     "tenant TEXT NOT NULL, report_group TEXT NOT NULL, "
-     "name TEXT NOT NULL, design TEXT NOT NULL, "
-     "datasource TEXT NOT NULL)"),
-    ("rs_dashboards",
-     "CREATE TABLE IF NOT EXISTS rs_dashboards ("
-     "tenant TEXT NOT NULL, name TEXT NOT NULL, "
-     "definition TEXT NOT NULL)"),
+    "CREATE TABLE rs_report_groups (tenant TEXT NOT NULL, "
+    "name TEXT NOT NULL)",
+    "CREATE UNIQUE INDEX rs_report_groups_name "
+    "ON rs_report_groups (tenant, name)",
+    "CREATE TABLE rs_reports (tenant TEXT NOT NULL, name TEXT NOT NULL, "
+    "report_group TEXT NOT NULL, design TEXT NOT NULL, "
+    "datasource TEXT NOT NULL)",
+    "CREATE UNIQUE INDEX rs_reports_name ON rs_reports (tenant, name)",
+    "CREATE TABLE rs_dashboards (tenant TEXT NOT NULL, "
+    "name TEXT NOT NULL, definition TEXT NOT NULL)",
+    "CREATE UNIQUE INDEX rs_dashboards_name "
+    "ON rs_dashboards (tenant, name)",
 )
 
 
@@ -54,32 +53,22 @@ class ReportingService:
         self.tenants = tenants
         self.metadata = metadata
         self.billing = billing
-        self._dashboards: Dict[tuple, Dashboard] = {}
-
-    def _db(self, tenant_id: str) -> Database:
-        context = self.tenants.require_active(tenant_id)
-        database = context.operational_db
-        ensure_tables(database, _TABLES)
-        return database
+        self.database = tenants.platform_db
+        if "rs_report_groups" not in self.database.table_names():
+            with self.database.transaction():
+                for ddl in _TABLES:
+                    self.database.execute(ddl)
 
     # -- report groups ------------------------------------------------------------------
 
     def create_report_group(self, tenant_id: str, name: str) -> None:
-        database = self._db(tenant_id)
-        existing = database.query(
-            "SELECT name FROM rs_report_groups "
-            "WHERE tenant = ? AND name = ?", (tenant_id, name))
-        if existing:
-            raise ServiceError(
-                f"tenant {tenant_id!r} already has report group "
-                f"{name!r}")
-        database.execute(
-            "INSERT INTO rs_report_groups VALUES (?, ?)",
-            (tenant_id, name))
+        self.tenants.require_active(tenant_id)
+        insert_artefact(self.database, "report group", "rs_report_groups",
+                        (tenant_id, name))
 
     def report_groups(self, tenant_id: str) -> List[str]:
-        database = self._db(tenant_id)
-        rows = database.query(
+        self.tenants.require_active(tenant_id)
+        rows = self.database.query(
             "SELECT name FROM rs_report_groups WHERE tenant = ? "
             "ORDER BY name", (tenant_id,))
         return [row["name"] for row in rows]
@@ -95,29 +84,20 @@ class ReportingService:
                 f"{report_group!r}")
         self.metadata.resolve_datasource(tenant_id, datasource)
         design = parse_report_design(design_xml)  # validates
-        database = self._db(tenant_id)
-        existing = database.query(
-            "SELECT name FROM rs_reports "
-            "WHERE tenant = ? AND name = ?", (tenant_id, design.name))
-        if existing:
-            raise ServiceError(
-                f"tenant {tenant_id!r} already has report "
-                f"{design.name!r}")
-        database.execute(
-            "INSERT INTO rs_reports VALUES (?, ?, ?, ?, ?)",
-            (tenant_id, report_group, design.name, design_xml,
-             datasource))
+        insert_artefact(self.database, "report", "rs_reports",
+                        (tenant_id, design.name, report_group,
+                         design_xml, datasource))
         return design.name
 
     def reports(self, tenant_id: str,
                 report_group: Optional[str] = None) -> List[str]:
-        database = self._db(tenant_id)
+        self.tenants.require_active(tenant_id)
         if report_group is None:
-            rows = database.query(
+            rows = self.database.query(
                 "SELECT name FROM rs_reports WHERE tenant = ? "
                 "ORDER BY name", (tenant_id,))
         else:
-            rows = database.query(
+            rows = self.database.query(
                 "SELECT name FROM rs_reports "
                 "WHERE tenant = ? AND report_group = ? ORDER BY name",
                 (tenant_id, report_group))
@@ -127,8 +107,8 @@ class ReportingService:
                    parameters: Optional[Dict[str, Any]] = None) \
             -> ReportOutput:
         """Execute an uploaded report under the integrated viewer."""
-        database = self._db(tenant_id)
-        rows = database.query(
+        self.tenants.require_active(tenant_id)
+        rows = self.database.query(
             "SELECT design, datasource FROM rs_reports "
             "WHERE tenant = ? AND name = ?", (tenant_id, name))
         if not rows:
@@ -163,32 +143,20 @@ class ReportingService:
         if not definition.rows:
             raise ServiceError(
                 f"dashboard {definition.name!r} has no rows")
+        shapes = self._dataset_shapes(tenant_id)
         for dataset in definition.datasets():
-            known = {entry["name"]
-                     for entry in self.metadata.datasets(tenant_id)}
-            if dataset not in known:
+            if dataset not in shapes:
                 raise ServiceError(
                     f"dashboard {definition.name!r} references "
                     f"unknown data set {dataset!r}")
-        collector = lint_dashboard(
-            definition, self._dataset_shapes(tenant_id),
-            source=definition.name)
+        collector = lint_dashboard(definition, shapes,
+                                   source=definition.name)
         collector.raise_if_errors(
             ServiceError,
             prefix=f"dashboard {definition.name!r} rejected")
-        database = self._db(tenant_id)
-        existing = database.query(
-            "SELECT name FROM rs_dashboards "
-            "WHERE tenant = ? AND name = ?",
-            (tenant_id, definition.name))
-        if existing:
-            raise ServiceError(
-                f"tenant {tenant_id!r} already has dashboard "
-                f"definition {definition.name!r}")
-        database.execute(
-            "INSERT INTO rs_dashboards VALUES (?, ?, ?)",
-            (tenant_id, definition.name,
-             json.dumps(definition.to_dict())))
+        insert_artefact(self.database, "dashboard", "rs_dashboards",
+                        (tenant_id, definition.name,
+                         json.dumps(definition.to_dict())))
 
     def _dataset_shapes(self, tenant_id: str) -> Dict[str, Any]:
         """Output columns of each tenant data set (None = unknown)."""
@@ -201,9 +169,9 @@ class ReportingService:
                 target.catalog, target.views))
         return shapes
 
-    def dashboard_definitions(self, tenant_id: str) -> List[str]:
-        database = self._db(tenant_id)
-        rows = database.query(
+    def dashboards(self, tenant_id: str) -> List[str]:
+        self.tenants.require_active(tenant_id)
+        rows = self.database.query(
             "SELECT name FROM rs_dashboards WHERE tenant = ? "
             "ORDER BY name", (tenant_id,))
         return [row["name"] for row in rows]
@@ -211,14 +179,13 @@ class ReportingService:
     def render_dashboard(self, tenant_id: str,
                          name: str) -> Dashboard:
         """Re-render a stored definition from the live data sets."""
-        database = self._db(tenant_id)
-        rows = database.query(
+        self.tenants.require_active(tenant_id)
+        rows = self.database.query(
             "SELECT definition FROM rs_dashboards "
             "WHERE tenant = ? AND name = ?", (tenant_id, name))
         if not rows:
             raise ServiceError(
-                f"tenant {tenant_id!r} has no dashboard definition "
-                f"{name!r}")
+                f"tenant {tenant_id!r} has no dashboard {name!r}")
         definition = DashboardDefinition.from_dict(
             json.loads(rows[0]["definition"]))
         rendered = definition.render(
@@ -227,26 +194,3 @@ class ReportingService:
         if self.billing is not None:
             self.billing.meter(tenant_id, "dashboard", 1)
         return rendered
-
-    def save_dashboard(self, tenant_id: str,
-                       dashboard: Dashboard) -> None:
-        self.tenants.require_active(tenant_id)
-        key = (tenant_id, dashboard.name)
-        if key in self._dashboards:
-            raise ServiceError(
-                f"tenant {tenant_id!r} already has dashboard "
-                f"{dashboard.name!r}")
-        self._dashboards[key] = dashboard
-        if self.billing is not None:
-            self.billing.meter(tenant_id, "dashboard", 1)
-
-    def dashboards(self, tenant_id: str) -> List[str]:
-        return sorted(name for (tenant, name) in self._dashboards
-                      if tenant == tenant_id)
-
-    def dashboard(self, tenant_id: str, name: str) -> Dashboard:
-        dashboard = self._dashboards.get((tenant_id, name))
-        if dashboard is None:
-            raise ServiceError(
-                f"tenant {tenant_id!r} has no dashboard {name!r}")
-        return dashboard

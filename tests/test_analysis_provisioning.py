@@ -172,7 +172,7 @@ class TestServiceGates:
             "totals", "by-region", "bar", "region", "profit"))
         with pytest.raises(ServiceError, match="ODB402"):
             platform.reporting.define_dashboard("acme", definition)
-        assert platform.reporting.dashboard_definitions("acme") == []
+        assert platform.reporting.dashboards("acme") == []
 
     def test_cube_validated_at_definition(self, platform):
         definition = {

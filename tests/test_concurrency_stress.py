@@ -622,3 +622,41 @@ class TestTenantStress:
                     "SELECT v FROM kv WHERE k = 1") == "x"
 
         run_workers(worker)
+
+    def test_racing_definitions_of_one_name_store_one(self):
+        """8 workers define the same report group and data set at
+        once: the unique ``(tenant, name)`` index lets exactly one of
+        each in and turns every other into the duplicate error."""
+        from repro.core import OdbisPlatform
+        from repro.errors import ServiceError
+
+        platform = OdbisPlatform()
+        platform.provisioning.provision("acme", "Acme")
+        barrier = threading.Barrier(N_WORKERS)
+        outcomes = []
+
+        def worker(wid):
+            barrier.wait(timeout=WAIT)
+            for define in (
+                    lambda: platform.reporting.create_report_group(
+                        "acme", "finance"),
+                    lambda: platform.metadata.create_dataset(
+                        "acme", "one", "warehouse", "SELECT 1 AS n")):
+                try:
+                    define()
+                    outcomes.append("stored")
+                except ServiceError as exc:
+                    assert "already has" in str(exc)
+                    outcomes.append("refused")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_workers(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(outcomes) == ["refused"] * (2 * N_WORKERS - 2) \
+            + ["stored"] * 2
+        assert platform.reporting.report_groups("acme") == ["finance"]
+        assert [entry["name"] for entry in
+                platform.metadata.datasets("acme")] == ["one"]

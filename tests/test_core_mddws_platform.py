@@ -224,14 +224,13 @@ class TestPlatformWebApi:
         assert "technical-resources" in platform.last_trace
 
     def test_dashboard_delivery_channels(self, client):
-        from repro.reporting import Dashboard
+        from repro.reporting import DashboardDefinition
 
         platform, headers = client
-        builder = platform.reporting.adhoc_builder("acme", "stores")
-        dashboard = Dashboard("geo")
-        dashboard.add_row(
-            builder.data_table("cities", ["region", "city"]))
-        platform.reporting.save_dashboard("acme", dashboard)
+        definition = DashboardDefinition("geo")
+        definition.add_row(
+            definition.table("stores", "cities", ["region", "city"]))
+        platform.reporting.define_dashboard("acme", definition)
 
         web = platform.web.request(
             "GET", "/tenants/acme/dashboards/geo",
@@ -241,6 +240,16 @@ class TestPlatformWebApi:
         ws = platform.web.request(
             "GET", "/tenants/acme/dashboards/geo", headers=headers)
         assert ws.json()["dashboard"] == "geo"
+
+        mobile = platform.web.request(
+            "GET", "/tenants/acme/dashboards/geo",
+            headers=headers, query={"channel": "mobile"})
+        assert mobile.body.startswith("[geo]")
+
+        office = platform.web.request(
+            "GET", "/tenants/acme/dashboards/geo",
+            headers=headers, query={"channel": "office"})
+        assert "# cities" in office.body
 
         bad = platform.web.request(
             "GET", "/tenants/acme/dashboards/geo",

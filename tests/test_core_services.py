@@ -5,7 +5,7 @@ import pytest
 from repro.core import Channel, OdbisPlatform
 from repro.errors import ServiceError
 from repro.etl import Filter, RowsSource, Schedule, TypeCast
-from repro.reporting import Dashboard
+from repro.reporting import Dashboard, DashboardDefinition
 from repro.workloads import RetailWorkload
 
 
@@ -250,17 +250,24 @@ class TestReportingService:
             "FROM fact_sales f "
             "JOIN dim_store s ON f.store_key = s.store_key")
         builder = platform.reporting.adhoc_builder("acme", "sales")
-        dashboard = Dashboard("overview")
-        dashboard.add_row(builder.bar_chart("rev", "region", "revenue"))
-        platform.reporting.save_dashboard("acme", dashboard)
+        assert builder.bar_chart("rev", "region", "revenue").series
+        definition = DashboardDefinition("overview")
+        definition.add_row(definition.chart(
+            "sales", "rev", "bar", "region", "revenue"))
+        platform.reporting.define_dashboard("acme", definition)
         assert platform.reporting.dashboards("acme") == ["overview"]
-        assert platform.reporting.dashboard(
+        assert platform.reporting.render_dashboard(
             "acme", "overview").element("rev") is not None
 
     def test_duplicate_dashboard_rejected(self, platform):
-        platform.reporting.save_dashboard("acme", Dashboard("d"))
-        with pytest.raises(ServiceError):
-            platform.reporting.save_dashboard("acme", Dashboard("d"))
+        platform.metadata.create_dataset(
+            "acme", "one", "warehouse", "SELECT 1 AS one")
+        definition = DashboardDefinition("d")
+        definition.add_row(definition.table("one", "t", ["one"]))
+        platform.reporting.define_dashboard("acme", definition)
+        with pytest.raises(ServiceError,
+                           match="tenant 'acme' already has dashboard 'd'"):
+            platform.reporting.define_dashboard("acme", definition)
 
 
 class TestDeliveryService:

@@ -64,7 +64,7 @@ class TestDefinitionModel:
 class TestReportingServiceDefinitions:
     def test_define_and_render(self, platform):
         platform.reporting.define_dashboard("acme", sales_definition())
-        assert platform.reporting.dashboard_definitions("acme") == \
+        assert platform.reporting.dashboards("acme") == \
             ["exec"]
         dashboard = platform.reporting.render_dashboard("acme", "exec")
         assert dict(dashboard.element("rev").series) == \
@@ -101,14 +101,15 @@ class TestReportingServiceDefinitions:
         platform.reporting.render_dashboard("acme", "exec")
         assert platform.billing.usage("acme")["dashboard"] == 2
 
-    def test_definition_survives_in_shared_operational_db(self, platform):
-        """Definitions live in SQL, not process memory: a second
-        service instance over the same tenancy sees them."""
+    def test_definition_survives_in_platform_db(self, platform):
+        """Definitions live in the platform database, not process
+        memory: a second service instance over the same tenancy sees
+        them."""
         from repro.core.reporting_service import ReportingService
 
         platform.reporting.define_dashboard("acme", sales_definition())
         fresh = ReportingService(platform.tenants, platform.metadata)
-        assert fresh.dashboard_definitions("acme") == ["exec"]
+        assert fresh.dashboards("acme") == ["exec"]
         dashboard = fresh.render_dashboard("acme", "exec")
         assert len(dashboard) == 2
 
@@ -135,6 +136,22 @@ class TestDashboardWebApi:
         chart = delivered.json()["elements"][0]
         assert {entry["category"] for entry in chart["series"]} == \
             {"N", "S"}
+
+    def test_published_definition_is_listed(self, client):
+        platform, headers = client
+        platform.web.request(
+            "POST", "/tenants/acme/dashboards",
+            headers=headers, body=sales_definition().to_dict())
+        listed = platform.web.request(
+            "GET", "/tenants/acme/dashboards", headers=headers)
+        assert listed.json() == ["exec"]
+
+    def test_unknown_dashboard_is_a_400(self, client):
+        platform, headers = client
+        response = platform.web.request(
+            "GET", "/tenants/acme/dashboards/ghost", headers=headers)
+        assert response.status == 400
+        assert "no dashboard 'ghost'" in response.json()["error"]
 
     def test_publish_requires_report_edit(self, client):
         platform, _headers = client

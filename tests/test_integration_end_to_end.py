@@ -28,7 +28,7 @@ from repro.mda import (
     DimensionSpec,
     MeasureSpec,
 )
-from repro.reporting import Dashboard
+from repro.reporting import DashboardDefinition
 from repro.rules import Fact, parse_rules
 
 
@@ -97,12 +97,16 @@ class TestFullPlatformStory:
             "JOIN dim_store s ON f.store_key = s.store_key "
             "GROUP BY s.region")
         builder = platform.reporting.adhoc_builder("acme", "by-region")
-        dashboard = Dashboard("exec")
-        dashboard.add_row(
-            builder.bar_chart("rev", "region", "revenue"))
-        platform.reporting.save_dashboard("acme", dashboard)
+        assert dict(builder.bar_chart("rev", "region", "revenue").series) \
+            == {"North": 170.0, "South": 50.0}
+        definition = DashboardDefinition("exec")
+        definition.add_row(definition.chart(
+            "by-region", "rev", "bar", "region", "revenue"))
+        platform.reporting.define_dashboard("acme", definition)
+        assert platform.reporting.dashboards("acme") == ["exec"]
         delivered = platform.delivery.deliver_dashboard(
-            dashboard, Channel.WEB_SERVICE)
+            platform.reporting.render_dashboard("acme", "exec"),
+            Channel.WEB_SERVICE)
         series = {entry["category"]: entry["value"]
                   for entry in delivered["elements"][0]["series"]}
         assert series == {"North": 170.0, "South": 50.0}

@@ -28,15 +28,31 @@ from tests.test_paper_figures import show
 # -- E7: multi-tenancy economies of scale ----------------------------------
 
 
+#: The application table every tenant of the E7 fleet creates.
+ORDERS_DDL = ("CREATE TABLE IF NOT EXISTS orders (tenant TEXT NOT NULL, "
+              "id INTEGER NOT NULL, amount REAL)")
+
+
 def fleet_footprint(mode, count):
-    """(operational databases, tables in them and the platform's)."""
+    """(operational databases, tables in them and the platform's) once
+    each tenant has created its application table through ``/sql``."""
     platform = OdbisPlatform(mode=mode)
     for index in range(count):
-        platform.provisioning.provision(f"t{index:03d}", f"Tenant {index}")
+        tenant = f"t{index:03d}"
+        platform.provisioning.provision(tenant, f"Tenant {index}")
+        login = platform.web.request(
+            "POST", "/login",
+            body={"username": f"admin@{tenant}", "password": "changeme"})
+        response = platform.web.request(
+            "POST", f"/tenants/{tenant}/sql",
+            headers={"X-Auth-Token": login.json()["token"]},
+            body={"sql": ORDERS_DDL})
+        assert response.status == 200, response.body
     distinct = {id(database): database for database in
                 [platform.tenants.platform_db]
                 + [platform.tenants.context(tenant).operational_db
                    for tenant in platform.tenants.tenant_ids()]}
+    platform.gateway.shutdown()
     return platform.tenants.database_count(), sum(
         len(database.table_names()) for database in distinct.values())
 

@@ -12,7 +12,8 @@ over what was measured (asserted / measured: compiled vs interpreted
 is asserted as a count — plans compiled, SELECTs a compiled database
 hands to the interpreter, log frames decoded, tables
 scanned and WHERE clauses evaluated by keyed DML, rows a fold re-reads,
-version chains kept and collections run, usage rows written — which
+version chains kept and collections run, usage rows written,
+platform-database statements per dashboard delivery — which
 repeats exactly on any host; what a
 statement *costs* is a ``bench/``
 metric (``engine.read_self_ms_per_stmt``).
@@ -569,6 +570,40 @@ def test_metered_reads_write_one_row_per_key():
     platform.billing.meter("acme", "report")
     assert events() == 3
     assert platform.billing.usage("acme") == {"query": 25, "report": 2}
+
+
+@pytest.mark.parametrize("datasets", [1, 3])
+def test_dashboard_delivery_statement_count(monkeypatch, datasets):
+    """Delivering a stored dashboard over k data sets issues 1 + 2k
+    platform-database statements: the definition is one seek, and each
+    data set is a data-set seek plus a data-source seek."""
+    from repro.core import OdbisPlatform
+    from repro.core.resilience import FakeClock
+    from repro.reporting import DashboardDefinition
+
+    platform = OdbisPlatform(clock=FakeClock())
+    context = platform.provisioning.provision("acme", "Acme", plan="team")
+    context.warehouse_db.execute("CREATE TABLE s (region TEXT, n REAL)")
+    context.warehouse_db.execute("INSERT INTO s VALUES ('N', 1.0)")
+    definition = DashboardDefinition("dash")
+    for index in range(datasets):
+        platform.metadata.create_dataset(
+            "acme", f"d{index}", "warehouse", "SELECT region, n FROM s")
+    definition.add_row(*[
+        definition.chart(f"d{index}", f"c{index}", "bar", "region", "n")
+        for index in range(datasets)])
+    platform.reporting.define_dashboard("acme", definition)
+    login = platform.web.request(
+        "POST", "/login",
+        body={"username": "admin@acme", "password": "changeme"})
+    headers = {"X-Auth-Token": login.json()["token"]}
+
+    statements = spy(monkeypatch, platform.tenants.platform_db, "execute")
+    response = platform.web.request(
+        "GET", "/tenants/acme/dashboards/dash", headers=headers)
+    assert response.status == 200, response.body
+    assert len(statements) == 1 + 2 * datasets
+    platform.gateway.shutdown()
 
 
 def test_analysis_cli_runs_clean():

@@ -3,7 +3,7 @@
 An :class:`OdbisPlatform` built with ``data_dir=`` persists every
 database through a WAL, its own platform database included, and keeps
 its platform state (tenant registry, ETL run history, scheduler posture
-and clock, ESB dead letters) as tables there.  Constructing a second
+and clock, ESB dead letters, BI artefacts) as tables there.  Constructing a second
 platform over the same directory *is* crash recovery — these tests
 kill platforms (politely and mid-write) and assert the successor
 serves the same tenants, data, views, quarantine postures and dead
@@ -22,6 +22,7 @@ from repro.core.integration_service import RUN_HISTORY_PER_JOB
 from repro.core.tenancy import TenantManager
 from repro.errors import TenantError
 from repro.etl import CallableSource, RowsSource, Schedule
+from repro.reporting import DashboardDefinition
 from repro.web import JsonResponse, WebApplication
 
 TENANT = "acme"
@@ -277,6 +278,73 @@ class TestPlatformStateTables:
                 <= RUN_HISTORY_PER_JOB
             assert second.integration.scheduler.now == 10_000
             assert not list(tmp_path.rglob("*.journal"))
+        finally:
+            second.close()
+            second.gateway.shutdown()
+
+
+REPORT_DESIGN = """
+<report name="by-region">
+  <data-set name="totals" query="SELECT region, SUM(amount) AS total
+    FROM sales GROUP BY region"/>
+  <table name="t" data-set="totals" columns="region,total"/>
+</report>
+"""
+
+
+class TestBiArtefacts:
+    def test_every_artefact_comes_back_from_the_platform_log(
+            self, tmp_path):
+        first = build_platform(tmp_path)
+        first.provisioning.provision(TENANT, "Acme Corp", plan="team")
+        first.provisioning.provision("globex", "Globex")
+        warehouse = first.tenants.context(TENANT).warehouse_db
+        warehouse.execute("CREATE TABLE sales (region TEXT, amount REAL)")
+        warehouse.execute("INSERT INTO sales VALUES ('emea', 5.0)")
+        first.metadata.create_datasource(TENANT, "archive",
+                                         "repro://warehouse")
+        first.metadata.create_dataset(
+            TENANT, "totals", "archive",
+            "SELECT region, SUM(amount) AS total FROM sales "
+            "GROUP BY region")
+        reporting = first.reporting
+        reporting.create_report_group(TENANT, "finance")
+        reporting.upload_report(TENANT, "finance", REPORT_DESIGN,
+                                "warehouse")
+        definition = DashboardDefinition("overview")
+        definition.add_row(
+            definition.chart("totals", "c", "bar", "region", "total"))
+        reporting.define_dashboard(TENANT, definition)
+        first.close()
+        first.gateway.shutdown()
+
+        second = build_platform(tmp_path)
+        try:
+            assert second.tenants.platform_db.recovery_info[
+                "transactions_replayed"] > 0
+            # Replaying provisioning with exist_ok=True found the
+            # recovered default data source and added no second one.
+            assert [source["name"] for source in
+                    second.metadata.datasources(TENANT)] \
+                == ["archive", "warehouse"]
+            assert [entry["name"] for entry in
+                    second.metadata.datasets(TENANT)] == ["totals"]
+            assert second.metadata.dataset_rows(TENANT, "totals") \
+                == [{"region": "emea", "total": 5.0}]
+            reporting = second.reporting
+            assert reporting.report_groups(TENANT) == ["finance"]
+            assert reporting.reports(TENANT, "finance") == ["by-region"]
+            assert reporting.run_report(TENANT, "by-region") \
+                .element("t").rows == [{"region": "emea", "total": 5.0}]
+            assert reporting.dashboards(TENANT) == ["overview"]
+            assert reporting.render_dashboard(TENANT, "overview") \
+                .element("c").series == [("emea", 5.0)]
+            for tenant in second.tenants.tenant_ids():
+                context = second.tenants.context(tenant)
+                for database in (context.operational_db,
+                                 context.warehouse_db):
+                    assert not [name for name in database.table_names()
+                                if name.startswith(("mds_", "rs_"))]
         finally:
             second.close()
             second.gateway.shutdown()

@@ -774,9 +774,10 @@ class TestServicesIssueNoDdlPerCall:
                 "SELECT region, SUM(amount) AS total FROM sales "
                 "GROUP BY region ORDER BY region")
             reporting.create_report_group("acme", "g")
-            operational = context.operational_db
-            generation = operational._plan_generation
-            statements = operational.statistics["statements"]
+            # The services' tables live in the platform database.
+            platform_db = platform.tenants.platform_db
+            generation = platform_db._plan_generation
+            statements = platform_db.statistics["statements"]
             for _ in range(100):
                 assert metadata.dataset_rows("acme", "by_region") == [
                     {"region": "n", "total": 1},
@@ -784,10 +785,10 @@ class TestServicesIssueNoDdlPerCall:
                 assert reporting.report_groups("acme") == ["g"]
                 assert metadata.datasources("acme")[0]["name"] \
                     == "warehouse"
-            assert operational._plan_generation == generation
+            assert platform_db._plan_generation == generation
             # No CREATE TABLE IF NOT EXISTS rides along any more: two
             # look-ups for dataset_rows, one for each of the others.
-            issued = operational.statistics["statements"] - statements
+            issued = platform_db.statistics["statements"] - statements
             assert issued == 100 * 4, issued
             assert warehouse.statistics["result_cache_hits"] >= 99
         finally:

@@ -1,20 +1,22 @@
 """Tenant isolation at the SQL front door: platform state is out of reach.
 
 Platform state — accounts (``sec_*``), metering (``usage_events``), the
-tenant registry, the ETL run history, job postures and clock, and the
-ESB dead letters — lives in the platform database, which is never a
-tenant's operational database.  So SQL a tenant sends to ``POST
-/tenants/{tenant}/sql`` cannot read, change or drop it: each statement
-below fails with a 4xx saying there is no such table, the platform
-database is left byte-for-byte as it was, and the other tenant's admin
-still logs in.  Checked in SHARED, ISOLATED and sharded (``shards=2``)
-deployments.
+tenant registry, the ETL run history, job postures and clock, the ESB
+dead letters, and the BI artefacts (the meta-data service's data
+sources and data sets, the reporting service's report groups, reports
+and dashboard definitions) — lives in the platform database, which is
+never a tenant's operational database.  So SQL a tenant sends to
+``POST /tenants/{tenant}/sql`` cannot read, change or drop it: each
+statement below fails with a 4xx saying there is no such table, the
+platform database is left byte-for-byte as it was, and the other
+tenant's admin still logs in.  Checked in SHARED, ISOLATED and sharded
+(``shards=2``) deployments.
 
 Out of scope: in SHARED mode (and on a shard that hosts several
-tenants) the tenants' *operational* tables are still one set of tables,
-discriminated by a ``tenant`` column, so tenant A's SQL can read tenant
-B's rows there.  Closing that needs table names resolved per tenant,
-which this battery does not cover.
+tenants) the tenants' *operational* tables — the ones tenants create
+through ``/sql`` themselves — are still one set of tables, so tenant
+A's SQL can read tenant B's rows there.  Closing that needs table
+names resolved per tenant, which this battery does not cover.
 """
 
 import pytest
@@ -22,6 +24,7 @@ import pytest
 from repro.core import OdbisPlatform, TenancyMode
 from repro.core.resilience import FakeClock
 from repro.etl import RowsSource, Schedule
+from repro.reporting import DashboardDefinition
 
 pytestmark = pytest.mark.isolation
 
@@ -30,11 +33,29 @@ TENANTS = ("acme", "globex")
 PLATFORM_TABLES = ("platform_tenants", "etl_runs", "etl_jobs",
                    "etl_clock", "esb_dead_letters")
 
+ARTEFACT_TABLES = ("mds_datasources", "mds_datasets", "rs_report_groups",
+                   "rs_reports", "rs_dashboards")
+
 STATEMENTS = (
     "SELECT username, tenant FROM sec_users",
     "UPDATE sec_users SET enabled = FALSE WHERE tenant = 'globex'",
     "DROP TABLE usage_events",
-) + tuple(f"SELECT * FROM {table}" for table in PLATFORM_TABLES)
+    "SELECT tenant, name, password FROM mds_datasources",
+    "UPDATE mds_datasources SET url = 'repro://elsewhere' "
+    "WHERE tenant = 'globex'",
+    # Would bypass define_dashboard's lint gate.
+    "INSERT INTO rs_dashboards VALUES ('acme', 'rogue', '{}')",
+) + tuple(f"SELECT * FROM {table}"
+          for table in PLATFORM_TABLES + ARTEFACT_TABLES) + (
+    "DROP TABLE mds_datasets",
+)
+
+REPORT_DESIGN = """
+<report name="headcount">
+  <data-set name="one" query="SELECT 1 AS n"/>
+  <table name="t" data-set="one" columns="n"/>
+</report>
+"""
 
 
 def fill_platform_state(platform):
@@ -53,6 +74,14 @@ def fill_platform_state(platform):
     bus.service_activator("orders", broken)
     bus.send("orders", {"order": 1})
     platform.billing.flush()
+    platform.metadata.create_dataset(
+        "globex", "staff", "warehouse", "SELECT 1 AS n")
+    reporting = platform.reporting
+    reporting.create_report_group("globex", "hr")
+    reporting.upload_report("globex", "hr", REPORT_DESIGN, "warehouse")
+    definition = DashboardDefinition("people")
+    definition.add_row(definition.table("staff", "t", ["n"]))
+    reporting.define_dashboard("globex", definition)
 
 
 @pytest.fixture(scope="module", params=["shared", "isolated", "shards"])
@@ -81,7 +110,8 @@ def deployment(request, tmp_path_factory):
 def test_every_platform_table_holds_state(deployment):
     platform, _ = deployment
     database = platform.tenants.platform_db
-    for table in PLATFORM_TABLES + ("sec_users", "usage_events"):
+    for table in PLATFORM_TABLES + ARTEFACT_TABLES + ("sec_users",
+                                                      "usage_events"):
         assert database.query_value(f"SELECT COUNT(*) FROM {table}"), \
             table
 
