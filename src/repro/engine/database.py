@@ -154,6 +154,11 @@ class Database:
         # executor.
         self._compile_enabled = bool(compile)
         self._plan_cache: "OrderedDict[int, Any]" = OrderedDict()  # guarded-by: _state_lock
+        # Small tables hashed by one column for the snapshot reads whose
+        # joins probe them (``join_hash``): (table, column) -> (storage,
+        # its two stamps when built, {key: rows}).  Dropped with the
+        # plans.
+        self._join_hashes: Dict[Tuple[str, str], Any] = {}  # guarded-by: engine-state
         self.statistics = {  # guarded-by: _state_lock
             "statements": 0, "rows_returned": 0,
             "result_cache_hits": 0, "result_cache_misses": 0,
@@ -453,6 +458,47 @@ class Database:
         with self._state_lock:
             self._plan_generation += 1
             self._plan_cache.clear()
+            self._drop_join_hashes()
+
+    def join_hash(self, key: Tuple[str, str], storage, slot: int,
+                  cn: int) -> Dict[Any, List[list]]:
+        """``storage``'s rows visible at ``cn`` by their non-NULL value
+        in column ``slot``, in scan order: a hash join's build over a
+        full scan of it, with no filter.
+
+        The hash kept under ``key`` serves while the table's
+        ``_last_version_cn`` and ``_rewritten_cn`` both equal their
+        values when it was built and the first is ``<= cn`` — no effect
+        and no re-sort separates it from the rows at ``cn``.  A hash is
+        kept only when neither stamp moved while it was built from
+        ``snapshot_rows(cn)`` and the first was ``<= cn``; one built
+        across DDL is not kept.
+        """
+        # Both stamps before the rows: a writer stamps before it
+        # touches them (storage rule (1)).
+        stamps = (storage._last_version_cn, storage._rewritten_cn)
+        with self._state_lock:
+            kept = self._join_hashes.get(key)
+            generation = self._plan_generation
+        if kept is not None and kept[0] is storage and kept[1] == stamps \
+                and stamps[0] <= cn:
+            return kept[2]
+        buckets: Dict[Any, List[list]] = {}
+        for _rowid, row in storage.snapshot_rows(cn):
+            if row[slot] is not None:
+                buckets.setdefault(row[slot], []).append(row)
+        if stamps[0] <= cn and stamps == (storage._last_version_cn,
+                                          storage._rewritten_cn):
+            with self._state_lock:
+                if self._plan_generation == generation:
+                    self._keep_join_hash(key, (storage, stamps, buckets))
+        return buckets
+
+    def _keep_join_hash(self, key, entry) -> None:  # requires: engine-state
+        self._join_hashes[key] = entry
+
+    def _drop_join_hashes(self) -> None:  # requires: engine-state
+        self._join_hashes.clear()
 
     def plan_for(self, statement: Any):
         """The cached plan of one parsed SELECT, UPDATE or DELETE.

@@ -11,7 +11,9 @@ SELECT it produces a :class:`SelectPlan` that
 * pushes single-source WHERE conjuncts below joins (never onto the
   null-supplying side of a LEFT join),
 * detects multi-key equi-joins and picks the hash-join build side by
-  estimated cardinality,
+  estimated cardinality, or, on a snapshot read joining on one column
+  of a small base table, probes the hash of it the database keeps
+  (``Database.join_hash``),
 * reads a view in FROM, on either side of a join, as a source whose
   rows are its body run through ``Database._run_select``, and
 * renders itself as an ``EXPLAIN`` result set.
@@ -226,7 +228,12 @@ class ScanNode:
         (joins, group representatives) builds fresh lists, so storage
         is never aliased by anything that outlives execution.
         """
-        candidates = self._candidates(params, snapshot, rowids)
+        return self.filter(self._candidates(params, snapshot, rowids),
+                           params)
+
+    def filter(self, candidates: List[list],
+               params: Sequence[Any]) -> List[list]:
+        """The ``candidates`` every pushed filter accepts, in order."""
         fns = self._filter_fns
         if fns is None:
             # Lazily frozen: ON-clause pushes land after construction.
@@ -257,13 +264,10 @@ class ScanNode:
         if rowids is None and self.index is not None:
             rowids = self._probe(params)
         if rowids is not None:
-            if snapshot is None:
-                table_rows = self.storage.rows
-                fetched = [table_rows.get(rowid) for rowid in rowids]
-            else:
-                cn = snapshot.cn
-                visible = self.storage.visible_row
-                fetched = [visible(rowid, cn) for rowid in rowids]
+            if snapshot is not None:
+                return self.storage.fetch(rowids, snapshot.cn)
+            table_rows = self.storage.rows
+            fetched = [table_rows.get(rowid) for rowid in rowids]
             return [row for row in fetched if row is not None]
         if snapshot is None:
             return list(self.storage.rows.values())
@@ -386,10 +390,34 @@ class JoinNode:
         self.condition: Optional[CompiledExpr] = None
         self.condition_text = ""
         self.est_left = 0
+        # Set by the planner when the join is on one column of a fully
+        # scanned base table: the database that keeps that table's
+        # hash for snapshot reads, the (table, column) it is kept
+        # under, and the column's slot.
+        self.database = None
+        self.kept_key: Optional[Tuple[str, str]] = None
+        self.right_slot: Optional[int] = None
 
     @property
     def is_hash(self) -> bool:
         return bool(self.left_key_fns)
+
+    def use_kept_hash(self, database) -> None:
+        """Probe a hash of the whole right table kept on ``database``
+        when the join is on one of its columns and it is fully
+        scanned."""
+        scan = self.scan
+        if len(self.right_key_fns) != 1 or scan.storage is None \
+                or scan.index is not None:
+            return
+        slot = getattr(self.right_key_fns[0], "_slot", None)
+        if slot is None:
+            return
+        schema = scan.storage.schema
+        self.database = database
+        self.kept_key = (schema.name.lower(),
+                         schema.columns[slot].name.lower())
+        self.right_slot = slot
 
     def build_side(self, left_count: int, right_count: int) -> str:
         """Hash build side by estimated cardinality.
@@ -402,7 +430,15 @@ class JoinNode:
 
     def run(self, left_rows: List[list],
             params: Sequence[Any], snapshot=None) -> List[list]:
-        right_rows = self.scan.rows(params, snapshot)
+        scan = self.scan
+        if snapshot is not None and self.kept_key is not None \
+                and len(scan.storage.rows) <= RESULT_CACHE_MAX_ROWS:
+            buckets = self.database.join_hash(
+                self.kept_key, scan.storage, self.right_slot, snapshot.cn)
+            return self._probe(left_rows,
+                               self._matched(left_rows, buckets, params),
+                               params)
+        right_rows = scan.rows(params, snapshot)
         if not self.is_hash:
             return self._run_loop(left_rows, right_rows, params)
         if len(self.left_key_fns) == 1:
@@ -468,6 +504,46 @@ class JoinNode:
                 key = right_fn(right, params)
                 if key is not None:
                     buckets.setdefault(key, []).append(right)
+        return self._probe(left_rows, buckets, params)
+
+    def _matched(self, left_rows: List[list],
+                 buckets: Dict[Any, List[list]],
+                 params: Sequence[Any]) -> Dict[Any, List[list]]:
+        """The kept ``buckets`` of the whole right table as a build over
+        its filtered scan would hold them: with pushed filters, just the
+        keys ``left_rows`` probe, each bucket filtered in its order.  So
+        the filters run on matched rows only, as the interpreter's
+        WHERE does."""
+        scan = self.scan
+        if not scan.filters:
+            return buckets
+        left_fn = self.left_key_fns[0]
+        left_slot = getattr(left_fn, "_slot", None)
+        if left_slot is not None:
+            probed = dict.fromkeys([left[left_slot] for left in left_rows])
+        else:
+            probed = dict.fromkeys([left_fn(left, params)
+                                    for left in left_rows])
+        matched: Dict[Any, List[list]] = {}
+        get = buckets.get
+        for key in probed:  # first-probe order; a NULL key has no bucket
+            rows = get(key)
+            if rows is not None:
+                matched[key] = scan.filter(rows, params)
+        return matched
+
+    def _probe(self, left_rows: List[list],
+               buckets: Dict[Any, List[list]],
+               params: Sequence[Any]) -> List[list]:
+        """Probe a right-side single-key hash with each left row, in
+        left-major order."""
+        condition = self.condition
+        left_join = self.kind == "LEFT"
+        null_row = self.null_row
+        left_fn = self.left_key_fns[0]
+        left_slot = getattr(left_fn, "_slot", None)
+        out: List[list] = []
+        append = out.append
         get = buckets.get
         if condition is None and not left_join and left_slot is not None:
             # The hottest shape: plain equi-INNER join on a column.
@@ -685,9 +761,9 @@ class SelectPlan:
         self.limit_fn: Optional[CompiledExpr] = None
         self.offset_fn: Optional[CompiledExpr] = None
         # Whether a remembered group state may be continued over rows
-        # appended to the driving table (scans[0]): no DISTINCT
-        # aggregate, and the driving table is read once.  Set by the
-        # planner.
+        # appended to the driving table (scans[0]): the plan groups, no
+        # aggregate is DISTINCT, and the driving table is read once.
+        # Set by the planner.
         self.foldable = False
         # Last result per parameter set, for Database._run_reusable:
         # params key -> (table stamps at execution, driving-table rowid
@@ -703,10 +779,12 @@ class SelectPlan:
     @property
     def cacheable(self) -> bool:
         """Whether a result of this plan may be remembered: it
-        aggregates (output small relative to input) and every source is
-        a base table, whose commit stamps say when it last changed."""
-        return self.grouped and bool(self.scans) and not any(
-            isinstance(scan, ViewScanNode) for scan in self.scans)
+        aggregates or is DISTINCT (output small relative to input) and
+        every source is a base table, whose commit stamps say when it
+        last changed."""
+        return (self.grouped or self.distinct) and bool(self.scans) \
+            and not any(isinstance(scan, ViewScanNode)
+                        for scan in self.scans)
 
     def stamps(self) -> Tuple[int, ...]:
         """The commit number each scanned table was last stamped with."""
@@ -1211,6 +1289,7 @@ def plan_select(database, statement: SelectStatement) -> SelectPlan:
             join.condition_text = " AND ".join(
                 predicate_text(part) for part in residual_parts)
         join.key_text = " AND ".join(key_texts)
+        join.use_kept_hash(database)
         plan.joins.append(join)
         est_rows = max(1, est_rows) * max(1, right_scan.est_scan_rows()) \
             if not join.is_hash else max(est_rows,
@@ -1294,7 +1373,7 @@ def plan_select(database, statement: SelectStatement) -> SelectPlan:
         plan.offset_fn = compile_expression(statement.offset, empty_scope)
 
     storages = [scan.storage for scan in plan.scans]
-    plan.foldable = plan.cacheable \
+    plan.foldable = plan.cacheable and plan.grouped \
         and storages.count(storages[0]) == 1 \
         and not any(agg.distinct for agg in plan.aggregates)
     return plan

@@ -66,7 +66,16 @@ in any snapshot.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.engine.indexes import Index
 from repro.engine.schema import TableSchema
@@ -402,6 +411,27 @@ class TableStorage:
         if chain is None:
             return row
         return _visible(chain, cn)
+
+    def fetch(self, rowids: Sequence[int], cn: int) -> List[List[Any]]:
+        """The rows of ``rowids`` visible at commit number ``cn``, in
+        that order, the invisible ones left out.
+
+        Lock-free, with :meth:`snapshot_rows`'s fast path: when no
+        effect newer than ``cn`` was stamped before or after the live
+        rows are read, they *are* the versions visible at ``cn`` and no
+        chain is walked.  Otherwise each row goes through
+        :meth:`visible_row`.
+        """
+        if self._monitor is not None:
+            self._monitor.on_snapshot_read(self.schema.name, cn)
+        if self._last_version_cn <= cn:
+            get = self.rows.get
+            fetched = [get(rowid) for rowid in rowids]
+            if self._last_version_cn <= cn:
+                return [row for row in fetched if row is not None]
+        visible = self.visible_row
+        fetched = [visible(rowid, cn) for rowid in rowids]
+        return [row for row in fetched if row is not None]
 
     def snapshot_rows(self, cn: int) -> List[Tuple[int, List[Any]]]:
         """All ``(rowid, row)`` pairs visible at commit number ``cn``.

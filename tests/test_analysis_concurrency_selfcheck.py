@@ -48,8 +48,9 @@ def test_selfcheck_is_not_vacuous():
             "ShardMap", "TenantManager"} <= names, sorted(names)
     assert guarded >= 20, guarded
     # The result cache's shared state is annotated where it lives: the
-    # per-plan map under the database's state mutex (a virtual guard),
-    # and the caches and counters beside it under the mutex itself.
+    # per-plan map and the database's kept join hashes under the
+    # database's state mutex (a virtual guard), and the caches and
+    # counters beside them under the mutex itself.
     notes = {
         (class_name, note.attr): note.guard
         for scan in analyzer._scans
@@ -57,6 +58,7 @@ def test_selfcheck_is_not_vacuous():
         for note in info.guards
     }
     assert notes["SelectPlan", "results"] == "engine-state"
+    assert notes["Database", "_join_hashes"] == "engine-state"
     for attr in ("_plan_cache", "_statement_cache", "statistics"):
         assert notes["Database", attr] == "_state_lock"
     requires = {
@@ -67,6 +69,8 @@ def test_selfcheck_is_not_vacuous():
     }
     assert requires["SelectPlan", "reusable_result"] == {"engine-state"}
     assert requires["SelectPlan", "remember_result"] == {"engine-state"}
+    assert requires["Database", "_keep_join_hash"] == {"engine-state"}
+    assert requires["Database", "_drop_join_hashes"] == {"engine-state"}
 
 
 def test_cli_self_run_is_clean(capsys):

@@ -566,6 +566,130 @@ class TestRangeReadsUnderMergingWriters:
         assert all(reads[1:4]) and merges
 
 
+class TestStarFoldsUnderDimensionWriters:
+    """Lock-free star-join readers while one writer rewrites the
+    dimension and another appends facts.
+
+    The dimension writer relabels rows, deletes and re-inserts them,
+    rolls a delete back (moving a row to the end of the scan) and
+    vacuums (re-sorting it); the fact writer commits small appends.
+    Readers pin a snapshot and run a grouped star join (reused, folded
+    or rerun, probing the kept hash of the dimension), a sliced one and
+    a DISTINCT one: each answer must equal the interpreter's over the
+    same database at the same snapshot.
+    """
+
+    KEYS, ROUNDS = 40, 48
+    READS = [
+        ("SELECT d.label, COUNT(*) AS n, SUM(f.amount) AS total "
+         "FROM fact f JOIN dim d ON f.k = d.k GROUP BY d.label "
+         "ORDER BY d.label", ()),
+        ("SELECT f.k, SUM(f.amount) AS total FROM fact f JOIN dim d "
+         "ON f.k = d.k WHERE d.label = ? GROUP BY f.k", ("l3",)),
+        ("SELECT DISTINCT d.label FROM fact f JOIN dim d ON f.k = d.k",
+         ()),
+    ]
+
+    def test_every_answer_is_the_interpreters_at_its_snapshot(self):
+        database = Database("star")
+        database.execute("CREATE TABLE dim (k INTEGER PRIMARY KEY, "
+                         "label TEXT)")
+        database.executemany("INSERT INTO dim VALUES (?, ?)", [
+            (key, f"l{key % 7}") for key in range(self.KEYS)])
+        database.execute("CREATE TABLE fact (k INTEGER, amount INTEGER)")
+        database.executemany("INSERT INTO fact VALUES (?, ?)", [
+            (key % self.KEYS, key) for key in range(200)])
+        statements = [(database._parse(sql), params)
+                      for sql, params in self.READS]
+        done = threading.Event()
+        failed = threading.Event()
+        reads = [0] * N_WORKERS
+
+        def paced(rounds):
+            """Each round, once the readers have been round twice."""
+            for round_no in range(rounds):
+                yield round_no
+                target = sum(reads) + 2
+                deadline = time.monotonic() + WAIT
+                while sum(reads) < target:
+                    assert not failed.is_set() \
+                        and time.monotonic() < deadline, \
+                        "readers stopped answering"
+                    time.sleep(0)
+
+        def relabel():
+            # Every fourth round, so facts are often appended alone.
+            for round_no in paced(self.ROUNDS):
+                if round_no % 4:
+                    continue
+                key = round_no * 7 % self.KEYS
+                database.execute("UPDATE dim SET label = ? WHERE k = ?",
+                                 (f"l{round_no % 5}", key))
+                if round_no % 3 == 1:
+                    with database.transaction():
+                        label = database.query_value(
+                            "SELECT label FROM dim WHERE k = ?", (key,))
+                        database.execute("DELETE FROM dim WHERE k = ?",
+                                         (key,))
+                        database.execute("INSERT INTO dim VALUES (?, ?)",
+                                         (key, label))
+                if round_no % 3 == 2:
+                    database.execute("BEGIN")
+                    database.execute("DELETE FROM dim WHERE k = ?",
+                                     (key,))
+                    database.execute("ROLLBACK")
+                if round_no % 5 == 3:
+                    database.vacuum()
+
+        def append():
+            for round_no in paced(self.ROUNDS):
+                database.executemany("INSERT INTO fact VALUES (?, ?)", [
+                    ((round_no + extra) % (self.KEYS + 3), round_no)
+                    for extra in range(3)])
+
+        def read(wid):
+            while not done.is_set() or not reads[wid]:
+                with database.open_snapshot() as snapshot:
+                    for statement, params in statements:
+                        got = database._run_select(statement, params,
+                                                   snapshot)
+                        want = database._executor.execute_select(
+                            statement, params, snapshot)
+                        assert repr(got.rows) == repr(want.rows), \
+                            (statement, snapshot)
+                reads[wid] += 1
+
+        writers_left = [2]
+        writers_lock = threading.Lock()
+
+        def worker(wid):
+            try:
+                if wid >= 2:
+                    read(wid)
+                    return
+                try:
+                    (relabel if wid == 0 else append)()
+                finally:
+                    with writers_lock:
+                        writers_left[0] -= 1
+                        if not writers_left[0]:
+                            done.set()
+            except BaseException:
+                failed.set()
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_workers(worker, n_workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(reads[2:6])
+        statistics = database.statistics
+        assert statistics["result_cache_folds"] \
+            and statistics["result_cache_hits"]
+
+
 class TestTenantStress:
     def test_shared_mode_tenants_serialize_writes_correctly(self):
         """8 tenants on one shared operational database."""

@@ -90,6 +90,7 @@ class EngineModel(RuleBasedStateMachine):
         self.both("CREATE TABLE f (tag TEXT, x REAL, n INTEGER)")
         self.both("CREATE VIEW f_by_tag AS SELECT tag, COUNT(*) AS c, "
                   "SUM(x) AS s, MAX(n) AS hi FROM f GROUP BY tag")
+        self.widened = 0          # columns added to d since CREATE
         self.oracle = []          # committed + pending rows
         self.snapshot = None      # oracle at BEGIN, for rollback
         self.reader = ThreadPoolExecutor(max_workers=1)
@@ -340,6 +341,103 @@ class EngineModel(RuleBasedStateMachine):
         assert self.db.statistics["result_cache_folds"] - before \
             == expected
 
+    # -- dimension reads: DISTINCT, a sliced star join, dimension DDL ------
+
+    DISTINCT = [
+        ("SELECT DISTINCT tag FROM f ORDER BY tag", ()),
+        ("SELECT DISTINCT d.label FROM f JOIN d ON f.tag = d.tag", ()),
+        ("SELECT DISTINCT label FROM d", ()),
+    ]
+    #: Star joins sliced by a parameter on the dimension: the filter is
+    #: pushed into the scan of ``d`` and, where the join probes a kept
+    #: hash of ``d``, runs on matched rows only — as the interpreter's
+    #: WHERE does, raising where it raises (a number against a label).
+    SLICED = [
+        "SELECT d.label, COUNT(*) AS c, SUM(f.x) AS s FROM f "
+        "JOIN d ON f.tag = d.tag WHERE d.label > ? GROUP BY d.label "
+        "ORDER BY d.label",
+        "SELECT f.tag, d.label, f.n FROM f JOIN d ON f.tag = d.tag "
+        "WHERE d.label = ?",
+    ]
+    SLICERS = ("Beta", 1)
+
+    @staticmethod
+    def outcome(database, sql, params):
+        """The rows' ``repr``, or the error when the statement raises."""
+        try:
+            return repr(database.execute(sql, params).rows)
+        except EngineError as exc:
+            return f"raises {exc}"
+
+    def dimension_reads(self, database, slicers, repeats=1):
+        reads = self.DISTINCT + [(sql, (slicer,)) for sql in self.SLICED
+                                 for slicer in slicers]
+        return [self.outcome(database, sql, params)
+                for _ in range(repeats) for sql, params in reads]
+
+    def dimension_reads_agree(self, slicers=SLICERS):
+        """Every DISTINCT and sliced read answers as the twin's: on
+        another thread twice (snapshot reads: reused, folded, probing
+        kept hashes), and on this one when it holds a transaction open
+        (the live rows, where the compiled join filters every row of
+        ``d``, so only text slicers cannot raise there)."""
+        compiled = self.reader.submit(self.dimension_reads, self.db,
+                                      slicers, 2).result(30)
+        assert compiled == 2 * self.reader.submit(
+            self.dimension_reads, self.twin, slicers).result(30)
+        if self.snapshot is not None:
+            slicers = [slicer for slicer in slicers
+                       if isinstance(slicer, str)]
+            assert self.dimension_reads(self.db, slicers) \
+                == self.dimension_reads(self.twin, slicers)
+
+    @rule(slicer=st.sampled_from(["Alpha", "B", "Q", None, 2.5]))
+    def sliced_reads_agree(self, slicer):
+        self.dimension_reads_agree((slicer,))
+
+    @precondition(lambda self: self.snapshot is None and self.widened < 2)
+    @rule()
+    def widen_dimension(self):
+        """ADD COLUMN widens the rows of ``d`` in place; no kept hash
+        outlives it."""
+        self.widened += 1
+        self.both(f"ALTER TABLE d ADD COLUMN w{self.widened} INTEGER "
+                  f"DEFAULT {self.widened}")
+
+    @precondition(lambda self: self.snapshot is None)
+    @rule(swapped=st.booleans())
+    def recreate_dimension(self, swapped):
+        """DROP then CREATE of ``d``: a new table of the same name, its
+        columns maybe in another order, one tag on two rows (so the
+        order inside a hash bucket shows)."""
+        columns = "label TEXT, tag TEXT" if swapped \
+            else "tag TEXT, label TEXT"
+        self.both("DROP TABLE d")
+        self.both(f"CREATE TABLE d ({columns})")
+        self.both("INSERT INTO d (tag, label) VALUES ('a', 'Alpha'), "
+                  "('b', 'Beta'), ('c', NULL), ('a', 'Again')")
+        self.widened = 0
+
+    @precondition(lambda self: self.snapshot is None)
+    @rule(tag=tags, rows=facts)
+    def rolled_back_dimension_delete(self, tag, rows):
+        """A rolled-back DELETE moves rows of ``d`` to the end of its
+        scan; the next commit lets a join keep a hash in that order,
+        and a vacuum re-sorts ``d`` (moving no stamp, only
+        ``_rewritten_cn``).  Every read answers as the twin's at each
+        stage."""
+        for database in (self.db, self.twin):
+            database.begin()
+            database.execute("DELETE FROM d WHERE tag = ?", (tag,))
+            database.rollback()
+        self.dimension_reads_agree()
+        self.append_facts(rows)
+        self.dimension_reads_agree()
+        self.db.vacuum()
+        self.twin.vacuum()
+        self.dimension_reads_agree()
+        assert self.star_reads(self.db) == self.star_reads(self.twin)
+
     # -- transactions -----------------------------------------------------------
 
     @precondition(lambda self: self.snapshot is None)
@@ -395,6 +493,10 @@ class EngineModel(RuleBasedStateMachine):
             ({"k": r["k"], "v": r["v"], "tag": r["tag"]}
              for r in self.oracle), key=repr)
         assert engine_rows == oracle_rows
+
+    @invariant()
+    def dimension_reads_match_the_interpreter(self):
+        self.dimension_reads_agree()
 
     @invariant()
     def aggregates_match_oracle(self):

@@ -12,7 +12,8 @@ over what was measured (asserted / measured: compiled vs interpreted
 is asserted as a count — plans compiled, SELECTs a compiled database
 hands to the interpreter, log frames decoded, tables
 scanned and WHERE clauses evaluated by keyed DML, rows a fold re-reads,
-version chains kept and collections run, usage rows written,
+dimension rows a warm MDX request reads, version chains kept and
+collections run, usage rows written,
 platform-database statements per dashboard delivery — which
 repeats exactly on any host; what a
 statement *costs* is a ``bench/``
@@ -378,10 +379,30 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
+def fetched_rowids(monkeypatch):
+    """Spy ``TableStorage.fetch``, the one call a snapshot read fetches
+    rows by rowid through: the table and the number of rowids of each
+    call; returns the (live) list."""
+    from repro.engine.storage import TableStorage
+
+    calls = []
+    real = TableStorage.fetch
+
+    def recording(self, rowids, cn):
+        rowids = list(rowids)
+        calls.append((self.schema.name, len(rowids)))
+        return real(self, rowids, cn)
+
+    monkeypatch.setattr(TableStorage, "fetch", recording)
+    return calls
+
+
 def test_range_read_fetches_only_its_span(monkeypatch):
     """The fence for range seeks, in counts: a 100-of-400-id range
     over 20 000 rows scans nothing and fetches at most the span plus
-    the index tail; a keyed point lookup still fetches one row."""
+    the index tail; a keyed point lookup still fetches one row.  Rows
+    are counted where they are fetched, ``TableStorage.fetch``: with
+    no newer change it reads the live rows and walks no chain."""
     from repro.engine.storage import TableStorage
 
     database = tenant_orders(Database())
@@ -396,17 +417,17 @@ def test_range_read_fetches_only_its_span(monkeypatch):
            "WHERE tenant = ? AND id >= ? AND id < ?")
     scans = spy(monkeypatch, TableStorage, "scan")
     snapshots = spy(monkeypatch, TableStorage, "snapshot_rows")
-    fetched = counting(monkeypatch, TableStorage, "visible_row")
+    fetched = fetched_rowids(monkeypatch)
     answer = database.query(sql, ("shop-1", 8_000, 8_400))
     assert scans == [] and snapshots == []
-    assert 400 <= len(fetched) <= 400 + len(tail)
+    assert 400 <= sum(n for _table, n in fetched) <= 400 + len(tail)
     assert answer == reference.query(sql, ("shop-1", 8_000, 8_400)) \
         == [{"n": 100, "total": 100.0}]
 
     del fetched[:]
     assert database.query("SELECT * FROM orders WHERE id = ?", (12_345,)) \
         == [{"id": 12_345, "tenant": "shop-1", "amount": 1.0}]
-    assert len(fetched) == 1
+    assert fetched == [("orders", 1)]
 
 
 def test_index_builds_sort_each_run_once(tmp_path, monkeypatch):
@@ -472,9 +493,10 @@ def per_table(monkeypatch, owner, name):
 def test_appended_facts_fold_without_a_scan(monkeypatch):
     """The fence for folding, in counts: after 50 facts are appended, a
     re-run star join reads none of the 4 000 older facts — no
-    ``snapshot_rows`` call on ``fact``, at most 50 row fetches — and
-    answers what the compile=False reference does.  A DELETE, or a
-    change to the dimension, costs exactly one full scan of ``fact``."""
+    ``snapshot_rows`` call on ``fact``, 50 rows fetched — and no row of
+    the unchanged dimension, whose hash the join keeps, and answers
+    what the compile=False reference does.  A DELETE, or a change to
+    the dimension, costs exactly one full scan of ``fact``."""
     from repro.engine.storage import TableStorage
 
     database, reference = build(4_000), build(4_000, compile=False)
@@ -484,9 +506,10 @@ def test_appended_facts_fold_without_a_scan(monkeypatch):
         target.executemany("INSERT INTO fact VALUES (?, ?)", appended)
     expected = reference.query(STAR_JOIN)
     scans = per_table(monkeypatch, TableStorage, "snapshot_rows")
-    fetched = per_table(monkeypatch, TableStorage, "visible_row")
+    fetched = fetched_rowids(monkeypatch)
     assert database.query(STAR_JOIN) == expected
-    assert scans.count("fact") == 0 and fetched.count("fact") <= 50
+    assert scans.count("fact") == 0 and scans.count("dim") == 0
+    assert fetched == [("fact", 50)]
     assert database.statistics["result_cache_folds"] == 1
 
     for write in ("DELETE FROM fact WHERE k = 3",
@@ -498,6 +521,46 @@ def test_appended_facts_fold_without_a_scan(monkeypatch):
         assert database.query(STAR_JOIN) == expected
         assert scans.count("fact") == 1
     assert database.statistics["result_cache_folds"] == 1
+
+
+def test_sliced_mdx_reads_no_dimension_once_warm(monkeypatch):
+    """The fence for a warm MDX request, in counts: a sliced query on
+    the retail star schema — its ``members`` lookup (a remembered
+    DISTINCT) and its star join (a fold probing kept dimension hashes)
+    — makes no ``snapshot_rows`` call on any ``dim_*`` table once warm,
+    nor after 50 facts are appended, and its cells equal the
+    compile=False reference's."""
+    from repro.engine.storage import TableStorage
+    from repro.olap import CubeSchema, OlapEngine, parse_mdx
+    from repro.workloads.retail import RetailWorkload
+
+    workload = RetailWorkload(seed=5)
+    engines = []
+    for compile in (True, False):
+        database = Database(compile=compile)
+        workload.build(database, fact_rows=2_000)
+        engines.append(OlapEngine(database, CubeSchema.from_definition(
+            workload.cube_definition())))
+    mdx = parse_mdx(
+        "SELECT {[Measures].[revenue], [Measures].[quantity]} ON COLUMNS, "
+        "{[Time].[year].Members} ON ROWS FROM [RetailSales] "
+        "WHERE ([Store].[region].[North])")
+    engine, reference = engines
+    mdx.execute(engine)
+    scans = per_table(monkeypatch, TableStorage, "snapshot_rows")
+    for appended in (0, 50):
+        if appended:
+            facts = [(1 + key % 700, 1 + key % 10, 1 + key % 6,
+                      key * 1.5, 1) for key in range(appended)]
+            for target in engines:
+                target.database.executemany(
+                    "INSERT INTO fact_sales VALUES (?, ?, ?, ?, ?)", facts)
+        expected = mdx.execute(reference).rows
+        del scans[:]
+        assert mdx.execute(engine).rows == expected
+        assert [table for table in scans if table.startswith("dim_")] \
+            == []
+    assert engine.database.statistics["result_cache_folds"] == 1
 
 
 def test_bulk_load_settles_at_its_commit():

@@ -118,8 +118,23 @@ class TestReuse:
         for _ in range(3):
             db.execute("SELECT v FROM t WHERE id = ?", (1,))
             db.execute("SELECT id, v FROM t ORDER BY id")
-            db.execute("SELECT DISTINCT tag FROM t")
         assert counters(db) == (0, 0)
+
+    def test_distinct_is_reused_until_its_table_moves(self):
+        db = make_db()
+        sql = "SELECT DISTINCT tag FROM t ORDER BY tag"
+        assert db.execute(sql).rows == [("a",), ("b",)]
+        second = db.execute(sql)
+        assert second.reused and second.rows == [("a",), ("b",)]
+        assert counters(db) == (1, 1)
+        db.execute("INSERT INTO t VALUES (7, 'c', 70)")
+        third = db.execute(sql)
+        assert not third.reused
+        assert third.rows == uncached(db, sql).rows \
+            == [("a",), ("b",), ("c",)]
+        assert counters(db) == (1, 2)
+        # A DISTINCT plan keeps no group state: an append is no fold.
+        assert db.statistics["result_cache_folds"] == 0
 
     def test_results_above_the_row_cap_are_not_remembered(self):
         db = Database()
@@ -718,6 +733,23 @@ class TestKeysAndEligibility:
         plain = [row[0] for row in db.execute(
             "EXPLAIN SELECT id FROM t").rows]
         assert not any(line.startswith("result cache") for line in plain)
+
+    def test_explain_of_a_distinct_select(self):
+        db = make_db()
+        lines = [row[0] for row in db.execute(
+            "EXPLAIN SELECT DISTINCT g.label FROM t JOIN tags g "
+            "ON t.tag = g.tag WHERE g.label > ? ORDER BY g.label").rows]
+        assert lines == [
+            "scan t t: full scan (~6 rows)",
+            "hash join INNER tags g: t.tag = g.tag (build=right, "
+            "~6 x ~2 rows)",
+            "  scan tags g: full scan (~2 rows)",
+            "    filter [pushed]: g.label > ?",
+            "distinct",
+            "order by: g.label asc",
+            "project: label",
+            "result cache: eligible (tables: t, tags)",
+        ]
 
 
 class TestBoundedCaches:
