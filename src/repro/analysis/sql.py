@@ -24,6 +24,7 @@ from repro.analysis.diagnostics import (
     DiagnosticCollector,
     SourceSpan,
 )
+from repro.engine.compiler import Scope, SlotMap, compile_expression
 from repro.engine.expressions import (
     _SCALAR_FUNCTIONS,
     _expr_text,
@@ -32,7 +33,6 @@ from repro.engine.expressions import (
     BinaryOp,
     CaseExpr,
     ColumnRef,
-    EvalContext,
     Expression,
     FunctionCall,
     InList,
@@ -721,7 +721,8 @@ class SqlAnalyzer:
                         and isinstance(node.left, Literal) \
                         and isinstance(node.right, Literal):
                     try:
-                        result = node.evaluate(EvalContext({}, ()))
+                        result = compile_expression(
+                            node, Scope(SlotMap()))((), ())
                     except EngineError:
                         return
                     verdict = "true" if result is True else "false"

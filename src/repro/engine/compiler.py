@@ -1,19 +1,20 @@
 """Compile expression ASTs into closures over positional row tuples.
 
-The interpreter in :mod:`repro.engine.expressions` evaluates each node
-against a per-row dict context built from lowercased column names.  On
-the hot path that means one dict allocation and several string lookups
-per row.  The compiler replaces both: every :class:`ColumnRef` is
-resolved to a tuple slot once, at plan time, and each AST node becomes
-a Python closure ``fn(row, params) -> value`` where ``row`` is a flat
-tuple of column values.
+Every expression the engine runs — a SELECT's WHERE, join keys,
+projection, grouping, HAVING and ORDER BY, an INSERT's VALUES and an
+UPDATE's SET — goes through :func:`compile_expression`: each
+:class:`ColumnRef` is resolved to a tuple slot once, at plan time, and
+each AST node becomes a Python closure ``fn(row, params) -> value``
+where ``row`` is a flat tuple of column values.  The value semantics
+(NULL propagation, comparison, arithmetic, scalar functions) are the
+helpers of :mod:`repro.engine.expressions`.
 
 Compilation is strict: unknown or ambiguous column references raise
 :class:`~repro.errors.EngineError` immediately, with the text the
-interpreter raises when it meets the same reference in a row.  Those
-errors are the statement's errors: nothing falls back to the
-interpreter.  Only over zero rows do the two paths differ, where the
-interpreter, which never evaluates the reference, returns no rows.
+reference interpreter (``tests/reference.py``) raises when it meets
+the same reference in a row.  Only over zero rows do the two differ:
+the interpreter, which never evaluates the reference, returns no rows
+(or, for an UPDATE, changes none) instead of raising.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class SlotMap:
     shadow earlier ones (mirroring context-merge semantics), unqualified
     names that appear in more than one source become ambiguous.  Within
     one source (a view may repeat an output name) the later column
-    shadows the earlier, as the interpreter's row dict does.
+    shadows the earlier, as a row dict keyed by name would.
     """
 
     def __init__(self) -> None:
@@ -333,7 +334,7 @@ def _compile_binary(expr: BinaryOp, scope: Scope) -> CompiledExpr:
     left = compile_expression(expr.left, scope)
     right = compile_expression(expr.right, scope)
     op = expr.op
-    # Like the interpreter, AND/OR evaluate both sides (no short
+    # Like the reference interpreter, AND/OR evaluate both sides (no short
     # circuit) so side errors surface identically on both paths.
     if op == "AND":
         return lambda row, params: _three_valued_and(

@@ -135,8 +135,7 @@ class Database:
     without touching call sites.
     """
 
-    def __init__(self, name: str = "main", compile: bool = True,
-                 sanitize: Optional[bool] = None):
+    def __init__(self, name: str = "main", sanitize: Optional[bool] = None):
         self.name = name
         self.catalog = Catalog()
         self._storages: Dict[str, TableStorage] = {}  # guarded-by: _lock
@@ -149,10 +148,7 @@ class Database:
         # strong reference to its statement so ids cannot be recycled.
         # Same LRU order and capacity as the statement cache, and an
         # evicted statement takes its plan (and the results remembered
-        # on it) along.  ``compile=False`` is the ablation knob: plans
-        # are never used and every SELECT runs through the interpreted
-        # executor.
-        self._compile_enabled = bool(compile)
+        # on it) along.
         self._plan_cache: "OrderedDict[int, Any]" = OrderedDict()  # guarded-by: _state_lock
         # Small tables hashed by one column for the snapshot reads whose
         # joins probe them (``join_hash``): (table, column) -> (storage,
@@ -501,12 +497,14 @@ class Database:
         self._join_hashes.clear()
 
     def plan_for(self, statement: Any):
-        """The cached plan of one parsed SELECT, UPDATE or DELETE.
+        """The cached plan of one parsed SELECT, INSERT, UPDATE or DELETE.
 
         A SELECT plans to a :class:`~repro.engine.planner.SelectPlan`;
-        an UPDATE or DELETE to the scan node that chooses its target
-        rows (:func:`~repro.engine.planner.plan_dml`).  Planning raises
-        the statement's name and aggregate errors.
+        an INSERT to its compiled VALUES rows, an UPDATE or DELETE to
+        the scan node that chooses its target rows, carrying an
+        UPDATE's compiled SET list
+        (:func:`~repro.engine.planner.plan_dml`).  Planning raises the
+        statement's name and aggregate errors.
         """
         key = id(statement)
         with self._state_lock:
@@ -539,8 +537,7 @@ class Database:
     def _run_select(self, statement: SelectStatement,
                     params: Sequence[Any],
                     snapshot: Optional[Snapshot] = None) -> ResultSet:
-        """Execute one SELECT: its compiled plan, or the interpreter
-        under ``compile=False``.
+        """Execute one SELECT: its compiled plan.
 
         ``snapshot`` pins every scan to one commit number; None means
         the live read path (inside a transaction, under the exclusive
@@ -548,8 +545,6 @@ class Database:
         snapshot is a per-execution argument, and the plan cache's
         invalidation generation only moves on DDL.
         """
-        if not self._compile_enabled:
-            return self._executor.execute_select(statement, params, snapshot)
         plan = self.plan_for(statement)
         if snapshot is not None and plan.cacheable:
             return self._run_reusable(plan, params, snapshot)
@@ -641,7 +636,7 @@ class Database:
     def _plan_lines(self, statement: SelectStatement) -> List[str]:
         plan = self.plan_for(statement)
         lines = plan.explain_lines()
-        if self._compile_enabled and plan.cacheable:
+        if plan.cacheable:
             tables = ", ".join(scan.table for scan in plan.scans)
             lines.append(f"result cache: eligible (tables: {tables})")
         return lines
@@ -803,7 +798,6 @@ class Database:
                 "wal_commit_number": (
                     self._wal.last_number if self._wal is not None
                     else self._snapshot_wal_number),
-                "compile": self._compile_enabled,
                 "statistics": dict(self.statistics),
                 "views": dict(self.views),
                 "tables": [
@@ -855,13 +849,12 @@ class Database:
     def load(cls, path: Union[str, Path], faults=None) -> "Database":
         """Restore a database from a snapshot produced by :meth:`save`.
 
-        Constructor state survives the round trip: the ``compile``
-        flag and the statistics counters are restored rather than
-        reset to defaults, and every view is revalidated against the
-        restored catalog so a snapshot whose views no longer resolve
-        fails here, not on first use.  A truncated or corrupt snapshot
-        raises :class:`~repro.errors.SnapshotError` instead of a raw
-        pickle error.
+        The statistics counters are restored rather than reset, and
+        every view is revalidated against the restored catalog so a
+        snapshot whose views no longer resolve fails here, not on first
+        use; an old snapshot's ``"compile"`` key is ignored.  A
+        truncated or corrupt snapshot raises
+        :class:`~repro.errors.SnapshotError`, not a raw pickle error.
         """
         if faults is not None:
             faults.fire("storage.read")
@@ -877,8 +870,7 @@ class Database:
                 or "tables" not in payload:
             raise SnapshotError(
                 f"snapshot {str(path)!r} has no database payload")
-        database = cls(payload["name"],
-                       compile=payload.get("compile", True))
+        database = cls(payload["name"])
         base_cn = payload.get("wal_commit_number") or 0
         for entry in payload["tables"]:
             schema: TableSchema = entry["schema"]
@@ -1031,8 +1023,7 @@ class Database:
 
     @classmethod
     def recover(cls, directory: Union[str, Path], name: str = "main", *,
-                fsync: str = "always", compile: Optional[bool] = None,
-                faults=None) -> "Database":
+                fsync: str = "always", faults=None) -> "Database":
         """Rebuild a database from its data directory after a crash.
 
         Loads the last snapshot (``<name>.snapshot``) when one exists,
@@ -1042,7 +1033,7 @@ class Database:
         commit record (so later appends cannot resurrect them), then
         re-attaches a live WAL so the database keeps logging.  Views
         are revalidated against the recovered catalog; compiled plans
-        start cold.  ``compile=None`` keeps the snapshot's setting.
+        start cold.
         """
         directory = Path(directory)
         snapshot = directory / f"{name}.snapshot"
@@ -1050,11 +1041,8 @@ class Database:
         snapshot_loaded = snapshot.exists()
         if snapshot_loaded:
             database = cls.load(snapshot, faults=faults)
-            if compile is not None:
-                database._compile_enabled = bool(compile)
         else:
-            database = cls(name, compile=True if compile is None
-                           else bool(compile))
+            database = cls(name)
         entries, good_length, tail_reason = read_log(wal_path)
         transactions, committed_length, dangling = \
             committed_transactions(entries)

@@ -1,33 +1,19 @@
-"""Iterator-model execution of parsed SQL statements.
+"""Dispatch of parsed SQL statements.
 
-The executor dispatches every statement the parser produces: DDL, DML
-and UNION here, each SELECT to ``Database._run_select``.  Under
-``compile=True`` that runs the compiled plan (:mod:`repro.engine.planner`),
-which is also how UPDATE and DELETE choose their target rows.
-
-:meth:`Executor.execute_select` is the interpreter, which runs SELECTs
-only under ``Database(compile=False)``: the reference the compiled
-plans are compared against.  It walks the AST and evaluates each
-expression per row against a dict context, resolving names as it
-meets them.  Joins are left-deep; equality joins are hash joins,
-everything else nested loops (a nested loop would make a 4 000 × 200
-star join 800 000 pairs).  Every table is full-scanned: index access
-paths belong to the planner.
+The executor runs every statement the parser produces: DDL here, each
+SELECT through ``Database._run_select`` (its compiled plan,
+:mod:`repro.engine.planner`), UNION by combining its parts' results.
+INSERT, UPDATE and DELETE run the plan ``Database.plan_for`` caches
+per statement (:func:`~repro.engine.planner.plan_dml`): the compiled
+VALUES rows, or the scan node choosing the target rows plus the
+compiled SET list.  The reference interpreter the compiled plans are
+tested against lives with the tests (``tests/reference.py``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.expressions import (
-    AggregateCall,
-    BinaryOp,
-    ColumnRef,
-    EvalContext,
-    Expression,
-    Star,
-    find_aggregates,
-)
 from repro.engine.parser import (
     AlterTableAddColumn,
     CompoundSelect,
@@ -39,17 +25,12 @@ from repro.engine.parser import (
     DeleteStatement,
     DropTableStatement,
     InsertStatement,
-    Join,
-    SelectItem,
     SelectStatement,
-    TableRef,
     UpdateStatement,
 )
+from repro.engine.planner import row_marker
 from repro.engine.schema import TableSchema
-from repro.engine.types import sort_key
 from repro.errors import CatalogError, EngineError
-
-_AMBIGUOUS = object()
 
 
 class ResultSet:
@@ -105,102 +86,6 @@ class ResultSet:
         return list(self.rows)
 
 
-class _Source:
-    """One resolved FROM-clause table: alias, schema and storage.
-
-    ``snapshot`` pins every scan of this source to one commit number
-    (the MVCC read path); ``None`` scans the live rows — only valid
-    under the database's exclusive lock (writers and in-transaction
-    reads).
-    """
-
-    def __init__(self, alias: str, schema: TableSchema, storage,
-                 snapshot=None):
-        self.alias = alias
-        self.schema = schema
-        self.storage = storage
-        self.snapshot = snapshot
-        # Context keys computed once per statement, not once per row.
-        alias_key = alias.lower()
-        self._rowid_key = "__rowid_" + alias_key
-        self._keys = [
-            (f"{alias_key}.{name}", name)
-            for name in schema.lower_names
-        ]
-
-    def contexts(self) -> Iterable[Dict[str, Any]]:
-        if self.snapshot is not None:
-            for rowid, row in self.storage.snapshot_rows(self.snapshot.cn):
-                yield self.row_context(rowid, row)
-            return
-        for rowid, row in self.storage.scan():
-            yield self.row_context(rowid, row)
-
-    def row_context(self, rowid: int, row: List[Any]) -> Dict[str, Any]:
-        values: Dict[str, Any] = {self._rowid_key: rowid}
-        for (qualified, name), value in zip(self._keys, row):
-            values[qualified] = value
-            values[name] = value
-        return values
-
-    def null_context(self) -> Dict[str, Any]:
-        values: Dict[str, Any] = {"__rowid_" + self.alias.lower(): None}
-        alias = self.alias.lower()
-        for name in self.schema.lower_names:
-            values[f"{alias}.{name}"] = None
-            values[name] = None
-        return values
-
-
-def _merge_contexts(left: Dict[str, Any],
-                    right: Dict[str, Any]) -> Dict[str, Any]:
-    merged = dict(left)
-    for key, value in right.items():
-        if "." in key or key.startswith("__rowid_"):
-            merged[key] = value
-        elif key in merged:
-            merged[key] = _AMBIGUOUS
-        else:
-            merged[key] = value
-    return merged
-
-
-class _ViewSource(_Source):
-    """A FROM-clause source backed by a view's materialized output."""
-
-    def __init__(self, alias: str, result: ResultSet):
-        super().__init__(alias, _PseudoSchema(result.columns), None)
-        self._rows = result.rows
-
-    def contexts(self) -> Iterable[Dict[str, Any]]:
-        for row in self._rows:
-            yield self.row_context(None, row)
-
-
-class _PseudoSchema:
-    """A view's output columns, as much of a schema as a source reads."""
-
-    def __init__(self, column_names: List[str]):
-        self.column_names = column_names
-        self.lower_names = [name.lower() for name in column_names]
-
-    def has_column(self, name: str) -> bool:
-        return name.lower() in self.lower_names
-
-
-class _RowContext(EvalContext):
-    """EvalContext that rejects ambiguous unqualified column names."""
-
-    def lookup(self, name: str) -> Any:
-        key = name.lower()
-        if key in self.values:
-            value = self.values[key]
-            if value is _AMBIGUOUS:
-                raise EngineError(f"ambiguous column reference {name!r}")
-            return value
-        raise EngineError(f"unknown column {name!r} in expression")
-
-
 class Executor:
     """Executes statements against a :class:`repro.engine.database.Database`."""
 
@@ -211,7 +96,6 @@ class Executor:
 
     def execute(self, statement, params: Sequence[Any]) -> Any:
         if isinstance(statement, SelectStatement):
-            # The compiled plan, or the interpreter under compile=False.
             return self._db._run_select(statement, params)
         if isinstance(statement, CompoundSelect):
             return self.execute_compound(statement, params)
@@ -355,15 +239,14 @@ class Executor:
         schema = storage.schema
         columns = statement.columns or schema.column_names
         count = 0
-        context = _RowContext({}, params)
-        for value_exprs in statement.rows:
-            if len(value_exprs) != len(columns):
+        for value_fns in self._db.plan_for(statement):
+            if len(value_fns) != len(columns):
                 raise EngineError(
                     f"INSERT into {statement.table}: {len(columns)} columns "
-                    f"but {len(value_exprs)} values")
+                    f"but {len(value_fns)} values")
             values = {
-                column: expr.evaluate(context)
-                for column, expr in zip(columns, value_exprs)
+                column: fn((), params)
+                for column, fn in zip(columns, value_fns)
             }
             row = schema.coerce_row(values)
             rowid = storage.insert(row)
@@ -375,37 +258,17 @@ class Executor:
             count += 1
         return count
 
-    def _where_matches(self, statement, source: _Source,
-                       params: Sequence[Any]) \
-            -> Iterable[Tuple[int, List[Any]]]:
-        """Live ``(rowid, row)`` pairs an UPDATE's or DELETE's WHERE
-        accepts, in live-scan order, before any of them is mutated.
-
-        Compiled, the planner's scan node chooses them — an index
-        point/prefix scan when the WHERE equates indexed columns with
-        constants — and applies the compiled WHERE.  ``compile=False``
-        evaluates it row by row over a full scan: the reference.
-        """
-        if self._db._compile_enabled:
-            return self._db.plan_for(statement).live_targets(params)
-        where = statement.where
-        return (
-            (rowid, row) for rowid, row in list(source.storage.scan())
-            if where is None or where.evaluate(_RowContext(
-                source.row_context(rowid, row), params)) is True)
-
     def _execute_update(self, statement: UpdateStatement,
                         params: Sequence[Any]) -> int:
         storage = self._db.storage(statement.table)
         schema = storage.schema
-        source = _Source(statement.table, schema, storage)
+        plan = self._db.plan_for(statement)
+        assignments = plan.assignments
         targets: List[Tuple[int, List[Any]]] = []
-        for rowid, row in self._where_matches(statement, source, params):
-            context = _RowContext(source.row_context(rowid, row), params)
+        for rowid, row in plan.live_targets(params):
             new_row = list(row)
-            for column_name, expr in statement.assignments:
-                new_row[schema.column_index(column_name)] = \
-                    expr.evaluate(context)
+            for position, fn in assignments:
+                new_row[position] = fn(row, params)
             targets.append((rowid, schema.coerce_row(
                 dict(zip(schema.column_names, new_row)))))
         for rowid, new_row in targets:
@@ -418,9 +281,8 @@ class Executor:
     def _execute_delete(self, statement: DeleteStatement,
                         params: Sequence[Any]) -> int:
         storage = self._db.storage(statement.table)
-        source = _Source(statement.table, storage.schema, storage)
         doomed = [rowid for rowid, _row
-                  in self._where_matches(statement, source, params)]
+                  in self._db.plan_for(statement).live_targets(params)]
         for rowid in doomed:
             old_row = storage.delete(rowid)
             self._db.record_undo(
@@ -429,85 +291,7 @@ class Executor:
                 ("delete", storage.schema.name, rowid))
         return len(doomed)
 
-    # -- SELECT ---------------------------------------------------------------------
-
-    def execute_select(self, statement: SelectStatement,
-                       params: Sequence[Any],
-                       snapshot=None) -> ResultSet:
-        sources: List[_Source] = []
-        if statement.from_clause is None:
-            contexts: List[Dict[str, Any]] = [{}]
-        else:
-            contexts = list(self._from_contexts(
-                statement.from_clause, sources, params, snapshot))
-
-        if statement.where is not None:
-            contexts = [
-                values for values in contexts
-                if statement.where.evaluate(_RowContext(values, params)) is True
-            ]
-
-        items = self._expand_stars(statement.items, sources)
-        aggregates: List[AggregateCall] = []
-        for item in items:
-            aggregates.extend(find_aggregates(item.expression))
-        if statement.having is not None:
-            aggregates.extend(find_aggregates(statement.having))
-        for expr, _asc in statement.order_by:
-            aggregates.extend(find_aggregates(expr))
-
-        grouped = bool(statement.group_by) or bool(aggregates)
-        if grouped:
-            contexts = self._group(
-                contexts, statement.group_by, aggregates, params, sources)
-            if statement.having is not None:
-                contexts = [
-                    values for values in contexts
-                    if statement.having.evaluate(
-                        _RowContext(values, params)) is True
-                ]
-
-        columns = [self._output_name(item, index)
-                   for index, item in enumerate(items)]
-
-        # Evaluate the projection, remembering the source context of each
-        # output row so ORDER BY can reference non-projected columns.
-        produced: List[Tuple[tuple, Dict[str, Any]]] = []
-        for values in contexts:
-            context = _RowContext(values, params)
-            row = tuple(item.expression.evaluate(context) for item in items)
-            order_values = dict(values)
-            for name, value in zip(columns, row):
-                order_values.setdefault(name.lower(), value)
-            produced.append((row, order_values))
-
-        if statement.distinct:
-            seen = set()
-            unique: List[Tuple[tuple, Dict[str, Any]]] = []
-            for row, order_values in produced:
-                marker = tuple(
-                    (type(v).__name__, v) if v.__hash__ else repr(v)
-                    for v in row)
-                if marker not in seen:
-                    seen.add(marker)
-                    unique.append((row, order_values))
-            produced = unique
-
-        if statement.order_by:
-            for expr, ascending in reversed(statement.order_by):
-                produced.sort(
-                    key=lambda pair: sort_key(
-                        expr.evaluate(_RowContext(pair[1], params))),
-                    reverse=not ascending)
-
-        rows = [row for row, _ctx in produced]
-        if statement.offset is not None:
-            offset = int(statement.offset.evaluate(_RowContext({}, params)))
-            rows = rows[offset:]
-        if statement.limit is not None:
-            limit = int(statement.limit.evaluate(_RowContext({}, params)))
-            rows = rows[:limit]
-        return ResultSet(columns, rows)
+    # -- UNION ------------------------------------------------------------------------
 
     def execute_compound(self, statement: CompoundSelect,
                          params: Sequence[Any],
@@ -533,189 +317,9 @@ class Executor:
                 seen = set()
                 unique: List[tuple] = []
                 for row in rows:
-                    marker = tuple(repr(value) for value in row)
+                    marker = row_marker(row)
                     if marker not in seen:
                         seen.add(marker)
                         unique.append(row)
                 rows = unique
         return ResultSet(results[0].columns, rows)
-
-    # -- FROM / joins ----------------------------------------------------------------
-
-    def _resolve(self, ref: TableRef, params: Sequence[Any],
-                 snapshot=None) -> _Source:
-        """A table, or a view whose defining SELECT runs once here."""
-        select = self._db.views.get(ref.name.lower())
-        if select is not None:
-            return _ViewSource(
-                ref.alias, self._db._run_select(select, params, snapshot))
-        storage = self._db.storage(ref.name)
-        return _Source(ref.alias, storage.schema, storage, snapshot)
-
-    def _from_contexts(self, node, sources: List[_Source],
-                       params: Sequence[Any],
-                       snapshot=None) -> Iterable[Dict[str, Any]]:
-        if isinstance(node, TableRef):
-            source = self._resolve(node, params, snapshot)
-            sources.append(source)
-            return source.contexts()
-        if isinstance(node, Join):
-            left_contexts = list(
-                self._from_contexts(node.left, sources, params, snapshot))
-            right_source = self._resolve(node.right, params, snapshot)
-            sources.append(right_source)
-            return self._join(
-                left_contexts, right_source, node.kind, node.condition, params)
-        raise EngineError(f"bad FROM node {node!r}")  # pragma: no cover
-
-    def _join(self, left_contexts: List[Dict[str, Any]], right: _Source,
-              kind: str, condition: Optional[Expression],
-              params: Sequence[Any]) -> Iterable[Dict[str, Any]]:
-        equi = self._equi_join_keys(condition, left_contexts, right)
-        if equi is not None and kind in ("INNER", "LEFT"):
-            yield from self._hash_join(
-                left_contexts, right, kind, equi, params)
-            return
-        right_contexts = list(right.contexts())
-        for left_values in left_contexts:
-            matched = False
-            for right_values in right_contexts:
-                merged = _merge_contexts(left_values, right_values)
-                if condition is not None:
-                    verdict = condition.evaluate(_RowContext(merged, params))
-                    if verdict is not True:
-                        continue
-                matched = True
-                yield merged
-            if kind == "LEFT" and not matched:
-                yield _merge_contexts(left_values, right.null_context())
-
-    def _equi_join_keys(self, condition: Optional[Expression],
-                        left_contexts: List[Dict[str, Any]],
-                        right: _Source):
-        """Detect ``left.col = right.col`` to enable a hash join."""
-        if not isinstance(condition, BinaryOp) or condition.op != "=":
-            return None
-        if not isinstance(condition.left, ColumnRef) \
-                or not isinstance(condition.right, ColumnRef):
-            return None
-        sample = left_contexts[0] if left_contexts else {}
-
-        def side(ref: ColumnRef) -> Optional[str]:
-            key = ref.name.lower()
-            qualified = key if "." in key else None
-            alias = right.alias.lower()
-            if qualified is not None:
-                if qualified.startswith(alias + "."):
-                    return "right"
-                return "left" if qualified in sample or not left_contexts \
-                    else None
-            if right.schema.has_column(key):
-                if key in sample:
-                    return None  # ambiguous — fall back to nested loop
-                return "right"
-            return "left"
-
-        left_side = side(condition.left)
-        right_side = side(condition.right)
-        if left_side == "left" and right_side == "right":
-            return condition.left, condition.right
-        if left_side == "right" and right_side == "left":
-            return condition.right, condition.left
-        return None
-
-    def _hash_join(self, left_contexts, right: _Source, kind: str,
-                   keys, params) -> Iterable[Dict[str, Any]]:
-        left_key_expr, right_key_expr = keys
-        buckets: Dict[Any, List[Dict[str, Any]]] = {}
-        for right_values in right.contexts():
-            key = right_key_expr.evaluate(_RowContext(right_values, params))
-            if key is None:
-                continue
-            buckets.setdefault(key, []).append(right_values)
-        for left_values in left_contexts:
-            key = left_key_expr.evaluate(_RowContext(left_values, params))
-            matches = buckets.get(key, []) if key is not None else []
-            if matches:
-                for right_values in matches:
-                    yield _merge_contexts(left_values, right_values)
-            elif kind == "LEFT":
-                yield _merge_contexts(left_values, right.null_context())
-
-    # -- grouping --------------------------------------------------------------------
-
-    def _group(self, contexts: List[Dict[str, Any]],
-               group_by: List[Expression],
-               aggregates: List[AggregateCall],
-               params: Sequence[Any],
-               sources: List[_Source]) -> List[Dict[str, Any]]:
-        """One context per group: its first member's, or for an empty
-        lone group its sources' null row, plus the aggregate values."""
-        groups: Dict[tuple, List[Dict[str, Any]]] = {}
-        order: List[tuple] = []
-        if group_by:
-            for values in contexts:
-                context = _RowContext(values, params)
-                key = tuple(
-                    sort_key(expr.evaluate(context)) for expr in group_by)
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(values)
-        else:
-            key = ()
-            groups[key] = list(contexts)
-            order.append(key)
-
-        unique_aggregates: Dict[str, AggregateCall] = {}
-        for aggregate in aggregates:
-            unique_aggregates.setdefault(aggregate.result_key(), aggregate)
-
-        result: List[Dict[str, Any]] = []
-        for key in order:
-            members = groups[key]
-            if members:
-                representative = dict(members[0])
-            else:
-                representative = {}
-                for source in sources:
-                    representative = _merge_contexts(
-                        representative, source.null_context())
-            member_contexts = [_RowContext(m, params) for m in members]
-            for slot, aggregate in unique_aggregates.items():
-                representative[slot] = aggregate.compute(member_contexts)
-            result.append(representative)
-        return result
-
-    # -- projection helpers -------------------------------------------------------------
-
-    def _expand_stars(self, items: List[SelectItem],
-                      sources: List[_Source]) -> List[SelectItem]:
-        expanded: List[SelectItem] = []
-        for item in items:
-            if not isinstance(item.expression, Star):
-                expanded.append(item)
-                continue
-            if not sources:
-                raise EngineError("SELECT * requires a FROM clause")
-            qualifier = None
-            if item.alias and item.alias.endswith(".*"):
-                qualifier = item.alias[:-2].lower()
-            for source in sources:
-                if qualifier is not None \
-                        and source.alias.lower() != qualifier:
-                    continue
-                for name in source.schema.column_names:
-                    ref = ColumnRef(f"{source.alias}.{name}")
-                    expanded.append(SelectItem(ref, name))
-        return expanded
-
-    def _output_name(self, item: SelectItem, index: int) -> str:
-        if item.alias:
-            return item.alias
-        expression = item.expression
-        if isinstance(expression, ColumnRef):
-            return expression.name.split(".")[-1]
-        if isinstance(expression, AggregateCall):
-            return expression.result_key().replace("__agg_", "")
-        return f"column{index + 1}"

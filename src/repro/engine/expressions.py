@@ -1,10 +1,10 @@
-"""Expression AST and evaluator with SQL three-valued logic.
+"""Expression AST and the value semantics of SQL three-valued logic.
 
-Expressions are evaluated against a *row context*: a mapping from column
-names (both qualified ``alias.column`` and unqualified ``column``) to
-values, plus the positional statement parameters.  NULL is represented
-by ``None``; comparison operators propagate NULL and the boolean
-connectives implement Kleene three-valued logic.
+The nodes are plain data; :mod:`repro.engine.compiler` turns them into
+closures over positional rows.  The helpers here are what those
+closures share: NULL is ``None``, comparison and arithmetic propagate
+it (:func:`_compare`, :func:`_arith`), the boolean connectives are
+Kleene's, and the scalar functions live in ``_SCALAR_FUNCTIONS``.
 """
 
 from __future__ import annotations
@@ -12,33 +12,14 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro.engine.types import is_comparable, sort_key
-from repro.errors import EngineError, SqlSyntaxError
-
-
-class EvalContext:
-    """Everything an expression may reference during evaluation."""
-
-    __slots__ = ("values", "params")
-
-    def __init__(self, values: Dict[str, Any], params: Sequence[Any] = ()):
-        self.values = values
-        self.params = params
-
-    def lookup(self, name: str) -> Any:
-        key = name.lower()
-        if key in self.values:
-            return self.values[key]
-        raise EngineError(f"unknown column {name!r} in expression")
+from repro.engine.types import is_comparable
+from repro.errors import EngineError
 
 
 class Expression:
     """Base class for AST nodes."""
-
-    def evaluate(self, context: EvalContext) -> Any:
-        raise NotImplementedError
 
     def column_refs(self) -> List[str]:
         """All column names referenced beneath this node."""
@@ -49,29 +30,15 @@ class Expression:
     def _collect_refs(self, out: List[str]) -> None:
         pass
 
-    def contains_aggregate(self) -> bool:
-        return False
-
 
 @dataclass
 class Literal(Expression):
     value: Any
 
-    def evaluate(self, context: EvalContext) -> Any:
-        return self.value
-
 
 @dataclass
 class Parameter(Expression):
     index: int
-
-    def evaluate(self, context: EvalContext) -> Any:
-        try:
-            return context.params[self.index]
-        except IndexError as exc:
-            raise EngineError(
-                f"statement needs parameter #{self.index + 1} "
-                f"but only {len(context.params)} were supplied") from exc
 
 
 @dataclass
@@ -82,9 +49,6 @@ class ColumnRef(Expression):
     position: Optional[int] = field(default=None, compare=False,
                                     repr=False)
 
-    def evaluate(self, context: EvalContext) -> Any:
-        return context.lookup(self.name)
-
     def _collect_refs(self, out: List[str]) -> None:
         out.append(self.name)
 
@@ -92,9 +56,6 @@ class ColumnRef(Expression):
 @dataclass
 class Star(Expression):
     """``*`` — only valid inside COUNT(*) and SELECT lists."""
-
-    def evaluate(self, context: EvalContext) -> Any:  # pragma: no cover
-        raise EngineError("'*' cannot be evaluated as a value")
 
 
 def _three_valued_and(left: Any, right: Any) -> Any:
@@ -171,26 +132,9 @@ class BinaryOp(Expression):
     left: Expression
     right: Expression
 
-    def evaluate(self, context: EvalContext) -> Any:
-        op = self.op
-        if op == "AND":
-            return _three_valued_and(
-                self.left.evaluate(context), self.right.evaluate(context))
-        if op == "OR":
-            return _three_valued_or(
-                self.left.evaluate(context), self.right.evaluate(context))
-        left = self.left.evaluate(context)
-        right = self.right.evaluate(context)
-        if op in ("=", "!=", "<>", "<", "<=", ">", ">="):
-            return _compare(op, left, right)
-        return _arith(op, left, right)
-
     def _collect_refs(self, out: List[str]) -> None:
         self.left._collect_refs(out)
         self.right._collect_refs(out)
-
-    def contains_aggregate(self) -> bool:
-        return self.left.contains_aggregate() or self.right.contains_aggregate()
 
 
 @dataclass
@@ -198,27 +142,8 @@ class UnaryOp(Expression):
     op: str
     operand: Expression
 
-    def evaluate(self, context: EvalContext) -> Any:
-        value = self.operand.evaluate(context)
-        if self.op == "NOT":
-            if value is None:
-                return None
-            return not value
-        if value is None:
-            return None
-        if self.op == "-":
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise EngineError("unary '-' requires a numeric operand")
-            return -value
-        if self.op == "+":
-            return value
-        raise EngineError(f"unknown unary operator {self.op!r}")  # pragma: no cover
-
     def _collect_refs(self, out: List[str]) -> None:
         self.operand._collect_refs(out)
-
-    def contains_aggregate(self) -> bool:
-        return self.operand.contains_aggregate()
 
 
 @dataclass
@@ -226,16 +151,8 @@ class IsNull(Expression):
     operand: Expression
     negated: bool = False
 
-    def evaluate(self, context: EvalContext) -> Any:
-        value = self.operand.evaluate(context)
-        result = value is None
-        return not result if self.negated else result
-
     def _collect_refs(self, out: List[str]) -> None:
         self.operand._collect_refs(out)
-
-    def contains_aggregate(self) -> bool:
-        return self.operand.contains_aggregate()
 
 
 @dataclass
@@ -244,29 +161,10 @@ class InList(Expression):
     options: List[Expression]
     negated: bool = False
 
-    def evaluate(self, context: EvalContext) -> Any:
-        value = self.operand.evaluate(context)
-        if value is None:
-            return None
-        saw_null = False
-        for option in self.options:
-            candidate = option.evaluate(context)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                return not self.negated
-        if saw_null:
-            return None
-        return self.negated
-
     def _collect_refs(self, out: List[str]) -> None:
         self.operand._collect_refs(out)
         for option in self.options:
             option._collect_refs(out)
-
-    def contains_aggregate(self) -> bool:
-        return (self.operand.contains_aggregate()
-                or any(o.contains_aggregate() for o in self.options))
 
 
 @dataclass
@@ -275,16 +173,6 @@ class Between(Expression):
     low: Expression
     high: Expression
     negated: bool = False
-
-    def evaluate(self, context: EvalContext) -> Any:
-        value = self.operand.evaluate(context)
-        low = self.low.evaluate(context)
-        high = self.high.evaluate(context)
-        result = _three_valued_and(
-            _compare(">=", value, low), _compare("<=", value, high))
-        if result is None:
-            return None
-        return not result if self.negated else result
 
     def _collect_refs(self, out: List[str]) -> None:
         self.operand._collect_refs(out)
@@ -297,17 +185,6 @@ class Like(Expression):
     operand: Expression
     pattern: Expression
     negated: bool = False
-
-    def evaluate(self, context: EvalContext) -> Any:
-        value = self.operand.evaluate(context)
-        pattern = self.pattern.evaluate(context)
-        if value is None or pattern is None:
-            return None
-        if not isinstance(value, str) or not isinstance(pattern, str):
-            raise EngineError("LIKE requires TEXT operands")
-        regex = _like_to_regex(pattern)
-        result = regex.match(value) is not None
-        return not result if self.negated else result
 
     def _collect_refs(self, out: List[str]) -> None:
         self.operand._collect_refs(out)
@@ -333,26 +210,12 @@ class CaseExpr(Expression):
     branches: List[Tuple[Expression, Expression]]
     default: Optional[Expression] = None
 
-    def evaluate(self, context: EvalContext) -> Any:
-        for condition, result in self.branches:
-            if condition.evaluate(context) is True:
-                return result.evaluate(context)
-        if self.default is not None:
-            return self.default.evaluate(context)
-        return None
-
     def _collect_refs(self, out: List[str]) -> None:
         for condition, result in self.branches:
             condition._collect_refs(out)
             result._collect_refs(out)
         if self.default is not None:
             self.default._collect_refs(out)
-
-    def contains_aggregate(self) -> bool:
-        for condition, result in self.branches:
-            if condition.contains_aggregate() or result.contains_aggregate():
-                return True
-        return self.default is not None and self.default.contains_aggregate()
 
 
 _SCALAR_FUNCTIONS = {}
@@ -452,19 +315,9 @@ class FunctionCall(Expression):
     name: str
     args: List[Expression]
 
-    def evaluate(self, context: EvalContext) -> Any:
-        fn = _SCALAR_FUNCTIONS.get(self.name.upper())
-        if fn is None:
-            raise EngineError(f"unknown function {self.name!r}")
-        values = [arg.evaluate(context) for arg in self.args]
-        return fn(*values)
-
     def _collect_refs(self, out: List[str]) -> None:
         for arg in self.args:
             arg._collect_refs(out)
-
-    def contains_aggregate(self) -> bool:
-        return any(arg.contains_aggregate() for arg in self.args)
 
 
 AGGREGATE_NAMES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
@@ -474,9 +327,8 @@ AGGREGATE_NAMES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 class AggregateCall(Expression):
     """An aggregate reference such as ``SUM(amount)`` or ``COUNT(*)``.
 
-    During grouped execution the executor pre-computes each aggregate and
-    places the result in the row context under :meth:`result_key`, which
-    is what ``evaluate`` reads back.
+    A grouped plan computes each unique aggregate once per group, into
+    the slot the compiler resolves :meth:`result_key` to.
     """
 
     name: str
@@ -487,50 +339,10 @@ class AggregateCall(Expression):
         flag = "distinct " if self.distinct else ""
         return f"__agg_{self.name.lower()}({flag}{_expr_text(self.argument)})"
 
-    def evaluate(self, context: EvalContext) -> Any:
-        key = self.result_key()
-        if key in context.values:
-            return context.values[key]
-        raise EngineError(
-            f"aggregate {self.name} used outside a grouped query")
-
-    def compute(self, contexts: List[EvalContext]) -> Any:
-        """Fold the aggregate over the member rows of one group."""
-        if isinstance(self.argument, Star):
-            if self.name != "COUNT":
-                raise EngineError(f"{self.name}(*) is not valid")
-            return len(contexts)
-        values = [self.argument.evaluate(ctx) for ctx in contexts]
-        values = [value for value in values if value is not None]
-        if self.distinct:
-            unique: List[Any] = []
-            seen = set()
-            for value in values:
-                marker = (type(value).__name__, value)
-                if marker not in seen:
-                    seen.add(marker)
-                    unique.append(value)
-            values = unique
-        if self.name == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if self.name == "SUM":
-            return sum(values)
-        if self.name == "AVG":
-            return sum(values) / len(values)
-        if self.name == "MIN":
-            return min(values, key=sort_key)
-        if self.name == "MAX":
-            return max(values, key=sort_key)
-        raise EngineError(f"unknown aggregate {self.name!r}")  # pragma: no cover
 
     def _collect_refs(self, out: List[str]) -> None:
         if not isinstance(self.argument, Star):
             self.argument._collect_refs(out)
-
-    def contains_aggregate(self) -> bool:
-        return True
 
 
 def _expr_text(expr: Expression) -> str:

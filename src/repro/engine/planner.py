@@ -1,4 +1,4 @@
-"""Plan-time query compilation for SELECT statements.
+"""Plan-time compilation of SELECT and DML statements.
 
 The planner sits between the parser and the executor.  For a supported
 SELECT it produces a :class:`SelectPlan` that
@@ -18,16 +18,13 @@ SELECT it produces a :class:`SelectPlan` that
   rows are its body run through ``Database._run_select``, and
 * renders itself as an ``EXPLAIN`` result set.
 
-Under ``Database(compile=True)`` the plan is the only way a SELECT
-runs.  Name and aggregate errors (unknown or ambiguous columns, an ON
-clause naming a table joined later, an aggregate outside a grouped
-query) raise here, at plan time, with the interpreter's error text.
-The interpreter resolves names per row instead, so over zero rows it
-returns no rows where planning raises: the one divergence between the
-two paths, and it applies only to invalid SQL.
-
-UPDATE and DELETE choose their target rows through the same scan node
-and index chooser (:func:`plan_dml`).
+The plan is the only way a SELECT runs, and INSERT, UPDATE and DELETE
+plan too (:func:`plan_dml`).  Name and aggregate errors (unknown or
+ambiguous columns, an ON clause naming a table joined later, an
+aggregate outside a grouped query) raise here, at plan time, with the
+text of the reference interpreter in ``tests/reference.py``.  It meets
+a name only in a row, so over zero rows it raises nothing: the one
+divergence, and it applies only to invalid SQL.
 """
 
 from __future__ import annotations
@@ -65,6 +62,7 @@ from repro.engine.expressions import (
     find_aggregates,
 )
 from repro.engine.parser import (
+    InsertStatement,
     Join,
     SelectItem,
     SelectStatement,
@@ -157,6 +155,15 @@ def output_name(item: SelectItem, index: int) -> str:
     return f"column{index + 1}"
 
 
+def row_marker(row: Sequence[Any]) -> tuple:
+    """What DISTINCT and UNION tell rows apart by: each value keyed
+    with its type name, so ``1``, ``1.0`` and TRUE stay apart while
+    ``0.0`` and ``-0.0`` are one value; an unhashable value by its
+    ``repr``."""
+    return tuple([(type(v).__name__, v) if v.__hash__ else repr(v)
+                  for v in row])
+
+
 # -- plan nodes ----------------------------------------------------------------
 
 class ScanNode:
@@ -182,6 +189,8 @@ class ScanNode:
         self.filters: List[Tuple[CompiledExpr, str]] = []
         self._filter_fns: Optional[List[CompiledExpr]] = None
         self.est_rows = 0 if storage is None else len(storage)
+        # An UPDATE's SET list (plan_dml): (column position, value).
+        self.assignments: List[Tuple[int, CompiledExpr]] = []
 
     # -- execution ---------------------------------------------------------
 
@@ -285,8 +294,7 @@ class ScanNode:
         candidates come in rowid order, which is the live-scan order
         only while the table is in rowid order; otherwise (after a
         rolled-back delete, until the next collection) the whole
-        table is the candidate set.  An empty table evaluates nothing,
-        as the interpreted scan does.
+        table is the candidate set.  An empty table evaluates nothing.
         """
         storage = self.storage
         table_rows = storage.rows
@@ -512,8 +520,8 @@ class JoinNode:
         """The kept ``buckets`` of the whole right table as a build over
         its filtered scan would hold them: with pushed filters, just the
         keys ``left_rows`` probe, each bucket filtered in its order.  So
-        the filters run on matched rows only, as the interpreter's
-        WHERE does."""
+        the filters run on matched rows only, as a WHERE over the
+        joined rows does."""
         scan = self.scan
         if not scan.filters:
             return buckets
@@ -892,9 +900,7 @@ class SelectPlan:
             seen: Set[Any] = set()
             unique = []
             for out_row, ctx in produced:
-                marker = tuple(
-                    (type(v).__name__, v) if v.__hash__ else repr(v)
-                    for v in out_row)
+                marker = row_marker(out_row)
                 if marker not in seen:
                     seen.add(marker)
                     unique.append((out_row, ctx))
@@ -1031,23 +1037,36 @@ class SelectPlan:
 
 # -- the planner ----------------------------------------------------------------
 
-def plan_dml(database, statement) -> ScanNode:
-    """Plan how an UPDATE or DELETE chooses its target rows: the scan
+def plan_dml(database, statement):
+    """Plan an INSERT, UPDATE or DELETE.
+
+    An INSERT plans to its VALUES rows, each a list of closures
+    compiled against no columns.  An UPDATE or DELETE plans to the scan
     node SELECT would build for the same WHERE — index point, prefix or
-    range scan from its conjuncts — with the whole WHERE compiled
-    as the one filter, so it is evaluated as the interpreter does,
-    both sides of every AND included."""
+    range scan from its conjuncts — with the whole WHERE compiled as
+    the one filter, evaluated both sides of every AND included; an
+    UPDATE's node also carries its SET list as ``(column position,
+    closure)`` pairs over the target row.  Name and aggregate errors
+    raise here, whether or not any row matches.
+    """
+    if isinstance(statement, InsertStatement):
+        scope = Scope(SlotMap())
+        return [[compile_expression(expr, scope) for expr in row]
+                for row in statement.rows]
     storage = database.storage(statement.table)
+    schema = storage.schema
     scan = ScanNode(statement.table, statement.table, storage,
-                    len(storage.schema.columns))
+                    len(schema.columns))
+    slots = SlotMap()
+    slots.add_source(statement.table, schema.column_names)
     if statement.where is not None:
-        slots = SlotMap()
-        slots.add_source(statement.table, storage.schema.column_names)
         scan.filters.append((
             compile_expression(statement.where, Scope(slots)),
             predicate_text(statement.where)))
-        _index_for_scan(scan, storage.schema,
-                        split_conjuncts(statement.where))
+        _index_for_scan(scan, schema, split_conjuncts(statement.where))
+    for column, expr in getattr(statement, "assignments", ()):
+        value = compile_expression(expr, Scope(slots))
+        scan.assignments.append((schema.column_index(column), value))
     return scan
 
 

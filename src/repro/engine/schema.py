@@ -56,7 +56,6 @@ class TableSchema:
             column.name.lower(): index
             for index, column in enumerate(self.columns)
         }
-        self._lower_names: List[str] = list(self._by_name)
         self.primary_key: List[str] = [
             column.name for column in self.columns if column.primary_key
         ]
@@ -68,15 +67,6 @@ class TableSchema:
     @property
     def column_names(self) -> List[str]:
         return [column.name for column in self.columns]
-
-    @property
-    def lower_names(self) -> List[str]:
-        """Lowercased column names in order, computed once per schema."""
-        names = getattr(self, "_lower_names", None)
-        if names is None:  # schemas unpickled from older snapshots
-            names = [column.name.lower() for column in self.columns]
-            self._lower_names = names
-        return names
 
     def has_column(self, name: str) -> bool:
         return name.lower() in self._by_name
@@ -106,7 +96,6 @@ class TableSchema:
                 "cannot add a primary-key column to an existing table")
         self._by_name[key] = len(self.columns)
         self.columns.append(column)
-        self._lower_names.append(key)
 
     def coerce_row(self, values: Dict[str, Any]) -> List[Any]:
         """Build a full storage row from a column->value mapping.

@@ -3,8 +3,8 @@
 Each test here fails on the pre-fix code:
 
 * ``Database.executemany`` left rows 1..N-1 applied when row N failed;
-* ``Database.load`` reset the ``compile`` flag and statistics and
-  never revalidated views against the restored catalog;
+* ``Database.load`` reset the statistics and never revalidated views
+  against the restored catalog;
 * ``Message.with_payload`` minted a fresh ``message_id`` with no
   correlation back to the originating message;
 * a handler failure on the final permitted hop raised the
@@ -22,8 +22,8 @@ from repro.esb.bus import DEAD_LETTER_CHANNEL
 from repro.errors import CatalogError, ConstraintViolation, EsbError
 
 
-def _inventory_db(compile=True):
-    database = Database("inv", compile=compile)
+def _inventory_db():
+    database = Database("inv")
     database.execute(
         "CREATE TABLE items (id INTEGER PRIMARY KEY, name TEXT)")
     database.execute("INSERT INTO items VALUES (1, 'widget')")
@@ -77,8 +77,8 @@ class TestExecutemanyAtomicity:
 
 
 class TestSnapshotLoad:
-    def _saved(self, tmp_path, compile=True):
-        database = Database("snap", compile=compile)
+    def _saved(self, tmp_path):
+        database = Database("snap")
         database.execute(
             "CREATE TABLE users (id INTEGER PRIMARY KEY, email TEXT "
             "UNIQUE)")
@@ -92,12 +92,23 @@ class TestSnapshotLoad:
         database.save(path)
         return database, path
 
-    def test_compile_flag_survives_the_round_trip(self, tmp_path):
-        _, path = self._saved(tmp_path, compile=False)
+    def test_an_old_compile_false_payload_loads_and_plans(self, tmp_path):
+        """A snapshot written while the engine still had a ``compile``
+        option may carry ``"compile": False``; it loads as any other
+        and its SELECTs run their plans, reuse included."""
+        _, path = self._saved(tmp_path)
+        payload = pickle.loads(path.read_bytes())
+        payload["compile"] = False
+        path.write_bytes(pickle.dumps(payload))
         loaded = Database.load(path)
-        assert loaded._compile_enabled is False
-        _, path = self._saved(tmp_path, compile=True)
-        assert Database.load(path)._compile_enabled is True
+        sql = "SELECT COUNT(*) AS n FROM users GROUP BY email LIMIT 1"
+        lines = [row[0] for row in loaded.execute("EXPLAIN " + sql).rows]
+        assert lines[-1] == "result cache: eligible (tables: users)"
+        assert loaded.query(sql) == [{"n": 1}]
+        assert loaded.query("SELECT * FROM mails WHERE email = 'u2@x.io'") \
+            == [{"email": "u2@x.io"}]
+        with pytest.raises(TypeError):
+            Database("snap", compile=False)
 
     def test_statistics_survive_the_round_trip(self, tmp_path):
         original, path = self._saved(tmp_path)

@@ -5,9 +5,10 @@ workloads across ≥8 worker threads, doubling as the race regression
 suite: every scenario is phase-aligned with :class:`threading.Barrier`
 so each phase's *observable* results are deterministic even though the
 statement interleaving inside a phase is not.  Each engine scenario
-runs twice — ``Database(compile=True)`` and ``compile=False`` — and
-the two per-thread result logs must be identical, so compiled plans
-and the interpreted executor agree under contention.
+runs twice — on a ``Database`` and on the reference interpreter's
+``ReferenceDatabase`` (``tests/reference.py``) — and the two
+per-thread result logs must be identical, so compiled plans and the
+interpreter agree under contention.
 
 These tests run in the tier-1 suite; a race that corrupts state or
 deadlocks (the barrier/join timeouts catch hangs) fails the build.
@@ -21,6 +22,7 @@ import pytest
 
 from repro.engine import Database, WriterLock
 from repro.core.tenancy import TenancyMode, TenantManager
+from tests.reference import ReferenceDatabase, execute_select
 
 pytestmark = pytest.mark.stress
 
@@ -78,9 +80,9 @@ class TestReadWriteLock:
         assert not lock.owned_exclusively()
 
 
-def _stress_scenario(compile):
+def _stress_scenario(engine):
     """One full mixed workload; returns (db, per-thread result logs)."""
-    database = Database("stress", compile=compile)
+    database = engine("stress")
     database.execute(
         "CREATE TABLE items (id INTEGER PRIMARY KEY, owner TEXT, "
         "qty INTEGER)")
@@ -154,9 +156,9 @@ def _stress_scenario(compile):
 
 class TestEngineStress:
     def test_mixed_workload_compiled_equals_interpreted(self):
-        compiled_db, compiled_logs = _stress_scenario(compile=True)
+        compiled_db, compiled_logs = _stress_scenario(Database)
         interpreted_db, interpreted_logs = _stress_scenario(
-            compile=False)
+            ReferenceDatabase)
         # The race regression core: under contention, the compiled
         # and interpreted engines must produce identical logs.
         assert compiled_logs == interpreted_logs
@@ -653,8 +655,8 @@ class TestStarFoldsUnderDimensionWriters:
                     for statement, params in statements:
                         got = database._run_select(statement, params,
                                                    snapshot)
-                        want = database._executor.execute_select(
-                            statement, params, snapshot)
+                        want = execute_select(database, statement,
+                                              params, snapshot)
                         assert repr(got.rows) == repr(want.rows), \
                             (statement, snapshot)
                 reads[wid] += 1

@@ -30,6 +30,7 @@ from repro.engine.database import Database
 from repro.engine.wal import MAGIC, read_log
 from repro.errors import CrashPoint
 from repro.etl import CallableSource, RowsSource, Schedule
+from tests.reference import ReferenceDatabase
 
 pytestmark = pytest.mark.recovery
 
@@ -198,9 +199,9 @@ class TestConcurrentWorkloadRoundTrip:
 
     N_WORKERS = 8
 
-    def run_concurrent_workload(self, directory, compile):
-        db = Database.recover(directory, "main", fsync="off",
-                              compile=compile)
+    def run_concurrent_workload(self, directory, compiled):
+        engine = Database if compiled else ReferenceDatabase
+        db = engine.recover(directory, "main", fsync="off")
         db.execute("CREATE TABLE items (id INTEGER PRIMARY KEY, "
                    "owner TEXT, qty INTEGER)")
         barrier = threading.Barrier(self.N_WORKERS)
@@ -239,13 +240,13 @@ class TestConcurrentWorkloadRoundTrip:
         db.close()
         return fingerprint, totals
 
-    @pytest.mark.parametrize("compile", [True, False])
+    @pytest.mark.parametrize("compiled", [True, False])
     def test_recovery_round_trips_the_live_state(self, tmp_path,
-                                                 compile):
+                                                 compiled):
         live_fingerprint, live_totals = self.run_concurrent_workload(
-            tmp_path, compile)
-        recovered = Database.recover(tmp_path, "main", fsync="off",
-                                     compile=compile)
+            tmp_path, compiled)
+        engine = Database if compiled else ReferenceDatabase
+        recovered = engine.recover(tmp_path, "main", fsync="off")
         assert recovered.state_fingerprint() == live_fingerprint
         assert recovered.query(
             "SELECT owner, COUNT(*) AS n, SUM(qty) AS total "
@@ -258,10 +259,9 @@ class TestConcurrentWorkloadRoundTrip:
         compiled_dir.mkdir(), interpreted_dir.mkdir()
         self.run_concurrent_workload(compiled_dir, True)
         self.run_concurrent_workload(interpreted_dir, False)
-        compiled = Database.recover(compiled_dir, "main",
-                                    fsync="off", compile=True)
-        interpreted = Database.recover(interpreted_dir, "main",
-                                       fsync="off", compile=False)
+        compiled = Database.recover(compiled_dir, "main", fsync="off")
+        interpreted = ReferenceDatabase.recover(interpreted_dir, "main",
+                                                fsync="off")
         sql = ("SELECT owner, COUNT(*) AS n, SUM(qty) AS total "
                "FROM items GROUP BY owner ORDER BY owner")
         assert compiled.query(sql) == interpreted.query(sql)

@@ -6,7 +6,8 @@ rollbacks runs against both the SQL engine and a plain-Python oracle
 match the oracle — the strongest correctness net over the substrate
 everything else stands on.
 
-The machine also drives a ``compile=False`` twin through the same
+The machine also drives a reference interpreter twin
+(``tests/reference.py``) through the same
 steps: the interpreter never remembers a result, so after every step a
 set of aggregates read from *another* thread (the lock-free snapshot
 path, where the compiled database may reuse a remembered result) must
@@ -50,6 +51,7 @@ from repro.engine import Database
 from repro.errors import ConstraintViolation, EngineError
 
 from repro.engine.storage import SETTLE_FLOOR, SETTLE_FRACTION
+from tests.reference import ReferenceDatabase
 
 keys = st.integers(min_value=0, max_value=20)
 values = st.integers(min_value=-100, max_value=100)
@@ -80,7 +82,7 @@ class EngineModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.db = Database()
-        self.twin = Database("twin", compile=False)
+        self.twin = ReferenceDatabase("twin")
         self.both("CREATE TABLE t (k INTEGER, v INTEGER, tag TEXT)")
         self.db.execute("CREATE INDEX t_k ON t (k)")
         self.db.execute("CREATE INDEX t_tag_k ON t (tag, k)")
@@ -564,7 +566,7 @@ def test_unique_violation_fails_on_the_same_row(rolled_back_delete):
     A rolled-back delete moves its row to the end of the live scan,
     and the compiled database must follow that order too."""
     outcomes = []
-    compiled, twin = Database(), Database("twin", compile=False)
+    compiled, twin = Database(), ReferenceDatabase("twin")
     for database in (compiled, twin):
         database.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, "
                          "grp TEXT, code INTEGER UNIQUE)")

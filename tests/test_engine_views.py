@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Database
 from repro.errors import CatalogError, EngineError, SqlSyntaxError
+from tests.reference import ReferenceDatabase
 
 
 @pytest.fixture
@@ -112,12 +113,12 @@ class TestViewQuerying:
 
 
 def twins():
-    """A compiled database and its ``compile=False`` reference, each with
+    """A compiled database and its reference interpreter twin, each with
     a view over a table, an aggregating view, a view over that and a
     view that names two columns alike."""
     databases = []
-    for compile in (True, False):
-        database = Database(compile=compile)
+    for engine in (Database, ReferenceDatabase):
+        database = engine()
         database.execute("CREATE TABLE emp (id INTEGER PRIMARY KEY, "
                          "name TEXT, dept TEXT)")
         database.execute("INSERT INTO emp VALUES (1, 'ada', 'eng'), "

@@ -25,14 +25,15 @@ import pytest
 from repro.engine import Database
 from repro.engine.storage import _visible
 from repro.engine.wal import WriteAheadLog
+from tests.reference import ReferenceDatabase, execute_select
 
 pytestmark = pytest.mark.mvcc
 
 WAIT = 30.0
 
 
-def make_db(compile=True):
-    db = Database("main", compile=compile)
+def make_db(engine=Database):
+    db = engine("main")
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
     for i in range(1, 6):
         db.execute("INSERT INTO t VALUES (?, ?)", (i, f"v{i}"))
@@ -75,7 +76,7 @@ class TestSnapshotVisibility:
         merge = Index._merge
         monkeypatch.setattr(Index, "_merge", lambda index: (
             merges.append(index.name), merge(index)))
-        compiled, reference = make_db(), make_db(compile=False)
+        compiled, reference = make_db(), make_db(ReferenceDatabase)
         sql = "SELECT id, v FROM t WHERE id BETWEEN ? AND ?"
         statement = compiled._parse(sql)
 
@@ -141,8 +142,7 @@ class TestSnapshotVisibility:
         with db.open_snapshot() as snapshot:
             db.execute("UPDATE t SET v = 'later' WHERE id = 3")
             compiled = plan.execute((), snapshot)
-            interpreted = db._executor.execute_select(
-                statement, (), snapshot)
+            interpreted = execute_select(db, statement, (), snapshot)
         assert [tuple(r) for r in compiled.rows] \
             == [tuple(r) for r in interpreted.rows] == [(3, "v3")]
 

@@ -1,16 +1,15 @@
 """Performance smoke tests (``pytest -m perfsmoke``).
 
 A fast sanity layer between the unit tests and ``bench/``: plan
-compilation still beats the interpreted executor on the two E12
-shapes, the E12 join and E9 index ablations hold, and the analysis CLI
+compilation still beats the reference interpreter
+(``tests/reference.py``) on the two E12 shapes, the E12 join and E9 index ablations hold, and the analysis CLI
 runs clean over the example artifacts.
 
 Standing rule: no tier-1 wall-clock assert with less than 2x headroom
 over what was measured (asserted / measured: compiled vs interpreted
 1.5x / 4-6x, reuse vs recompute 5x / ~130x, hash join vs nested loop
 5x / ~110x, index vs scan 2x / ~20x).  What a fast path must *not do*
-is asserted as a count — plans compiled, SELECTs a compiled database
-hands to the interpreter, log frames decoded, tables
+is asserted as a count — plans compiled, log frames decoded, tables
 scanned and WHERE clauses evaluated by keyed DML, rows a fold re-reads,
 dimension rows a warm MDX request reads, version chains kept and
 collections run, usage rows written,
@@ -29,14 +28,15 @@ from pathlib import Path
 import pytest
 
 from repro.engine import Database
+from tests.reference import ReferenceDatabase
 
 pytestmark = pytest.mark.perfsmoke
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def build(fact_rows, compile=True):
-    database = Database(compile=compile)
+def build(fact_rows, engine=Database):
+    database = engine()
     database.execute(
         "CREATE TABLE dim (k INTEGER PRIMARY KEY, label TEXT)")
     database.executemany(
@@ -95,7 +95,7 @@ STAR_JOIN = ("SELECT d.label, SUM(f.amount) AS total FROM fact f "
 def test_compiled_plans_still_fast(sql):
     """Compiled execution beats the interpreter with margin to spare."""
     compiled = build(4_000)
-    interpreted = build(4_000, compile=False)
+    interpreted = build(4_000, ReferenceDatabase)
     assert compiled.query(sql) == interpreted.query(sql)
     # The table moves between rounds: this measures execution, not
     # the reuse of an aggregate's remembered result.
@@ -176,61 +176,6 @@ def test_moving_table_pays_nothing_for_the_cache(big, monkeypatch):
         big.execute(GROUPED)
     assert big.statistics["result_cache_misses"] == misses + 7
     assert planned == []
-
-
-#: The view, UNION and CTAS statements of ``tests/test_engine_views.py``
-#: as one script, plus a view on the right of a join.
-VIEW_SCRIPT = [
-    "CREATE TABLE sales (region TEXT, amount REAL)",
-    "INSERT INTO sales VALUES ('N', 10.0), ('N', 5.0), ('S', 7.0)",
-    "CREATE VIEW regional AS SELECT region, SUM(amount) AS total "
-    "FROM sales GROUP BY region",
-    "SELECT * FROM regional ORDER BY region",
-    "SELECT total FROM regional WHERE region = 'S'",
-    "SELECT r.total FROM regional r WHERE r.region = 'S'",
-    "SELECT DISTINCT r.region FROM regional r JOIN sales s "
-    "ON r.region = s.region WHERE s.amount > 9 ORDER BY r.region",
-    "SELECT s.amount, r.total FROM sales s LEFT JOIN regional r "
-    "ON s.region = r.region",
-    "SELECT SUM(total) FROM regional",
-    "CREATE VIEW big_regions AS "
-    "SELECT region FROM regional WHERE total > 10",
-    "SELECT * FROM big_regions",
-    "SELECT b.region, s.amount FROM big_regions b JOIN sales s "
-    "ON b.region = s.region",
-    "SELECT region FROM sales UNION SELECT region FROM regional",
-    "SELECT region FROM big_regions UNION ALL SELECT region FROM sales",
-    "CREATE TABLE mart AS SELECT region, SUM(amount) AS total "
-    "FROM sales GROUP BY region",
-    "CREATE TABLE mart_copy AS SELECT region, total FROM regional",
-    "SELECT total FROM mart WHERE region = 'N'",
-]
-
-
-def test_compiled_selects_never_reach_the_interpreter(tmp_path,
-                                                      monkeypatch):
-    """The fence for one SELECT path, in counts: a compiled database runs
-    every parity query and every view, UNION and CTAS statement —
-    outside and inside a transaction, and again after a snapshot load
-    revalidates its views — without one interpreted SELECT."""
-    from repro.engine.executor import Executor
-    from tests.test_engine_planner import PARITY_QUERIES, seed
-
-    interpreted = spy(monkeypatch, Executor, "execute_select")
-    database = seed(Database())
-    for sql, params in PARITY_QUERIES:
-        database.execute(sql, params)
-    for sql in VIEW_SCRIPT:
-        database.execute(sql)
-    reads = [sql for sql in VIEW_SCRIPT if sql.startswith("SELECT")]
-    with database.transaction():
-        for sql in reads:
-            database.execute(sql)
-    database.save(tmp_path / "views.snap")
-    loaded = Database.load(tmp_path / "views.snap")
-    for sql in reads:
-        loaded.execute(sql)
-    assert interpreted == []
 
 
 def test_sharded_reads_decode_only_new_log_bytes(tmp_path, monkeypatch):
@@ -339,12 +284,12 @@ def counting_where(database, sql):
 def test_keyed_dml_touches_one_row(sql, params, monkeypatch):
     """The fence for keyed DML, in counts: a keyed UPDATE or DELETE on
     a 20 000-row table makes no table scan and evaluates its WHERE on
-    at most the one row its key names; the compile=False reference
+    at most the one row its key names; the reference
     scans once."""
     from repro.engine.storage import TableStorage
 
     database = orders(Database())
-    reference = orders(Database(compile=False))
+    reference = orders(ReferenceDatabase())
     where_rows = counting_where(database, sql)
     scans = spy(monkeypatch, TableStorage, "scan")
     assert database.execute(sql, params) == 1
@@ -406,7 +351,7 @@ def test_range_read_fetches_only_its_span(monkeypatch):
     from repro.engine.storage import TableStorage
 
     database = tenant_orders(Database())
-    reference = tenant_orders(Database(compile=False))
+    reference = tenant_orders(ReferenceDatabase())
     for key in range(30_000, 30_050):  # a tail, all outside the range
         database.execute("INSERT INTO orders VALUES (?, 'shop-0', 1.0)",
                          (key,))
@@ -495,11 +440,11 @@ def test_appended_facts_fold_without_a_scan(monkeypatch):
     re-run star join reads none of the 4 000 older facts — no
     ``snapshot_rows`` call on ``fact``, 50 rows fetched — and no row of
     the unchanged dimension, whose hash the join keeps, and answers
-    what the compile=False reference does.  A DELETE, or a change to
+    what the reference does.  A DELETE, or a change to
     the dimension, costs exactly one full scan of ``fact``."""
     from repro.engine.storage import TableStorage
 
-    database, reference = build(4_000), build(4_000, compile=False)
+    database, reference = build(4_000), build(4_000, ReferenceDatabase)
     database.query(STAR_JOIN)
     appended = [(key % 200 + 1, key * 0.5) for key in range(50)]
     for target in (database, reference):
@@ -529,15 +474,15 @@ def test_sliced_mdx_reads_no_dimension_once_warm(monkeypatch):
     DISTINCT) and its star join (a fold probing kept dimension hashes)
     — makes no ``snapshot_rows`` call on any ``dim_*`` table once warm,
     nor after 50 facts are appended, and its cells equal the
-    compile=False reference's."""
+    reference's."""
     from repro.engine.storage import TableStorage
     from repro.olap import CubeSchema, OlapEngine, parse_mdx
     from repro.workloads.retail import RetailWorkload
 
     workload = RetailWorkload(seed=5)
     engines = []
-    for compile in (True, False):
-        database = Database(compile=compile)
+    for cls in (Database, ReferenceDatabase):
+        database = cls()
         workload.build(database, fact_rows=2_000)
         engines.append(OlapEngine(database, CubeSchema.from_definition(
             workload.cube_definition())))

@@ -7,7 +7,8 @@ result is byte-equal to executing the statement at the reader's
 snapshot*.  Validity is per-table stamp equality, checked at read
 time — so every test here is a way the tables can move (or appear to
 stand still) between two reads, and the oracle is always the same
-statement on a ``compile=False`` twin or a forced re-execution.
+statement on a reference interpreter twin (``tests/reference.py``) or
+a forced re-execution.
 """
 
 import threading
@@ -22,6 +23,7 @@ from repro.engine.planner import (
     RESULT_CACHE_PARAM_SETS,
 )
 from repro.errors import EngineError
+from tests.reference import ReferenceDatabase
 
 pytestmark = pytest.mark.mvcc
 
@@ -31,8 +33,8 @@ BY_TAG = "SELECT tag, COUNT(*) AS n, SUM(v) AS total FROM t " \
          "GROUP BY tag ORDER BY tag"
 
 
-def make_db(compile=True, name="main"):
-    db = Database(name, compile=compile)
+def make_db(engine=Database, name="main"):
+    db = engine(name)
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, tag TEXT, "
                "v INTEGER)")
     db.execute("CREATE TABLE tags (tag TEXT PRIMARY KEY, label TEXT)")
@@ -397,13 +399,13 @@ def folds(db):
 class TestFolds:
     """Appends to the driving table fold into the remembered groups;
     every other change runs the statement in full.  The oracle is the
-    ``compile=False`` twin, compared by ``repr``."""
+    reference interpreter twin, compared by ``repr``."""
 
     @staticmethod
     def pair():
         databases = []
-        for compile in (True, False):
-            db = make_db(compile=compile)
+        for engine in (Database, ReferenceDatabase):
+            db = make_db(engine)
             db.execute("ALTER TABLE t ADD COLUMN x REAL")
             db.execute("UPDATE t SET x = v / 3.0")
             databases.append(db)
@@ -666,7 +668,7 @@ class TestDdlFlushes:
 class TestKeysAndEligibility:
     def test_params_of_equal_value_and_different_type_do_not_collide(self):
         db = Database()
-        twin = Database(compile=False)
+        twin = ReferenceDatabase()
         sql = "SELECT ? AS echo, COUNT(*) AS n FROM u WHERE x = ?"
         for target in (db, twin):
             target.execute("CREATE TABLE u (x INTEGER)")
@@ -709,13 +711,6 @@ class TestKeysAndEligibility:
         assert counters(db) == (1, 1)        # the view's own SELECT
         db.execute("INSERT INTO t VALUES (7, 'a', 1000)")
         assert db.execute(sql).rows == [("a", 1120), ("b", 90)]
-
-    def test_compile_false_never_caches(self):
-        db = make_db(compile=False)
-        for _ in range(3):
-            db.execute(BY_TAG)
-        assert counters(db) == (0, 0)
-        assert not db._plan_cache
 
     def test_union_parts_are_reused_independently(self):
         db = make_db()

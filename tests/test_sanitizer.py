@@ -257,6 +257,6 @@ class TestCrashBatterySanitized:
                                               tmp_path):
         battery = chaos.TestConcurrentWorkloadRoundTrip()
         battery.test_recovery_round_trips_the_live_state(
-            tmp_path, compile=True)
+            tmp_path, compiled=True)
         assert sanitized_env.acquisitions > 100
         sanitized_env.assert_clean()

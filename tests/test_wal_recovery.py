@@ -26,6 +26,7 @@ from repro.engine.wal import (
     scan_frames,
 )
 from repro.errors import WalError
+from tests.reference import ReferenceDatabase
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +405,9 @@ class TestDatabaseRecover:
         db = Database.recover(tmp_path, "main", fsync="off")
         workload(db)
         db.close()
-        compiled = Database.recover(tmp_path, "main", fsync="off",
-                                    compile=True)
-        interpreted = Database.recover(tmp_path, "main", fsync="off",
-                                       compile=False)
+        compiled = Database.recover(tmp_path, "main", fsync="off")
+        interpreted = ReferenceDatabase.recover(tmp_path, "main",
+                                                fsync="off")
         sql = ("SELECT id, v, n FROM t WHERE n > 4 "
                "ORDER BY n DESC, id")
         assert compiled.query(sql) == interpreted.query(sql)
@@ -442,8 +442,8 @@ class TestSnapshotDirectoryFsync:
 # ---------------------------------------------------------------------------
 
 class TestDropTableRollbackCoherence:
-    def seed(self, compile):
-        db = Database("coherence", compile=compile)
+    def seed(self, compiled):
+        db = (Database if compiled else ReferenceDatabase)("coherence")
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, "
                    "n INTEGER)")
         db.execute("CREATE UNIQUE INDEX idx_n ON t (n)")
@@ -451,9 +451,9 @@ class TestDropTableRollbackCoherence:
                        [(i, i * 10) for i in range(1, 6)])
         return db
 
-    @pytest.mark.parametrize("compile", [True, False])
-    def test_index_survives_and_still_enforces(self, compile):
-        db = self.seed(compile)
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_index_survives_and_still_enforces(self, compiled):
+        db = self.seed(compiled)
         db.begin()
         db.execute("DROP TABLE t")
         db.rollback()
@@ -468,7 +468,7 @@ class TestDropTableRollbackCoherence:
         assert db.query_value("SELECT COUNT(*) FROM t") == 6
 
     def test_compiled_plans_stay_coherent(self):
-        db = self.seed(compile=True)
+        db = self.seed(compiled=True)
         sql = "SELECT id, n FROM t WHERE n >= 20 ORDER BY id"
         before = db.query(sql)  # warms the plan cache
         db.begin()
