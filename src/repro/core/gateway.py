@@ -5,8 +5,9 @@ many tenants *at once*.  :class:`RequestGateway` puts a worker pool in
 front of the web application so overlapping tenant requests really
 overlap: each request is admission-checked against the tenant registry
 — a deactivated or unknown tenant is rejected at dispatch, before any
-worker thread or database time is spent — and then handled on a pool
-thread through the normal middleware chain.
+worker thread or database time is spent — and then run through the
+middleware chain by a pool worker or, if it claims the request first,
+by the caller waiting on its future (a closed loop makes no thread hop).
 
 The gateway is also where the resilience kernel meets traffic:
 
@@ -36,11 +37,10 @@ import sys
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.overload import (
     OverloadController,
-    QueuedRequest,
     read_only_statement,
 )
 from repro.core.resilience import (
@@ -114,6 +114,57 @@ class DegradedResponse(JsonResponse):
             else (200 if stale else 503), headers=headers)
 
 
+class ClaimableFuture(Future):
+    """An admitted request's future, run by whoever claims it first.
+
+    Once armed, the pool worker that dequeues :meth:`claim` and the
+    first thread to wait on ``result``/``exception`` race for one
+    claim; the loser does nothing.  A request cancelled before it
+    started runs its ``abandon`` step instead.  An unarmed future
+    (parked in the admission queue) gives a waiter nothing to claim.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._armed: Optional[tuple] = None  # guarded-by: _claim_lock
+        self._claim_lock = threading.Lock()
+
+    def arm(self, run: Callable, abandon: Callable) -> None:
+        with self._claim_lock:
+            self._armed = (run, abandon)
+
+    def take(self) -> Optional[tuple]:
+        """The armed work, to exactly one caller; None once taken."""
+        with self._claim_lock:
+            armed, self._armed = self._armed, None
+        return armed
+
+    def claim(self) -> None:
+        """Run the armed work here unless another thread took it."""
+        armed = self.take()
+        if armed is None:
+            return
+        run, abandon = armed
+        if not self.set_running_or_notify_cancel():
+            return abandon()
+        try:
+            result = run()
+        except BaseException as exc:  # an interrupt also goes on up
+            self.set_exception(exc)
+            if not isinstance(exc, Exception):
+                raise
+        else:
+            self.set_result(result)
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        self.claim()
+        return super().result(timeout)
+
+    def exception(self, timeout: Optional[float] = None) -> Any:
+        self.claim()
+        return super().exception(timeout)
+
+
 class RequestGateway:
     """Dispatches tenant requests onto a worker pool.
 
@@ -133,6 +184,11 @@ class RequestGateway:
     ``expired`` (deadline aged out while parked — answered 504 without
     ever touching a worker) and ``brownout-shed`` /
     ``brownout-degraded`` (the degradation ladder).
+
+    An admitted request's future is a :class:`ClaimableFuture`, so a
+    waiting caller lends its own thread: ``max_workers`` bounds pool
+    threads; the bulkhead and the AIMD limiter bound admission.  A
+    thread holding a database transaction must not wait on a request.
 
     Read/write classification matters under MVCC: a read-only
     statement — including ``EXPLAIN <anything>``, which only *plans*
@@ -453,36 +509,29 @@ class RequestGateway:
         if self.deadline_seconds is not None:
             deadline = Deadline(self.deadline_seconds, clock=self.clock)
 
-        if self.overload is None:
-            self._log(path, decision)
-            return self._ensure_pool().submit(
-                self._run_request, method, path, body, headers, query,
-                tenant_id, breaker, bulkhead, deadline, None, False)
-
-        # Overload path: the AIMD limit — not the worker pool — is the
-        # true admission bound.  A free slot dispatches immediately; a
-        # full limiter parks the request in the priority queue, where
-        # its deadline keeps ticking.
-        self._expire_queued()
-        if self.overload.limiter.try_acquire():
-            self._log(path, decision, qos)
-            return self._dispatch(
-                {"method": method, "path": path, "body": body,
-                 "headers": headers, "query": query,
-                 "tenant_id": tenant_id, "breaker": breaker,
-                 "bulkhead": bulkhead, "deadline": deadline,
-                 "qos": qos, "future": None})
         work: Dict[str, Any] = {
             "method": method, "path": path, "body": body,
             "headers": headers, "query": query,
             "tenant_id": tenant_id, "breaker": breaker,
             "bulkhead": bulkhead, "deadline": deadline, "qos": qos,
-            "future": Future()}
+            "future": ClaimableFuture()}
+        if self.overload is None:
+            self._log(path, decision)
+            return self._start(work, False)
+
+        # Overload path: the AIMD limit — not the worker pool — is the
+        # true admission bound.  A free slot dispatches immediately; a
+        # full limiter parks the request in the priority queue, where
+        # its deadline keeps ticking and its future stays unarmed.
+        self._expire_queued()
+        if self.overload.limiter.try_acquire():
+            self._log(path, decision, qos)
+            return self._dispatch(work)
         entry, displaced = self.overload.queue.offer(
             qos, deadline=deadline, payload=work)
         if displaced is not None:
             self._resolve_queued(
-                displaced, "queue-displaced",
+                displaced.payload, "queue-displaced",
                 self._shed_response(
                     {"error": "displaced from the admission queue by "
                               "higher-priority traffic",
@@ -667,79 +716,67 @@ class RequestGateway:
                     self._stale_cache_put(key, payload)
             return response
         finally:
-            if bulkhead is not None:
-                bulkhead.release()
-            if self.overload is not None and limiter_held:
-                self.overload.limiter.release()
-                self.overload.note_result(
-                    self.clock.now() - started, ok,
-                    deadline_missed=deadline_missed)
-            self._request_done()
-            if self.overload is not None:
-                self.pump()
+            self._release(bulkhead, limiter_held,
+                          (self.clock.now() - started, ok,
+                           deadline_missed))
+
+    def _release(self, bulkhead: Optional[Bulkhead], limiter_held: bool,
+                 outcome: Optional[tuple] = None) -> None:
+        """Hand back what admission took; ``outcome`` feeds the limiter."""
+        if bulkhead is not None:
+            bulkhead.release()
+        if self.overload is not None and limiter_held:
+            self.overload.limiter.release()
+            if outcome is not None:
+                self.overload.note_result(*outcome)
+        self._request_done()
+        if self.overload is not None:
+            self.pump()
+
+    def _start(self, work: Dict[str, Any], limiter_held: bool) \
+            -> ClaimableFuture:
+        """Arm an admitted item's future; queue its claim on the pool."""
+        future, bulkhead = work["future"], work["bulkhead"]
+        args = (work["method"], work["path"], work["body"],
+                work["headers"], work["query"], work["tenant_id"],
+                work["breaker"], bulkhead, work["deadline"], work["qos"],
+                limiter_held)
+        future.arm(lambda: self._run_request(*args),
+                   lambda: self._release(bulkhead, limiter_held))
+        self._ensure_pool().submit(future.claim)
+        return future
 
     # -- the overload path: dispatch, queue pump, flush ----------------------------
 
     def _dispatch(self, work: Dict[str, Any]) -> "Future[Response]":
-        """Hand one admitted work item (limiter slot held) to the pool.
+        """Start one admitted work item (limiter slot held).
 
-        When the item was queued, its caller already holds
-        ``work["future"]`` — the pool result is transferred onto it;
-        a direct dispatch returns the pool future itself.
+        Arming ``work["future"]`` here is what makes it claimable: a
+        caller waiting on a queued item gets to run it only now.
         """
         assert self.overload is not None
         try:
-            pool_future = self._ensure_pool().submit(
-                self._run_request, work["method"], work["path"],
-                work["body"], work["headers"], work["query"],
-                work["tenant_id"], work["breaker"], work["bulkhead"],
-                work["deadline"], work["qos"], True)
+            return self._start(work, True)
         except RuntimeError:
-            # Lost the race with pool teardown: undo the admission and
-            # answer a typed shutdown shed instead of crashing.
-            self.overload.limiter.release()
-            bulkhead = work.get("bulkhead")
-            if bulkhead is not None:
-                bulkhead.release()
-            response = self._shed_response(
-                {"error": "gateway is shutting down",
-                 "code": "gateway_shutdown"}, status=503,
-                retry_after=DEFAULT_RETRY_AFTER)
-            self._log(work["path"], "queue-shed", work.get("qos"))
-            target = work["future"]
-            if target is None:
-                target = Future()
-            if not target.done():
-                target.set_result(response)
-            self._request_done()
-            return target
-        target = work["future"]
-        if target is None:
-            return pool_future
+            # Lost the race with pool teardown: unless its caller claimed
+            # it, undo the admission and answer a typed shutdown shed.
+            if work["future"].take() is not None:
+                self.overload.limiter.release()
+                self._resolve_queued(work, "queue-shed", self._shed_response(
+                    {"error": "gateway is shutting down",
+                     "code": "gateway_shutdown"}, status=503,
+                    retry_after=DEFAULT_RETRY_AFTER))
+            return work["future"]
 
-        def _transfer(done: "Future[Response]") -> None:
-            if target.done():
-                return
-            error = done.exception()
-            if error is not None:
-                target.set_exception(error)
-            else:
-                target.set_result(done.result())
-
-        pool_future.add_done_callback(_transfer)
-        return target
-
-    def _resolve_queued(self, entry: QueuedRequest, decision: str,
+    def _resolve_queued(self, work: Dict[str, Any], decision: str,
                         response: Response) -> None:
         """Answer a parked request without it ever touching a worker."""
-        work = entry.payload
         bulkhead = work.get("bulkhead")
         if bulkhead is not None:
             bulkhead.release()
         self._log(work["path"], decision, work.get("qos"))
-        future = work.get("future")
-        if future is not None and not future.done():
-            future.set_result(response)
+        if not work["future"].done():
+            work["future"].set_result(response)
         self._request_done()
 
     def _expire_queued(self) -> int:
@@ -759,7 +796,7 @@ class RequestGateway:
             deadline = work.get("deadline")
             budget = deadline.budget_seconds if deadline is not None \
                 else 0.0
-            self._resolve_queued(entry, "expired", self._shed_response(
+            self._resolve_queued(work, "expired", self._shed_response(
                 {"error": f"request exceeded its {budget:.3f}s budget "
                           f"waiting in the admission queue",
                  "code": "deadline_exceeded"}, status=504,
@@ -804,7 +841,7 @@ class RequestGateway:
             if entry is None:
                 break
             self._resolve_queued(
-                entry, "queue-shed", self._shed_response(
+                entry.payload, "queue-shed", self._shed_response(
                     {"error": "gateway is shutting down",
                      "code": "gateway_shutdown"}, status=503,
                     retry_after=DEFAULT_RETRY_AFTER))
@@ -816,7 +853,9 @@ class RequestGateway:
 
         Each request is a dict with ``method`` and ``path`` plus
         optional ``body``/``headers``/``query`` — the same shape
-        :meth:`~repro.web.WebApplication.request` takes.
+        :meth:`~repro.web.WebApplication.request` takes.  The caller
+        waits from the back of the batch, so it claims what the pool
+        has not reached yet while the workers take the front.
         """
         futures = [
             self.submit(spec["method"], spec["path"],
@@ -824,4 +863,4 @@ class RequestGateway:
                         spec.get("query"))
             for spec in requests
         ]
-        return [future.result() for future in futures]
+        return [future.result() for future in reversed(futures)][::-1]

@@ -480,3 +480,49 @@ class TestDeactivateHoldsRegistryLock:
         codes = {diagnostic.code
                  for diagnostic in collector.diagnostics}
         assert "ODB502" in codes
+
+
+# -- a request cancelled before it started --------------------------------------
+#
+# The pool never runs a cancelled work item, so the gateway's release
+# step (bulkhead, limiter slot, in-flight count) never ran for one:
+# the slots leaked and ``shutdown`` waited for the in-flight count
+# forever.
+
+
+class TestCancelledRequestReleasesItsSlots:
+    @pytest.mark.parametrize("overload", [False, True],
+                             ids=["static", "overload"])
+    def test_cancel_while_waiting_for_a_worker(self, overload):
+        from repro.core.overload import OverloadController
+
+        web = WebApplication("cancel")
+        entered, release = threading.Event(), threading.Event()
+
+        def block(request):
+            entered.set()
+            assert release.wait(30)
+            return JsonResponse({"ok": True})
+
+        web.get(f"/tenants/{TENANT}/block", block)
+        tenants = TenantManager()
+        tenants.register(TENANT, "Acme", "team")
+        controller = OverloadController(
+            initial_limit=4, min_limit=4, max_limit=4) \
+            if overload else None
+        gateway = RequestGateway(web, tenants, max_workers=1,
+                                 bulkhead_capacity=4, overload=controller)
+        first = gateway.submit("GET", f"/tenants/{TENANT}/block")
+        assert entered.wait(10)
+        second = gateway.submit("GET", f"/tenants/{TENANT}/block")
+        assert second.cancel()
+        release.set()
+        assert first.result(10).status == 200
+        stopper = threading.Thread(target=gateway.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(5)
+        assert not stopper.is_alive(), "shutdown never drained"
+        assert gateway.bulkhead(TENANT).in_use == 0
+        assert gateway._inflight == 0
+        if overload:
+            assert controller.limiter.in_flight == 0

@@ -7,14 +7,19 @@ deactivated tenant's request is rejected at dispatch (it never reaches
 the web stack, let alone a database), not mid-query.
 """
 
+import concurrent.futures
+import random
+import sys
 import threading
 
 import pytest
 
 from repro.core import OdbisPlatform, RequestGateway, TenancyMode, overload
-from repro.core.overload import read_only_statement
+from repro.core.overload import OverloadController, read_only_statement
+from repro.core.resilience import FakeClock
 from repro.core.tenancy import TenantManager
 from repro.errors import TenantError
+from repro.web import JsonResponse, WebApplication
 from tests.test_perfsmoke import spy
 
 TENANTS = ("acme", "globex")
@@ -336,3 +341,174 @@ class TestGatewayUnit:
         with platform.gateway as gateway:
             assert gateway.submit("GET", "/ping").result(30).ok
         assert gateway._pool is None
+
+
+class TestClaimableFutures:
+    """A request's future is run by the pool worker that dequeues it or
+    by the first thread that waits on it, whichever claims it first —
+    exactly once either way."""
+
+    @staticmethod
+    def gateway(max_workers, **kwargs):
+        """A bare gateway whose ``/block`` parks its thread until
+        ``gate`` is set, and whose ``/who`` and ``/fail`` record the
+        thread that ran them in ``ran``."""
+        web = WebApplication("claims")
+        gate, entered, ran = threading.Event(), threading.Event(), []
+
+        def block(request):
+            entered.set()
+            assert gate.wait(30)
+            return JsonResponse({"ok": True})
+
+        def who(request):
+            ran.append((request.query.get("n"), threading.get_ident()))
+            return JsonResponse({"n": request.query.get("n")})
+
+        def fail(request):
+            ran.append(("fail", threading.get_ident()))
+            raise RuntimeError("handler broke")
+
+        for prefix in ("", "/tenants/acme"):
+            web.get(prefix + "/block", block)
+            web.get(prefix + "/who", who)
+            web.get(prefix + "/fail", fail)
+        tenants = TenantManager()
+        tenants.register("acme", "Acme", "team")
+        gateway = RequestGateway(web, tenants, max_workers=max_workers,
+                                 **kwargs)
+        return gateway, gate, entered, ran
+
+    def test_waiting_caller_runs_its_request_when_every_worker_is_busy(
+            self):
+        gateway, gate, entered, ran = self.gateway(max_workers=1)
+        blocker = gateway.submit("GET", "/block")
+        try:
+            assert entered.wait(10)
+            response = gateway.submit("GET", "/who").result(timeout=2)
+            assert response.status == 200
+            assert ran == [(None, threading.get_ident())]
+        finally:
+            gate.set()
+            assert blocker.result(10).status == 200
+            gateway.shutdown()
+
+    def test_racing_waiters_run_each_request_and_callback_once(self):
+        gateway, gate, _, ran = self.gateway(max_workers=3)
+        gate.set()
+        fired = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            futures = []
+            for n in range(300):
+                future = gateway.submit("GET", "/who", query={"n": n})
+                future.add_done_callback(lambda _f, n=n: fired.append(n))
+                futures.append(future)
+
+            def waiter(seed):
+                order = list(futures)
+                random.Random(seed).shuffle(order)
+                for future in order:
+                    assert future.result(30).status == 200
+
+            threads = [threading.Thread(target=waiter, args=(seed,))
+                       for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            gateway.shutdown()
+        assert sorted(n for n, _ in ran) == list(range(300))
+        assert sorted(fired) == list(range(300))
+        assert [f.result().json()["n"] for f in futures] == \
+            list(range(300))
+        assert gateway._inflight == 0
+
+    def test_dispatch_all_overlaps_a_batch_one_wider_than_the_pool(
+            self):
+        size = 4
+        inside = threading.Barrier(size)
+        web = WebApplication("fan-out")
+
+        def rendezvous(request):
+            inside.wait(timeout=5)
+            return JsonResponse({"ok": True})
+
+        web.get("/rendezvous", rendezvous)
+        gateway = RequestGateway(web, TenantManager(),
+                                 max_workers=size - 1)
+        try:
+            responses = gateway.dispatch_all(
+                [{"method": "GET", "path": "/rendezvous"}] * size)
+            assert [r.status for r in responses] == [200] * size
+        finally:
+            gateway.shutdown()
+
+    def test_parked_request_is_not_run_by_its_waiting_caller(self):
+        controller = OverloadController(
+            clock=FakeClock(), queue_capacity=4, initial_limit=1,
+            min_limit=1, max_limit=1)
+        gateway, gate, entered, ran = self.gateway(
+            max_workers=2, overload=controller)
+        blocker = gateway.submit("GET", "/block")
+        try:
+            assert entered.wait(10)
+            parked = gateway.submit("GET", "/who")
+            assert len(controller.queue) == 1
+            tried = threading.Event()
+            claim = parked.claim
+
+            def watched_claim():
+                claim()
+                tried.set()
+
+            parked.claim = watched_claim
+            answers = []
+            waiter = threading.Thread(
+                target=lambda: answers.append(parked.result(30)))
+            waiter.start()
+            # The waiter's one claim found nothing armed: the limiter
+            # slot is still the blocker's.
+            assert tried.wait(10)
+            assert ran == [] and not parked.done()
+            gate.set()
+            waiter.join(30)
+            assert not waiter.is_alive()
+            assert answers[0].status == 200
+            assert [ident for _, ident in ran] != [waiter.ident]
+            assert ("/who", "queued") in gateway.dispatch_log
+        finally:
+            gate.set()
+            blocker.result(10)
+            gateway.shutdown()
+
+    def test_a_failing_handler_answers_alike_on_either_thread(self):
+        gateway, gate, entered, ran = self.gateway(
+            max_workers=1, bulkhead_capacity=4)
+        path = "/tenants/acme/fail"
+        breaker = gateway.breaker("acme")
+        try:
+            on_worker = gateway.submit("GET", path)
+            concurrent.futures.wait([on_worker], timeout=10)
+            assert on_worker.done()
+            after_worker = breaker.consecutive_failures
+
+            blocker = gateway.submit("GET", "/tenants/acme/block")
+            assert entered.wait(10)
+            on_caller = gateway.submit("GET", path).result(timeout=2)
+            assert breaker.consecutive_failures == after_worker + 1 == 2
+        finally:
+            gate.set()
+            gateway.shutdown()
+        assert blocker.result(10).status == 200
+        first = on_worker.result()
+        assert ran[0][1] != threading.get_ident()
+        assert ran[1] == ("fail", threading.get_ident())
+        for response in (first, on_caller):
+            assert response.status == 500
+            assert response.json() == {"error": "handler broke",
+                                       "code": "internal_failure"}

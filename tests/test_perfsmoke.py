@@ -13,7 +13,8 @@ is asserted as a count — plans compiled, log frames decoded, tables
 scanned and WHERE clauses evaluated by keyed DML, rows a fold re-reads,
 dimension rows a warm MDX request reads, version chains kept and
 collections run, usage rows written,
-platform-database statements per dashboard delivery — which
+platform-database statements per dashboard delivery, the thread a
+closed-loop gateway request runs on — which
 repeats exactly on any host; what a
 statement *costs* is a ``bench/``
 metric (``engine.read_self_ms_per_stmt``).
@@ -22,6 +23,7 @@ metric (``engine.read_self_ms_per_stmt``).
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -612,6 +614,47 @@ def test_dashboard_delivery_statement_count(monkeypatch, datasets):
     assert response.status == 200, response.body
     assert len(statements) == 1 + 2 * datasets
     platform.gateway.shutdown()
+
+
+def test_closed_loop_requests_run_on_the_calling_thread(monkeypatch):
+    """A caller that submits a request and waits on it runs it itself:
+    no hand-off to a pool worker and back.  Counted on thread idents.
+    The pool thread is started by a warm-up request first (starting a
+    thread yields the interpreter lock to it), and a long switch
+    interval keeps the interpreter from handing the lock to the woken
+    worker in the few bytecodes between hand-off and claim."""
+    from repro.core import OdbisPlatform, RequestGateway
+    from repro.web import WebApplication
+
+    platform = OdbisPlatform()
+    platform.provisioning.provision("acme", "Acme", plan="team")
+    login = platform.web.request(
+        "POST", "/login",
+        body={"username": "admin@acme", "password": "changeme"})
+    headers = {"X-Auth-Token": login.json()["token"]}
+    gateway = RequestGateway(platform.web, platform.tenants,
+                             max_workers=1)
+    ran = []
+    handle = WebApplication.handle
+
+    def recording(self, request):
+        ran.append(threading.get_ident())
+        return handle(self, request)
+
+    interval = sys.getswitchinterval()
+    try:
+        assert gateway.submit("GET", "/ping").result(30).ok
+        monkeypatch.setattr(WebApplication, "handle", recording)
+        sys.setswitchinterval(1.0)
+        for path in ("/tenants/acme/datasources", "/ping") * 25:
+            response = gateway.submit("GET", path,
+                                      headers=headers).result(30)
+            assert response.status == 200, response.body
+    finally:
+        sys.setswitchinterval(interval)
+        gateway.shutdown()
+        platform.close()
+    assert ran == [threading.get_ident()] * 50
 
 
 def test_analysis_cli_runs_clean():
