@@ -19,9 +19,17 @@ The gateway is also where the resilience kernel meets traffic:
 * each tenant has a :class:`CircuitBreaker`; while it is open the
   gateway answers from the stale-response cache with a typed
   :class:`DegradedResponse` (staleness marker included) instead of
-  hammering the broken backend,
+  hammering the broken backend, and once half-open it lets one probe
+  through at a time,
 * no exception escapes to callers: worker failures become typed 500
   responses and count against the tenant's breaker.
+
+Each request is one admission record.  What admission takes for it —
+the breaker's admission (the probe, when half-open), a bulkhead slot,
+an AIMD limiter slot — is written into the record as it is taken, and
+every way out (rejected, shed, degraded, expired, displaced, shutdown,
+cancelled before it started, or run) goes through one step that hands
+back exactly what the record holds.
 
 Data-plane serialization is the engine's job, not the gateway's: every
 :class:`~repro.engine.database.Database` serializes its writers on one
@@ -173,17 +181,22 @@ class RequestGateway:
     out and gathers responses in request order.  The ``dispatch_log``
     records one ``(path, decision)`` pair per submission — the
     observable that admission control happened at dispatch time; it is
-    a bounded ring (``dispatch_log_capacity``) whose exact per-decision
-    tally survives in ``decision_counts``.  The decisions are
-    ``accepted`` (plus the ``accepted-read`` / ``accepted-write``
+    a bounded ring (``DEFAULT_DISPATCH_LOG_CAPACITY``) whose exact
+    per-decision tally survives in ``decision_counts``.  The decisions
+    are ``accepted`` (plus the ``accepted-read`` / ``accepted-write``
     refinements when the body carries SQL), ``rejected`` (admission),
-    ``shed`` (bulkhead full) and ``degraded`` (breaker open); with an
+    ``shed`` (bulkhead full) and ``degraded`` (breaker open, or
+    half-open with its probe out); with an
     :class:`~repro.core.overload.OverloadController` attached the
     overload path adds ``queued`` (parked behind the AIMD limit),
     ``queue-shed`` / ``queue-displaced`` (priority queue full),
     ``expired`` (deadline aged out while parked — answered 504 without
     ever touching a worker) and ``brownout-shed`` /
     ``brownout-degraded`` (the degradation ladder).
+
+    Every request is one work record from admission to answer, and
+    :meth:`_finish` is its only way out: it releases what the record
+    holds, so no exit hands back a slot by hand.
 
     An admitted request's future is a :class:`ClaimableFuture`, so a
     waiting caller lends its own thread: ``max_workers`` bounds pool
@@ -203,12 +216,6 @@ class RequestGateway:
                  faults: Optional[FaultInjector] = None,
                  deadline_seconds: Optional[float] = None,
                  bulkhead_capacity: Optional[int] = None,
-                 breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-                 breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
-                 stale_cache_capacity: int =
-                 DEFAULT_STALE_CACHE_CAPACITY,
-                 dispatch_log_capacity: int =
-                 DEFAULT_DISPATCH_LOG_CAPACITY,
                  overload: Optional[OverloadController] = None):
         self.web = web
         self.tenants = tenants
@@ -217,8 +224,8 @@ class RequestGateway:
         self.faults = faults or FaultInjector()
         self.deadline_seconds = deadline_seconds
         self.bulkhead_capacity = bulkhead_capacity or max_workers
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
+        self.breaker_threshold = DEFAULT_BREAKER_THRESHOLD
+        self.breaker_cooldown = DEFAULT_BREAKER_COOLDOWN
         #: The overload-control kernel (None = legacy static
         #: admission): AIMD limiter as the true concurrency bound, the
         #: QoS priority queue behind it, the brownout ladder above it.
@@ -227,11 +234,8 @@ class RequestGateway:
         # must not grow a Python list forever.  The tuple shape stays
         # (path, decision); decision_counts keeps the exact tally even
         # after the ring has wrapped.
-        if dispatch_log_capacity < 1:
-            raise ValueError("dispatch_log_capacity must be >= 1")
-        self.dispatch_log_capacity = dispatch_log_capacity
         self.dispatch_log: Deque[Tuple[str, str]] = deque(
-            maxlen=dispatch_log_capacity)  # guarded-by: _log_lock
+            maxlen=DEFAULT_DISPATCH_LOG_CAPACITY)  # guarded-by: _log_lock
         self.decision_counts: Dict[str, int] = {}  # guarded-by: _log_lock
         self._log_lock = threading.Lock()
         self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _pool_lock
@@ -242,9 +246,6 @@ class RequestGateway:
         # LRU-bounded last-known-good bodies for degraded serving: an
         # unbounded dict here grows with every distinct request
         # identity for the life of the gateway.
-        if stale_cache_capacity < 1:
-            raise ValueError("stale_cache_capacity must be >= 1")
-        self.stale_cache_capacity = stale_cache_capacity
         self._stale_cache: "OrderedDict[Tuple[Any, ...], Tuple[Any, float]]" \
             = OrderedDict()  # guarded-by: _stale_lock
         self._stale_lock = threading.Lock()
@@ -370,15 +371,12 @@ class RequestGateway:
                     f"gateway is shutting down; rejected "
                     f"{method} {path}")
             self._inflight += 1
-        accepted = False
         try:
-            future = self._submit_guarded(method, path, body,
-                                          headers, query)
-            accepted = True
-            return future
-        finally:
-            if not accepted:
-                self._request_done()
+            return self._submit_guarded(method, path, body, headers,
+                                        query)
+        except BaseException:
+            self._request_done()
+            raise
 
     def _request_done(self) -> None:
         with self._drain:
@@ -395,15 +393,6 @@ class RequestGateway:
                 self.decision_counts.get(decision, 0) + 1
         if self.overload is not None and qos is not None:
             self.overload.record(path, qos, decision)
-
-    def _resolved(self, path: str, decision: str,
-                  response: Response,
-                  qos: Optional[str] = None) -> "Future[Response]":
-        self._log(path, decision, qos)
-        future: "Future[Response]" = Future()
-        future.set_result(response)
-        self._request_done()
-        return future
 
     # -- Retry-After --------------------------------------------------------------
 
@@ -424,14 +413,29 @@ class RequestGateway:
         return value if value > 0 else DEFAULT_RETRY_AFTER
 
     @staticmethod
-    def _shed_response(body: Dict[str, Any], status: int,
-                       retry_after: float) -> JsonResponse:
+    def _shed(code: str, error: str, status: int,
+              retry_after: float) -> JsonResponse:
         retry_after = max(0.0, retry_after)
-        body = dict(body)
-        body["retry_after"] = round(retry_after, 3)
         return JsonResponse(
-            body, status=status,
-            headers={"retry-after": f"{retry_after:.3f}"})
+            {"error": error, "code": code,
+             "retry_after": round(retry_after, 3)},
+            status=status, headers={"retry-after": f"{retry_after:.3f}"})
+
+    def _deadline_exceeded(self, work: Dict[str, Any], where: str,
+                           breaker: Optional[CircuitBreaker]) \
+            -> JsonResponse:
+        deadline = work["deadline"]
+        budget = deadline.budget_seconds if deadline is not None else 0.0
+        return self._shed(
+            "deadline_exceeded",
+            f"request exceeded its {budget:.3f}s budget{where}", 504,
+            self._retry_after(breaker))
+
+    def _shut_out(self, work: Dict[str, Any]) -> None:
+        """End an admitted request that lost the race with shutdown."""
+        self._finish(work, "queue-shed", self._shed(
+            "gateway_shutdown", "gateway is shutting down", 503,
+            DEFAULT_RETRY_AFTER))
 
     @staticmethod
     def _sql_of(body: Any) -> Optional[str]:
@@ -447,18 +451,27 @@ class RequestGateway:
                         headers: Optional[Dict[str, str]],
                         query: Optional[Dict[str, Any]]) \
             -> "Future[Response]":
+        tenant_id = self.tenant_of(path)
+        # The admission record: each guard below writes what it took
+        # into it (breaker, bulkhead, limiter), and _finish hands back
+        # exactly that, whichever way the request ends.
+        work: Dict[str, Any] = {
+            "method": method, "path": path, "body": body,
+            "headers": headers, "query": query, "tenant_id": tenant_id,
+            "qos": None, "deadline": None, "breaker": None,
+            "bulkhead": None, "limiter": False,
+            "future": ClaimableFuture()}
         sql = self._sql_of(body)
-        qos = None
-        if self.overload is not None:
-            qos = self.overload.classify(method, path, sql)
-            self.overload.observe()
+        overload = self.overload
+        if overload is not None:
+            work["qos"] = qos = overload.classify(method, path, sql)
+            overload.observe()
 
         rejection = self._admit(path)
         if rejection is not None:
-            return self._resolved(path, "rejected", rejection, qos)
+            return self._finish(work, "rejected", rejection)
 
-        tenant_id = self.tenant_of(path)
-        breaker = bulkhead = None
+        breaker = None
         if tenant_id is not None:
             breaker = self.breaker(tenant_id)
 
@@ -466,38 +479,33 @@ class RequestGateway:
         # class is shed for every tenant alike — brownout is platform
         # pressure, not tenant fault, so it must not trip breakers or
         # occupy bulkhead slots.
-        if self.overload is not None and qos is not None:
-            brownout = self.overload.brownout
+        if overload is not None:
+            brownout = overload.brownout
             if brownout.sheds(qos):
-                return self._resolved(
-                    path, "brownout-shed",
-                    self._shed_response(
-                        {"error": f"{qos} traffic is shed under "
-                                  f"overload (brownout level "
-                                  f"{brownout.level})",
-                         "code": "brownout_shed"},
-                        status=503,
-                        retry_after=self._retry_after(breaker)), qos)
+                return self._finish(work, "brownout-shed", self._shed(
+                    "brownout_shed", f"{qos} traffic is shed under "
+                    f"overload (brownout level {brownout.level})", 503,
+                    self._retry_after(breaker)))
             if brownout.degrades(qos):
-                return self._resolved(
-                    path, "brownout-degraded",
-                    self._brownout_degraded(tenant_id, method, path,
-                                            body, query, brownout,
-                                            breaker), qos)
+                return self._finish(
+                    work, "brownout-degraded", self._stale_answer(
+                        work, f"served stale under overload (brownout "
+                              f"level {brownout.level})", breaker))
 
-        if breaker is not None and not breaker.allow():
-            return self._resolved(
-                path, "degraded",
-                self._degraded_response(tenant_id, method, path,
-                                        body, query, breaker), qos)
-        if tenant_id is not None:
+        if breaker is not None:
+            if not breaker.allow(work):
+                return self._finish(work, "degraded", self._stale_answer(
+                    work, f"tenant {tenant_id!r} breaker is "
+                          f"{breaker.state}; retry in "
+                          f"{breaker.retry_after():.1f}s", breaker))
+            work["breaker"] = breaker
             bulkhead = self.bulkhead(tenant_id)
             if not bulkhead.try_acquire():
-                return self._resolved(path, "shed", self._shed_response(
-                    {"error": f"tenant {tenant_id!r} is over its "
-                              f"concurrency cap of {bulkhead.capacity}",
-                     "code": "bulkhead_rejected"}, status=429,
-                    retry_after=self._retry_after(breaker)), qos)
+                return self._finish(work, "shed", self._shed(
+                    "bulkhead_rejected", f"tenant {tenant_id!r} is over "
+                    f"its concurrency cap of {bulkhead.capacity}", 429,
+                    self._retry_after(breaker)))
+            work["bulkhead"] = bulkhead
 
         if sql is None:
             decision = "accepted"
@@ -505,51 +513,39 @@ class RequestGateway:
             decision = "accepted-read"
         else:
             decision = "accepted-write"
-        deadline = None
         if self.deadline_seconds is not None:
-            deadline = Deadline(self.deadline_seconds, clock=self.clock)
+            work["deadline"] = Deadline(self.deadline_seconds,
+                                        clock=self.clock)
 
-        work: Dict[str, Any] = {
-            "method": method, "path": path, "body": body,
-            "headers": headers, "query": query,
-            "tenant_id": tenant_id, "breaker": breaker,
-            "bulkhead": bulkhead, "deadline": deadline, "qos": qos,
-            "future": ClaimableFuture()}
-        if self.overload is None:
-            self._log(path, decision)
-            return self._start(work, False)
+        if overload is not None:
+            # Overload path: the AIMD limit — not the worker pool — is
+            # the true admission bound.  A free slot dispatches now; a
+            # full limiter parks the request in the priority queue,
+            # where its deadline keeps ticking and its future stays
+            # unarmed.
+            self._expire_queued()
+            if overload.limiter.try_acquire():
+                work["limiter"] = True
+            else:
+                entry, displaced = overload.queue.offer(
+                    qos, deadline=work["deadline"], payload=work)
+                if displaced is not None:
+                    self._finish(
+                        displaced.payload, "queue-displaced", self._shed(
+                            "queue_displaced", "displaced from the "
+                            "admission queue by higher-priority traffic",
+                            503, self._retry_after()))
+                if entry is None:
+                    return self._finish(work, "queue-shed", self._shed(
+                        "queue_full", "admission queue is full", 503,
+                        self._retry_after(breaker)))
+                self._log(path, "queued", qos)
+                overload.observe()
+                return work["future"]
+        self._log(path, decision, work["qos"])
+        return self._start(work)
 
-        # Overload path: the AIMD limit — not the worker pool — is the
-        # true admission bound.  A free slot dispatches immediately; a
-        # full limiter parks the request in the priority queue, where
-        # its deadline keeps ticking and its future stays unarmed.
-        self._expire_queued()
-        if self.overload.limiter.try_acquire():
-            self._log(path, decision, qos)
-            return self._dispatch(work)
-        entry, displaced = self.overload.queue.offer(
-            qos, deadline=deadline, payload=work)
-        if displaced is not None:
-            self._resolve_queued(
-                displaced.payload, "queue-displaced",
-                self._shed_response(
-                    {"error": "displaced from the admission queue by "
-                              "higher-priority traffic",
-                     "code": "queue_displaced"}, status=503,
-                    retry_after=self._retry_after()))
-        if entry is None:
-            if bulkhead is not None:
-                bulkhead.release()
-            return self._resolved(path, "queue-shed", self._shed_response(
-                {"error": "admission queue is full",
-                 "code": "queue_full"}, status=503,
-                retry_after=self._retry_after(breaker)), qos)
-        self._log(path, "queued", qos)
-        self.overload.observe()
-        return work["future"]
-
-    def _stale_cache_key(self, tenant_id: str, method: str, path: str,
-                         body: Any, query: Optional[Dict[str, Any]]) \
+    def _stale_cache_key(self, work: Dict[str, Any]) \
             -> Optional[Tuple[Any, ...]]:
         """The degraded-serving identity of an idempotent read.
 
@@ -559,30 +555,30 @@ class RequestGateway:
         read-only SQL statement *is* an idempotent read — its identity
         includes the statement text.  The query string participates in
         the key in canonical (sorted) order so dict ordering cannot
-        split or alias entries.
+        split or alias entries.  Paths outside a tenant have no
+        identity.
         """
-        method = method.upper()
+        tenant_id, path = work["tenant_id"], work["path"]
+        if tenant_id is None:
+            return None
+        method = work["method"].upper()
         canonical = tuple(sorted(
             (str(key), str(value))
-            for key, value in (query or {}).items()))
+            for key, value in (work["query"] or {}).items()))
         if method in ("GET", "HEAD"):
             return (tenant_id, method, path, canonical)
-        sql = self._sql_of(body)
+        sql = self._sql_of(work["body"])
         if sql is not None and read_only_statement(sql):
             return (tenant_id, method, path,
                     canonical + (("sql", sql),))
         return None
 
-    def _degraded_response(self, tenant_id: str, method: str,
-                           path: str, body: Any,
-                           query: Optional[Dict[str, Any]],
-                           breaker: CircuitBreaker) \
+    def _stale_answer(self, work: Dict[str, Any], reason: str,
+                      breaker: Optional[CircuitBreaker]) \
             -> DegradedResponse:
-        reason = (f"tenant {tenant_id!r} breaker is "
-                  f"{breaker.state}; retry in "
-                  f"{breaker.retry_after():.1f}s")
-        key = self._stale_cache_key(tenant_id, method, path, body,
-                                    query)
+        """The last known-good body for ``work``, marked stale — or a
+        503 degraded notice when nothing is cached for it."""
+        key = self._stale_cache_key(work)
         cached = None
         if key is not None:
             with self._stale_lock:
@@ -592,47 +588,19 @@ class RequestGateway:
                     # degraded traffic away from the eviction end.
                     self._stale_cache.move_to_end(key)
         retry_after = self._retry_after(breaker)
-        if cached is not None:
-            payload, written_at = cached
-            return DegradedResponse(reason, payload=payload,
-                                    stale=True,
-                                    stale_as_of=written_at,
-                                    retry_after=retry_after)
-        return DegradedResponse(reason, retry_after=retry_after)
-
-    def _brownout_degraded(self, tenant_id: Optional[str],
-                           method: str, path: str, body: Any,
-                           query: Optional[Dict[str, Any]],
-                           brownout: Any,
-                           breaker: Optional[CircuitBreaker]) \
-            -> DegradedResponse:
-        """The brownout ladder's stale answer for a degraded class."""
-        reason = (f"served stale under overload (brownout level "
-                  f"{brownout.level})")
-        cached = None
-        if tenant_id is not None:
-            key = self._stale_cache_key(tenant_id, method, path,
-                                        body, query)
-            if key is not None:
-                with self._stale_lock:
-                    cached = self._stale_cache.get(key)
-                    if cached is not None:
-                        self._stale_cache.move_to_end(key)
-        retry_after = self._retry_after(breaker)
-        if cached is not None:
-            payload, written_at = cached
-            return DegradedResponse(reason, payload=payload,
-                                    stale=True,
-                                    stale_as_of=written_at,
-                                    retry_after=retry_after)
-        return DegradedResponse(reason, retry_after=retry_after)
+        if cached is None:
+            return DegradedResponse(reason, retry_after=retry_after)
+        payload, written_at = cached
+        return DegradedResponse(reason, payload=payload, stale=True,
+                                stale_as_of=written_at,
+                                retry_after=retry_after)
 
     def _stale_cache_put(self, key: Tuple[Any, ...],
                          payload: Any) -> None:
         with self._stale_lock:
             self._stale_cache[key] = (payload, self.clock.now())
             self._stale_cache.move_to_end(key)
-            while len(self._stale_cache) > self.stale_cache_capacity:
+            while len(self._stale_cache) > DEFAULT_STALE_CACHE_CAPACITY:
                 self._stale_cache.popitem(last=False)
 
     @staticmethod
@@ -649,30 +617,21 @@ class RequestGateway:
 
     def _run_request(self, method: str, path: str, body: Any,
                      headers: Optional[Dict[str, str]],
-                     query: Optional[Dict[str, Any]],
-                     tenant_id: Optional[str],
-                     breaker: Optional[CircuitBreaker],
-                     bulkhead: Optional[Bulkhead],
-                     deadline: Optional[Deadline],
-                     qos: Optional[str] = None,
-                     limiter_held: bool = False) -> Response:
+                     work: Dict[str, Any]) -> Response:
         """The worker-side wrapper: budget, faults, typed failures."""
+        breaker, deadline = work["breaker"], work["deadline"]
         started = self.clock.now()
         ok = False
         deadline_missed = False
         try:
             if deadline is not None and deadline.expired:
                 deadline_missed = True
-                return self._shed_response(
-                    {"error": f"request exceeded its "
-                              f"{deadline.budget_seconds:.3f}s budget "
-                              f"waiting for a worker",
-                     "code": "deadline_exceeded"}, status=504,
-                    retry_after=self._retry_after(breaker))
+                return self._deadline_exceeded(
+                    work, " waiting for a worker", breaker)
             try:
                 self.faults.fire("gateway.handle")
                 response = self.web.request(method, path, body,
-                                            headers, query)
+                                            headers, work["query"])
             except Exception as exc:
                 if breaker is not None:
                     breaker.record_failure()
@@ -683,11 +642,7 @@ class RequestGateway:
                 deadline_missed = True
                 if breaker is not None:
                     breaker.record_failure()
-                return self._shed_response(
-                    {"error": f"request exceeded its "
-                              f"{deadline.budget_seconds:.3f}s budget",
-                     "code": "deadline_exceeded"}, status=504,
-                    retry_after=self._retry_after(breaker))
+                return self._deadline_exceeded(work, "", breaker)
             if breaker is not None:
                 if response.status >= 500:
                     # A stale-epoch 503 is retryable routing back-
@@ -703,11 +658,9 @@ class RequestGateway:
             # AIMD limiter: routing backpressure is not capacity.
             ok = response.status < 500 \
                 or self._stale_epoch_response(response)
-            if tenant_id is not None and response.ok and \
-                    (self.overload is None
-                     or self.overload.brownout.allows_cache_fill()):
-                key = self._stale_cache_key(tenant_id, method, path,
-                                            body, query)
+            if response.ok and (self.overload is None or
+                                self.overload.brownout.allows_cache_fill()):
+                key = self._stale_cache_key(work)
                 if key is not None:
                     try:
                         payload = response.json()
@@ -716,70 +669,63 @@ class RequestGateway:
                     self._stale_cache_put(key, payload)
             return response
         finally:
-            self._release(bulkhead, limiter_held,
-                          (self.clock.now() - started, ok,
-                           deadline_missed))
+            self._finish(work, outcome=(self.clock.now() - started, ok,
+                                        deadline_missed))
 
-    def _release(self, bulkhead: Optional[Bulkhead], limiter_held: bool,
-                 outcome: Optional[tuple] = None) -> None:
-        """Hand back what admission took; ``outcome`` feeds the limiter."""
-        if bulkhead is not None:
-            bulkhead.release()
-        if self.overload is not None and limiter_held:
+    def _finish(self, work: Dict[str, Any], decision: Optional[str] = None,
+                response: Optional[Response] = None,
+                outcome: Optional[tuple] = None) -> ClaimableFuture:
+        """The one way out of the gateway, taken once per request.
+
+        Hands back exactly what ``work`` holds — the breaker's probe
+        (when this request took it and recorded no outcome), the
+        bulkhead slot, the limiter slot (``outcome`` feeds the AIMD
+        limiter) — logs ``decision``, answers with ``response`` a
+        future nobody ran, and drops the in-flight count.  A freed
+        limiter slot then pumps the queue.
+        """
+        future = work["future"]
+        if work["breaker"] is not None:
+            work["breaker"].release_probe(work)
+        if work["bulkhead"] is not None:
+            work["bulkhead"].release()
+        if work["limiter"]:
             self.overload.limiter.release()
             if outcome is not None:
                 self.overload.note_result(*outcome)
+        if decision is not None:
+            self._log(work["path"], decision, work["qos"])
+        if response is not None and future.set_running_or_notify_cancel():
+            future.set_result(response)
         self._request_done()
-        if self.overload is not None:
+        if work["limiter"]:
             self.pump()
-
-    def _start(self, work: Dict[str, Any], limiter_held: bool) \
-            -> ClaimableFuture:
-        """Arm an admitted item's future; queue its claim on the pool."""
-        future, bulkhead = work["future"], work["bulkhead"]
-        args = (work["method"], work["path"], work["body"],
-                work["headers"], work["query"], work["tenant_id"],
-                work["breaker"], bulkhead, work["deadline"], work["qos"],
-                limiter_held)
-        future.arm(lambda: self._run_request(*args),
-                   lambda: self._release(bulkhead, limiter_held))
-        self._ensure_pool().submit(future.claim)
         return future
 
-    # -- the overload path: dispatch, queue pump, flush ----------------------------
+    def _start(self, work: Dict[str, Any]) -> ClaimableFuture:
+        """Arm an admitted request's future; queue its claim on the pool.
 
-    def _dispatch(self, work: Dict[str, Any]) -> "Future[Response]":
-        """Start one admitted work item (limiter slot held).
-
-        Arming ``work["future"]`` here is what makes it claimable: a
-        caller waiting on a queued item gets to run it only now.
+        Arming is what makes the future claimable: a caller waiting on
+        a parked request gets to run it only once ``pump`` starts it.
         """
-        assert self.overload is not None
+        future = work["future"]
+        future.arm(
+            lambda: self._run_request(work["method"], work["path"],
+                                      work["body"], work["headers"],
+                                      work),
+            lambda: self._finish(work))
         try:
-            return self._start(work, True)
+            self._ensure_pool().submit(future.claim)
         except RuntimeError:
-            # Lost the race with pool teardown: unless its caller claimed
-            # it, undo the admission and answer a typed shutdown shed.
-            if work["future"].take() is not None:
-                self.overload.limiter.release()
-                self._resolve_queued(work, "queue-shed", self._shed_response(
-                    {"error": "gateway is shutting down",
-                     "code": "gateway_shutdown"}, status=503,
-                    retry_after=DEFAULT_RETRY_AFTER))
-            return work["future"]
+            # Lost the race with pool teardown: unless its caller
+            # claimed it, answer a typed shutdown shed.
+            if future.take() is not None:
+                self._shut_out(work)
+        return future
 
-    def _resolve_queued(self, work: Dict[str, Any], decision: str,
-                        response: Response) -> None:
-        """Answer a parked request without it ever touching a worker."""
-        bulkhead = work.get("bulkhead")
-        if bulkhead is not None:
-            bulkhead.release()
-        self._log(work["path"], decision, work.get("qos"))
-        if not work["future"].done():
-            work["future"].set_result(response)
-        self._request_done()
+    # -- the overload path: queue pump, expiry, flush ------------------------------
 
-    def _expire_queued(self) -> int:
+    def _expire_queued(self) -> None:
         """Answer every queue entry whose deadline aged out with 504.
 
         The 504 is produced here, on the control path — the handler is
@@ -789,20 +735,11 @@ class RequestGateway:
         deadline-miss signal.
         """
         if self.overload is None:
-            return 0
-        expired = self.overload.queue.take_expired()
-        for entry in expired:
-            work = entry.payload
-            deadline = work.get("deadline")
-            budget = deadline.budget_seconds if deadline is not None \
-                else 0.0
-            self._resolve_queued(work, "expired", self._shed_response(
-                {"error": f"request exceeded its {budget:.3f}s budget "
-                          f"waiting in the admission queue",
-                 "code": "deadline_exceeded"}, status=504,
-                retry_after=self._retry_after()))
+            return
+        for entry in self.overload.queue.take_expired():
+            self._finish(entry.payload, "expired", self._deadline_exceeded(
+                entry.payload, " waiting in the admission queue", None))
             self.overload.limiter.on_failure("deadline")
-        return len(expired)
 
     def pump(self) -> int:
         """Expire aged entries, then fill free limiter slots from the
@@ -825,7 +762,8 @@ class RequestGateway:
             if entry is None:
                 self.overload.limiter.release()
                 break
-            self._dispatch(entry.payload)
+            entry.payload["limiter"] = True
+            self._start(entry.payload)
             dispatched += 1
         self._expire_queued()
         self.overload.observe()
@@ -840,11 +778,7 @@ class RequestGateway:
             entry = self.overload.queue.poll()
             if entry is None:
                 break
-            self._resolve_queued(
-                entry.payload, "queue-shed", self._shed_response(
-                    {"error": "gateway is shutting down",
-                     "code": "gateway_shutdown"}, status=503,
-                    retry_after=DEFAULT_RETRY_AFTER))
+            self._shut_out(entry.payload)
         self._expire_queued()
 
     def dispatch_all(self, requests: List[Dict[str, Any]]) \

@@ -720,6 +720,9 @@ def hedged_call(primary: Callable[[], Any],
 
 # -- the controller façade --------------------------------------------------------
 
+#: Entries kept in the controller's ``decision_log`` ring.
+DECISION_LOG_CAPACITY = 100_000
+
 
 class OverloadController:
     """Everything the gateway needs, behind one object.
@@ -738,7 +741,6 @@ class OverloadController:
                  retry_budget_capacity: float = 10.0,
                  retry_budget_refill: float = 0.1,
                  hedge_floor: float = 0.001,
-                 decision_log_capacity: int = 100_000,
                  **limiter_kwargs: Any):
         self.clock = clock or MonotonicClock()
         self.queue = AdmissionQueue(queue_capacity, clock=self.clock)
@@ -751,7 +753,7 @@ class OverloadController:
         self.hedge_floor = hedge_floor
         self._budgets: Dict[str, RetryBudget] = {}  # guarded-by: _lock
         self.decision_log: Deque[Tuple[str, str, str]] = deque(
-            maxlen=decision_log_capacity)  # guarded-by: _lock
+            maxlen=DECISION_LOG_CAPACITY)  # guarded-by: _lock
         self._lock = threading.Lock()
 
     # -- classification and budgets ----------------------------------------------

@@ -224,7 +224,9 @@ class CircuitBreaker:
     While open, :meth:`allow` returns False until ``cooldown`` seconds
     elapse on the injected clock; the first call after cooldown is the
     half-open probe — its success closes the breaker, its failure
-    re-opens it for another full cooldown.  Thread-safe.
+    re-opens it for another full cooldown.  Only one probe is out at a
+    time: later calls are refused until an outcome is recorded or the
+    probe's owner hands it back (:meth:`release_probe`).  Thread-safe.
     """
 
     CLOSED = "closed"
@@ -244,6 +246,7 @@ class CircuitBreaker:
         self._state = self.CLOSED          # guarded-by: _lock
         self._consecutive_failures = 0     # guarded-by: _lock
         self._opened_at = 0.0              # guarded-by: _lock
+        self._probe: Any = None            # guarded-by: _lock
         self._lock = threading.Lock()
 
     @property
@@ -262,11 +265,22 @@ class CircuitBreaker:
                 self.clock.now() - self._opened_at >= self.cooldown:
             self._state = self.HALF_OPEN
 
-    def allow(self) -> bool:
-        """May a call proceed right now?"""
+    def allow(self, owner: Any = True) -> bool:
+        """May a call proceed right now?  Half-open, only as the probe,
+        which ``owner`` then holds."""
         with self._lock:
             self._maybe_half_open()
+            if self._state == self.HALF_OPEN:
+                if self._probe is not None:
+                    return False
+                self._probe = owner
             return self._state != self.OPEN
+
+    def release_probe(self, owner: Any) -> None:
+        """Hand back ``owner``'s probe if it ended without an outcome."""
+        with self._lock:
+            if self._probe is owner:
+                self._probe = None
 
     def retry_after(self) -> float:
         """Cooldown remaining before the breaker half-opens.
@@ -287,9 +301,11 @@ class CircuitBreaker:
         with self._lock:
             self._consecutive_failures = 0
             self._state = self.CLOSED
+            self._probe = None
 
     def record_failure(self) -> None:
         with self._lock:
+            self._probe = None
             self._maybe_half_open()
             if self._state == self.HALF_OPEN:
                 # The probe failed: straight back to open.

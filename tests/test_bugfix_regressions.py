@@ -526,3 +526,86 @@ class TestCancelledRequestReleasesItsSlots:
         assert gateway._inflight == 0
         if overload:
             assert controller.limiter.in_flight == 0
+
+
+# -- a half-open breaker let every request through as its probe --------------
+#
+# ``CircuitBreaker.allow`` answered True to every caller once the
+# cooldown had passed, so a recovering tenant's whole backlog hit the
+# backend it had just stopped hammering.  Half-open now admits one
+# probe at a time; a probe that ends with no outcome (shed, cancelled,
+# expired, displaced) is handed back by the gateway's exit step.
+
+
+class TestHalfOpenAdmitsOneProbe:
+    def gateway(self, **kwargs):
+        from repro.core.resilience import FakeClock
+
+        web = WebApplication("probe")
+        state = {"mode": "fail", "calls": 0}
+        entered, release = threading.Event(), threading.Event()
+
+        def handler(request):
+            state["calls"] += 1
+            if state["mode"] == "fail":
+                raise RuntimeError("backend down")
+            entered.set()
+            assert release.wait(30)
+            return JsonResponse({"ok": True})
+
+        web.get(f"/tenants/{TENANT}/rows", handler)
+        tenants = TenantManager()
+        tenants.register(TENANT, "Acme", "team")
+        clock = FakeClock()
+        gateway = RequestGateway(web, tenants, clock=clock, **kwargs)
+        return gateway, clock, state, entered, release
+
+    def test_one_probe_while_the_rest_are_degraded(self):
+        gateway, clock, state, entered, release = self.gateway()
+        path = f"/tenants/{TENANT}/rows"
+        try:
+            for _ in range(gateway.breaker_threshold):
+                assert gateway.submit("GET", path).result(10).status == 500
+            assert gateway.breaker(TENANT).state == "open"
+            clock.advance(gateway.breaker_cooldown + 1)
+            state["mode"], state["calls"] = "block", 0
+            futures = [gateway.submit("GET", path) for _ in range(6)]
+            assert entered.wait(10)
+            decisions = [decision for _, decision
+                         in list(gateway.dispatch_log)[-6:]]
+            assert decisions == ["accepted"] + ["degraded"] * 5
+            assert state["calls"] == 1
+            for future in futures[1:]:
+                assert future.result(10).degraded
+        finally:
+            release.set()
+            gateway.shutdown()
+        assert futures[0].result(10).status == 200
+        assert gateway.breaker(TENANT).state == "closed"
+
+    def test_a_probe_shed_by_a_full_bulkhead_is_handed_back(self):
+        gateway, clock, state, entered, release = self.gateway(
+            bulkhead_capacity=1)
+        path = f"/tenants/{TENANT}/rows"
+        breaker, bulkhead = gateway.breaker(TENANT), gateway.bulkhead(TENANT)
+        try:
+            _trip(gateway)
+            clock.advance(gateway.breaker_cooldown + 1)
+            assert bulkhead.try_acquire()   # the tenant's one slot
+            shed = gateway.submit("GET", path).result(10)
+            assert shed.status == 429
+            assert gateway.dispatch_log[-1] == (path, "shed")
+            bulkhead.release()
+            # The shed probe went back: the next request probes, and
+            # the one after it waits on that probe's outcome.
+            state["mode"] = "block"
+            probe = gateway.submit("GET", path)
+            assert entered.wait(10)
+            assert gateway.submit("GET", path).result(10).degraded
+            assert [d for _, d in list(gateway.dispatch_log)[-2:]] == \
+                ["accepted", "degraded"]
+        finally:
+            release.set()
+            gateway.shutdown()
+        assert probe.result(10).status == 200
+        assert breaker.state == "closed" and state["calls"] == 1

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import gateway as gateway_module
 from repro.core.gateway import RequestGateway
 from repro.core.overload import (
     QOS_BATCH,
@@ -616,11 +617,12 @@ class TestQueuePriorityAtTheGateway:
 
 
 class TestDispatchLogRingBuffer:
-    def test_ring_caps_length_but_counts_stay_exact(self):
+    def test_ring_caps_length_but_counts_stay_exact(self, monkeypatch):
+        monkeypatch.setattr(gateway_module,
+                            "DEFAULT_DISPATCH_LOG_CAPACITY", 4)
         clock = FakeClock()
         gateway, calls = build_gateway(
-            clock, None, deadline_seconds=None,
-            dispatch_log_capacity=4)
+            clock, None, deadline_seconds=None)
         try:
             for _ in range(10):
                 assert gateway.submit(

@@ -17,6 +17,7 @@ stale hit counts as a use.
 import pytest
 
 from repro.core import OdbisPlatform, RequestGateway, TenancyMode
+from repro.core import gateway as gateway_module
 from repro.core.gateway import DEFAULT_STALE_CACHE_CAPACITY
 from repro.core.integration_service import RUN_HISTORY_PER_JOB
 from repro.core.tenancy import TenantManager
@@ -441,7 +442,9 @@ class TestHealthEndpoint:
 class TestStaleCacheLru:
     """Satellite (b): the degraded-serving cache is LRU-bounded."""
 
-    def build(self, capacity):
+    def build(self, monkeypatch, capacity):
+        monkeypatch.setattr(gateway_module, "DEFAULT_STALE_CACHE_CAPACITY",
+                            capacity)
         web = WebApplication("lru")
         for i in range(5):
             path, n = f"/tenants/{TENANT}/item{i}", i
@@ -450,8 +453,7 @@ class TestStaleCacheLru:
                      JsonResponse({"n": n}))(n))
         tenants = TenantManager()
         tenants.register(TENANT, "Acme", "team")
-        return RequestGateway(web, tenants, max_workers=2,
-                              stale_cache_capacity=capacity)
+        return RequestGateway(web, tenants, max_workers=2)
 
     def fetch(self, gateway, i):
         response = gateway.submit(
@@ -465,16 +467,9 @@ class TestStaleCacheLru:
 
     def test_default_capacity(self):
         assert DEFAULT_STALE_CACHE_CAPACITY == 1024
-        gateway = self.build(3)
-        assert gateway.stale_cache_capacity == 3
-        gateway.shutdown()
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            self.build(0)
-
-    def test_oldest_entry_is_evicted(self):
-        gateway = self.build(3)
+    def test_oldest_entry_is_evicted(self, monkeypatch):
+        gateway = self.build(monkeypatch, 3)
         for i in range(4):
             self.fetch(gateway, i)   # item0 filled first, evicted last
         breaker = gateway.breaker(TENANT)
@@ -490,8 +485,8 @@ class TestStaleCacheLru:
             assert response.json()["data"] == {"n": i}
         gateway.shutdown()
 
-    def test_a_stale_hit_counts_as_a_use(self):
-        gateway = self.build(3)
+    def test_a_stale_hit_counts_as_a_use(self, monkeypatch):
+        gateway = self.build(monkeypatch, 3)
         for i in range(3):
             self.fetch(gateway, i)
         breaker = gateway.breaker(TENANT)

@@ -162,6 +162,25 @@ class TestCircuitBreaker:
         assert breaker.state == CircuitBreaker.OPEN
         assert breaker.retry_after() == pytest.approx(10.0)
 
+    def test_half_open_admits_one_probe_until_an_outcome(self):
+        breaker, clock = self.make(threshold=1, cooldown=10.0)
+        breaker.record_failure()
+        clock.advance(11.0)
+        assert breaker.allow() is True
+        assert breaker.allow() is False
+        assert breaker.allow() is False
+        breaker.record_failure()            # the probe failed: reopen
+        clock.advance(11.0)
+        probe = object()
+        assert breaker.allow(probe) is True
+        breaker.release_probe(object())     # not the holder: no effect
+        assert breaker.allow() is False
+        breaker.release_probe(probe)        # ended with no outcome
+        assert breaker.allow() is True
+        breaker.record_success()
+        assert breaker.state == CircuitBreaker.CLOSED
+        assert breaker.allow() is True and breaker.allow() is True
+
     def test_call_raises_typed_error_while_open(self):
         breaker, _ = self.make(threshold=1, cooldown=10.0)
         with pytest.raises(ValueError):
