@@ -25,17 +25,9 @@ from repro.analysis.diagnostics import (
     Severity,
     SourceSpan,
 )
-from repro.analysis.models import (
-    ModelLinter,
-    lint_cube_schema,
-    lint_model,
-)
-from repro.analysis.reports import (
-    ReportLinter,
-    dataset_columns_from_sql,
-    lint_dashboard,
-)
-from repro.analysis.rules import RuleLinter, lint_rules
+from repro.analysis.models import lint_cube_schema, lint_model
+from repro.analysis.reports import dataset_columns_from_sql, lint_dashboard
+from repro.analysis.rules import lint_rules
 from repro.analysis.sql import (
     SqlAnalyzer,
     analyze_script,
@@ -49,9 +41,6 @@ __all__ = [
     "ConcurrencySanitizer",
     "Diagnostic",
     "DiagnosticCollector",
-    "ModelLinter",
-    "ReportLinter",
-    "RuleLinter",
     "SanitizerReport",
     "Severity",
     "SourceSpan",

@@ -1,12 +1,16 @@
 """Model linting for CWM/MDA artifacts (ODB2xx diagnostics).
 
 Checks a :class:`~repro.mof.kernel.ModelExtent` for structural
-problems the transformation engine would otherwise hit at runtime:
-dangling references, orphan composite children, unset required slots,
-conflicting composite owners and cycles through CWM Transformation
-chains.  Cube/dimension resolution — both the CWM OLAP shape inside an
-extent and a code-generated :class:`~repro.olap.model.CubeSchema`
-against a relational catalog — is covered as well.
+problems the transformation engine would otherwise hit at runtime.
+Dangling references (ODB201), unset required slots (ODB205) and
+conflicting composite owners (ODB206) are the kernel's own
+:meth:`~repro.mof.kernel.ModelExtent.problems` — the walk behind
+``validate()``, which the MDA transformations gate on — mapped to
+codes.  Orphan composite children (ODB202), cycles through CWM
+Transformation chains (ODB203) and cube/dimension resolution (ODB204)
+are checked here; a code-generated :class:`~repro.olap.model.CubeSchema`
+is resolved against a relational catalog by its own
+``validate_against``.
 """
 
 from __future__ import annotations
@@ -63,202 +67,168 @@ def _find_cycle(nodes: Sequence[str],
     return None
 
 
-class ModelLinter:
-    """Static checks over one model extent."""
-
-    def lint(self, extent: ModelExtent,
-             collector: Optional[DiagnosticCollector] = None,
-             source: Optional[str] = None) -> DiagnosticCollector:
-        collector = collector if collector is not None \
-            else DiagnosticCollector(source)
-        self._out = collector
-        self._source = source
-        elements = list(extent)
-        metamodel = extent.metamodel
-
-        # Orphan detection only considers composite references whose
-        # target class is concrete: broad abstract targets such as
-        # Namespace.ownedElement -> ModelElement would otherwise flag
-        # every legitimately top-level element.
-        composite_targets = set()
-        for class_name in metamodel.class_names():
-            for reference in metamodel.metaclass(class_name).references:
-                if reference.composite \
-                        and not metamodel.metaclass(
-                            reference.target).abstract:
-                    composite_targets.add(reference.target)
-
-        owned: Dict[str, str] = {}  # child id -> owner id
-        for element in elements:
-            references = metamodel.all_references(element.class_name)
-            attributes = metamodel.all_attributes(element.class_name)
-            for attribute in attributes.values():
-                if attribute.required \
-                        and element.get(attribute.name) is None:
-                    collector.error(
-                        "ODB205",
-                        f"{_label(element)}: required attribute "
-                        f"{attribute.name!r} is unset", source=source)
-            for reference in references.values():
-                targets = element.refs(reference.name)
-                if reference.required and not targets:
-                    collector.error(
-                        "ODB205",
-                        f"{_label(element)}: required reference "
-                        f"{reference.name!r} is empty", source=source)
-                for target in targets:
-                    if not self._in_extent(extent, target):
-                        collector.error(
-                            "ODB201",
-                            f"{_label(element)}.{reference.name} "
-                            f"dangles: {_label(target)} is not in "
-                            f"extent {extent.name!r}", source=source)
-                    if reference.composite:
-                        owner = owned.get(target.element_id)
-                        if owner is not None \
-                                and owner != element.element_id:
-                            collector.error(
-                                "ODB206",
-                                f"{_label(target)} has two composite "
-                                f"owners", source=source)
-                        owned[target.element_id] = element.element_id
-
-        for element in elements:
-            if element.element_id in owned:
-                continue
-            if any(metamodel.is_kind_of(element.class_name, target)
-                   for target in composite_targets
-                   if target in metamodel):
-                collector.warning(
-                    "ODB202",
-                    f"{_label(element)} is an orphan: its class is "
-                    f"composite-owned but no element owns it",
-                    source=source)
-
-        self._lint_transformation_cycles(extent, collector, source)
-        if "Cube" in metamodel:
-            self._lint_cubes(extent, collector, source)
-        return collector
-
-    @staticmethod
-    def _in_extent(extent: ModelExtent, target: MofElement) -> bool:
-        if target.extent is not extent:
-            return False
-        try:
-            return extent.element(target.element_id) is target
-        except MofError:
-            return False
-
-    # -- CWM Transformation cycles -------------------------------------------
-
-    def _lint_transformation_cycles(
-            self, extent: ModelExtent,
-            collector: DiagnosticCollector,
-            source: Optional[str]) -> None:
-        metamodel = extent.metamodel
-
-        if "TransformationStep" in metamodel:
-            steps = extent.instances_of("TransformationStep")
-            nodes = [step.element_id for step in steps]
-            by_id = {step.element_id: step for step in steps}
-            edges = {
-                step.element_id: [
-                    predecessor.element_id
-                    for predecessor in step.refs("precedence")
-                    if predecessor.element_id in by_id
-                ]
-                for step in steps
-            }
-            cycle = _find_cycle(nodes, edges)
-            if cycle is not None:
-                path = " -> ".join(_label(by_id[node])
-                                   for node in cycle)
-                collector.error(
-                    "ODB203",
-                    f"transformation step precedence cycle: {path}",
-                    source=source)
-
-        if "Transformation" in metamodel:
-            # Chained transformations: an element produced by one
-            # transformation feeding another.  A cycle means no valid
-            # execution order exists.
-            transformations = extent.instances_of("Transformation")
-            edges: Dict[str, List[str]] = {}
-            nodes: List[str] = []
-            labels: Dict[str, MofElement] = {}
-            for transformation in transformations:
-                for item in (transformation.refs("source")
-                             + transformation.refs("target")):
-                    if item.element_id not in labels:
-                        labels[item.element_id] = item
-                        nodes.append(item.element_id)
-                for source_element in transformation.refs("source"):
-                    bucket = edges.setdefault(
-                        source_element.element_id, [])
-                    for target_element in transformation.refs("target"):
-                        bucket.append(target_element.element_id)
-            cycle = _find_cycle(nodes, edges)
-            if cycle is not None:
-                path = " -> ".join(_label(labels[node])
-                                   for node in cycle)
-                collector.error(
-                    "ODB203",
-                    f"transformation chain cycle: {path}",
-                    source=source)
-
-    # -- CWM OLAP cube resolution --------------------------------------------
-
-    def _lint_cubes(self, extent: ModelExtent,
-                    collector: DiagnosticCollector,
-                    source: Optional[str]) -> None:
-        for cube in extent.instances_of("Cube"):
-            fact = cube.ref("factTable")
-            if fact is None:
-                collector.error(
-                    "ODB204",
-                    f"{_label(cube)} has no factTable", source=source)
-            fact_columns = set()
-            if fact is not None:
-                try:
-                    fact_columns = {column.element_id
-                                    for column in fact.refs("feature")}
-                except MofError:
-                    fact_columns = set()
-            for association in cube.refs("cubeDimensionAssociation"):
-                dimension = association.ref("dimension")
-                if dimension is None:
-                    continue  # ODB205 already flags the required ref
-                if dimension.ref("dimensionTable") is None:
-                    collector.error(
-                        "ODB204",
-                        f"{_label(cube)}: {_label(dimension)} has no "
-                        f"dimensionTable", source=source)
-                foreign_key = association.ref("foreignKeyColumn")
-                if foreign_key is not None and fact is not None \
-                        and foreign_key.element_id not in fact_columns:
-                    collector.error(
-                        "ODB204",
-                        f"{_label(cube)}: foreign key "
-                        f"{_label(foreign_key)} is not a column of "
-                        f"fact table {_label(fact)}", source=source)
-            for feature in cube.refs("feature"):
-                if feature.class_name != "Measure":
-                    continue
-                column = feature.ref("column")
-                if column is not None and fact is not None \
-                        and column.element_id not in fact_columns:
-                    collector.error(
-                        "ODB204",
-                        f"{_label(cube)}: measure column "
-                        f"{_label(column)} is not a column of fact "
-                        f"table {_label(fact)}", source=source)
+#: :meth:`ModelExtent.problems` kind -> diagnostic code.
+_PROBLEM_CODES = {"dangling": "ODB201", "required": "ODB205",
+                  "owners": "ODB206"}
 
 
 def lint_model(extent: ModelExtent,
                collector: Optional[DiagnosticCollector] = None,
                source: Optional[str] = None) -> DiagnosticCollector:
-    """Lint one model extent (convenience wrapper)."""
-    return ModelLinter().lint(extent, collector, source)
+    """Lint one model extent.
+
+    Dangling links, unset required slots and conflicting composite
+    owners are the kernel's own :meth:`ModelExtent.problems` (ODB201,
+    ODB205, ODB206); orphans, cycles and cube resolution are checked
+    here.
+    """
+    collector = collector if collector is not None \
+        else DiagnosticCollector(source)
+    for kind, message in extent.problems():
+        collector.error(_PROBLEM_CODES[kind], message, source=source)
+    _lint_orphans(extent, collector, source)
+    _lint_transformation_cycles(extent, collector, source)
+    if "Cube" in extent.metamodel:
+        _lint_cubes(extent, collector, source)
+    return collector
+
+
+def _lint_orphans(extent: ModelExtent, collector: DiagnosticCollector,
+                  source: Optional[str]) -> None:
+    metamodel = extent.metamodel
+    # Orphan detection only considers composite references whose
+    # target class is concrete: broad abstract targets such as
+    # Namespace.ownedElement -> ModelElement would otherwise flag
+    # every legitimately top-level element.
+    composite_targets = set()
+    for class_name in metamodel.class_names():
+        for reference in metamodel.metaclass(class_name).references:
+            if reference.composite \
+                    and not metamodel.metaclass(reference.target).abstract:
+                composite_targets.add(reference.target)
+
+    elements = list(extent)
+    owned = {target.element_id
+             for element in elements
+             for reference in metamodel.all_references(
+                 element.class_name).values()
+             if reference.composite
+             for target in element.refs(reference.name)}
+    for element in elements:
+        if element.element_id in owned:
+            continue
+        if any(metamodel.is_kind_of(element.class_name, target)
+               for target in composite_targets
+               if target in metamodel):
+            collector.warning(
+                "ODB202",
+                f"{_label(element)} is an orphan: its class is "
+                f"composite-owned but no element owns it",
+                source=source)
+
+
+# -- CWM Transformation cycles ---------------------------------------------
+
+def _lint_transformation_cycles(extent: ModelExtent,
+                                collector: DiagnosticCollector,
+                                source: Optional[str]) -> None:
+    metamodel = extent.metamodel
+
+    if "TransformationStep" in metamodel:
+        steps = extent.instances_of("TransformationStep")
+        nodes = [step.element_id for step in steps]
+        by_id = {step.element_id: step for step in steps}
+        edges = {
+            step.element_id: [
+                predecessor.element_id
+                for predecessor in step.refs("precedence")
+                if predecessor.element_id in by_id
+            ]
+            for step in steps
+        }
+        cycle = _find_cycle(nodes, edges)
+        if cycle is not None:
+            path = " -> ".join(_label(by_id[node])
+                               for node in cycle)
+            collector.error(
+                "ODB203",
+                f"transformation step precedence cycle: {path}",
+                source=source)
+
+    if "Transformation" in metamodel:
+        # Chained transformations: an element produced by one
+        # transformation feeding another.  A cycle means no valid
+        # execution order exists.
+        transformations = extent.instances_of("Transformation")
+        edges: Dict[str, List[str]] = {}
+        nodes: List[str] = []
+        labels: Dict[str, MofElement] = {}
+        for transformation in transformations:
+            for item in (transformation.refs("source")
+                         + transformation.refs("target")):
+                if item.element_id not in labels:
+                    labels[item.element_id] = item
+                    nodes.append(item.element_id)
+            for source_element in transformation.refs("source"):
+                bucket = edges.setdefault(
+                    source_element.element_id, [])
+                for target_element in transformation.refs("target"):
+                    bucket.append(target_element.element_id)
+        cycle = _find_cycle(nodes, edges)
+        if cycle is not None:
+            path = " -> ".join(_label(labels[node])
+                               for node in cycle)
+            collector.error(
+                "ODB203",
+                f"transformation chain cycle: {path}",
+                source=source)
+
+
+# -- CWM OLAP cube resolution ----------------------------------------------
+
+def _lint_cubes(extent: ModelExtent, collector: DiagnosticCollector,
+                source: Optional[str]) -> None:
+    for cube in extent.instances_of("Cube"):
+        fact = cube.ref("factTable")
+        if fact is None:
+            collector.error(
+                "ODB204",
+                f"{_label(cube)} has no factTable", source=source)
+        fact_columns = set()
+        if fact is not None:
+            try:
+                fact_columns = {column.element_id
+                                for column in fact.refs("feature")}
+            except MofError:
+                fact_columns = set()
+        for association in cube.refs("cubeDimensionAssociation"):
+            dimension = association.ref("dimension")
+            if dimension is None:
+                continue  # ODB205 already flags the required ref
+            if dimension.ref("dimensionTable") is None:
+                collector.error(
+                    "ODB204",
+                    f"{_label(cube)}: {_label(dimension)} has no "
+                    f"dimensionTable", source=source)
+            foreign_key = association.ref("foreignKeyColumn")
+            if foreign_key is not None and fact is not None \
+                    and foreign_key.element_id not in fact_columns:
+                collector.error(
+                    "ODB204",
+                    f"{_label(cube)}: foreign key "
+                    f"{_label(foreign_key)} is not a column of "
+                    f"fact table {_label(fact)}", source=source)
+        for feature in cube.refs("feature"):
+            if feature.class_name != "Measure":
+                continue
+            column = feature.ref("column")
+            if column is not None and fact is not None \
+                    and column.element_id not in fact_columns:
+                collector.error(
+                    "ODB204",
+                    f"{_label(cube)}: measure column "
+                    f"{_label(column)} is not a column of fact "
+                    f"table {_label(fact)}", source=source)
 
 
 def lint_cube_schema(definition: Any, catalog: Any,
@@ -282,12 +252,10 @@ def lint_cube_schema(definition: Any, catalog: Any,
         except CubeDefinitionError as exc:
             collector.error("ODB204", str(exc), source=source)
             return collector
-    if not catalog.has_table(definition.fact_table):
-        collector.error(
-            "ODB204",
-            f"cube {definition.name!r}: missing fact table "
-            f"{definition.fact_table!r}", source=source)
-        return collector
+    for problem in definition.validate_against(catalog):
+        collector.error("ODB204", f"cube {definition.name!r}: {problem}",
+                        source=source)
+    return collector
     fact_schema = catalog.table(definition.fact_table)
     for measure in definition.measures:
         if not fact_schema.has_column(measure.column):

@@ -9,16 +9,18 @@ and duplicate element names (ODB405).
 Dataset shapes are described by a mapping ``dataset name -> column
 names`` (``None`` marks a data set whose shape could not be inferred —
 its columns are not checked).  :func:`dataset_columns_from_sql` derives
-that mapping from dataset SQL via the semantic analyzer, which is how
-the platform services feed this linter.
+that mapping from dataset SQL via the semantic analyzer, which names
+columns with the engine's own ``planner.output_name``;
+``MetadataService.dataset_columns`` feeds it to this linter.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.analysis.diagnostics import DiagnosticCollector
 from repro.analysis.sql import SqlAnalyzer
+from repro.engine.parser import parse_sql
 from repro.engine.schema import Catalog
 from repro.errors import EngineError
 from repro.reporting.definitions import DashboardDefinition
@@ -42,90 +44,13 @@ def dataset_columns_from_sql(datasets: Dict[str, str],
     shapes: DatasetColumns = {}
     for name, sql in datasets.items():
         try:
-            from repro.engine.parser import parse_sql
-            statement = parse_sql(sql)
-            columns = analyzer.output_columns(statement)
+            columns = analyzer.output_columns(parse_sql(sql))
         except EngineError:
             shapes[name] = None
             continue
         shapes[name] = [column for column, _type in columns] \
             if columns else None
     return shapes
-
-
-class ReportLinter:
-    """Static checks over one dashboard definition."""
-
-    def lint(self, definition: DashboardDefinition,
-             dataset_columns: DatasetColumns,
-             collector: Optional[DiagnosticCollector] = None,
-             source: Optional[str] = None) -> DiagnosticCollector:
-        collector = collector if collector is not None \
-            else DiagnosticCollector(source)
-        rows = definition.rows
-        if not rows:
-            collector.warning(
-                "ODB404",
-                f"dashboard {definition.name!r} has no rows",
-                source=source)
-            return collector
-
-        known = {name: ([column.lower() for column in columns]
-                        if columns is not None else None)
-                 for name, columns in dataset_columns.items()}
-        seen_names: Dict[str, str] = {}
-        for row in rows:
-            for element in row:
-                spec = element.spec
-                label = getattr(spec, "name", "<unnamed>")
-                if label in seen_names:
-                    collector.warning(
-                        "ODB405",
-                        f"dashboard {definition.name!r}: duplicate "
-                        f"element name {label!r}", source=source)
-                else:
-                    seen_names[label] = element.dataset
-                if element.dataset not in known:
-                    collector.error(
-                        "ODB401",
-                        f"element {label!r} reads unknown data set "
-                        f"{element.dataset!r}", source=source)
-                    continue
-                columns = known[element.dataset]
-                if columns is None:
-                    continue  # shape unknown; skip column checks
-                self._check_spec(spec, label, element.dataset,
-                                 columns, collector, source)
-        return collector
-
-    def _check_spec(self, spec: Any, label: str, dataset: str,
-                    columns: Sequence[str],
-                    collector: DiagnosticCollector,
-                    source: Optional[str]) -> None:
-        def require(column: Optional[str], role: str) -> None:
-            if column is None:
-                return
-            if column.lower() not in columns:
-                collector.error(
-                    "ODB402",
-                    f"element {label!r}: {role} column {column!r} is "
-                    f"not produced by data set {dataset!r} "
-                    f"(columns: {', '.join(columns)})", source=source)
-
-        if isinstance(spec, ChartSpec):
-            require(spec.category, "category")
-            require(spec.value, "value")
-        elif isinstance(spec, DataTableSpec):
-            for column in spec.columns:
-                require(column, "table")
-            if spec.sort_by is not None:
-                if spec.sort_by.lower() not in [
-                        column.lower() for column in spec.columns]:
-                    collector.error(
-                        "ODB403",
-                        f"element {label!r}: sort column "
-                        f"{spec.sort_by!r} is not among its table "
-                        f"columns", source=source)
 
 
 def lint_dashboard(definition: Any,
@@ -143,5 +68,66 @@ def lint_dashboard(definition: Any,
                             f"malformed dashboard definition: {exc}",
                             source=source)
             return collector
-    return ReportLinter().lint(definition, dataset_columns,
-                               collector, source)
+    rows = definition.rows
+    if not rows:
+        collector.warning(
+            "ODB404", f"dashboard {definition.name!r} has no rows",
+            source=source)
+        return collector
+
+    known = {name: ([column.lower() for column in columns]
+                    if columns is not None else None)
+             for name, columns in dataset_columns.items()}
+    seen_names: Set[str] = set()
+    for row in rows:
+        for element in row:
+            spec = element.spec
+            label = getattr(spec, "name", "<unnamed>")
+            if label in seen_names:
+                collector.warning(
+                    "ODB405",
+                    f"dashboard {definition.name!r}: duplicate "
+                    f"element name {label!r}", source=source)
+            else:
+                seen_names.add(label)
+            if element.dataset not in known:
+                collector.error(
+                    "ODB401",
+                    f"element {label!r} reads unknown data set "
+                    f"{element.dataset!r}", source=source)
+                continue
+            columns = known[element.dataset]
+            if columns is None:
+                continue  # shape unknown; skip column checks
+            _check_spec(spec, label, element.dataset, columns,
+                        collector, source)
+    return collector
+
+
+def _check_spec(spec: Any, label: str, dataset: str,
+                columns: Sequence[str], collector: DiagnosticCollector,
+                source: Optional[str]) -> None:
+    def require(column: Optional[str], role: str) -> None:
+        if column is None:
+            return
+        if column.lower() not in columns:
+            collector.error(
+                "ODB402",
+                f"element {label!r}: {role} column {column!r} is "
+                f"not produced by data set {dataset!r} "
+                f"(columns: {', '.join(columns)})", source=source)
+
+    if isinstance(spec, ChartSpec):
+        require(spec.category, "category")
+        require(spec.value, "value")
+    elif isinstance(spec, DataTableSpec):
+        for column in spec.columns:
+            require(column, "table")
+        if spec.sort_by is not None:
+            if spec.sort_by.lower() not in [
+                    column.lower() for column in spec.columns]:
+                collector.error(
+                    "ODB403",
+                    f"element {label!r}: sort column "
+                    f"{spec.sort_by!r} is not among its table "
+                    f"columns", source=source)

@@ -1,67 +1,43 @@
 """Static lint for the rule DSL (ODB3xx diagnostics).
 
-Re-scans rule text with the same grammar as
-:func:`repro.rules.dsl.parse_rules` but without building executable
-closures, so broken rules produce diagnostics instead of exceptions.
-Checks: structural/expression syntax (ODB304), duplicate rule names
-(ODB302), unbound variables in conditions and actions (ODB301), and
-rules shadowed by an earlier rule with identical conditions (ODB303).
+Reads rule text with the runtime's own reader and compiler —
+:func:`repro.rules.dsl.scan_rules` for the layout and
+:func:`repro.rules.dsl.parse_action` plus the sandboxed expression
+compiler for each line — so the lint rejects exactly what
+:func:`~repro.rules.dsl.parse_rules` rejects (ODB304), but as
+diagnostics rather than one exception.  On top of that it checks what
+the compiler does not: unbound variables in conditions and actions
+(ODB301), duplicate rule names (ODB302), and rules shadowed by an
+earlier rule with identical conditions (ODB303).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import DiagnosticCollector, SourceSpan
 from repro.errors import RuleSyntaxError
 from repro.rules.dsl import (
-    _ACTION_LINE,
-    _CONDITION_LINE,
-    _INSERT_ARG,
-    _RULE_HEADER,
+    ScannedRule,
     _SafeEvaluator,
-    _split_kwargs,
+    parse_action,
+    scan_rules,
 )
 
 
-@dataclass
-class _Condition:
-    variable: str
-    fact_type: str
-    expression: str
-    line: int
-
-
-@dataclass
-class _Action:
-    verb: str
-    args: str
-    line: int
-
-
-@dataclass
-class _ScannedRule:
-    name: str
-    line: int
-    conditions: List[_Condition] = field(default_factory=list)
-    actions: List[_Action] = field(default_factory=list)
-
-    def signature(self) -> Tuple[Tuple[str, str, str], ...]:
-        """A normalized key for shadowing detection: the conditions a
-        fact set must satisfy, ignoring variable spelling."""
-        normalized = []
-        renames = {condition.variable: f"${index}"
-                   for index, condition in enumerate(self.conditions)}
-        for condition in self.conditions:
-            expression = condition.expression
-            for old, new in renames.items():
-                expression = _rename_identifier(expression, old, new)
-            normalized.append(
-                (renames[condition.variable], condition.fact_type,
-                 " ".join(expression.split())))
-        return tuple(normalized)
+def _signature(rule: ScannedRule) -> Tuple[Tuple[str, str, str], ...]:
+    """A normalized key for shadowing detection: the conditions a
+    fact set must satisfy, ignoring variable spelling."""
+    renames = {variable: f"${index}"
+               for index, (_, variable, _, _) in enumerate(rule.conditions)}
+    normalized = []
+    for _line, variable, fact_type, expression in rule.conditions:
+        for old, new in renames.items():
+            expression = _rename_identifier(expression, old, new)
+        normalized.append(
+            (renames[variable], fact_type, " ".join(expression.split())))
+    return tuple(normalized)
 
 
 def _rename_identifier(text: str, old: str, new: str) -> str:
@@ -84,262 +60,113 @@ def _rename_identifier(text: str, old: str, new: str) -> str:
     return "".join(out)
 
 
-def _expression_names(expression: str) -> Tuple[Set[str], Set[str]]:
-    """(bare names, attribute-access base names) of an expression.
-
-    Raises RuleSyntaxError when the expression is not valid rule-DSL.
-    """
-    evaluator = _SafeEvaluator(expression)  # validates the whitelist
-    tree = evaluator.tree
+def _expression_names(evaluator: _SafeEvaluator) \
+        -> Tuple[Set[str], Set[str]]:
+    """(bare names, attribute-access base names) of a compiled
+    expression."""
     bases: Set[str] = set()
     base_ids = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(evaluator.tree):
         if isinstance(node, ast.Attribute) \
                 and isinstance(node.value, ast.Name):
             bases.add(node.value.id)
             base_ids.add(id(node.value))
-    bare = {node.id for node in ast.walk(tree)
+    bare = {node.id for node in ast.walk(evaluator.tree)
             if isinstance(node, ast.Name) and id(node) not in base_ids}
     return bare, bases
-
-
-class RuleLinter:
-    """Static analysis over rule-DSL source text."""
-
-    def lint(self, text: str,
-             collector: Optional[DiagnosticCollector] = None,
-             source: Optional[str] = None) -> DiagnosticCollector:
-        collector = collector if collector is not None \
-            else DiagnosticCollector(source)
-        scanned = self._scan(text, collector, source)
-        if scanned is None:
-            return collector
-
-        seen_names: Dict[str, int] = {}
-        seen_signatures: Dict[Tuple, _ScannedRule] = {}
-        for rule in scanned:
-            if rule.name in seen_names:
-                collector.error(
-                    "ODB302",
-                    f"duplicate rule name {rule.name!r} (first defined "
-                    f"on line {seen_names[rule.name]})",
-                    SourceSpan(rule.line, 1), source)
-            else:
-                seen_names[rule.name] = rule.line
-            self._check_bindings(rule, collector, source)
-            signature = rule.signature()
-            earlier = seen_signatures.get(signature)
-            if earlier is not None:
-                collector.warning(
-                    "ODB303",
-                    f"rule {rule.name!r} has the same conditions as "
-                    f"earlier rule {earlier.name!r} (line "
-                    f"{earlier.line}) and is shadowed by it",
-                    SourceSpan(rule.line, 1), source)
-            else:
-                seen_signatures[signature] = rule
-        return collector
-
-    # -- structural scan ------------------------------------------------------
-
-    def _scan(self, text: str, collector: DiagnosticCollector,
-              source: Optional[str]) -> Optional[List[_ScannedRule]]:
-        lines = [line.strip() for line in text.splitlines()]
-        rules: List[_ScannedRule] = []
-        index = 0
-
-        def syntax_error(message: str, line_index: int) -> None:
-            collector.error("ODB304", message,
-                            SourceSpan(line_index + 1, 1), source)
-
-        def next_meaningful(position: int) -> int:
-            while position < len(lines) \
-                    and (not lines[position]
-                         or lines[position].startswith("#")):
-                position += 1
-            return position
-
-        while True:
-            index = next_meaningful(index)
-            if index >= len(lines):
-                break
-            header = _RULE_HEADER.match(lines[index])
-            if header is None:
-                syntax_error(
-                    f"expected rule header, got {lines[index]!r}", index)
-                return None
-            rule = _ScannedRule(header.group("name"), index + 1)
-            index = next_meaningful(index + 1)
-            if index >= len(lines) or lines[index] != "when":
-                syntax_error(
-                    f"rule {rule.name!r}: expected 'when'",
-                    min(index, len(lines) - 1))
-                return None
-            index += 1
-            while True:
-                index = next_meaningful(index)
-                if index >= len(lines):
-                    syntax_error(
-                        f"rule {rule.name!r}: missing 'then'",
-                        len(lines) - 1)
-                    return None
-                if lines[index] == "then":
-                    index += 1
-                    break
-                match = _CONDITION_LINE.match(lines[index])
-                if match is None:
-                    syntax_error(
-                        f"rule {rule.name!r}: bad condition "
-                        f"{lines[index]!r}", index)
-                    return None
-                rule.conditions.append(_Condition(
-                    match.group("var"), match.group("type"),
-                    match.group("expr").strip(), index + 1))
-                index += 1
-            while True:
-                index = next_meaningful(index)
-                if index >= len(lines):
-                    syntax_error(
-                        f"rule {rule.name!r}: missing 'end'",
-                        len(lines) - 1)
-                    return None
-                if lines[index] == "end":
-                    index += 1
-                    break
-                match = _ACTION_LINE.match(lines[index])
-                if match is None:
-                    syntax_error(
-                        f"rule {rule.name!r}: cannot parse action "
-                        f"line {lines[index]!r}", index)
-                    return None
-                rule.actions.append(_Action(
-                    match.group("verb"),
-                    match.group("args").strip(), index + 1))
-                index += 1
-            if not rule.actions:
-                syntax_error(f"rule {rule.name!r} has no actions",
-                             rule.line - 1)
-            rules.append(rule)
-        if not rules:
-            collector.error("ODB304", "no rules found in source text",
-                            None, source)
-            return None
-        return rules
-
-    # -- binding analysis -----------------------------------------------------
-
-    def _check_bindings(self, rule: _ScannedRule,
-                        collector: DiagnosticCollector,
-                        source: Optional[str]) -> None:
-        bound: Set[str] = set()
-        for condition in rule.conditions:
-            available = bound | {condition.variable}
-            if condition.expression:
-                self._check_expression(
-                    condition.expression, available, condition.line,
-                    rule, collector, source, conditions_scope=True)
-            bound.add(condition.variable)
-
-        for action in rule.actions:
-            self._check_action(action, bound, rule, collector, source)
-
-    def _check_expression(self, expression: str, bound: Set[str],
-                          line: int, rule: _ScannedRule,
-                          collector: DiagnosticCollector,
-                          source: Optional[str],
-                          conditions_scope: bool = False) -> None:
-        try:
-            bare, bases = _expression_names(expression)
-        except RuleSyntaxError as exc:
-            collector.error("ODB304", f"rule {rule.name!r}: {exc}",
-                            SourceSpan(line, 1), source)
-            return
-        # Attribute-access bases must always be bound fact variables.
-        for name in sorted(bases - bound):
-            collector.error(
-                "ODB301",
-                f"rule {rule.name!r}: variable {name!r} is not bound "
-                f"by an earlier condition", SourceSpan(line, 1), source)
-        if not conditions_scope:
-            # Actions see only the bindings — bare names cannot be fact
-            # attributes there, so every one must be a bound variable.
-            for name in sorted(bare - bound):
-                collector.error(
-                    "ODB301",
-                    f"rule {rule.name!r}: name {name!r} in action is "
-                    f"not a bound variable", SourceSpan(line, 1), source)
-
-    def _check_action(self, action: _Action, bound: Set[str],
-                      rule: _ScannedRule,
-                      collector: DiagnosticCollector,
-                      source: Optional[str]) -> None:
-        def check_kwargs(kwargs_text: str, context: str) -> None:
-            for part in _split_kwargs(kwargs_text):
-                if "=" not in part:
-                    collector.error(
-                        "ODB304",
-                        f"rule {rule.name!r}: {context} expected "
-                        f"name=expression, got {part!r}",
-                        SourceSpan(action.line, 1), source)
-                    continue
-                name, expression = part.split("=", 1)
-                if not name.strip().isidentifier():
-                    collector.error(
-                        "ODB304",
-                        f"rule {rule.name!r}: bad attribute name "
-                        f"{name.strip()!r}",
-                        SourceSpan(action.line, 1), source)
-                    continue
-                self._check_expression(
-                    expression.strip(), bound, action.line, rule,
-                    collector, source)
-
-        if action.verb == "log":
-            self._check_expression(action.args, bound, action.line,
-                                   rule, collector, source)
-        elif action.verb == "retract":
-            if not action.args.isidentifier():
-                collector.error(
-                    "ODB304",
-                    f"rule {rule.name!r}: retract takes a bound "
-                    f"variable, got {action.args!r}",
-                    SourceSpan(action.line, 1), source)
-            elif action.args not in bound:
-                collector.error(
-                    "ODB301",
-                    f"rule {rule.name!r}: retract({action.args}) "
-                    f"names an unbound variable",
-                    SourceSpan(action.line, 1), source)
-        elif action.verb == "modify":
-            parts = _split_kwargs(action.args)
-            if len(parts) < 2 or not parts[0].isidentifier():
-                collector.error(
-                    "ODB304",
-                    f"rule {rule.name!r}: modify needs a variable "
-                    f"and changes", SourceSpan(action.line, 1), source)
-                return
-            if parts[0] not in bound:
-                collector.error(
-                    "ODB301",
-                    f"rule {rule.name!r}: modify({parts[0]}, ...) "
-                    f"names an unbound variable",
-                    SourceSpan(action.line, 1), source)
-            check_kwargs(", ".join(parts[1:]), "modify")
-        elif action.verb == "insert":
-            inner = _INSERT_ARG.match(action.args)
-            if inner is None:
-                collector.error(
-                    "ODB304",
-                    f"rule {rule.name!r}: insert takes "
-                    f"Type(attr=expr, ...)",
-                    SourceSpan(action.line, 1), source)
-                return
-            if inner.group("kwargs").strip():
-                check_kwargs(inner.group("kwargs"), "insert")
 
 
 def lint_rules(text: str,
                collector: Optional[DiagnosticCollector] = None,
                source: Optional[str] = None) -> DiagnosticCollector:
-    """Lint rule-DSL source text (convenience wrapper)."""
-    return RuleLinter().lint(text, collector, source)
+    """Lint rule-DSL source text."""
+    collector = collector if collector is not None \
+        else DiagnosticCollector(source)
+    try:
+        scanned = scan_rules(text)
+    except RuleSyntaxError as exc:
+        span = SourceSpan(exc.line, 1) if exc.line is not None else None
+        collector.error("ODB304", str(exc), span, source)
+        return collector
+
+    seen_names: Dict[str, int] = {}
+    seen_signatures: Dict[Tuple, ScannedRule] = {}
+    for rule in scanned:
+        if rule.name in seen_names:
+            collector.error(
+                "ODB302",
+                f"duplicate rule name {rule.name!r} (first defined "
+                f"on line {seen_names[rule.name]})",
+                SourceSpan(rule.line, 1), source)
+        else:
+            seen_names[rule.name] = rule.line
+        _check_bindings(rule, collector, source)
+        signature = _signature(rule)
+        earlier = seen_signatures.get(signature)
+        if earlier is not None:
+            collector.warning(
+                "ODB303",
+                f"rule {rule.name!r} has the same conditions as "
+                f"earlier rule {earlier.name!r} (line "
+                f"{earlier.line}) and is shadowed by it",
+                SourceSpan(rule.line, 1), source)
+        else:
+            seen_signatures[signature] = rule
+    return collector
+
+
+def _check_bindings(rule: ScannedRule, collector: DiagnosticCollector,
+                    source: Optional[str]) -> None:
+    """Compile each condition and action as ``parse_rules`` does
+    (ODB304 on failure) and check the names they use (ODB301)."""
+
+    def unbound(message: str, line: int) -> None:
+        collector.error("ODB301", f"rule {rule.name!r}: {message}",
+                        SourceSpan(line, 1), source)
+
+    def check(evaluator: _SafeEvaluator, bound: Set[str], line: int,
+              in_action: bool) -> None:
+        bare, bases = _expression_names(evaluator)
+        # Attribute-access bases must always be bound fact variables.
+        for name in sorted(bases - bound):
+            unbound(f"variable {name!r} is not bound by an earlier "
+                    f"condition", line)
+        if in_action:
+            # Actions see only the bindings — bare names cannot be fact
+            # attributes there, so every one must be a bound variable.
+            for name in sorted(bare - bound):
+                unbound(f"name {name!r} in action is not a bound "
+                        f"variable", line)
+
+    bound: Set[str] = set()
+    for line, variable, _fact_type, expression in rule.conditions:
+        if expression:
+            try:
+                evaluator = _SafeEvaluator(expression)
+            except RuleSyntaxError as exc:
+                collector.error("ODB304", f"rule {rule.name!r}: {exc}",
+                                SourceSpan(line, 1), source)
+            else:
+                check(evaluator, bound | {variable}, line, False)
+        bound.add(variable)
+
+    for line, text in rule.actions:
+        try:
+            verb, payload = parse_action(text)
+        except RuleSyntaxError as exc:
+            collector.error("ODB304", f"rule {rule.name!r}: {exc}",
+                            SourceSpan(line, 1), source)
+            continue
+        if verb == "log":
+            check(payload, bound, line, True)
+        elif verb == "retract":
+            if payload not in bound:
+                unbound(f"retract({payload}) names an unbound variable",
+                        line)
+        else:
+            target, pairs = payload  # a variable, or insert's fact type
+            if verb == "modify" and target not in bound:
+                unbound(f"modify({target}, ...) names an unbound "
+                        f"variable", line)
+            for _name, evaluator in pairs:
+                check(evaluator, bound, line, True)

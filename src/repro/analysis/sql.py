@@ -63,6 +63,7 @@ from repro.engine.parser import (
     line_column,
     parse_sql,
 )
+from repro.engine.planner import output_name
 from repro.engine.schema import Catalog, Column, TableSchema
 from repro.engine.types import SqlType, coerce_value
 from repro.errors import EngineError, TypeMismatch
@@ -760,14 +761,9 @@ class SqlAnalyzer:
                     for _alias, relation in scope.entries:
                         columns.extend(relation.columns)
                 continue
-            if item.alias:
-                name = item.alias
-            elif isinstance(item.expression, ColumnRef):
-                name = item.expression.name.split(".")[-1]
-            else:
-                name = _expr_text(item.expression)
             columns.append(
-                (name.lower(), self._infer(item.expression, scope)))
+                (output_name(item, len(columns)).lower(),
+                 self._infer(item.expression, scope)))
         return columns
 
     # -- DML ------------------------------------------------------------------

@@ -132,9 +132,6 @@ class ProcessDefinition:
     def node(self, name: str) -> Node:
         return self._nodes[name]
 
-    def node_names(self) -> List[str]:
-        return sorted(self._nodes)
-
 
 class ProcessInstance:
     """One execution of a process definition."""

@@ -74,10 +74,6 @@ class AdminService:
     def login(self, username: str, password: str) -> SecuritySession:
         return self.authentication.authenticate(username, password)
 
-    def search_accounts(self, pattern: str) -> List[str]:
-        return [user.username
-                for user in self.security.search_users(pattern)]
-
     def accounts_of_tenant(self, tenant_id: str) -> List[str]:
         return [user.username for user in self.security.list_users()
                 if user.tenant == tenant_id]

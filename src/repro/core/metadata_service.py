@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.analysis import SqlAnalyzer
+from repro.analysis import SqlAnalyzer, dataset_columns_from_sql
+from repro.analysis.reports import DatasetColumns
 from repro.cwm import BusinessBuilder, OdmBuilder, SemanticMatcher, cwm_metamodel
 from repro.cwm.relational import reflect_physical_table
 from repro.engine.database import Database
@@ -118,6 +119,17 @@ class MetadataService:
         return self.database.query(
             "SELECT name, datasource, sql FROM mds_datasets "
             "WHERE tenant = ? ORDER BY name", (tenant_id,))
+
+    def dataset_columns(self, tenant_id: str) -> DatasetColumns:
+        """Output columns of each tenant data set (None = unknown)."""
+        shapes: DatasetColumns = {}
+        for record in self.datasets(tenant_id):
+            target = self.resolve_datasource(tenant_id,
+                                             record["datasource"])
+            shapes.update(dataset_columns_from_sql(
+                {record["name"]: record["sql"]},
+                target.catalog, target.views))
+        return shapes
 
     def dataset_rows(self, tenant_id: str, name: str,
                      params: tuple = ()) -> List[Dict[str, Any]]:

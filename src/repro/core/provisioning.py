@@ -7,7 +7,6 @@ from typing import Any, Dict, List, Optional
 from repro.analysis import (
     DiagnosticCollector,
     analyze_script,
-    dataset_columns_from_sql,
     lint_cube_schema,
     lint_dashboard,
     lint_model,
@@ -123,8 +122,9 @@ class ProvisioningService:
         elif kind == "model":
             lint_model(payload, collector, source=label)
         elif kind == "dashboard":
-            shapes = self._dataset_shapes(tenant_id)
-            lint_dashboard(payload, shapes, collector, source=label)
+            lint_dashboard(payload,
+                           self.metadata.dataset_columns(tenant_id),
+                           collector, source=label)
         elif kind == "cube":
             lint_cube_schema(payload, target.catalog, collector,
                              source=label)
@@ -141,17 +141,6 @@ class ProvisioningService:
         self.resources.publish_event(tenant_id, "artifact-registered",
                                      f"{kind}:{label}")
         return collector
-
-    def _dataset_shapes(self, tenant_id: str) -> Dict[str, Any]:
-        """Output columns of every data set the tenant has defined."""
-        shapes: Dict[str, Any] = {}
-        for record in self.metadata.datasets(tenant_id):
-            target = self.metadata.resolve_datasource(
-                tenant_id, record["datasource"])
-            shapes.update(dataset_columns_from_sql(
-                {record["name"]: record["sql"]},
-                target.catalog, target.views))
-        return shapes
 
     def deprovision(self, tenant_id: str) -> None:
         """Deactivate a tenant (data retained, access revoked)."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.analysis import dataset_columns_from_sql, lint_dashboard
+from repro.analysis import lint_dashboard
 from repro.core.metadata_service import MetadataService, insert_artefact
 from repro.core.subscription import BillingService
 from repro.core.tenancy import TenantManager
@@ -143,31 +143,15 @@ class ReportingService:
         if not definition.rows:
             raise ServiceError(
                 f"dashboard {definition.name!r} has no rows")
-        shapes = self._dataset_shapes(tenant_id)
-        for dataset in definition.datasets():
-            if dataset not in shapes:
-                raise ServiceError(
-                    f"dashboard {definition.name!r} references "
-                    f"unknown data set {dataset!r}")
-        collector = lint_dashboard(definition, shapes,
-                                   source=definition.name)
+        collector = lint_dashboard(
+            definition, self.metadata.dataset_columns(tenant_id),
+            source=definition.name)
         collector.raise_if_errors(
             ServiceError,
             prefix=f"dashboard {definition.name!r} rejected")
         insert_artefact(self.database, "dashboard", "rs_dashboards",
                         (tenant_id, definition.name,
                          json.dumps(definition.to_dict())))
-
-    def _dataset_shapes(self, tenant_id: str) -> Dict[str, Any]:
-        """Output columns of each tenant data set (None = unknown)."""
-        shapes: Dict[str, Any] = {}
-        for record in self.metadata.datasets(tenant_id):
-            target = self.metadata.resolve_datasource(
-                tenant_id, record["datasource"])
-            shapes.update(dataset_columns_from_sql(
-                {record["name"]: record["sql"]},
-                target.catalog, target.views))
-        return shapes
 
     def dashboards(self, tenant_id: str) -> List[str]:
         self.tenants.require_active(tenant_id)

@@ -12,7 +12,7 @@ every core service resolves physical resources through it.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.resilience import Clock, FaultInjector, RetryPolicy
 from repro.engine.database import Database
@@ -94,10 +94,6 @@ class TechnicalResourcesLayer:
             raise TenantError(
                 f"tenant {tenant_id!r} has no database named {name!r}")
         return database
-
-    def database_names(self, tenant_id: str) -> List[str]:
-        return sorted(name for (tenant, name) in self._databases
-                      if tenant == tenant_id)
 
     # -- events ---------------------------------------------------------------------
 

@@ -315,10 +315,6 @@ class Database:
         with self._state_lock:
             self._open_snapshots.pop(handle, None)
 
-    def open_snapshot_count(self) -> int:
-        with self._state_lock:
-            return len(self._open_snapshots)
-
     def version_horizon(self) -> int:
         """The oldest commit number any live (or future) snapshot may
         read at — versions dead at or before it are reclaimable."""

@@ -214,9 +214,6 @@ class TableStorage:
         self.indexes[name.lower()] = index
         return index
 
-    def drop_index(self, name: str) -> None:
-        self.indexes.pop(name.lower(), None)
-
     def add_column(self, column) -> None:
         """Extend the schema and backfill existing rows.
 

@@ -172,7 +172,14 @@ class RulesError(ReproError):
 
 
 class RuleSyntaxError(RulesError):
-    """The rule DSL text could not be parsed."""
+    """The rule DSL text could not be parsed.
+
+    ``line`` is the 1-based source line of a layout problem, when known.
+    """
+
+    def __init__(self, message: str, line: "int | None" = None):
+        super().__init__(message)
+        self.line = line
 
 
 class BpmError(ReproError):

@@ -237,9 +237,6 @@ class JobGraph:
         self._depends_on[job.name] = list(depends_on)
         return self
 
-    def job_names(self) -> List[str]:
-        return sorted(self._jobs)
-
     def execution_order(self) -> List[str]:
         """Topological order; raises on cycles or unknown dependencies."""
         for name, dependencies in self._depends_on.items():

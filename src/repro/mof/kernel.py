@@ -13,7 +13,16 @@ Meta-levels, following the paper's Section 3.2:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import MetamodelError, ModelConstraintError
 
@@ -341,39 +350,54 @@ class ModelExtent:
                 return element
         return None
 
-    def validate(self) -> List[str]:
-        """Check well-formedness; returns a list of problem strings."""
-        problems: List[str] = []
+    def problems(self) -> List[Tuple[str, str]]:
+        """Well-formedness problems as ``(kind, message)`` pairs.
+
+        ``kind`` is ``"required"`` (a required slot is unset or empty),
+        ``"dangling"`` (a link whose target is not this extent's own
+        element) or ``"owners"`` (an element with two composite
+        owners).
+        """
+        problems: List[Tuple[str, str]] = []
         composite_owner: Dict[str, str] = {}
         for element in self._elements.values():
             attributes = self.metamodel.all_attributes(element.class_name)
             for attribute in attributes.values():
                 if attribute.required \
                         and element._values.get(attribute.name) is None:
-                    problems.append(
+                    problems.append((
+                        "required",
                         f"{element!r}: required attribute "
-                        f"{attribute.name!r} is unset")
+                        f"{attribute.name!r} is unset"))
             references = self.metamodel.all_references(element.class_name)
             for reference in references.values():
                 bucket = element._links.get(reference.name, [])
                 if reference.required and not bucket:
-                    problems.append(
+                    problems.append((
+                        "required",
                         f"{element!r}: required reference "
-                        f"{reference.name!r} is empty")
+                        f"{reference.name!r} is empty"))
                 for target in bucket:
-                    if target.element_id not in self._elements:
-                        problems.append(
+                    if self._elements.get(target.element_id) is not target:
+                        problems.append((
+                            "dangling",
                             f"{element!r}: reference {reference.name!r} "
-                            f"points outside the extent")
+                            f"points to {target!r} outside extent "
+                            f"{self.name!r}"))
                     if reference.composite:
                         owner = composite_owner.get(target.element_id)
                         if owner is not None \
                                 and owner != element.element_id:
-                            problems.append(
-                                f"{target!r} has two composite owners")
+                            problems.append((
+                                "owners",
+                                f"{target!r} has two composite owners"))
                         composite_owner[target.element_id] = \
                             element.element_id
         return problems
+
+    def validate(self) -> List[str]:
+        """Check well-formedness; returns a list of problem strings."""
+        return [message for _kind, message in self.problems()]
 
     def check_valid(self) -> None:
         problems = self.validate()

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.engine.database import Database
+from repro.engine.schema import Catalog
 from repro.errors import CubeDefinitionError
 
 _AGGREGATORS = {"sum": "SUM", "avg": "AVG", "min": "MIN",
@@ -212,9 +213,6 @@ class CubeSchema:
     def is_calculated(self, name: str) -> bool:
         return name in self._calculated_by_name
 
-    def dimension_names(self) -> List[str]:
-        return [dimension.name for dimension in self.dimensions]
-
     # -- integration with the MDA code generator --------------------------------
 
     @classmethod
@@ -244,13 +242,14 @@ class CubeSchema:
 
     # -- validation against a physical database ------------------------------------
 
-    def validate_against(self, database: Database) -> List[str]:
-        """Check that the star schema physically exists; returns problems."""
+    def validate_against(self, catalog: Catalog) -> List[str]:
+        """Check that the star schema exists in ``catalog``; returns
+        problems."""
         problems: List[str] = []
-        if not database.catalog.has_table(self.fact_table):
+        if not catalog.has_table(self.fact_table):
             problems.append(f"missing fact table {self.fact_table!r}")
             return problems
-        fact_schema = database.storage(self.fact_table).schema
+        fact_schema = catalog.table(self.fact_table)
         for measure in self.measures:
             if not fact_schema.has_column(measure.column):
                 problems.append(
@@ -260,11 +259,11 @@ class CubeSchema:
                 problems.append(
                     f"fact table lacks key column {dimension.key!r} "
                     f"for dimension {dimension.name!r}")
-            if not database.catalog.has_table(dimension.table):
+            if not catalog.has_table(dimension.table):
                 problems.append(
                     f"missing dimension table {dimension.table!r}")
                 continue
-            dim_schema = database.storage(dimension.table).schema
+            dim_schema = catalog.table(dimension.table)
             if not dim_schema.has_column(dimension.key):
                 problems.append(
                     f"dimension table {dimension.table!r} lacks key "
@@ -277,6 +276,6 @@ class CubeSchema:
         return problems
 
     def check_against(self, database: Database) -> None:
-        problems = self.validate_against(database)
+        problems = self.validate_against(database.catalog)
         if problems:
             raise CubeDefinitionError("; ".join(problems))

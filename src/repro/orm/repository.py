@@ -40,10 +40,6 @@ class Repository:
         return self.session.find(self.entity_class) \
             .filter_by(**criteria).list()
 
-    def find_one_by(self, **criteria: Any) -> Optional[Any]:
-        return self.session.find(self.entity_class) \
-            .filter_by(**criteria).first()
-
     def count(self) -> int:
         return self.session.find(self.entity_class).count()
 

@@ -247,9 +247,5 @@ class Session:
     def pending_new(self) -> int:
         return len(self._new)
 
-    @property
-    def pending_deleted(self) -> int:
-        return len(self._deleted)
-
     def is_loaded(self, instance: Any) -> bool:
         return id(instance) in self._loaded_state

@@ -70,11 +70,6 @@ class AdhocReportBuilder:
         return self.chart(ChartSpec(name, "bar", category, value,
                                     aggregator))
 
-    def line_chart(self, name: str, category: str, value: str,
-                   aggregator: str = "sum") -> RenderedChart:
-        return self.chart(ChartSpec(name, "line", category, value,
-                                    aggregator))
-
     def pie_chart(self, name: str, category: str, value: str,
                   aggregator: str = "sum") -> RenderedChart:
         return self.chart(ChartSpec(name, "pie", category, value,

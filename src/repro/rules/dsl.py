@@ -17,17 +17,24 @@ attributes.  They are parsed with :mod:`ast` and evaluated by a
 whitelisting interpreter — no ``eval``, no attribute access beyond fact
 attributes, no calls — so rule text from tenants cannot escape the
 sandbox.
+
+:func:`scan_rules` reads the header/when/then/end layout and
+:func:`parse_action` compiles one action line; :func:`parse_rules` is
+built from the two.  The rule linter (:mod:`repro.analysis.rules`)
+calls the same two functions, so it rejects exactly what
+:func:`parse_rules` rejects.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Tuple
 
-from repro.errors import RuleSyntaxError
+from repro.errors import RuleSyntaxError, RulesError
 from repro.rules.engine import ActionContext
-from repro.rules.model import Condition, Fact, Rule
+from repro.rules.model import Condition, Fact, Rule, check_variables
 
 # --- sandboxed expression evaluation ---------------------------------------
 
@@ -244,7 +251,13 @@ def _make_action(steps: List[Tuple[str, Any]]) \
     return action
 
 
-def _parse_action_line(line: str) -> Tuple[str, Any]:
+def parse_action(line: str) -> Tuple[str, Any]:
+    """Compile one action line into a ``(verb, payload)`` step.
+
+    The payload is the :class:`_SafeEvaluator` of ``log``, the variable
+    of ``retract``, ``(variable, [(attr, evaluator)])`` for ``modify``
+    and ``(fact type, [(attr, evaluator)])`` for ``insert``.
+    """
     match = _ACTION_LINE.match(line)
     if match is None:
         raise RuleSyntaxError(f"cannot parse action line: {line!r}")
@@ -275,65 +288,94 @@ def _parse_action_line(line: str) -> Tuple[str, Any]:
     return ("insert", (inner.group("type"), pairs))
 
 
-def parse_rules(text: str) -> List[Rule]:
-    """Compile rule-DSL text into :class:`Rule` objects."""
-    rules: List[Rule] = []
-    lines = [line.strip() for line in text.splitlines()]
-    index = 0
+@dataclass
+class ScannedRule:
+    """One rule as laid out in the text, before anything is compiled.
 
-    def next_meaningful(position: int) -> int:
+    ``conditions`` holds ``(line, variable, fact type, expression)`` and
+    ``actions`` holds ``(line, action text)``; lines are 1-based.
+    """
+
+    name: str
+    salience: int
+    line: int
+    conditions: List[Tuple[int, str, str, str]] = field(
+        default_factory=list)
+    actions: List[Tuple[int, str]] = field(default_factory=list)
+
+
+def scan_rules(text: str) -> List[ScannedRule]:
+    """Read the header/when/then/end layout of rule-DSL text.
+
+    Expressions and actions are returned as text, uncompiled.  Raises
+    :class:`RuleSyntaxError` with the ``line`` of the first layout
+    problem.
+    """
+    lines = [line.strip() for line in text.splitlines()]
+
+    def meaningful(position: int) -> int:
         while position < len(lines) \
                 and (not lines[position]
                      or lines[position].startswith("#")):
             position += 1
         return position
 
-    while True:
-        index = next_meaningful(index)
-        if index >= len(lines):
-            break
+    def fail(message: str, position: int) -> NoReturn:
+        raise RuleSyntaxError(message,
+                              line=min(position, len(lines) - 1) + 1)
+
+    rules: List[ScannedRule] = []
+    index = meaningful(0)
+    while index < len(lines):
         header = _RULE_HEADER.match(lines[index])
         if header is None:
-            raise RuleSyntaxError(
-                f"expected rule header, got {lines[index]!r}")
-        name = header.group("name")
-        salience = int(header.group("salience") or 0)
-        index = next_meaningful(index + 1)
+            fail(f"expected rule header, got {lines[index]!r}", index)
+        rule = ScannedRule(header.group("name"),
+                           int(header.group("salience") or 0), index + 1)
+        index = meaningful(index + 1)
         if index >= len(lines) or lines[index] != "when":
-            raise RuleSyntaxError(f"rule {name!r}: expected 'when'")
-        index += 1
-
-        conditions: List[Condition] = []
-        while True:
-            index = next_meaningful(index)
-            if index >= len(lines):
-                raise RuleSyntaxError(f"rule {name!r}: missing 'then'")
-            if lines[index] == "then":
-                index += 1
-                break
+            fail(f"rule {rule.name!r}: expected 'when'", index)
+        index = meaningful(index + 1)
+        while index < len(lines) and lines[index] != "then":
             match = _CONDITION_LINE.match(lines[index])
             if match is None:
-                raise RuleSyntaxError(
-                    f"rule {name!r}: bad condition {lines[index]!r}")
-            conditions.append(_make_condition(
-                match.group("var"), match.group("type"),
-                match.group("expr")))
-            index += 1
-
-        steps: List[Tuple[str, Any]] = []
-        while True:
-            index = next_meaningful(index)
-            if index >= len(lines):
-                raise RuleSyntaxError(f"rule {name!r}: missing 'end'")
-            if lines[index] == "end":
-                index += 1
-                break
-            steps.append(_parse_action_line(lines[index]))
-            index += 1
-        if not steps:
-            raise RuleSyntaxError(f"rule {name!r} has no actions")
-        rules.append(Rule(name, conditions, _make_action(steps),
-                          salience=salience))
+                fail(f"rule {rule.name!r}: bad condition "
+                     f"{lines[index]!r}", index)
+            rule.conditions.append((index + 1, match.group("var"),
+                                    match.group("type"),
+                                    match.group("expr").strip()))
+            index = meaningful(index + 1)
+        if index >= len(lines):
+            fail(f"rule {rule.name!r}: missing 'then'", index)
+        index = meaningful(index + 1)
+        while index < len(lines) and lines[index] != "end":
+            rule.actions.append((index + 1, lines[index]))
+            index = meaningful(index + 1)
+        if index >= len(lines):
+            fail(f"rule {rule.name!r}: missing 'end'", index)
+        try:
+            check_variables(rule.name, [variable for _, variable, _, _
+                                        in rule.conditions])
+        except RulesError as exc:
+            fail(str(exc), rule.line - 1)
+        if not rule.actions:
+            fail(f"rule {rule.name!r} has no actions", rule.line - 1)
+        rules.append(rule)
+        index = meaningful(index + 1)
     if not rules:
         raise RuleSyntaxError("no rules found in source text")
     return rules
+
+
+def parse_rules(text: str) -> List[Rule]:
+    """Compile rule-DSL text into :class:`Rule` objects."""
+    return [
+        Rule(scanned.name,
+             [_make_condition(variable, fact_type, expression)
+              for _line, variable, fact_type, expression
+              in scanned.conditions],
+             _make_action([parse_action(action)
+                           for _line, action in scanned.actions]),
+             salience=scanned.salience)
+        for scanned in scan_rules(text)
+    ]

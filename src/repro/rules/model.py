@@ -68,6 +68,14 @@ class Condition:
         return bool(self.predicate(fact, bindings))
 
 
+def check_variables(name: str, variables: Sequence[str]) -> None:
+    """A rule binds at least one variable, and each one once."""
+    if not variables:
+        raise RulesError(f"rule {name!r} needs at least one condition")
+    if len(set(variables)) != len(variables):
+        raise RulesError(f"rule {name!r} binds the same variable twice")
+
+
 class Rule:
     """When all conditions match (a consistent binding), run the action.
 
@@ -77,12 +85,8 @@ class Rule:
 
     def __init__(self, name: str, conditions: Sequence[Condition],
                  action: Callable[..., None], salience: int = 0):
-        if not conditions:
-            raise RulesError(f"rule {name!r} needs at least one condition")
-        variables = [condition.variable for condition in conditions]
-        if len(set(variables)) != len(variables):
-            raise RulesError(
-                f"rule {name!r} binds the same variable twice")
+        check_variables(name, [condition.variable
+                               for condition in conditions])
         self.name = name
         self.conditions = list(conditions)
         self.action = action

@@ -1,11 +1,15 @@
 """Unit tests for the model and rule-DSL linters."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import lint_cube_schema, lint_model, lint_rules
 from repro.cwm import TransformationBuilder, cwm_metamodel
 from repro.engine import Catalog, make_schema
+from repro.errors import RulesError
 from repro.mof import ModelExtent
+from repro.rules import parse_rules
 
 
 @pytest.fixture
@@ -197,6 +201,16 @@ class TestRuleLinter:
         # missing actions; scan stops at the structural problem
         assert "ODB304" in codes(collector)
 
+    @pytest.mark.parametrize("conditions", [
+        "",                                      # no condition
+        "    u: Usage()\n    u: Usage()\n",      # one variable twice
+    ])
+    def test_rule_shape_parse_rules_refuses_is_odb304(self, conditions):
+        text = f'rule "r"\nwhen\n{conditions}then\n    log("x")\nend'
+        with pytest.raises(RulesError):
+            parse_rules(text)
+        assert codes(lint_rules(text)) == ["ODB304"]
+
     def test_bad_expression_syntax(self):
         text = ('rule "r"\nwhen\n    u: Usage(u.amount >)\nthen\n'
                 '    retract(u)\nend')
@@ -212,3 +226,48 @@ class TestRuleLinter:
                 '    retract(ghost)\nend')
         collector = lint_rules(text)
         assert collector.errors[0].span.line == 5
+
+
+#: Replacement argument texts for a condition or action line.
+BROKEN_ARGUMENTS = ["", " ", "amount >", "amount > 1000)", "(amount",
+                    "__import__('os')", "amount ** 2", "usage, ",
+                    "flagged=True", "Alert(level=)", "usage.x.y",
+                    "1 + * 2", "u ghost"]
+
+
+@st.composite
+def mutated_rules(draw):
+    """CLEAN_RULES with up to four edits: a dropped line (keywords
+    included), a stray space, a replaced argument list, or an emptied
+    one."""
+    lines = CLEAN_RULES.splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        if not lines:
+            break
+        index = draw(st.integers(0, len(lines) - 1))
+        line = lines[index]
+        kind = draw(st.sampled_from(["drop", "space", "argument",
+                                     "empty"]))
+        if kind == "drop":
+            del lines[index]
+        elif kind == "space":
+            at = draw(st.integers(0, len(line)))
+            lines[index] = line[:at] + " " + line[at:]
+        elif "(" in line:
+            argument = draw(st.sampled_from(BROKEN_ARGUMENTS)) \
+                if kind == "argument" else ""
+            lines[index] = line[:line.index("(") + 1] + argument + ")"
+    return "\n".join(lines)
+
+
+class TestRuleLintAgreesWithTheCompiler:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_rules())
+    def test_parse_rules_raises_iff_lint_reports_odb304(self, text):
+        try:
+            parse_rules(text)
+        except RulesError:
+            raised = True
+        else:
+            raised = False
+        assert raised == ("ODB304" in codes(lint_rules(text))), text

@@ -250,6 +250,17 @@ ACCEPTED_QUERIES = [
     "SELECT COUNT(*) FROM sales",
 ]
 
+#: Items the engine names itself: ``sum(amount)``, ``columnN``.
+UNALIASED_QUERIES = [
+    "SELECT region, SUM(amount) FROM sales GROUP BY region",
+    "SELECT COUNT(DISTINCT region), AVG(amount) FROM sales",
+    "SELECT amount * 2, quantity FROM sales",
+    "SELECT UPPER(name), LENGTH(name) FROM customers",
+    "SELECT c.*, s.amount * s.quantity FROM sales s "
+    "JOIN customers c ON s.id = c.id",
+    "SELECT *, amount + 1 FROM sales",
+]
+
 
 class TestAnalyzerExecutorAgreement:
     """Property-style check: SQL the analyzer accepts must execute.
@@ -257,19 +268,24 @@ class TestAnalyzerExecutorAgreement:
     An analyzer-clean query running against an *empty* database built
     from the same catalog must never hit a catalog-resolution error —
     the analyzer's whole claim is that it resolves names statically
-    exactly the way the executor would.
+    exactly the way the executor would — and the columns the analyzer
+    says it produces are the ones the executor returns.
     """
 
-    @pytest.mark.parametrize("sql", ACCEPTED_QUERIES)
+    @pytest.mark.parametrize("sql", ACCEPTED_QUERIES + UNALIASED_QUERIES)
     def test_accepted_queries_execute(self, sql):
         catalog = sales_catalog()
-        collector = SqlAnalyzer(catalog).analyze(sql)
+        analyzer = SqlAnalyzer(catalog)
+        collector = analyzer.analyze(sql)
         assert not collector.has_errors(), collector.render()
 
         database = Database("empty")
         for schema in catalog:
             database.create_storage(schema)
-        database.query(sql)  # must not raise
+        result = database.execute(sql)  # must not raise
+        assert [name for name, _type in
+                analyzer.output_columns(parse_sql(sql))] == \
+            [column.lower() for column in result.columns]
 
     def test_for_database_sees_live_views(self):
         database = Database("live")

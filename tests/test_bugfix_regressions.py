@@ -609,3 +609,93 @@ class TestHalfOpenAdmitsOneProbe:
             gateway.shutdown()
         assert probe.result(10).status == 200
         assert breaker.state == "closed" and state["calls"] == 1
+
+
+# -- registration gates that disagreed with the runtime ----------------------
+#
+# * the dashboard linter invented names for unaliased SELECT items
+#   (``SUM(amount)`` became a dump of the aggregate node) where the
+#   engine answers ``sum(amount)``, so the real name was rejected and
+#   the invented one accepted, then failed to render;
+# * ``ModelExtent.validate`` judged a link by its target's id alone, so
+#   a link into another extent whose id collides with a local element
+#   passed, while the model linter reported it;
+# * the rule linter stripped condition expressions that ``parse_rules``
+#   compiled unstripped, so ``Usage( amount > 5)`` passed the lint and
+#   then failed to compile with "unexpected indent".
+
+from repro.analysis import lint_model
+from repro.cwm import cwm_metamodel
+from repro.errors import ServiceError
+from repro.mof import ModelExtent
+from repro.reporting import DashboardDefinition
+from repro.rules import Fact, RuleEngine, parse_rules
+
+
+class TestDashboardColumnsAreTheEnginesNames:
+    @pytest.fixture
+    def platform(self):
+        platform = OdbisPlatform()
+        context = platform.provisioning.provision(
+            TENANT, "Acme", plan="team")
+        context.warehouse_db.execute(
+            "CREATE TABLE sales (region TEXT, amount REAL)")
+        context.warehouse_db.execute(
+            "INSERT INTO sales VALUES ('north', 2.0), ('south', 3.0), "
+            "('north', 1.0)")
+        platform.metadata.create_dataset(
+            TENANT, "by_region", "warehouse",
+            "SELECT region, SUM(amount), amount * 2 FROM sales "
+            "GROUP BY region, amount")
+        yield platform
+        platform.gateway.shutdown()
+
+    def test_unaliased_items_render_under_the_engines_names(
+            self, platform):
+        definition = DashboardDefinition("totals")
+        definition.add_row(definition.table(
+            "by_region", "t", ["region", "sum(amount)", "column3"]))
+        platform.reporting.define_dashboard(TENANT, definition)
+        table = platform.reporting.render_dashboard(
+            TENANT, "totals").element("t")
+        assert sorted((row["region"], row["sum(amount)"], row["column3"])
+                      for row in table.rows) == [
+            ("north", 1.0, 2.0), ("north", 2.0, 4.0), ("south", 3.0, 6.0)]
+
+    @pytest.mark.parametrize("invented", [
+        "aggregatecall(name='sum', argument=columnref(name='amount'), "
+        "distinct=false)",
+        "(amount*2)",
+    ])
+    def test_invented_names_are_rejected(self, platform, invented):
+        definition = DashboardDefinition("invented")
+        definition.add_row(definition.table(
+            "by_region", "t", ["region", invented]))
+        with pytest.raises(ServiceError, match="ODB402"):
+            platform.reporting.define_dashboard(TENANT, definition)
+
+
+class TestForeignLinkWithCollidingId:
+    def test_validate_and_the_linter_both_flag_it(self):
+        metamodel = cwm_metamodel()
+        pim = ModelExtent(metamodel, "pim")
+        pim.create("Catalog", name="c")
+        foreign = ModelExtent(metamodel, "other").create(
+            "Catalog", name="foreign")
+        assert foreign.element_id == pim.instances_of(
+            "Catalog")[0].element_id
+        pim.create("Schema", name="s").link("catalog", foreign)
+        assert any("outside extent 'pim'" in problem
+                   for problem in pim.validate())
+        assert "ODB201" in lint_model(pim).codes()
+
+
+class TestRuleConditionWithLeadingSpace:
+    def test_compiles_and_fires(self):
+        rules = parse_rules('rule "big"\nwhen\n    u: Usage( amount > 5)\n'
+                            'then\n    log("big")\nend')
+        engine = RuleEngine(rules)
+        engine.memory.insert(Fact("Usage", amount=9))
+        engine.memory.insert(Fact("Usage", amount=1))
+        engine.run()
+        assert engine.log == ["big"]

@@ -97,14 +97,14 @@ class TestCubeSchema:
 
     def test_validate_against_reports_problems(self, schema):
         empty = Database()
-        problems = schema.validate_against(empty)
+        problems = schema.validate_against(empty.catalog)
         assert any("fact table" in problem for problem in problems)
 
     def test_validate_against_detects_missing_level(self, db, schema):
         db.execute("DROP TABLE dim_store")
         db.execute("CREATE TABLE dim_store "
                    "(store_key INTEGER, region TEXT)")  # no city
-        problems = schema.validate_against(db)
+        problems = schema.validate_against(db.catalog)
         assert any("city" in problem for problem in problems)
 
     def test_from_definition_roundtrip(self):

@@ -160,7 +160,7 @@ def test_e11_one_model_becomes_many_consistent_artefacts():
             database.execute(statement)
         mismatches = [problem for definition in artifacts.cube_definitions
                       for problem in CubeSchema.from_definition(
-                          definition).validate_against(database)]
+                          definition).validate_against(database.catalog)]
         tables = [table.name for table in psm.tables()]
         rows.append((subjects, inputs, outputs, outputs / inputs,
                      len(tables), tables.count("dim_time"),

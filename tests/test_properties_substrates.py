@@ -183,7 +183,7 @@ class TestMdaChainProperties:
             len(cim.requirements)
         for definition in artifacts.cube_definitions:
             schema = CubeSchema.from_definition(definition)
-            assert schema.validate_against(database) == []
+            assert schema.validate_against(database.catalog) == []
 
     @settings(max_examples=20, deadline=None)
     @given(cim_models())

@@ -74,7 +74,7 @@ class TestRetailWorkload:
         workload = RetailWorkload()
         workload.build(db, fact_rows=50)
         schema = CubeSchema.from_definition(workload.cube_definition())
-        assert schema.validate_against(db) == []
+        assert schema.validate_against(db.catalog) == []
 
 
 class TestTenantWorkload:
