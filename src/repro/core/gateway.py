@@ -41,10 +41,13 @@ database — reads overlap in both modes.
 
 from __future__ import annotations
 
+import atexit
+import queue
 import sys
 import threading
+import weakref
 from collections import OrderedDict, deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.overload import (
@@ -173,6 +176,82 @@ class ClaimableFuture(Future):
         return super().exception(timeout)
 
 
+def _drain(claims: "queue.SimpleQueue", idle: "queue.SimpleQueue") -> None:
+    """A pool worker: run claims until the stop sentinel (None), which
+    it passes on so one sentinel stops every worker."""
+    while True:
+        claim = claims.get()
+        if claim is None:
+            claims.put(None)
+            return
+        try:
+            claim()
+        except BaseException:  # the claim has answered its own future
+            pass
+        del claim  # hold no request while blocked on the queue
+        idle.put(True)
+
+
+class _ClaimPool:
+    """Gateway-owned worker threads draining one queue of claims.
+
+    A thread starts only when no started worker is idle, up to
+    ``max_workers``, as a standard-library executor starts them; but
+    what is queued is the request's own :meth:`ClaimableFuture.claim`,
+    so no second future is built to hold a result nobody reads.
+    Workers hold the queues, not the pool: once the pool is collected
+    a finalizer posts the stop sentinel.  Workers are daemon threads,
+    and at interpreter exit every live pool is shut down and joined,
+    so claims queued before exit still run, as an executor's do.
+    """
+
+    def __init__(self, max_workers: int):
+        self.max_workers = max_workers
+        self._claims: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._idle: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._threads: List[threading.Thread] = []  # guarded-by: _lock
+        self._shut = False  # guarded-by: _lock
+        self._lock = threading.Lock()
+        weakref.finalize(self, self._claims.put, None)
+        _LIVE_POOLS.add(self)
+
+    def submit(self, claim: Callable[[], None]) -> None:
+        """Queue ``claim``; RuntimeError once the pool is shut down."""
+        with self._lock:
+            if self._shut:
+                raise RuntimeError("cannot queue a claim after shutdown")
+            self._claims.put(claim)
+            if not self._idle.empty():
+                self._idle.get_nowait()
+            elif len(self._threads) < self.max_workers:
+                thread = threading.Thread(
+                    target=_drain, args=(self._claims, self._idle),
+                    name=f"odbis-gateway_{len(self._threads)}",
+                    daemon=True)
+                thread.start()
+                self._threads.append(thread)
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Refuse new claims; the queued ones still run, then the
+        workers stop (joined when ``wait``)."""
+        with self._lock:
+            self._shut = True
+            threads = list(self._threads)
+        self._claims.put(None)
+        if wait:
+            for thread in threads:
+                thread.join()
+
+
+_LIVE_POOLS: "weakref.WeakSet[_ClaimPool]" = weakref.WeakSet()
+
+
+@atexit.register
+def _shut_pools_at_exit() -> None:
+    for pool in list(_LIVE_POOLS):
+        pool.shutdown(wait=True)
+
+
 class RequestGateway:
     """Dispatches tenant requests onto a worker pool.
 
@@ -238,15 +317,17 @@ class RequestGateway:
             maxlen=DEFAULT_DISPATCH_LOG_CAPACITY)  # guarded-by: _log_lock
         self.decision_counts: Dict[str, int] = {}  # guarded-by: _log_lock
         self._log_lock = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _pool_lock
+        self._pool: Optional[_ClaimPool] = None  # guarded-by: _pool_lock
         self._pool_lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}  # guarded-by: _guard_lock
         self._bulkheads: Dict[str, Bulkhead] = {}  # guarded-by: _guard_lock
         self._guard_lock = threading.Lock()
-        # LRU-bounded last-known-good bodies for degraded serving: an
-        # unbounded dict here grows with every distinct request
-        # identity for the life of the gateway.
-        self._stale_cache: "OrderedDict[Tuple[Any, ...], Tuple[Any, float]]" \
+        # LRU-bounded last-known-good responses for degraded serving:
+        # an unbounded dict here grows with every distinct request
+        # identity for the life of the gateway.  The response is kept
+        # as it was answered and parsed only when served stale.
+        self._stale_cache: \
+            "OrderedDict[Tuple[Any, ...], Tuple[Response, float]]" \
             = OrderedDict()  # guarded-by: _stale_lock
         self._stale_lock = threading.Lock()
         self._draining = False  # guarded-by: _drain
@@ -255,12 +336,10 @@ class RequestGateway:
 
     # -- pool lifecycle ---------------------------------------------------------
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
+    def _ensure_pool(self) -> _ClaimPool:
         with self._pool_lock:
             if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="odbis-gateway")
+                self._pool = _ClaimPool(self.max_workers)
             return self._pool
 
     def shutdown(self, wait: bool = True,
@@ -590,15 +669,19 @@ class RequestGateway:
         retry_after = self._retry_after(breaker)
         if cached is None:
             return DegradedResponse(reason, retry_after=retry_after)
-        payload, written_at = cached
+        response, written_at = cached
+        try:
+            payload = response.json()
+        except ValueError:
+            payload = response.body  # non-JSON output
         return DegradedResponse(reason, payload=payload, stale=True,
                                 stale_as_of=written_at,
                                 retry_after=retry_after)
 
     def _stale_cache_put(self, key: Tuple[Any, ...],
-                         payload: Any) -> None:
+                         response: Response) -> None:
         with self._stale_lock:
-            self._stale_cache[key] = (payload, self.clock.now())
+            self._stale_cache[key] = (response, self.clock.now())
             self._stale_cache.move_to_end(key)
             while len(self._stale_cache) > DEFAULT_STALE_CACHE_CAPACITY:
                 self._stale_cache.popitem(last=False)
@@ -662,11 +745,7 @@ class RequestGateway:
                                 self.overload.brownout.allows_cache_fill()):
                 key = self._stale_cache_key(work)
                 if key is not None:
-                    try:
-                        payload = response.json()
-                    except ValueError:
-                        payload = response.body  # non-JSON output
-                    self._stale_cache_put(key, payload)
+                    self._stale_cache_put(key, response)
             return response
         finally:
             self._finish(work, outcome=(self.clock.now() - started, ok,

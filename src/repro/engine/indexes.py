@@ -273,15 +273,21 @@ class Index:
     def _buckets(self, tail: Dict[Any, Tuple[int, ...]],
                  nulls: Dict[_Key, Tuple[int, ...]], prefix: _Key,
                  low: Bound, high: Bound) -> Iterator[Tuple[int, ...]]:
-        """The tail and side buckets a prefix or range seek takes."""
+        """The tail and side buckets a prefix or range seek takes.
+
+        The published tail and side dicts are copied with ``dict.copy``
+        (one C call) before iterating: a writer may add to them, and a
+        per-entry copy allocates tuples that can start a collection,
+        which can switch threads mid-copy."""
         if self._single:
-            for key, bucket in list(tail.items()):
+            for key, bucket in tail.copy().items():
                 if _in_bounds(key, low, high):
                     yield bucket
             return
         width = len(prefix)
         ranged = low is not None or high is not None
-        for key, bucket in chain(list(tail.items()), list(nulls.items())):
+        for key, bucket in chain(tail.copy().items(),
+                                 nulls.copy().items()):
             if key[:width] != prefix:
                 continue
             if ranged and (unordered(key[width])

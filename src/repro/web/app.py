@@ -36,38 +36,51 @@ _PARAM_SEGMENT = re.compile(r"^\{([A-Za-z_][A-Za-z0-9_]*)\}$")
 ACCESS_LOG_CAPACITY = 1000
 
 
+def _segments(path: str) -> List[str]:
+    return [segment for segment in path.split("/") if segment != ""]
+
+
 class _Route:
+    """One pattern, with where its literals and ``{params}`` sit
+    worked out once; it is tried only on paths of its own length."""
+
     def __init__(self, method: str, pattern: str, handler: Handler):
         self.method = method.upper()
         self.pattern = pattern
         self.handler = handler
-        self.segments = [segment for segment in pattern.split("/")
-                         if segment != ""]
+        self.segments = _segments(pattern)
+        self.literals: List[Tuple[int, str]] = []
+        self.params: List[Tuple[int, str]] = []
+        for position, segment in enumerate(self.segments):
+            param = _PARAM_SEGMENT.match(segment)
+            if param is None:
+                self.literals.append((position, segment))
+            else:
+                self.params.append((position, param.group(1)))
 
-    def match(self, method: str, path: str) \
-            -> Optional[Dict[str, str]]:
-        if method != self.method:
-            return None
-        parts = [segment for segment in path.split("/") if segment != ""]
-        if len(parts) != len(self.segments):
-            return None
-        params: Dict[str, str] = {}
-        for expected, actual in zip(self.segments, parts):
-            param = _PARAM_SEGMENT.match(expected)
-            if param is not None:
-                params[param.group(1)] = actual
-            elif expected != actual:
+    def match(self, parts: List[str]) -> Optional[Dict[str, str]]:
+        """The path parameters, if ``parts`` (a path of this route's
+        method and length, split) fits the pattern."""
+        for position, literal in self.literals:
+            if parts[position] != literal:
                 return None
-        return params
+        return {name: parts[position] for position, name in self.params}
 
 
 class WebApplication:
-    """A router plus middleware chain, dispatched synchronously."""
+    """A router plus middleware chain, dispatched synchronously.
+
+    Routes are filed by ``(method, segment count)`` in registration
+    order, so a request tries only the routes its shape can match and
+    the first registered still wins.  The middleware chain is built
+    when middleware is added, not per request.
+    """
 
     def __init__(self, name: str = "app"):
         self.name = name
-        self._routes: List[_Route] = []
+        self._routes: Dict[Tuple[str, int], List[_Route]] = {}
         self._middleware: List[Middleware] = []
+        self._chain: Handler = self._dispatch
         # The last ACCESS_LOG_CAPACITY (method, path, status) triples;
         # the total ever handled survives in requests_handled.
         self._log_lock = threading.Lock()
@@ -79,12 +92,12 @@ class WebApplication:
 
     def route(self, method: str, pattern: str,
               handler: Handler) -> None:
-        for existing in self._routes:
-            if existing.method == method.upper() \
-                    and existing.pattern == pattern:
-                raise WebError(
-                    f"route {method} {pattern} already registered")
-        self._routes.append(_Route(method, pattern, handler))
+        route = _Route(method, pattern, handler)
+        bucket = self._routes.setdefault(
+            (route.method, len(route.segments)), [])
+        if any(existing.pattern == pattern for existing in bucket):
+            raise WebError(f"route {method} {pattern} already registered")
+        bucket.append(route)
 
     def get(self, pattern: str, handler: Handler) -> None:
         self.route("GET", pattern, handler)
@@ -101,27 +114,28 @@ class WebApplication:
     def use(self, middleware: Middleware) -> None:
         """Append a middleware (outermost first)."""
         self._middleware.append(middleware)
+        chain: Handler = self._dispatch
+        for outer in reversed(self._middleware):
+            chain = self._wrap(outer, chain)
+        self._chain = chain
 
     # -- dispatch -------------------------------------------------------------------
 
+    def _dispatch(self, request: Request) -> Response:
+        """The end of the chain: the first route that fits, or 404."""
+        parts = _segments(request.path)
+        for route in self._routes.get((request.method, len(parts)), ()):
+            params = route.match(parts)
+            if params is not None:
+                request.path_params = params
+                return route.handler(request)
+        raise HttpError(404, f"no route for "
+                             f"{request.method} {request.path}")
+
     def handle(self, request: Request) -> Response:
         """Run the middleware chain and the matched handler."""
-
-        def terminal(inner: Request) -> Response:
-            for route in self._routes:
-                params = route.match(inner.method, inner.path)
-                if params is not None:
-                    inner.path_params = params
-                    return route.handler(inner)
-            raise HttpError(404, f"no route for "
-                                 f"{inner.method} {inner.path}")
-
-        chain: Handler = terminal
-        for middleware in reversed(self._middleware):
-            chain = self._wrap(middleware, chain)
-
         try:
-            response = chain(request)
+            response = self._chain(request)
         except HttpError as exc:
             response = JsonResponse({"error": exc.message},
                                     status=exc.status)

@@ -7,6 +7,8 @@ would break ``bench/run.py --trace 1`` with tier-1 green.  These checks
 start no platform and take milliseconds.
 """
 
+import inspect
+
 from bench.trace import default_targets
 from repro.core import overload
 from repro.core.analysis_service import AnalysisService
@@ -50,3 +52,45 @@ def test_a_new_text_is_parsed_through_the_name_the_tracer_rebinds(
     assert len(parses) == 1
     assert overload.read_only_statement("SELECT 23 AS pr")
     assert len(parses) == 1
+
+
+def test_the_traced_request_wrapper_takes_headers_fifth(monkeypatch):
+    # bench/trace.py's _adopt_request reads the root span id from the
+    # headers in RequestGateway._run_request's 5th positional argument
+    # (self first), and the gateway must pass them there positionally.
+    from bench.trace import REQUEST_ID_HEADER, _adopt_request
+    from repro.core import RequestGateway
+    from repro.core.tenancy import TenantManager
+    from repro.web import JsonResponse, WebApplication
+
+    names = list(inspect.signature(RequestGateway._run_request).parameters)
+    assert names[:5] == ["self", "method", "path", "body", "headers"]
+    web = WebApplication("contract")
+    web.get("/ping", lambda request: JsonResponse({}))
+    gateway = RequestGateway(web, TenantManager(), max_workers=1)
+    adopted = []
+    run = RequestGateway._run_request
+
+    def recording(*args):
+        adopted.append(_adopt_request(args))
+        return run(*args)
+
+    monkeypatch.setattr(RequestGateway, "_run_request", recording)
+    try:
+        assert gateway.submit("GET", "/ping", headers={
+            REQUEST_ID_HEADER: "23"}).result(30).ok
+    finally:
+        gateway.shutdown()
+    assert adopted == [23]
+
+
+def test_the_request_client_dispatches_through_handle(monkeypatch):
+    # bench/trace.py times the web layer by rebinding
+    # WebApplication.handle; request() must go through that name.
+    from repro.web import JsonResponse, WebApplication
+
+    web = WebApplication("contract")
+    web.get("/ping", lambda request: JsonResponse({}))
+    handled = spy(monkeypatch, WebApplication, "handle")
+    assert web.request("GET", "/ping").ok
+    assert len(handled) == 1

@@ -350,6 +350,56 @@ class TestStaleCacheKeying:
         gateway.shutdown()
 
 
+class TestStaleServingParsesWhatItKept:
+    """The stale cache keeps the response as answered and parses it
+    only when serving it: a JSON body is served stale as its payload,
+    any other body (a dashboard delivered to a text channel) as its
+    text — the same as a cache that parsed at fill time served."""
+
+    def test_each_dashboard_channel_is_served_stale_as_answered(self):
+        from repro.reporting import DashboardDefinition
+
+        platform = OdbisPlatform()
+        context = platform.provisioning.provision(TENANT, "Acme",
+                                                  plan="team")
+        context.warehouse_db.execute(
+            "CREATE TABLE s (region TEXT, n REAL)")
+        context.warehouse_db.execute("INSERT INTO s VALUES ('N', 1.0)")
+        platform.metadata.create_dataset(
+            TENANT, "d", "warehouse", "SELECT region, n FROM s")
+        definition = DashboardDefinition("dash")
+        definition.add_row(
+            definition.chart("d", "c", "bar", "region", "n"))
+        platform.reporting.define_dashboard(TENANT, definition)
+        login = platform.web.request(
+            "POST", "/login", body={"username": f"admin@{TENANT}",
+                                    "password": "changeme"})
+        headers = {"X-Auth-Token": login.json()["token"]}
+        gateway = platform.gateway
+
+        def deliver(channel):
+            return gateway.submit(
+                "GET", f"/tenants/{TENANT}/dashboards/dash",
+                headers=headers, query={"channel": channel}).result(30)
+
+        try:
+            live = {channel: deliver(channel)
+                    for channel in ("webservice", "mobile")}
+            _trip(gateway)
+            stale = {channel: deliver(channel)
+                     for channel in ("webservice", "mobile")}
+        finally:
+            platform.close()
+        assert all(response.status == 200 for response in live.values())
+        assert all(response.stale for response in stale.values())
+        assert stale["webservice"].json()["data"] == \
+            live["webservice"].json()
+        with pytest.raises(ValueError):
+            live["mobile"].json()
+        assert isinstance(live["mobile"].body, str)
+        assert stale["mobile"].json()["data"] == live["mobile"].body
+
+
 class TestShutdownDrainsBeforeDurableClose:
     """close() must drain the gateway before closing WALs/journals."""
 
@@ -699,3 +749,43 @@ class TestRuleConditionWithLeadingSpace:
         engine.memory.insert(Fact("Usage", amount=1))
         engine.run()
         assert engine.log == ["big"]
+
+
+# -- a range seek copied the index tail entry by entry ------------------------
+#
+# ``Index._buckets`` copied the published tail with
+# ``list(tail.items())``.  Each entry's 2-tuple is an allocation; once
+# the tuple free list is empty one of them can start a collection, and
+# a collection can switch threads — so a writer could add to the tail
+# mid-copy ("dictionary changed size during iteration").  A
+# ``gc.callbacks`` hook stands in for that writer.
+
+import gc
+
+from repro.engine.indexes import Index
+
+
+class TestIndexTailCopyIsAtomic:
+    def test_a_collection_mid_seek_cannot_resize_the_copied_tail(self):
+        index = Index("ix", ["k"], [0])
+        for key in range(10):
+            index.insert(key, [key])
+        added = iter(range(1000, 1030))
+
+        def writer(phase, info):
+            if phase == "start":
+                key = next(added, None)
+                if key is not None:
+                    index.insert(key, [key])
+
+        threshold = gc.get_threshold()
+        held = [(n, n) for n in range(5000)]   # empties the free list
+        gc.set_threshold(1)
+        gc.callbacks.append(writer)
+        try:
+            found = index.seek((), (0, True), (100, True))
+        finally:
+            gc.callbacks.remove(writer)
+            gc.set_threshold(*threshold)
+            del held
+        assert found == list(range(10))

@@ -8,8 +8,12 @@ the web stack, let alone a database), not mid-query.
 """
 
 import concurrent.futures
+import os
+import pathlib
 import random
+import subprocess
 import sys
+import textwrap
 import threading
 
 import pytest
@@ -342,6 +346,35 @@ class TestGatewayUnit:
             assert gateway.submit("GET", "/ping").result(30).ok
         assert gateway._pool is None
 
+    def test_claims_queued_at_exit_still_run(self):
+        """An interpreter that exits with claims queued lets them run
+        before it stops the pool's threads."""
+        script = textwrap.dedent("""
+            import os
+            import time
+            from repro.core import RequestGateway
+            from repro.core.tenancy import TenantManager
+            from repro.web import JsonResponse, WebApplication
+
+            def slow(request):
+                time.sleep(0.05)
+                os.write(1, f"ran {request.query['n']}\\n".encode())
+                return JsonResponse({})
+
+            web = WebApplication("exit")
+            web.get("/slow", slow)
+            gateway = RequestGateway(web, TenantManager(), max_workers=2)
+            for n in range(4):
+                gateway.submit("GET", "/slow", query={"n": n})
+        """)
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True,
+            text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert completed.returncode == 0, completed.stderr
+        assert sorted(completed.stdout.splitlines()) == \
+            [f"ran {n}" for n in range(4)]
+
 
 class TestClaimableFutures:
     """A request's future is run by the pool worker that dequeues it or
@@ -447,6 +480,55 @@ class TestClaimableFutures:
             assert [r.status for r in responses] == [200] * size
         finally:
             gateway.shutdown()
+
+    def test_a_claim_the_pool_refuses_is_answered_shutdown(self):
+        """A request admitted while the pool is being torn down (the
+        pool refuses its claim) is answered with the typed shutdown 503
+        and hands back all that admission took."""
+        gateway, _, _, ran = self.gateway(max_workers=1)
+        gateway._ensure_pool().shutdown(wait=True)
+        try:
+            response = gateway.submit(
+                "GET", "/tenants/acme/who").result(timeout=10)
+        finally:
+            gateway.shutdown()
+        assert ran == []
+        assert response.status == 503
+        assert response.json()["code"] == "gateway_shutdown"
+        assert float(response.headers["retry-after"]) > 0
+        assert gateway._inflight == 0
+        assert gateway.bulkhead("acme").in_use == 0
+        assert gateway.breaker("acme")._probe is None
+        assert gateway.decision_counts["queue-shed"] == 1
+
+    def test_a_worker_outlives_an_interrupt_its_claim_reraises(self):
+        """A claim re-raises a BaseException after answering its future
+        with it; the worker that ran it keeps serving."""
+        web = WebApplication("interrupt")
+        names = []
+
+        def interrupt(request):
+            names.append(threading.current_thread().name)
+            raise KeyboardInterrupt
+
+        def answer(request):
+            names.append(threading.current_thread().name)
+            return JsonResponse({"ok": True})
+
+        web.get("/interrupt", interrupt)
+        web.get("/answer", answer)
+        gateway = RequestGateway(web, TenantManager(), max_workers=1)
+        try:
+            broken = gateway.submit("GET", "/interrupt")
+            concurrent.futures.wait([broken], timeout=10)
+            assert isinstance(broken.exception(0), KeyboardInterrupt)
+            served = gateway.submit("GET", "/answer")
+            concurrent.futures.wait([served], timeout=10)
+            assert served.result(0).status == 200
+        finally:
+            gateway.shutdown()
+        assert names == ["odbis-gateway_0"] * 2
+        assert gateway._inflight == 0
 
     def test_parked_request_is_not_run_by_its_waiting_caller(self):
         controller = OverloadController(

@@ -218,6 +218,27 @@ class TestWebApplication:
                               headers={"X-Block": "1"})
         assert blocked.status == 418
 
+    def test_middleware_added_after_a_request_runs_on_the_next(self, app):
+        assert app.request("GET", "/ping").status == 200
+        app.use(lambda request, next_handler: Response(status=418))
+        assert app.request("GET", "/ping").status == 418
+
+    def test_same_shape_routes_keep_registration_precedence(self, app):
+        app.get("/a/{x}", lambda r: JsonResponse({"x": r.path_params["x"]}))
+        app.get("/a/b", lambda r: JsonResponse({"literal": True}))
+        app.get("/c/d", lambda r: JsonResponse({"literal": True}))
+        app.get("/c/{x}", lambda r: JsonResponse({"x": r.path_params["x"]}))
+        assert app.request("GET", "/a/b").json() == {"x": "b"}
+        assert app.request("GET", "/c/d").json() == {"literal": True}
+        assert app.request("GET", "/c/e").json() == {"x": "e"}
+        assert app.request("GET", "//a//z/").json() == {"x": "z"}
+
+    def test_wrong_method_or_segment_count_is_404(self, app):
+        assert app.request("POST", "/users/42").status == 404
+        assert app.request("GET", "/users").status == 404
+        assert app.request("GET", "/users/42/extra").status == 404
+        assert app.request("GET", "/").status == 404
+
     def test_middleware_can_attach_context(self, app):
         def tenant_resolver(request, next_handler):
             request.tenant = request.header("x-tenant")

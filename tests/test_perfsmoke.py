@@ -14,7 +14,9 @@ scanned and WHERE clauses evaluated by keyed DML, rows a fold re-reads,
 dimension rows a warm MDX request reads, version chains kept and
 collections run, usage rows written,
 platform-database statements per dashboard delivery, the thread a
-closed-loop gateway request runs on — which
+closed-loop gateway request runs on, the futures it builds, the routes
+it is tried against and the JSON parses a read costs the stale cache —
+which
 repeats exactly on any host; what a
 statement *costs* is a ``bench/``
 metric (``engine.read_self_ms_per_stmt``).
@@ -655,6 +657,78 @@ def test_closed_loop_requests_run_on_the_calling_thread(monkeypatch):
         gateway.shutdown()
         platform.close()
     assert ran == [threading.get_ident()] * 50
+
+
+def test_a_request_tries_only_the_routes_of_its_shape(monkeypatch):
+    """A ``POST /tenants/{t}/sql`` is tried against the POST routes of
+    three segments only (4 of the platform's routes), not every route
+    in registration order (13 tries)."""
+    from repro.core import OdbisPlatform
+    from repro.web.app import _Route
+
+    platform = OdbisPlatform()
+    context = platform.provisioning.provision("acme", "Acme", plan="team")
+    context.operational_db.execute("CREATE TABLE t (id INTEGER)")
+    login = platform.web.request(
+        "POST", "/login",
+        body={"username": "admin@acme", "password": "changeme"})
+    headers = {"X-Auth-Token": login.json()["token"]}
+    matches = spy(monkeypatch, _Route, "match")
+    response = platform.web.request(
+        "POST", "/tenants/acme/sql", headers=headers,
+        body={"sql": "SELECT COUNT(*) AS n FROM t"})
+    platform.close()
+    assert response.status == 200, response.body
+    assert 1 <= len(matches) <= 4
+
+
+def bare_gateway():
+    """A one-worker gateway over tenant ``acme`` and
+    ``GET /tenants/acme/rows``, which answers a small JSON body."""
+    from repro.core import RequestGateway
+    from repro.core.tenancy import TenantManager
+    from repro.web import JsonResponse, WebApplication
+
+    web = WebApplication("fences")
+    web.get("/tenants/acme/rows",
+            lambda request: JsonResponse({"rows": [1, 2, 3]}))
+    tenants = TenantManager()
+    tenants.register("acme", "Acme", "team")
+    return RequestGateway(web, tenants, max_workers=1)
+
+
+def test_reads_fill_the_stale_cache_without_parsing(monkeypatch):
+    """The degraded-serving cache keeps each read's response as
+    answered: 50 reads parse no JSON; only serving stale parses."""
+    import json
+
+    gateway = bare_gateway()
+    parses = spy(monkeypatch, json, "loads")
+    try:
+        for _ in range(50):
+            response = gateway.submit("GET", "/tenants/acme/rows").result(30)
+            assert response.status == 200
+    finally:
+        gateway.shutdown()
+    assert parses == []
+    assert len(gateway._stale_cache) == 1
+
+
+def test_a_closed_loop_request_builds_one_future(monkeypatch):
+    """The pool queues the request's own claim: one
+    ``concurrent.futures.Future`` per request, not a second one built
+    by an executor to hold a result nobody reads."""
+    import concurrent.futures
+
+    gateway = bare_gateway()
+    try:
+        assert gateway.submit("GET", "/tenants/acme/rows").result(30).ok
+        built = spy(monkeypatch, concurrent.futures.Future, "__init__")
+        for _ in range(20):
+            assert gateway.submit("GET", "/tenants/acme/rows").result(30).ok
+    finally:
+        gateway.shutdown()
+    assert len(built) == 20
 
 
 def test_analysis_cli_runs_clean():
