@@ -64,7 +64,8 @@ from repro.core.resilience import (
     TenantHealth,
 )
 from repro.core.tenancy import TenantManager
-from repro.errors import GatewayShutdownError, TenantError
+from repro.engine.locking import writer_locks_held
+from repro.errors import GatewayShutdownError, TenantError, TransactionError
 from repro.web import JsonResponse, Response, WebApplication
 
 #: Default worker-pool width (the paper's "many concurrent tenants").
@@ -133,6 +134,9 @@ class ClaimableFuture(Future):
     claim; the loser does nothing.  A request cancelled before it
     started runs its ``abandon`` step instead.  An unarmed future
     (parked in the admission queue) gives a waiter nothing to claim.
+    A thread holding a database writer lock (inside a transaction)
+    may not wait: it would run the request inside its own transaction,
+    or block the worker that needs the lock.
     """
 
     def __init__(self) -> None:
@@ -167,12 +171,19 @@ class ClaimableFuture(Future):
         else:
             self.set_result(result)
 
-    def result(self, timeout: Optional[float] = None) -> Any:
+    def _wait_here(self) -> None:
+        if writer_locks_held():
+            raise TransactionError(
+                "cannot wait on a gateway request while holding a "
+                "database writer lock")
         self.claim()
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        self._wait_here()
         return super().result(timeout)
 
     def exception(self, timeout: Optional[float] = None) -> Any:
-        self.claim()
+        self._wait_here()
         return super().exception(timeout)
 
 

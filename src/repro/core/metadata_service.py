@@ -14,13 +14,15 @@ glossary extent for its business vocabulary.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import threading
+from collections import OrderedDict
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import SqlAnalyzer, dataset_columns_from_sql
 from repro.analysis.reports import DatasetColumns
 from repro.cwm import BusinessBuilder, OdmBuilder, SemanticMatcher, cwm_metamodel
 from repro.cwm.relational import reflect_physical_table
-from repro.engine.database import Database
+from repro.engine.database import STATEMENT_CACHE_CAPACITY, Database
 from repro.errors import ConstraintViolation, ServiceError
 from repro.mof.kernel import ModelExtent
 from repro.mof.xmi import read_xmi, write_xmi
@@ -52,6 +54,60 @@ def insert_artefact(database: Database, kind: str, table: str,
                            f"{row[1]!r}") from exc
 
 
+class ArtefactCache:
+    """Compiled forms of stored artefacts, each read from its row once.
+
+    An artefact row has one writer, :func:`insert_artefact`; its
+    ``(tenant, name)`` is unique, and nothing updates or deletes it.
+    So a row found at a committed snapshot stands for good, and what a
+    service compiles from it — a parsed definition, a data source's
+    target name — answers every later request without the
+    platform-database read or the parse.  Only a found row read outside
+    a transaction is kept: a miss is asked again (the name may be
+    defined later) and a row read inside a transaction may yet roll
+    back.  Nothing that can change is kept: callers still check that
+    the tenant is active, and still resolve a target name to its
+    database, per request.  A redefine or delete, if one is ever added,
+    must drop the entry where it writes the row.
+    """
+
+    def __init__(self, database: Database):
+        self.database = database
+        self._compiled: "OrderedDict[Tuple[str, str, str], Any]" = \
+            OrderedDict()  # guarded-by: _lock
+        self._lock = threading.Lock()
+
+    def read(self, kind: str, table: str, tenant_id: str, name: str,
+             compile: Callable[[Dict[str, Any]], Any]) -> Any:
+        """The compiled form of one artefact row, or ServiceError."""
+        key = (table, tenant_id, name)
+        with self._lock:
+            compiled = self._compiled.get(key)
+            if compiled is not None:
+                self._compiled.move_to_end(key)
+                return compiled
+        rows = self.database.query(
+            f"SELECT * FROM {table} WHERE tenant = ? AND name = ?",
+            (tenant_id, name))
+        if not rows:
+            raise ServiceError(
+                f"tenant {tenant_id!r} has no {kind} {name!r}")
+        compiled = compile(rows[0])
+        if not self.database.in_transaction:
+            with self._lock:
+                compiled = self._compiled.setdefault(key, compiled)
+                if len(self._compiled) > STATEMENT_CACHE_CAPACITY:
+                    self._compiled.popitem(last=False)
+        return compiled
+
+    def forget(self, tenant_id: str) -> None:
+        """Drop every entry of one tenant (it was deprovisioned)."""
+        with self._lock:
+            for key in [key for key in self._compiled
+                        if key[1] == tenant_id]:
+                del self._compiled[key]
+
+
 class MetadataService:
     """Per-tenant data sources, data sets and business glossaries.
 
@@ -66,6 +122,7 @@ class MetadataService:
         self._glossaries: Dict[str, ModelExtent] = {}
         self._metamodel = cwm_metamodel()
         self.database = tenants.platform_db
+        self.artefacts = ArtefactCache(self.database)
         if "mds_datasources" not in self.database.table_names():
             with self.database.transaction():
                 for ddl in _TABLES:
@@ -93,13 +150,9 @@ class MetadataService:
                            name: str) -> Database:
         """The physical database behind a data source."""
         self.tenants.require_active(tenant_id)
-        rows = self.database.query(
-            "SELECT url FROM mds_datasources "
-            "WHERE tenant = ? AND name = ?", (tenant_id, name))
-        if not rows:
-            raise ServiceError(
-                f"tenant {tenant_id!r} has no data source {name!r}")
-        target = rows[0]["url"][len(_URL_PREFIX):]
+        target = self.artefacts.read(
+            "data source", "mds_datasources", tenant_id, name,
+            lambda row: row["url"][len(_URL_PREFIX):])
         return self.resources.database(tenant_id, target)
 
     # -- data sets ---------------------------------------------------------------------
@@ -135,15 +188,11 @@ class MetadataService:
                      params: tuple = ()) -> List[Dict[str, Any]]:
         """Execute a data set's SQL and return its rows."""
         self.tenants.require_active(tenant_id)
-        rows = self.database.query(
-            "SELECT datasource, sql FROM mds_datasets "
-            "WHERE tenant = ? AND name = ?", (tenant_id, name))
-        if not rows:
-            raise ServiceError(
-                f"tenant {tenant_id!r} has no data set {name!r}")
-        target = self.resolve_datasource(
-            tenant_id, rows[0]["datasource"])
-        return target.query(rows[0]["sql"], params)
+        datasource, sql = self.artefacts.read(
+            "data set", "mds_datasets", tenant_id, name,
+            lambda row: (row["datasource"], row["sql"]))
+        return self.resolve_datasource(tenant_id, datasource).query(
+            sql, params)
 
     # -- business glossary ----------------------------------------------------------------
 

@@ -390,7 +390,7 @@ class OdbisPlatform:
     def _handle_mdx(self, request: Request) -> Response:
         self._trace("core-bi-services", "technical-resources")
         statement = (request.body or {}).get("statement")
-        if not statement:
+        if not isinstance(statement, str) or not statement:
             raise HttpError(400, "body needs a 'statement' field")
         cells = self.analysis.execute_mdx(request.tenant, statement)
         return JsonResponse({

@@ -149,4 +149,5 @@ class ProvisioningService:
             raise ProvisioningError(
                 f"tenant {tenant_id!r} is already deactivated")
         self.tenants.deactivate(tenant_id)
+        self.metadata.artefacts.forget(tenant_id)
         self.resources.publish_event(tenant_id, "deprovisioned")

@@ -108,15 +108,11 @@ class ReportingService:
             -> ReportOutput:
         """Execute an uploaded report under the integrated viewer."""
         self.tenants.require_active(tenant_id)
-        rows = self.database.query(
-            "SELECT design, datasource FROM rs_reports "
-            "WHERE tenant = ? AND name = ?", (tenant_id, name))
-        if not rows:
-            raise ServiceError(
-                f"tenant {tenant_id!r} has no report {name!r}")
-        design = parse_report_design(rows[0]["design"])
-        target = self.metadata.resolve_datasource(
-            tenant_id, rows[0]["datasource"])
+        design, datasource = self.metadata.artefacts.read(
+            "report", "rs_reports", tenant_id, name,
+            lambda row: (parse_report_design(row["design"]),
+                         row["datasource"]))
+        target = self.metadata.resolve_datasource(tenant_id, datasource)
         output = BirtRunner(target).run(design, parameters)
         if self.billing is not None:
             self.billing.meter(tenant_id, "report", 1)
@@ -164,14 +160,10 @@ class ReportingService:
                          name: str) -> Dashboard:
         """Re-render a stored definition from the live data sets."""
         self.tenants.require_active(tenant_id)
-        rows = self.database.query(
-            "SELECT definition FROM rs_dashboards "
-            "WHERE tenant = ? AND name = ?", (tenant_id, name))
-        if not rows:
-            raise ServiceError(
-                f"tenant {tenant_id!r} has no dashboard {name!r}")
-        definition = DashboardDefinition.from_dict(
-            json.loads(rows[0]["definition"]))
+        definition = self.metadata.artefacts.read(
+            "dashboard", "rs_dashboards", tenant_id, name,
+            lambda row: DashboardDefinition.from_dict(
+                json.loads(row["definition"])))
         rendered = definition.render(
             lambda dataset: self.metadata.dataset_rows(
                 tenant_id, dataset))

@@ -19,6 +19,9 @@ live rows under that hold.
 :meth:`WriterLock.owner` is the introspection the runtime concurrency
 sanitizer (``repro.analysis.concurrency``) builds its checks on, so
 tooling never has to reach into the private state.
+:func:`writer_locks_held` counts, per thread, the writer locks the
+thread holds, so code that must never block or run foreign work
+under one (a gateway wait) can refuse for one thread-local read.
 """
 
 from __future__ import annotations
@@ -26,6 +29,13 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from typing import Optional
+
+_held = threading.local()
+
+
+def writer_locks_held() -> int:
+    """How many database writer locks the calling thread holds."""
+    return getattr(_held, "count", 0)
 
 
 class WriterLock:
@@ -51,6 +61,7 @@ class WriterLock:
                 self._cond.wait()
             self._writer = me
             self._writer_depth = 1
+            _held.count = writer_locks_held() + 1
 
     def release_write(self) -> None:
         with self._cond:
@@ -62,6 +73,7 @@ class WriterLock:
             if self._writer_depth == 0:
                 self._writer = None
                 self._cond.notify_all()
+                _held.count -= 1
 
     @contextmanager
     def exclusive(self):

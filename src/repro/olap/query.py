@@ -12,28 +12,34 @@ are expanded (``.Members``) or enumerated explicitly
 (``[Time].[year].[2020], [Time].[year].[2021]`` — compiled to a dice
 slicer); the WHERE tuple holds slicer members.  The parser builds an
 :class:`MdxQuery` which executes through an :class:`OlapEngine`.
+
+A parse depends on the text alone, so :func:`parse_mdx` remembers it
+per distinct text and hands every caller the same immutable
+:class:`MdxQuery`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Any, List, Tuple
 
+from repro.engine.database import STATEMENT_CACHE_CAPACITY
 from repro.errors import MdxSyntaxError, QueryError
 from repro.olap.engine import CellSet, OlapEngine
 
 _BRACKETED = re.compile(r"\[([^\]]*)\]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MdxQuery:
-    """The parsed form of an MDX-lite statement."""
+    """The parsed form of an MDX-lite statement (shared, so frozen)."""
 
     cube: str
-    measures: List[str]
-    row_axes: List[Tuple[str, str]] = field(default_factory=list)
-    slicers: List[Tuple[str, str, Any]] = field(default_factory=list)
+    measures: Tuple[str, ...]
+    row_axes: Tuple[Tuple[str, str], ...] = ()
+    slicers: Tuple[Tuple[str, str, Any], ...] = ()
 
     def execute(self, engine: OlapEngine) -> CellSet:
         if engine.schema.name != self.cube:
@@ -93,8 +99,14 @@ def _segments(member_path: str) -> List[str]:
     return found
 
 
+@lru_cache(maxsize=STATEMENT_CACHE_CAPACITY)
 def parse_mdx(text: str) -> MdxQuery:
-    """Parse an MDX-lite statement into an :class:`MdxQuery`."""
+    """Parse an MDX-lite statement into an :class:`MdxQuery`.
+
+    Remembered per distinct text, bounded like the engine's statement
+    cache (``parse_mdx.cache_info()`` counts the parses as misses).  A
+    syntax error is raised on every call and never remembered.
+    """
     source = " ".join(text.split())
     match = re.match(
         r"(?is)^SELECT\s+(?P<axes>.+?)\s+FROM\s+\[(?P<cube>[^\]]+)\]"
@@ -147,7 +159,7 @@ def parse_mdx(text: str) -> MdxQuery:
                         f"or [Dim].[level].[member], got {entry!r}")
             for (dimension, level), members in explicit.items():
                 slicers_from_rows.append(
-                    (dimension, level, members))
+                    (dimension, level, tuple(members)))
     if not measures:
         raise MdxSyntaxError("the query selects no measures on COLUMNS")
 
@@ -161,5 +173,5 @@ def parse_mdx(text: str) -> MdxQuery:
                     f"WHERE entries must be [Dim].[level].[member], "
                     f"got {entry!r}")
             slicers.append((segments[0], segments[1], segments[2]))
-    return MdxQuery(cube=cube, measures=measures,
-                    row_axes=row_axes, slicers=slicers)
+    return MdxQuery(cube=cube, measures=tuple(measures),
+                    row_axes=tuple(row_axes), slicers=tuple(slicers))

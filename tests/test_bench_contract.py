@@ -9,10 +9,13 @@ start no platform and take milliseconds.
 
 import inspect
 
+import pytest
+
 from bench.trace import default_targets
 from repro.core import overload
 from repro.core.analysis_service import AnalysisService
 from repro.engine import Database
+from repro.errors import ServiceError
 from repro.olap import CubeDimension, CubeSchema, Measure, OlapEngine
 from tests.test_perfsmoke import spy
 
@@ -52,6 +55,27 @@ def test_a_new_text_is_parsed_through_the_name_the_tracer_rebinds(
     assert len(parses) == 1
     assert overload.read_only_statement("SELECT 23 AS pr")
     assert len(parses) == 1
+
+
+def test_a_new_mdx_text_is_parsed_through_the_name_the_tracer_rebinds(
+        monkeypatch):
+    # bench/trace.py times MDX parses by rebinding
+    # analysis_service.parse_mdx; execute_mdx must parse through that
+    # module global, and only an unseen text may reach the parser body
+    # behind its memo.
+    from repro.core import analysis_service
+    from repro.core.tenancy import TenantManager
+    from repro.olap import parse_mdx
+
+    parse_mdx.cache_clear()
+    traced = spy(monkeypatch, analysis_service, "parse_mdx")
+    service = AnalysisService(TenantManager(), resources=None)
+    for _ in range(2):
+        with pytest.raises(ServiceError, match="no cube 'C'"):
+            service.execute_mdx(
+                "t", "SELECT {[Measures].[amount]} ON COLUMNS FROM [C]")
+    assert len(traced) == 2
+    assert parse_mdx.cache_info().misses == 1
 
 
 def test_the_traced_request_wrapper_takes_headers_fifth(monkeypatch):

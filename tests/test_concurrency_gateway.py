@@ -595,6 +595,31 @@ class TestClaimableFutures:
             assert response.json() == {"error": "handler broke",
                                        "code": "internal_failure"}
 
+    def test_a_wait_inside_a_transaction_is_refused(self):
+        """A thread inside ``BEGIN … COMMIT`` may not wait on a request:
+        it would run it inside its own transaction.  Both waits raise
+        without running it; after COMMIT the request runs once."""
+        from repro.engine import Database
+        from repro.errors import TransactionError
+
+        gateway, gate, _, ran = self.gateway(max_workers=1)
+        database = Database()
+        try:
+            blocker = gateway.submit("GET", "/block")  # the worker waits
+            with database.transaction():
+                future = gateway.submit("GET", "/who")
+                with pytest.raises(TransactionError):
+                    future.result(timeout=2)
+                with pytest.raises(TransactionError):
+                    future.exception(timeout=2)
+                assert ran == []
+            assert future.result(timeout=10).status == 200
+            assert ran == [(None, threading.get_ident())]
+        finally:
+            gate.set()
+            gateway.shutdown()
+        assert blocker.result(10).status == 200
+
 
 class TestAdmissionConservation:
     """Whatever way each request leaves, admission gets back all it took.

@@ -191,6 +191,14 @@ class TestPlatformWebApi:
             "POST", "/tenants/acme/mdx", body={}, headers=headers)
         assert response.status == 400
 
+    def test_mdx_statement_must_be_text(self, client):
+        platform, headers = client
+        for statement in (["SELECT"], 5, {"text": "SELECT"}):
+            response = platform.web.request(
+                "POST", "/tenants/acme/mdx",
+                body={"statement": statement}, headers=headers)
+            assert response.status == 400, response.body
+
     def test_cross_tenant_access_is_403(self, client):
         platform, headers = client
         platform.provisioning.provision("globex", "Globex")

@@ -1,5 +1,7 @@
 """Tests for the five core BI services (MDS, IS, AS, RS, IDS)."""
 
+import json
+
 import pytest
 
 from repro.core import Channel, OdbisPlatform
@@ -237,6 +239,28 @@ class TestReportingService:
         output = platform.reporting.run_report(
             "acme", "store-revenue", {"region": "South"})
         assert output.parameters["region"] == "South"
+
+    def test_run_report_over_the_web(self, platform, warehouse):
+        platform.reporting.create_report_group("acme", "finance")
+        name = platform.reporting.upload_report(
+            "acme", "finance", REPORT_DESIGN, "warehouse")
+        login = platform.web.request(
+            "POST", "/login",
+            body={"username": "admin@acme", "password": "changeme"})
+        headers = {"X-Auth-Token": login.json()["token"]}
+        path = f"/tenants/acme/reports/{name}/run"
+        first, again = [platform.web.request(
+            "POST", path, headers=headers, body={"region": "South"})
+            for _ in range(2)]
+        assert first.status == 200, first.body
+        assert again.json() == first.json()
+        output = platform.reporting.run_report(
+            "acme", name, {"region": "South"})
+        expected = {"report": name, "elements": [
+            {"name": "cities", "rows": output.element("cities").rows},
+            {"name": "rev", "series": output.element("rev").series}]}
+        assert first.json() == json.loads(json.dumps(expected))
+        assert len(first.json()["elements"][0]["rows"]) == 2
 
     def test_upload_requires_existing_group(self, platform):
         with pytest.raises(ServiceError):

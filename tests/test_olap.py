@@ -286,9 +286,9 @@ class TestMdx:
             "ON COLUMNS, {[Time].[year].Members} ON ROWS "
             "FROM [Sales] WHERE ([Store].[region].[North])")
         assert query.cube == "Sales"
-        assert query.measures == ["revenue", "quantity"]
-        assert query.row_axes == [("Time", "year")]
-        assert query.slicers == [("Store", "region", "North")]
+        assert query.measures == ("revenue", "quantity")
+        assert query.row_axes == (("Time", "year"),)
+        assert query.slicers == (("Store", "region", "North"),)
 
     def test_execution_matches_engine_api(self, engine):
         query = parse_mdx(

@@ -586,9 +586,11 @@ def test_metered_reads_write_one_row_per_key():
 
 @pytest.mark.parametrize("datasets", [1, 3])
 def test_dashboard_delivery_statement_count(monkeypatch, datasets):
-    """Delivering a stored dashboard over k data sets issues 1 + 2k
-    platform-database statements: the definition is one seek, and each
-    data set is a data-set seek plus a data-source seek."""
+    """Delivering a stored dashboard over k data sets issues 1 + k
+    platform-database statements the first time — the definition is one
+    seek and each data set one more; the data source was read and kept
+    when the data sets were created — and none on any later delivery:
+    the compiled artefacts are kept (``ArtefactCache``)."""
     from repro.core import OdbisPlatform
     from repro.core.resilience import FakeClock
     from repro.reporting import DashboardDefinition
@@ -611,11 +613,91 @@ def test_dashboard_delivery_statement_count(monkeypatch, datasets):
     headers = {"X-Auth-Token": login.json()["token"]}
 
     statements = spy(monkeypatch, platform.tenants.platform_db, "execute")
-    response = platform.web.request(
+    first = platform.web.request(
         "GET", "/tenants/acme/dashboards/dash", headers=headers)
-    assert response.status == 200, response.body
-    assert len(statements) == 1 + 2 * datasets
+    assert first.status == 200, first.body
+    assert len(statements) == 1 + datasets
+    for _ in range(3):
+        again = platform.web.request(
+            "GET", "/tenants/acme/dashboards/dash", headers=headers)
+        assert again.body == first.body
+    assert len(statements) == 1 + datasets
     platform.gateway.shutdown()
+
+
+def retail_platform():
+    """A platform with tenant acme, a retail warehouse and its cube,
+    and the admin's auth headers."""
+    from repro.core import OdbisPlatform
+    from repro.workloads.retail import RetailWorkload
+
+    platform = OdbisPlatform()
+    context = platform.provisioning.provision("acme", "Acme", plan="team")
+    workload = RetailWorkload(seed=3)
+    workload.build(context.warehouse_db, fact_rows=200)
+    platform.analysis.define_cube("acme", workload.cube_definition())
+    login = platform.web.request(
+        "POST", "/login",
+        body={"username": "admin@acme", "password": "changeme"})
+    return platform, {"X-Auth-Token": login.json()["token"]}
+
+
+def test_one_mdx_text_is_parsed_once():
+    """50 MDX requests with one text reach the parser body once; every
+    answer equals the first."""
+    from repro.olap import parse_mdx
+
+    platform, headers = retail_platform()
+    parse_mdx.cache_clear()
+    statement = ("SELECT {[Measures].[revenue]} ON COLUMNS, "
+                 "{[Time].[year].Members} ON ROWS FROM [RetailSales] "
+                 "WHERE ([Store].[region].[North])")
+    answers = [platform.web.request(
+        "POST", "/tenants/acme/mdx", headers=headers,
+        body={"statement": statement}) for _ in range(50)]
+    assert answers[0].status == 200, answers[0].body
+    assert {answer.body for answer in answers} == {answers[0].body}
+    assert parse_mdx.cache_info().misses == 1
+    assert parse_mdx.cache_info().hits == 49
+    platform.close()
+
+
+def test_one_report_design_is_parsed_once(monkeypatch):
+    """20 runs of one uploaded report parse its design once and give
+    the same output each time."""
+    from repro.core import reporting_service
+    from tests.test_core_services import REPORT_DESIGN
+
+    platform, _headers = retail_platform()
+    platform.reporting.create_report_group("acme", "finance")
+    name = platform.reporting.upload_report(
+        "acme", "finance", REPORT_DESIGN, "warehouse")
+    parses = spy(monkeypatch, reporting_service, "parse_report_design")
+    outputs = [platform.reporting.run_report("acme", name)
+               for _ in range(20)]
+    assert len(parses) == 1
+    assert all(output.elements == outputs[0].elements
+               for output in outputs)
+    platform.close()
+
+
+def test_a_repeated_dataset_read_issues_no_platform_statement(
+        monkeypatch):
+    """Once a data set has been read, reading it again issues no
+    platform-database statement; its SQL still runs on the warehouse."""
+    platform, _headers = retail_platform()
+    platform.metadata.create_dataset(
+        "acme", "regions", "warehouse",
+        "SELECT region, COUNT(*) AS n FROM dim_store GROUP BY region")
+    first = platform.metadata.dataset_rows("acme", "regions")
+    statements = spy(monkeypatch, platform.tenants.platform_db, "execute")
+    warehouse = platform.tenants.context("acme").warehouse_db
+    runs = warehouse.statistics["statements"]
+    for _ in range(10):
+        assert platform.metadata.dataset_rows("acme", "regions") == first
+    assert statements == []
+    assert warehouse.statistics["statements"] - runs == 10
+    platform.close()
 
 
 def test_closed_loop_requests_run_on_the_calling_thread(monkeypatch):
