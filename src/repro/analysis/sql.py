@@ -7,6 +7,15 @@ type-mismatched comparisons and arithmetic, aggregate misuse, INSERT
 arity/typing problems and a couple of stylistic warnings (``SELECT *``
 in views, constant predicates).
 
+Names are the planner's: a SELECT binds with the planner's own bind
+step, :func:`~repro.engine.planner.bind_select`, over the catalog and
+the view ASTs, and each column reference and
+aggregate resolves in the :class:`~repro.engine.compiler.Scope` of its
+clause.  The analyzer resolves them one at a time, to report every
+problem with its position, and keeps a type per slot for the type
+checks.  Its GROUP BY rule (ODB107) is stricter than the engine's,
+which reads a group's first row for a column it does not group by.
+
 Entry points:
 
 * :class:`SqlAnalyzer` — analyze one statement (text or AST) against a
@@ -18,7 +27,7 @@ Entry points:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import (
     DiagnosticCollector,
@@ -42,7 +51,6 @@ from repro.engine.expressions import (
     Parameter,
     Star,
     UnaryOp,
-    find_aggregates,
 )
 from repro.engine.parser import (
     AlterTableAddColumn,
@@ -55,7 +63,6 @@ from repro.engine.parser import (
     DropTableStatement,
     DropViewStatement,
     InsertStatement,
-    Join,
     SelectStatement,
     TableRef,
     TransactionStatement,
@@ -63,10 +70,10 @@ from repro.engine.parser import (
     line_column,
     parse_sql,
 )
-from repro.engine.planner import output_name
+from repro.engine.planner import Binding, bind_select, slot_map
 from repro.engine.schema import Catalog, Column, TableSchema
 from repro.engine.types import SqlType, coerce_value
-from repro.errors import EngineError, TypeMismatch
+from repro.errors import CatalogError, EngineError, TypeMismatch
 
 _COMPARISONS = ("=", "!=", "<>", "<", "<=", ">", ">=")
 _NUMERIC = {SqlType.INTEGER, SqlType.REAL}
@@ -118,94 +125,15 @@ def _literal_type(value: Any) -> Optional[SqlType]:
     return None
 
 
-def _column_nodes(expr: Expression,
-                  include_aggregates: bool = True) -> List[ColumnRef]:
-    """All ColumnRef nodes under ``expr`` (optionally skipping those
-    that only appear inside aggregate arguments)."""
-    out: List[ColumnRef] = []
-
-    def walk(node: Expression) -> None:
-        if isinstance(node, AggregateCall):
-            if include_aggregates and not isinstance(node.argument, Star):
-                walk(node.argument)
-            return
-        if isinstance(node, ColumnRef):
-            out.append(node)
-            return
-        if isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, FunctionCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, CaseExpr):
-            for condition, result in node.branches:
-                walk(condition)
-                walk(result)
-            if node.default is not None:
-                walk(node.default)
-        elif isinstance(node, IsNull):
-            walk(node.operand)
-        elif isinstance(node, InList):
-            walk(node.operand)
-            for option in node.options:
-                walk(option)
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, Like):
-            walk(node.operand)
-            walk(node.pattern)
-
-    walk(expr)
-    return out
+#: The type of an aggregate slot before its first use is inferred.
+_UNSET = object()
 
 
 def _first_position(expr: Expression) -> Optional[int]:
-    for ref in _column_nodes(expr):
-        if ref.position is not None:
-            return ref.position
+    for node in expr.nodes():
+        if isinstance(node, ColumnRef) and node.position is not None:
+            return node.position
     return None
-
-
-class _Relation:
-    """A named tuple source: ordered columns with optional types."""
-
-    def __init__(self, name: str,
-                 columns: Iterable[Tuple[str, Optional[SqlType]]]):
-        self.name = name
-        self.columns: List[Tuple[str, Optional[SqlType]]] = [
-            (col.lower(), sql_type) for col, sql_type in columns
-        ]
-        self._types = dict(self.columns)
-
-    def has(self, column: str) -> bool:
-        return column.lower() in self._types
-
-    def type_of(self, column: str) -> Optional[SqlType]:
-        return self._types.get(column.lower())
-
-
-class _Scope:
-    """The relations visible to a statement, keyed by alias."""
-
-    def __init__(self) -> None:
-        self.entries: List[Tuple[str, _Relation]] = []
-        #: True when a FROM table failed to resolve — suppresses the
-        #: cascade of bogus unknown-column errors that would follow.
-        self.incomplete = False
-
-    def add(self, alias: str, relation: _Relation) -> None:
-        self.entries.append((alias.lower(), relation))
-
-    def relation(self, alias: str) -> Optional[_Relation]:
-        for name, relation in self.entries:
-            if name == alias.lower():
-                return relation
-        return None
 
 
 class SqlAnalyzer:
@@ -221,6 +149,11 @@ class SqlAnalyzer:
         self._base = 0
         self._source: Optional[str] = None
         self._view_stack: List[str] = []
+        #: The statement's type per slot (None: unknown), and whether a
+        #: FROM name failed to resolve, which mutes the unknown-column
+        #: errors that would cascade from it.
+        self._types: List[Any] = []
+        self._incomplete = False
 
     @classmethod
     def for_database(cls, database: Any) -> "SqlAnalyzer":
@@ -267,15 +200,22 @@ class SqlAnalyzer:
         """The (name, type) shape a SELECT produces, inferred silently."""
         if isinstance(select, CompoundSelect):
             select = select.parts[0]
-        saved = (self._out, self._sql, self._base)
+        saved = (self._out, self._sql, self._base, self._types,
+                 self._incomplete)
         self._out = DiagnosticCollector()
         self._sql = None
         self._base = 0
         try:
-            scope = self._build_scope(select.from_clause)
-            return self._item_columns(select, scope)
+            binding = self._bind(select)
+            if binding is None:
+                return []
+            return [(name.lower(), self._infer(
+                        item.expression, binding.output_scope,
+                        "the select list"))
+                    for name, item in zip(binding.columns, binding.items)]
         finally:
-            self._out, self._sql, self._base = saved
+            (self._out, self._sql, self._base, self._types,
+             self._incomplete) = saved
 
     # -- reporting helpers ----------------------------------------------------
 
@@ -296,110 +236,66 @@ class SqlAnalyzer:
         self._out.warning(code, message, self._span(position),
                           self._source)
 
-    # -- scope ----------------------------------------------------------------
+    # -- binding --------------------------------------------------------------
 
-    def _relation_for(self, name: str) -> Optional[_Relation]:
-        if self.catalog.has_table(name):
-            schema = self.catalog.table(name)
-            return _Relation(schema.name,
-                             [(col.name, col.type)
-                              for col in schema.columns])
+    def _relation_for(
+            self, name: str) -> List[Tuple[str, Optional[SqlType]]]:
+        """A view's or table's (column, type) list, looked up in the
+        planner's order; an unknown name raises the catalog's error."""
         view = self.views.get(name.lower())
-        if view is not None:
-            if name.lower() in self._view_stack:
-                return _Relation(name, [])
-            self._view_stack.append(name.lower())
+        if view is None:
+            return [(col.name, col.type)
+                    for col in self.catalog.table(name).columns]
+        if name.lower() in self._view_stack:
+            return []
+        self._view_stack.append(name.lower())
+        try:
+            return self.output_columns(view)
+        finally:
+            self._view_stack.pop()
+
+    def _bind(self, select: SelectStatement) -> Optional[Binding]:
+        """``select`` bound as the planner binds it.  An unknown FROM
+        name reports ODB101 and binds with no columns; the binder's own
+        errors report ODB110 (an alias given twice) or ODB102 (a star it
+        cannot expand) and leave nothing to analyze."""
+        types: List[Any] = []
+        self._incomplete = False
+
+        def columns_of(ref: TableRef) -> List[str]:
             try:
-                return _Relation(name, self.output_columns(view))
-            finally:
-                self._view_stack.pop()
-        return None
+                columns = self._relation_for(ref.name)
+            except CatalogError as exc:
+                self._error("ODB101", str(exc), ref.position)
+                self._incomplete = True
+                columns = []
+            types.extend(sql_type for _name, sql_type in columns)
+            return [name for name, _type in columns]
 
-    def _build_scope(self, from_clause: Any) -> _Scope:
-        scope = _Scope()
-        conditions: List[Expression] = []
+        try:
+            binding = bind_select(select, columns_of)
+        except EngineError as exc:
+            if str(exc).startswith("duplicate table alias"):
+                self._error("ODB110", str(exc), exc.offset)
+            elif not self._incomplete:
+                self._error("ODB102", str(exc))
+            return None
+        self._types = types + [_UNSET] * len(binding.aggregates) \
+            + [None] * len(binding.items)
+        return binding
 
-        def add(node: Any) -> None:
-            if node is None:
-                return
-            if isinstance(node, TableRef):
-                relation = self._relation_for(node.name)
-                if relation is None:
-                    self._error("ODB101",
-                                f"unknown table {node.name!r}",
-                                node.position)
-                    scope.incomplete = True
-                    return
-                if scope.relation(node.alias) is not None:
-                    self._error("ODB110",
-                                f"duplicate table alias {node.alias!r}",
-                                node.position)
-                    return
-                scope.add(node.alias, relation)
-            elif isinstance(node, Join):
-                add(node.left)
-                add(node.right)
-                if node.condition is not None:
-                    conditions.append(node.condition)
-
-        add(from_clause)
-        for condition in conditions:
-            for aggregate in find_aggregates(condition):
-                self._error(
-                    "ODB106",
-                    f"aggregate {aggregate.name} is not allowed in a "
-                    f"JOIN condition", _first_position(condition))
-            self._infer(condition, scope)
-        return scope
-
-    def _resolve_column(self, ref: ColumnRef, scope: _Scope,
-                        extra: frozenset = frozenset(),
-                        silent: bool = False
-                        ) -> Tuple[Optional[str], Optional[SqlType]]:
-        """Resolve a column reference to (canonical key, type)."""
-        lower = ref.name.lower()
-        if "." in lower:
-            alias, column = lower.split(".", 1)
-            relation = scope.relation(alias)
-            if relation is None:
-                if not scope.incomplete and not silent:
-                    self._error(
-                        "ODB102",
-                        f"unknown table or alias {alias!r} in column "
-                        f"reference {ref.name!r}", ref.position)
-                return None, None
-            if not relation.has(column):
-                if not silent:
-                    self._error(
-                        "ODB102",
-                        f"table {relation.name!r} (alias {alias!r}) has "
-                        f"no column {column!r}", ref.position)
-                return None, None
-            return f"{alias}.{column}", relation.type_of(column)
-        if lower in extra:
-            return None, None  # a select-list alias; always in scope
-        matches = [(alias, relation) for alias, relation in scope.entries
-                   if relation.has(lower)]
-        if not matches:
-            if not scope.incomplete and not silent:
-                self._error("ODB102", f"unknown column {ref.name!r}",
-                            ref.position)
-            return None, None
-        if len(matches) > 1:
-            if not silent:
-                tables = ", ".join(sorted(alias for alias, _ in matches))
-                self._error(
-                    "ODB103",
-                    f"column {ref.name!r} is ambiguous "
-                    f"(matches {tables})", ref.position)
-            return None, None
-        alias, relation = matches[0]
-        return f"{alias}.{lower}", relation.type_of(lower)
+    def _dml_scope(self, table: str, columns: List[Column]) -> Scope:
+        """The scope a DML statement's expressions plan in: its table's
+        columns, none for INSERT VALUES."""
+        self._types = [column.type for column in columns]
+        self._incomplete = False
+        return Scope(slot_map([(table, [column.name
+                                        for column in columns])]))
 
     # -- type inference -------------------------------------------------------
 
-    def _infer(self, expr: Expression, scope: _Scope,
-               extra: frozenset = frozenset()) -> Optional[SqlType]:
+    def _infer(self, expr: Expression, scope: Scope,
+               clause: str) -> Optional[SqlType]:
         """Infer an expression's type, reporting semantic problems.
 
         ``None`` means *unknown* (parameters, NULL, unresolved refs) —
@@ -410,14 +306,20 @@ class SqlAnalyzer:
         if isinstance(expr, Parameter):
             return None
         if isinstance(expr, ColumnRef):
-            _key, sql_type = self._resolve_column(expr, scope, extra)
-            return sql_type
+            try:
+                return self._types[scope.resolve(expr.name)]
+            except EngineError as exc:
+                if expr.name.lower() in scope.slots.ambiguous:
+                    self._error("ODB103", str(exc), expr.position)
+                elif not self._incomplete:
+                    self._error("ODB102", str(exc), expr.position)
+                return None
         if isinstance(expr, Star):
             return None
         if isinstance(expr, BinaryOp):
-            return self._infer_binary(expr, scope, extra)
+            return self._infer_binary(expr, scope, clause)
         if isinstance(expr, UnaryOp):
-            operand = self._infer(expr.operand, scope, extra)
+            operand = self._infer(expr.operand, scope, clause)
             if expr.op == "NOT":
                 return SqlType.BOOLEAN
             if operand is not None and operand not in _NUMERIC:
@@ -428,12 +330,12 @@ class SqlAnalyzer:
                 return None
             return operand
         if isinstance(expr, IsNull):
-            self._infer(expr.operand, scope, extra)
+            self._infer(expr.operand, scope, clause)
             return SqlType.BOOLEAN
         if isinstance(expr, InList):
-            operand = self._infer(expr.operand, scope, extra)
+            operand = self._infer(expr.operand, scope, clause)
             for option in expr.options:
-                candidate = self._infer(option, scope, extra)
+                candidate = self._infer(option, scope, clause)
                 if operand is not None and candidate is not None \
                         and not _comparable_types(operand, candidate):
                     self._error(
@@ -442,9 +344,9 @@ class SqlAnalyzer:
                         f"{candidate.value}", _first_position(expr))
             return SqlType.BOOLEAN
         if isinstance(expr, Between):
-            operand = self._infer(expr.operand, scope, extra)
+            operand = self._infer(expr.operand, scope, clause)
             for bound in (expr.low, expr.high):
-                candidate = self._infer(bound, scope, extra)
+                candidate = self._infer(bound, scope, clause)
                 if operand is not None and candidate is not None \
                         and not _comparable_types(operand, candidate):
                     self._error(
@@ -453,8 +355,8 @@ class SqlAnalyzer:
                         f"{candidate.value}", _first_position(expr))
             return SqlType.BOOLEAN
         if isinstance(expr, Like):
-            operand = self._infer(expr.operand, scope, extra)
-            pattern = self._infer(expr.pattern, scope, extra)
+            operand = self._infer(expr.operand, scope, clause)
+            pattern = self._infer(expr.pattern, scope, clause)
             for side, sql_type in (("operand", operand),
                                    ("pattern", pattern)):
                 if sql_type is not None and sql_type is not SqlType.TEXT:
@@ -466,25 +368,35 @@ class SqlAnalyzer:
         if isinstance(expr, CaseExpr):
             result_type: Optional[SqlType] = None
             for condition, result in expr.branches:
-                self._infer(condition, scope, extra)
-                branch = self._infer(result, scope, extra)
+                self._infer(condition, scope, clause)
+                branch = self._infer(result, scope, clause)
                 if result_type is None:
                     result_type = branch
             if expr.default is not None:
-                branch = self._infer(expr.default, scope, extra)
+                branch = self._infer(expr.default, scope, clause)
                 if result_type is None:
                     result_type = branch
             return result_type
         if isinstance(expr, FunctionCall):
-            return self._infer_function(expr, scope, extra)
+            return self._infer_function(expr, scope, clause)
         if isinstance(expr, AggregateCall):
-            return self._infer_aggregate(expr, scope, extra)
+            try:
+                slot = scope.aggregate(expr)
+            except EngineError as exc:
+                self._error("ODB106", f"{exc} (in {clause})",
+                            _first_position(expr))
+                return self._infer_aggregate(expr, scope)
+            if self._types[slot] is _UNSET:
+                # The argument plans over the sources alone.
+                self._types[slot] = self._infer_aggregate(
+                    expr, Scope(scope.slots))
+            return self._types[slot]
         return None
 
-    def _infer_binary(self, expr: BinaryOp, scope: _Scope,
-                      extra: frozenset) -> Optional[SqlType]:
-        left = self._infer(expr.left, scope, extra)
-        right = self._infer(expr.right, scope, extra)
+    def _infer_binary(self, expr: BinaryOp, scope: Scope,
+                      clause: str) -> Optional[SqlType]:
+        left = self._infer(expr.left, scope, clause)
+        right = self._infer(expr.right, scope, clause)
         position = _first_position(expr)
         if expr.op in ("AND", "OR"):
             return SqlType.BOOLEAN
@@ -520,10 +432,10 @@ class SqlAnalyzer:
             return None
         return SqlType.INTEGER
 
-    def _infer_function(self, expr: FunctionCall, scope: _Scope,
-                        extra: frozenset) -> Optional[SqlType]:
+    def _infer_function(self, expr: FunctionCall, scope: Scope,
+                        clause: str) -> Optional[SqlType]:
         name = expr.name.upper()
-        arg_types = [self._infer(arg, scope, extra) for arg in expr.args]
+        arg_types = [self._infer(arg, scope, clause) for arg in expr.args]
         if name not in _SCALAR_FUNCTIONS:
             self._error("ODB109", f"unknown function {expr.name!r}",
                         _first_position(expr))
@@ -545,11 +457,14 @@ class SqlAnalyzer:
             return arg_types[0] if arg_types else None
         return None
 
-    def _infer_aggregate(self, expr: AggregateCall, scope: _Scope,
-                         extra: frozenset) -> Optional[SqlType]:
+    def _infer_aggregate(self, expr: AggregateCall,
+                         scope: Scope) -> Optional[SqlType]:
         if isinstance(expr.argument, Star):
-            return SqlType.INTEGER  # COUNT(*)
-        argument = self._infer(expr.argument, scope, extra)
+            if expr.name != "COUNT":
+                self._error("ODB105", f"{expr.name}(*) is not valid")
+            return SqlType.INTEGER
+        argument = self._infer(expr.argument, scope,
+                               "an aggregate argument")
         if expr.name == "COUNT":
             return SqlType.INTEGER
         if expr.name in ("SUM", "AVG"):
@@ -598,107 +513,74 @@ class SqlAnalyzer:
     # -- SELECT ---------------------------------------------------------------
 
     def _analyze_select(self, select: SelectStatement) -> None:
-        scope = self._build_scope(select.from_clause)
-
-        aliases: Dict[str, Expression] = {}
-        for item in select.items:
-            if item.alias and not isinstance(item.expression, Star):
-                aliases[item.alias.lower()] = item.expression
-        alias_names = frozenset(aliases)
-
+        binding = self._bind(select)
+        if binding is None:
+            return
+        for (_kind, condition), scope in zip(binding.joins,
+                                             binding.on_scopes):
+            if condition is not None:
+                self._infer(condition, scope, "a JOIN condition")
         if select.where is not None:
-            for aggregate in find_aggregates(select.where):
-                self._error(
-                    "ODB106",
-                    f"aggregate {aggregate.name} is not allowed in "
-                    f"WHERE (use HAVING)",
-                    _first_position(select.where))
-            self._infer(select.where, scope)
+            self._infer(select.where, binding.source_scope, "WHERE")
             self._check_constant_predicate(select.where)
 
-        for item in select.items:
-            if isinstance(item.expression, Star):
-                if item.alias and item.alias.endswith(".*"):
-                    qualifier = item.alias[:-2]
-                    if scope.relation(qualifier) is None \
-                            and not scope.incomplete:
-                        self._error(
-                            "ODB102",
-                            f"unknown table or alias {qualifier!r} "
-                            f"in {item.alias!r}")
-                elif select.from_clause is None:
-                    self._error("ODB102", "'*' requires a FROM clause")
-                continue
-            self._infer(item.expression, scope)
+        # Each item's type is also its output name's (ORDER BY's) slot's.
+        first_item = len(self._types) - len(binding.items)
+        for position, item in enumerate(binding.items):
+            self._types[first_item + position] = self._infer(
+                item.expression, binding.output_scope, "the select list")
 
-        grouped_texts: set = set()
-        grouped_keys: set = set()
+        grouped_texts = set()
+        grouped_slots = set()
+        errors = len(self._out.diagnostics)
         for expr in select.group_by:
-            for aggregate in find_aggregates(expr):
-                self._error(
-                    "ODB106",
-                    f"aggregate {aggregate.name} is not allowed in "
-                    f"GROUP BY", _first_position(expr))
+            self._infer(expr, binding.source_scope, "GROUP BY")
             grouped_texts.add(_expr_text(expr))
             if isinstance(expr, ColumnRef):
-                lower = expr.name.lower()
-                if "." not in lower and lower in aliases:
-                    # GROUP BY a select alias groups its expression.
-                    grouped_texts.add(_expr_text(aliases[lower]))
-                    continue
-                key, _ = self._resolve_column(expr, scope)
-                if key is not None:
-                    grouped_keys.add(key)
-            else:
-                self._infer(expr, scope)
+                grouped_slots.add(self._slot(expr, binding.source_scope))
+        # An error in GROUP BY would only cascade into ODB107s.
+        check_grouping = len(self._out.diagnostics) == errors
 
-        has_aggregate = any(
-            find_aggregates(item.expression)
-            for item in select.items
-            if not isinstance(item.expression, Star))
-        if select.having is not None:
-            has_aggregate = has_aggregate \
-                or bool(find_aggregates(select.having))
-
-        if select.group_by or has_aggregate:
+        if binding.grouped and check_grouping:
             for item in select.items:
-                expr = item.expression
-                if isinstance(expr, Star):
-                    if scope.entries:
-                        self._error(
-                            "ODB107",
-                            "'*' cannot be selected in an "
-                            "aggregate/grouped query")
-                    continue
-                self._check_grouped(expr, scope, grouped_texts,
-                                    grouped_keys, "the select list")
+                if not isinstance(item.expression, Star):
+                    self._check_grouped(
+                        item.expression, binding.source_scope,
+                        grouped_texts, grouped_slots, "the select list")
+                elif not self._incomplete:
+                    self._error("ODB107", "'*' cannot be selected in an "
+                                          "aggregate/grouped query")
 
         if select.having is not None:
-            self._infer(select.having, scope, alias_names)
-            if select.group_by or has_aggregate:
-                self._check_grouped(select.having, scope, grouped_texts,
-                                    grouped_keys, "HAVING",
-                                    skip=alias_names)
+            self._infer(select.having, binding.output_scope, "HAVING")
+            if check_grouping:
+                self._check_grouped(select.having, binding.source_scope,
+                                    grouped_texts, grouped_slots, "HAVING")
 
         for expr, _ascending in select.order_by:
-            self._infer(expr, scope, alias_names)
-        if select.limit is not None:
-            self._infer(select.limit, scope)
-        if select.offset is not None:
-            self._infer(select.offset, scope)
+            self._infer(expr, binding.order_scope, "ORDER BY")
+        for expr in (select.limit, select.offset):
+            if expr is not None:
+                self._infer(expr, Scope(SlotMap()), "LIMIT or OFFSET")
 
-    def _check_grouped(self, expr: Expression, scope: _Scope,
-                       grouped_texts: set, grouped_keys: set,
-                       where: str, skip: frozenset = frozenset()) -> None:
+    @staticmethod
+    def _slot(ref: ColumnRef, scope: Scope) -> Optional[int]:
+        try:
+            return scope.resolve(ref.name)
+        except EngineError:
+            return None  # reported where its clause was inferred
+
+    def _check_grouped(self, expr: Expression, scope: Scope,
+                       grouped_texts: set, grouped_slots: set,
+                       where: str) -> None:
         if _expr_text(expr) in grouped_texts:
             return
-        for ref in _column_nodes(expr, include_aggregates=False):
-            if ref.name.lower() in skip:
+        for ref in expr.nodes(into_aggregates=False):
+            if not isinstance(ref, ColumnRef) \
+                    or _expr_text(ref) in grouped_texts:
                 continue
-            if _expr_text(ref) in grouped_texts:
-                continue
-            key, _ = self._resolve_column(ref, scope, silent=True)
-            if key is not None and key not in grouped_keys:
+            slot = self._slot(ref, scope)
+            if slot is not None and slot not in grouped_slots:
                 self._error(
                     "ODB107",
                     f"column {ref.name!r} in {where} must appear in "
@@ -746,25 +628,6 @@ class SqlAnalyzer:
                 "ODB114",
                 f"UNION parts select different column counts: "
                 f"{', '.join(str(count) for count in counts)}")
-
-    def _item_columns(
-            self, select: SelectStatement,
-            scope: _Scope) -> List[Tuple[str, Optional[SqlType]]]:
-        columns: List[Tuple[str, Optional[SqlType]]] = []
-        for item in select.items:
-            if isinstance(item.expression, Star):
-                if item.alias and item.alias.endswith(".*"):
-                    relation = scope.relation(item.alias[:-2])
-                    if relation is not None:
-                        columns.extend(relation.columns)
-                else:
-                    for _alias, relation in scope.entries:
-                        columns.extend(relation.columns)
-                continue
-            columns.append(
-                (output_name(item, len(columns)).lower(),
-                 self._infer(item.expression, scope)))
-        return columns
 
     # -- DML ------------------------------------------------------------------
 
@@ -835,7 +698,7 @@ class SqlAnalyzer:
                         f"and no default", statement.position)
         else:
             targets = list(schema.columns)
-        empty_scope = _Scope()
+        scope = self._dml_scope(statement.table, [])
         for row in statement.rows:
             if len(row) != len(targets):
                 self._error(
@@ -845,32 +708,19 @@ class SqlAnalyzer:
                     statement.position)
                 continue
             for column, expr in zip(targets, row):
-                inferred = self._infer(expr, empty_scope)
+                inferred = self._infer(expr, scope, "VALUES")
                 if column is not None:
                     self._check_value(expr, inferred, column,
                                       statement.position)
-
-    def _single_table_scope(self, schema: TableSchema) -> _Scope:
-        scope = _Scope()
-        scope.add(schema.name,
-                  _Relation(schema.name,
-                            [(col.name, col.type)
-                             for col in schema.columns]))
-        return scope
 
     def _analyze_update(self, statement: UpdateStatement) -> None:
         schema = self._check_target_table(statement.table, "UPDATE",
                                           statement.position)
         if schema is None:
             return
-        scope = self._single_table_scope(schema)
+        scope = self._dml_scope(statement.table, schema.columns)
         for name, expr in statement.assignments:
-            for aggregate in find_aggregates(expr):
-                self._error(
-                    "ODB106",
-                    f"aggregate {aggregate.name} is not allowed in an "
-                    f"UPDATE assignment", statement.position)
-            inferred = self._infer(expr, scope)
+            inferred = self._infer(expr, scope, "an UPDATE assignment")
             if not schema.has_column(name):
                 self._error(
                     "ODB102",
@@ -880,12 +730,7 @@ class SqlAnalyzer:
             self._check_value(expr, inferred, schema.column(name),
                               statement.position)
         if statement.where is not None:
-            for aggregate in find_aggregates(statement.where):
-                self._error(
-                    "ODB106",
-                    f"aggregate {aggregate.name} is not allowed in "
-                    f"WHERE", statement.position)
-            self._infer(statement.where, scope)
+            self._infer(statement.where, scope, "WHERE")
             self._check_constant_predicate(statement.where)
 
     def _analyze_delete(self, statement: DeleteStatement) -> None:
@@ -894,13 +739,9 @@ class SqlAnalyzer:
         if schema is None:
             return
         if statement.where is not None:
-            scope = self._single_table_scope(schema)
-            for aggregate in find_aggregates(statement.where):
-                self._error(
-                    "ODB106",
-                    f"aggregate {aggregate.name} is not allowed in "
-                    f"WHERE", statement.position)
-            self._infer(statement.where, scope)
+            self._infer(statement.where,
+                        self._dml_scope(statement.table, schema.columns),
+                        "WHERE")
             self._check_constant_predicate(statement.where)
 
     # -- DDL ------------------------------------------------------------------

@@ -12,23 +12,36 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.types import is_comparable
 from repro.errors import EngineError
 
 
 class Expression:
-    """Base class for AST nodes."""
+    """Base class for AST nodes.
+
+    Each node kind lists its direct children once, in
+    :meth:`children`; every walk over the tree goes through
+    :meth:`nodes`."""
+
+    def children(self) -> Sequence["Expression"]:
+        return ()
+
+    def nodes(self, into_aggregates: bool = True) -> Iterator["Expression"]:
+        """This node and every node beneath it, depth first and left to
+        right; an aggregate's argument only ``into_aggregates``."""
+        stack: List[Expression] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if into_aggregates or not isinstance(node, AggregateCall):
+                stack.extend(reversed(node.children()))
 
     def column_refs(self) -> List[str]:
         """All column names referenced beneath this node."""
-        refs: List[str] = []
-        self._collect_refs(refs)
-        return refs
-
-    def _collect_refs(self, out: List[str]) -> None:
-        pass
+        return [node.name for node in self.nodes()
+                if isinstance(node, ColumnRef)]
 
 
 @dataclass
@@ -48,9 +61,6 @@ class ColumnRef(Expression):
     # from equality so AST comparisons stay position-insensitive.
     position: Optional[int] = field(default=None, compare=False,
                                     repr=False)
-
-    def _collect_refs(self, out: List[str]) -> None:
-        out.append(self.name)
 
 
 @dataclass
@@ -132,9 +142,8 @@ class BinaryOp(Expression):
     left: Expression
     right: Expression
 
-    def _collect_refs(self, out: List[str]) -> None:
-        self.left._collect_refs(out)
-        self.right._collect_refs(out)
+    def children(self) -> Sequence[Expression]:
+        return (self.left, self.right)
 
 
 @dataclass
@@ -142,8 +151,8 @@ class UnaryOp(Expression):
     op: str
     operand: Expression
 
-    def _collect_refs(self, out: List[str]) -> None:
-        self.operand._collect_refs(out)
+    def children(self) -> Sequence[Expression]:
+        return (self.operand,)
 
 
 @dataclass
@@ -151,8 +160,8 @@ class IsNull(Expression):
     operand: Expression
     negated: bool = False
 
-    def _collect_refs(self, out: List[str]) -> None:
-        self.operand._collect_refs(out)
+    def children(self) -> Sequence[Expression]:
+        return (self.operand,)
 
 
 @dataclass
@@ -161,10 +170,8 @@ class InList(Expression):
     options: List[Expression]
     negated: bool = False
 
-    def _collect_refs(self, out: List[str]) -> None:
-        self.operand._collect_refs(out)
-        for option in self.options:
-            option._collect_refs(out)
+    def children(self) -> Sequence[Expression]:
+        return (self.operand, *self.options)
 
 
 @dataclass
@@ -174,10 +181,8 @@ class Between(Expression):
     high: Expression
     negated: bool = False
 
-    def _collect_refs(self, out: List[str]) -> None:
-        self.operand._collect_refs(out)
-        self.low._collect_refs(out)
-        self.high._collect_refs(out)
+    def children(self) -> Sequence[Expression]:
+        return (self.operand, self.low, self.high)
 
 
 @dataclass
@@ -186,9 +191,8 @@ class Like(Expression):
     pattern: Expression
     negated: bool = False
 
-    def _collect_refs(self, out: List[str]) -> None:
-        self.operand._collect_refs(out)
-        self.pattern._collect_refs(out)
+    def children(self) -> Sequence[Expression]:
+        return (self.operand, self.pattern)
 
 
 def _like_to_regex(pattern: str) -> "re.Pattern[str]":
@@ -210,12 +214,9 @@ class CaseExpr(Expression):
     branches: List[Tuple[Expression, Expression]]
     default: Optional[Expression] = None
 
-    def _collect_refs(self, out: List[str]) -> None:
-        for condition, result in self.branches:
-            condition._collect_refs(out)
-            result._collect_refs(out)
-        if self.default is not None:
-            self.default._collect_refs(out)
+    def children(self) -> Sequence[Expression]:
+        nested = [node for branch in self.branches for node in branch]
+        return nested if self.default is None else nested + [self.default]
 
 
 _SCALAR_FUNCTIONS = {}
@@ -315,9 +316,8 @@ class FunctionCall(Expression):
     name: str
     args: List[Expression]
 
-    def _collect_refs(self, out: List[str]) -> None:
-        for arg in self.args:
-            arg._collect_refs(out)
+    def children(self) -> Sequence[Expression]:
+        return self.args
 
 
 AGGREGATE_NAMES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
@@ -339,20 +339,23 @@ class AggregateCall(Expression):
         flag = "distinct " if self.distinct else ""
         return f"__agg_{self.name.lower()}({flag}{_expr_text(self.argument)})"
 
-
-    def _collect_refs(self, out: List[str]) -> None:
-        if not isinstance(self.argument, Star):
-            self.argument._collect_refs(out)
+    def children(self) -> Sequence[Expression]:
+        return (self.argument,)
 
 
 def _expr_text(expr: Expression) -> str:
-    """A stable textual key for an expression (used for aggregate slots)."""
+    """A stable textual key for an expression: names aggregate slots
+    and unaliased aggregate columns, and tells GROUP BY expressions
+    apart.  Case-insensitive in names and keywords; a parameter keeps
+    its position."""
     if isinstance(expr, Star):
         return "*"
     if isinstance(expr, ColumnRef):
         return expr.name.lower()
     if isinstance(expr, Literal):
         return repr(expr.value)
+    if isinstance(expr, Parameter):
+        return f"?{expr.index + 1}"
     if isinstance(expr, BinaryOp):
         return f"({_expr_text(expr.left)}{expr.op}{_expr_text(expr.right)})"
     if isinstance(expr, UnaryOp):
@@ -368,44 +371,22 @@ def _expr_text(expr: Expression) -> str:
         if expr.default is not None:
             parts.append(f"else {_expr_text(expr.default)}")
         return "case " + " ".join(parts)
-    return repr(expr)
+    if isinstance(expr, AggregateCall):
+        return expr.result_key()[len("__agg_"):]
+    operand = _expr_text(expr.operand)
+    word = "not " if expr.negated else ""
+    if isinstance(expr, IsNull):
+        return f"({operand} is {word}null)"
+    if isinstance(expr, InList):
+        options = ",".join(_expr_text(option) for option in expr.options)
+        return f"({operand} {word}in ({options}))"
+    if isinstance(expr, Between):
+        return (f"({operand} {word}between {_expr_text(expr.low)} "
+                f"and {_expr_text(expr.high)})")
+    return f"({operand} {word}like {_expr_text(expr.pattern)})"
 
 
 def find_aggregates(expr: Expression) -> List[AggregateCall]:
-    """All AggregateCall nodes nested anywhere inside ``expr``."""
-    found: List[AggregateCall] = []
-
-    def walk(node: Expression) -> None:
-        if isinstance(node, AggregateCall):
-            found.append(node)
-            return
-        if isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, FunctionCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, CaseExpr):
-            for condition, result in node.branches:
-                walk(condition)
-                walk(result)
-            if node.default is not None:
-                walk(node.default)
-        elif isinstance(node, (IsNull,)):
-            walk(node.operand)
-        elif isinstance(node, InList):
-            walk(node.operand)
-            for option in node.options:
-                walk(option)
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, Like):
-            walk(node.operand)
-            walk(node.pattern)
-
-    walk(expr)
-    return found
+    """The aggregate calls in ``expr``, outermost only."""
+    return [node for node in expr.nodes(into_aggregates=False)
+            if isinstance(node, AggregateCall)]

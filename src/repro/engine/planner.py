@@ -19,10 +19,15 @@ SELECT it produces a :class:`SelectPlan` that
 * renders itself as an ``EXPLAIN`` result set.
 
 The plan is the only way a SELECT runs, and INSERT, UPDATE and DELETE
-plan too (:func:`plan_dml`).  Name and aggregate errors (unknown or
-ambiguous columns, an ON clause naming a table joined later, an
-aggregate outside a grouped query) raise here, at plan time, with the
-text of the reference interpreter in ``tests/reference.py``.  It meets
+plan too (:func:`plan_dml`).  A SELECT plans in two steps:
+:func:`bind_select` says what its names mean and which scope each
+clause compiles in, needing only the columns of each FROM name (the
+SQL analyzer binds with it too, over a catalog), and
+:func:`plan_select` then chooses the access paths.  Name and aggregate
+errors (unknown or ambiguous columns, a table alias given twice, an ON
+clause naming a table joined later, an aggregate outside a grouped
+query) raise at plan time, with the text of the reference interpreter
+in ``tests/reference.py``.  It meets
 a name only in a row, so over zero rows it raises nothing: the one
 divergence, and it applies only to invalid SQL.
 """
@@ -32,6 +37,7 @@ from __future__ import annotations
 import operator
 import sys
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -1057,15 +1063,14 @@ def plan_dml(database, statement):
     schema = storage.schema
     scan = ScanNode(statement.table, statement.table, storage,
                     len(schema.columns))
-    slots = SlotMap()
-    slots.add_source(statement.table, schema.column_names)
+    scope = Scope(slot_map([(statement.table, schema.column_names)]))
     if statement.where is not None:
         scan.filters.append((
-            compile_expression(statement.where, Scope(slots)),
+            compile_expression(statement.where, scope),
             predicate_text(statement.where)))
         _index_for_scan(scan, schema, split_conjuncts(statement.where))
     for column, expr in getattr(statement, "assignments", ()):
-        value = compile_expression(expr, Scope(slots))
+        value = compile_expression(expr, scope)
         scan.assignments.append((schema.column_index(column), value))
     return scan
 
@@ -1093,6 +1098,9 @@ def _expand_stars(items: List[SelectItem],
         qualifier = None
         if item.alias and item.alias.endswith(".*"):
             qualifier = item.alias[:-2].lower()
+            if all(alias.lower() != qualifier for alias, _ in sources):
+                raise EngineError(f"unknown table or alias "
+                                  f"{item.alias[:-2]!r} in {item.alias!r}")
         for alias, column_names in sources:
             if qualifier is not None and alias.lower() != qualifier:
                 continue
@@ -1198,31 +1206,124 @@ def _index_for_scan(scan: ScanNode, schema,
     scan.key_text = ", ".join(texts)
 
 
-def plan_select(database, statement: SelectStatement) -> SelectPlan:
-    """Plan one SELECT; raises its name and aggregate errors."""
-    plan = SelectPlan(statement)
+@dataclass
+class Binding:
+    """What the names of one SELECT mean, before any access path is
+    chosen: :func:`bind_select`'s result.
 
-    # -- sources and slots -------------------------------------------------
+    ``joins`` holds each join's ``(kind, condition)`` and ``sources``
+    each FROM alias with its column names, in order; ``items`` is the
+    select list with stars expanded and ``columns`` its output names;
+    ``aggregates`` holds each distinct aggregate once, in slot order.
+    A query is grouped when it has a GROUP BY, a HAVING or an
+    aggregate anywhere; without GROUP BY it is one group.  Each clause
+    compiles in its
+    own scope: ``source_scope`` (WHERE, GROUP BY, aggregate arguments),
+    ``on_scopes`` (one per join: the sources joined so far),
+    ``output_scope`` (the items and HAVING: the sources plus the
+    aggregates) and ``order_scope`` (ORDER BY: those plus the output
+    names).  Slot numbers agree across all of them.
+    """
+
+    joins: List[Tuple[str, Optional[Expression]]]
+    sources: List[Tuple[str, List[str]]]
+    items: List[SelectItem]
+    columns: List[str]
+    aggregates: List[AggregateCall]
+    grouped: bool
+    source_scope: Scope
+    on_scopes: List[Scope]
+    output_scope: Scope
+    order_scope: Scope
+
+
+def slot_map(sources: Sequence[Tuple[str, Sequence[str]]]) -> SlotMap:
+    """The slots of FROM sources ``(alias, column names)``, in order."""
     slots = SlotMap()
-    sources: List[Tuple[str, List[str]]] = []  # (alias, column names)
-    refs, joins = [], []
+    for alias, columns in sources:
+        slots.add_source(alias, columns)
+    return slots
+
+
+def bind_select(statement: SelectStatement,
+                columns_of: Callable[[TableRef], Sequence[str]]) -> Binding:
+    """Bind one SELECT's names: the engine's and the analyzer's rule.
+
+    ``columns_of`` names the columns of one FROM entry; it is called
+    once per entry, in FROM order.  Raises for a table alias given
+    twice and for a star with no FROM clause or an unknown qualifier;
+    every other name error raises when an expression compiles in the
+    scope of its clause.
+    """
+    refs: List[TableRef] = []
+    joins: List[Tuple[str, Optional[Expression]]] = []
     if statement.from_clause is not None:
         refs, joins = _flatten_from(statement.from_clause)
+    sources: List[Tuple[str, List[str]]] = []
     for ref in refs:
+        columns = list(columns_of(ref))
+        if any(alias.lower() == ref.alias.lower() for alias, _ in sources):
+            error = EngineError(f"duplicate table alias {ref.alias!r}")
+            error.offset = ref.position  # where a linter points
+            raise error
+        sources.append((ref.alias, columns))
+    slots = slot_map(sources)
+
+    items = _expand_stars(statement.items, sources)
+    columns = [output_name(item, index) for index, item in enumerate(items)]
+    placed = [item.expression for item in items]
+    if statement.having is not None:
+        placed.append(statement.having)
+    placed.extend(expr for expr, _ascending in statement.order_by)
+    unique: Dict[str, AggregateCall] = {}
+    for expr in placed:
+        for aggregate in find_aggregates(expr):
+            unique.setdefault(aggregate.result_key(), aggregate)
+    agg_slots = {key: slots.width + offset
+                 for offset, key in enumerate(unique)}
+    grouped = bool(statement.group_by or unique) \
+        or statement.having is not None
+
+    # ORDER BY also sees the output names, appended last, with source
+    # columns taking precedence.
+    alias_slots: Dict[str, int] = {}
+    for position, name in enumerate(columns):
+        alias_slots.setdefault(name.lower(),
+                               slots.width + len(unique) + position)
+    return Binding(
+        joins, sources, items, columns, list(unique.values()),
+        grouped, Scope(slots),
+        [Scope(slot_map(sources[:count + 2]))
+         for count in range(len(joins))],
+        Scope(slots, agg_slots=agg_slots),
+        Scope(slots, agg_slots=agg_slots, alias_slots=alias_slots))
+
+
+def plan_select(database, statement: SelectStatement) -> SelectPlan:
+    """Plan one SELECT: bind its names, then choose its access paths;
+    raises its name and aggregate errors."""
+    plan = SelectPlan(statement)
+
+    def scan_columns(ref: TableRef) -> Sequence[str]:
         body = database.views.get(ref.name.lower())
         if body is not None:
             body_plan = database.plan_for(body)
-            scan: ScanNode = ViewScanNode(ref.alias, ref.name, database,
-                                          body_plan)
-            columns = body_plan.columns
-        else:
-            storage = database.storage(ref.name)
-            columns = storage.schema.column_names
-            scan = ScanNode(ref.alias, ref.name, storage, len(columns))
-        slots.add_source(ref.alias, columns)
-        sources.append((ref.alias, columns))
-        plan.scans.append(scan)
+            plan.scans.append(ViewScanNode(ref.alias, ref.name, database,
+                                           body_plan))
+            return body_plan.columns
+        storage = database.storage(ref.name)
+        columns = storage.schema.column_names
+        plan.scans.append(ScanNode(ref.alias, ref.name, storage,
+                                   len(columns)))
+        return columns
+
+    binding = bind_select(statement, scan_columns)
+    sources, joins = binding.sources, binding.joins
+    source_scope = binding.source_scope
+    slots = source_scope.slots
     plan.source_width = slots.width
+    plan.columns = binding.columns
+    plan.grouped = binding.grouped
 
     # Which sources sit on the null-supplying side of a LEFT join?
     null_supplying = {
@@ -1232,7 +1333,6 @@ def plan_select(database, statement: SelectStatement) -> SelectPlan:
     }
 
     # -- WHERE: push single-source conjuncts, keep the rest ----------------
-    source_scope = Scope(slots)
     pushed_raw: List[List[Expression]] = [[] for _ in plan.scans]
     for conjunct in split_conjuncts(statement.where):
         owners = _conjunct_source(conjunct, slots)
@@ -1248,9 +1348,7 @@ def plan_select(database, statement: SelectStatement) -> SelectPlan:
     # -- scans: local filters + index choice -------------------------------
     local_scopes = []
     for position, scan in enumerate(plan.scans):
-        local_slots = SlotMap()
-        local_slots.add_source(*sources[position])
-        local_scope = Scope(local_slots)
+        local_scope = Scope(slot_map(sources[position:position + 1]))
         local_scopes.append(local_scope)
         for conjunct in pushed_raw[position]:
             scan.filters.append((
@@ -1261,26 +1359,22 @@ def plan_select(database, statement: SelectStatement) -> SelectPlan:
                             pushed_raw[position])
 
     # -- joins -------------------------------------------------------------
-    # An ON clause sees only the sources joined so far, so a reference
-    # to a later table is an unknown column, as in the interpreter.
-    joined = SlotMap()
-    if sources:
-        joined.add_source(*sources[0])
     est_rows = plan.scans[0].est_scan_rows() if plan.scans else 1
     for position, (kind, condition) in enumerate(joins):
         right_scan = plan.scans[position + 1]
-        right_start = joined.add_source(*sources[position + 1])
+        on_scope = binding.on_scopes[position]
+        right_start = on_scope.slots.sources[-1][1]
         join = JoinNode(kind, right_scan, right_start)
         join.est_left = est_rows
         residual_parts: List[Expression] = []
         key_texts: List[str] = []
         for conjunct in split_conjuncts(condition):
-            if _try_hash_key(conjunct, join, joined,
+            if _try_hash_key(conjunct, join, on_scope.slots,
                              local_scopes[position + 1], right_start):
                 key_texts.append(predicate_text(conjunct))
                 continue
             if kind in ("INNER", "CROSS"):
-                owners = _conjunct_source(conjunct, joined)
+                owners = _conjunct_source(conjunct, on_scope.slots)
                 if owners == {position + 1}:
                     # INNER ON-filter over the new source only: push
                     # into its scan (ON == WHERE for inner joins).
@@ -1291,7 +1385,6 @@ def plan_select(database, statement: SelectStatement) -> SelectPlan:
                     continue
             residual_parts.append(conjunct)
         if residual_parts:
-            on_scope = Scope(joined)
             fns = [compile_expression(part, on_scope)
                    for part in residual_parts]
 
@@ -1315,47 +1408,26 @@ def plan_select(database, statement: SelectStatement) -> SelectPlan:
                                          right_scan.est_scan_rows())
 
     # -- items / aggregates / grouping ------------------------------------
-    items = _expand_stars(statement.items, sources)
-    plan.columns = [output_name(item, index)
-                    for index, item in enumerate(items)]
-
-    aggregates: List[AggregateCall] = []
-    for item in items:
-        aggregates.extend(find_aggregates(item.expression))
-    if statement.having is not None:
-        aggregates.extend(find_aggregates(statement.having))
-    for expr, _ascending in statement.order_by:
-        aggregates.extend(find_aggregates(expr))
-
-    plan.grouped = bool(statement.group_by) or bool(aggregates)
-    agg_slots: Dict[str, int] = {}
-    if plan.grouped:
-        unique: Dict[str, AggregateCall] = {}
-        for aggregate in aggregates:
-            unique.setdefault(aggregate.result_key(), aggregate)
-        for offset, (key, aggregate) in enumerate(unique.items()):
-            agg_slots[key] = slots.width + offset
-            if isinstance(aggregate.argument, Star):
-                if aggregate.name != "COUNT":
-                    raise EngineError(f"{aggregate.name}(*) is not valid")
-                arg_fn = None
-            else:
-                arg_fn = compile_expression(
-                    aggregate.argument, source_scope)
-            plan.aggregates.append(CompiledAggregate(
-                aggregate.name, aggregate.distinct, arg_fn,
-                predicate_text(aggregate)))
-        for expr in statement.group_by:
-            plan.group_key_fns.append(
-                compile_expression(expr, source_scope))
-            plan.group_texts.append(predicate_text(expr))
+    for aggregate in binding.aggregates:
+        if isinstance(aggregate.argument, Star):
+            if aggregate.name != "COUNT":
+                raise EngineError(f"{aggregate.name}(*) is not valid")
+            arg_fn = None
+        else:
+            arg_fn = compile_expression(aggregate.argument, source_scope)
+        plan.aggregates.append(CompiledAggregate(
+            aggregate.name, aggregate.distinct, arg_fn,
+            predicate_text(aggregate)))
+    for expr in statement.group_by:
+        plan.group_key_fns.append(compile_expression(expr, source_scope))
+        plan.group_texts.append(predicate_text(expr))
 
     # Post-grouping expressions see source slots (representative row)
     # plus the appended aggregate slots.
-    output_scope = Scope(slots, agg_slots=agg_slots)
+    output_scope = binding.output_scope
     item_fns = [
         compile_expression(item.expression, output_scope)
-        for item in items
+        for item in binding.items
     ]
     item_slots = [getattr(fn, "_slot", None) for fn in item_fns]
     if item_slots and all(slot is not None for slot in item_slots):
@@ -1368,21 +1440,13 @@ def plan_select(database, statement: SelectStatement) -> SelectPlan:
             plan.project_getter = operator.itemgetter(*item_slots)
     else:
         plan.item_fns = item_fns
-    if plan.grouped and statement.having is not None:
+    if statement.having is not None:
         plan.having_fn = compile_expression(statement.having, output_scope)
         plan.having_text = predicate_text(statement.having)
 
-    # ORDER BY additionally sees output aliases (appended last), with
-    # source columns taking precedence like the interpreter's setdefault.
-    ctx_width = slots.width + len(plan.aggregates)
-    alias_slots: Dict[str, int] = {}
-    for position, name in enumerate(plan.columns):
-        alias_slots.setdefault(name.lower(), ctx_width + position)
-    order_scope = Scope(slots, agg_slots=agg_slots,
-                        alias_slots=alias_slots)
     for expr, ascending in statement.order_by:
         plan.order_specs.append((
-            compile_expression(expr, order_scope), ascending,
+            compile_expression(expr, binding.order_scope), ascending,
             predicate_text(expr)))
 
     empty_scope = Scope(SlotMap())

@@ -232,11 +232,17 @@ def _resolve(db, ref: TableRef, params, snapshot) -> Source:
 
 def _from_contexts(db, node, sources: List[Source], params, snapshot):
     if isinstance(node, TableRef):
-        sources.append(_resolve(db, node, params, snapshot))
+        _add_source(sources, _resolve(db, node, params, snapshot))
         return sources[-1].contexts()
     left = list(_from_contexts(db, node.left, sources, params, snapshot))
-    sources.append(_resolve(db, node.right, params, snapshot))
+    _add_source(sources, _resolve(db, node.right, params, snapshot))
     return _join(left, sources[-1], node.kind, node.condition, params)
+
+
+def _add_source(sources: List[Source], source: Source) -> None:
+    if any(other.alias.lower() == source.alias.lower() for other in sources):
+        raise EngineError(f"duplicate table alias {source.alias!r}")
+    sources.append(source)
 
 
 def _join(left_contexts, right: Source, kind, condition, params):
@@ -325,7 +331,7 @@ def execute_select(db: Database, statement: SelectStatement,
         exprs.append(statement.having)
     exprs += [expr for expr, _ascending in statement.order_by]
     aggregates = [agg for expr in exprs for agg in ex.find_aggregates(expr)]
-    if statement.group_by or aggregates:
+    if statement.group_by or aggregates or statement.having is not None:
         contexts = _group(contexts, statement.group_by, aggregates, params,
                           sources)
         if statement.having is not None:

@@ -9,6 +9,7 @@ from repro.analysis import (
     split_statements,
 )
 from repro.engine import Catalog, Database, make_schema, parse_sql
+from repro.errors import EngineError
 
 
 def sales_catalog() -> Catalog:
@@ -30,6 +31,13 @@ def sales_catalog() -> Catalog:
 
 def analyze(sql, catalog=None):
     return SqlAnalyzer(catalog or sales_catalog()).analyze(sql)
+
+
+def empty_database(catalog) -> Database:
+    database = Database("empty")
+    for schema in catalog:
+        database.create_storage(schema)
+    return database
 
 
 class TestSelectAnalysis:
@@ -98,10 +106,19 @@ class TestSelectAnalysis:
         assert collector.codes() == ["ODB107"]
         assert "quantity" in str(collector.errors[0])
 
-    def test_grouping_by_select_alias_is_clean(self):
-        collector = analyze(
-            "SELECT region AS r, COUNT(*) FROM sales GROUP BY r")
-        assert collector.codes() == []
+    def test_grouping_by_select_alias_is_odb102(self):
+        """GROUP BY sees the sources, not the select list's aliases:
+        the engine refuses the alias, and so does the analyzer."""
+        sql = "SELECT region AS r, COUNT(*) FROM sales GROUP BY r"
+        assert analyze(sql).codes() == ["ODB102"]
+        with pytest.raises(EngineError, match="unknown column 'r'"):
+            empty_database(sales_catalog()).execute(sql)
+
+    def test_star_argument_outside_count_is_odb105(self):
+        sql = "SELECT MAX(*) FROM sales"
+        assert analyze(sql).codes() == ["ODB105"]
+        with pytest.raises(EngineError, match=r"MAX\(\*\) is not valid"):
+            empty_database(sales_catalog()).execute(sql)
 
     def test_unknown_function(self):
         collector = analyze("SELECT SOUNDEX(region) FROM sales")
@@ -248,7 +265,35 @@ ACCEPTED_QUERIES = [
     "AND '2024-12-31'",
     "SELECT region FROM sales UNION SELECT region FROM customers",
     "SELECT COUNT(*) FROM sales",
+    # A GROUP BY expression matches its item whatever the case.
+    "SELECT region IS NULL, COUNT(*) FROM sales GROUP BY REGION IS NULL",
+    "SELECT amount BETWEEN 1 AND 2, COUNT(*) FROM sales "
+    "GROUP BY Amount Between 1 And 2",
+    "SELECT region IN ('east', 'west') AS r, COUNT(*) FROM sales "
+    "GROUP BY REGION IN ('east', 'west')",
+    "SELECT name LIKE 'a%', COUNT(*) FROM customers GROUP BY NAME LIKE 'a%'",
 ]
+
+#: Statements the engine refuses when it plans them, over an empty
+#: database: a name it cannot bind, or an aggregate where none may stand.
+REJECTED_QUERIES = [
+    # An ON clause sees only the tables joined so far.
+    "SELECT s.id FROM sales s JOIN customers c ON s.id = o.id "
+    "JOIN sales o ON c.id = o.id",
+    # GROUP BY and HAVING see the sources, not the output aliases.
+    "SELECT region AS r, COUNT(*) FROM sales GROUP BY r",
+    "SELECT SUM(amount) AS total FROM sales HAVING total > 0",
+    "SELECT t.id FROM sales t JOIN customers t ON t.id = t.id",
+    "SELECT id FROM ghosts",
+    "SELECT colour FROM sales",
+    "SELECT region FROM sales JOIN customers ON sales.id = customers.id",
+    "SELECT id FROM sales WHERE SUM(amount) > 10",
+]
+
+#: The analyzer's codes for a name, or where a name or aggregate
+#: stands: the errors the engine raises when it plans.  ODB107 is not
+#: one: the analyzer's GROUP BY rule is stricter than the engine's.
+NAME_CODES = {"ODB101", "ODB102", "ODB103", "ODB106", "ODB110"}
 
 #: Items the engine names itself: ``sum(amount)``, ``columnN``.
 UNALIASED_QUERIES = [
@@ -279,13 +324,29 @@ class TestAnalyzerExecutorAgreement:
         collector = analyzer.analyze(sql)
         assert not collector.has_errors(), collector.render()
 
-        database = Database("empty")
-        for schema in catalog:
-            database.create_storage(schema)
-        result = database.execute(sql)  # must not raise
+        result = empty_database(catalog).execute(sql)  # must not raise
         assert [name for name, _type in
                 analyzer.output_columns(parse_sql(sql))] == \
             [column.lower() for column in result.columns]
+
+    @pytest.mark.parametrize(
+        "sql", ACCEPTED_QUERIES + UNALIASED_QUERIES + REJECTED_QUERIES)
+    def test_name_errors_are_exactly_the_engines(self, sql):
+        """The analyzer reports a name or placement error exactly when
+        the engine refuses the statement, and that error carries the
+        engine's text."""
+        catalog = sales_catalog()
+        found = [diagnostic.message for diagnostic
+                 in SqlAnalyzer(catalog).analyze(sql)
+                 if diagnostic.code in NAME_CODES]
+        try:
+            empty_database(catalog).execute(sql)
+        except EngineError as exc:
+            assert sql in REJECTED_QUERIES
+            assert any(str(exc) in message for message in found), found
+        else:
+            assert sql not in REJECTED_QUERIES
+            assert found == []
 
     def test_for_database_sees_live_views(self):
         database = Database("live")

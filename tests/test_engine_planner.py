@@ -96,6 +96,51 @@ def test_compiled_matches_interpreted(db, interpreted, sql, params):
         == PINNED_ROW_COUNTS.get(sql, len(compiled_result.rows))
 
 
+class TestBindRules:
+    """Both paths bind a SELECT's names alike: HAVING makes a query
+    grouped, an unaliased aggregate is named from every node kind, and
+    a FROM alias is given once."""
+
+    @pytest.mark.parametrize("where", ["", "WHERE id < 0 "])
+    def test_having_without_group_by_is_one_group(self, db, interpreted,
+                                                  where):
+        sql = f"SELECT 1 AS one FROM emp {where}HAVING 1 = 1"
+        for database in (db, interpreted):
+            assert database.execute(sql).rows == [(1,)]
+
+    def test_unaliased_aggregates_are_named_from_every_node_kind(
+            self, db, interpreted):
+        sql = ("SELECT SUM(CASE WHEN salary IS NULL THEN 1 ELSE 0 END), "
+               "COUNT(name LIKE 'a%'), MIN(dept NOT IN ('eng', 'hr')), "
+               "MAX(id NOT BETWEEN 2 AND 4), SUM(salary * ?), "
+               "SUM(salary * ?) FROM emp")
+        compiled = db.execute(sql, (1, 2))
+        assert compiled.columns == [
+            "sum(case when (salary is null) then 1 else 0)",
+            "count((name like 'a%'))",
+            "min((dept not in ('eng','hr')))",
+            "max((id not between 2 and 4))",
+            "sum((salary*?1))", "sum((salary*?2))"]
+        assert compiled.rows == [(1, 5, False, True, 350.0, 700.0)]
+        interpreted_result = interpreted.execute(sql, (1, 2))
+        assert interpreted_result.columns == compiled.columns
+        assert interpreted_result.rows == compiled.rows
+
+    @pytest.mark.parametrize("sql, error", [
+        # Unchecked, t.code reads dept on both sides: a cross join.
+        ("SELECT t.name, t.label FROM emp t JOIN dept t ON t.code = t.code",
+         "duplicate table alias 't'"),
+        ("SELECT * FROM emp JOIN emp ON emp.id = emp.id",
+         "duplicate table alias 'emp'"),
+        ("SELECT x.* FROM emp", "unknown table or alias 'x' in 'x.*'"),
+    ])
+    def test_from_names_are_checked_when_bound(self, db, interpreted, sql,
+                                               error):
+        for database in (db, interpreted):
+            with pytest.raises(EngineError, match=error):
+                database.execute(sql)
+
+
 def test_set_reads_the_row_before_the_update(db, interpreted):
     sql = "UPDATE dept SET code = label, label = code WHERE code = ?"
     for database in (db, interpreted):
