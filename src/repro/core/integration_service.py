@@ -245,14 +245,17 @@ class IntegrationService:
         """Materialize a query into a datamart table (CTAS).
 
         With ``refresh=True`` an existing table is dropped and
-        rebuilt — the nightly-datamart refresh pattern.  Returns the
-        number of materialized rows (metered as etl_rows).
+        rebuilt — the nightly-datamart refresh pattern — in one
+        transaction, so a refresh whose query fails leaves the old
+        datamart in place.  Returns the number of materialized rows
+        (metered as etl_rows).
         """
         self.tenants.require_active(tenant_id)
         target = self.resources.database(tenant_id, database)
-        if refresh:
-            target.execute(f"DROP TABLE IF EXISTS {table}")
-        rows = target.execute(f"CREATE TABLE {table} AS {sql}")
+        with target.transaction():
+            if refresh:
+                target.execute(f"DROP TABLE IF EXISTS {table}")
+            rows = target.execute(f"CREATE TABLE {table} AS {sql}")
         if self.billing is not None:
             self.billing.meter(tenant_id, "etl_rows", int(rows))
         self.resources.publish_event(

@@ -4,7 +4,8 @@ This package is the reproduction's stand-in for PostgreSQL in the ODBIS
 technical-resources layer (paper Fig. 5).  It implements a useful subset
 of SQL end-to-end: a tokenizer and recursive-descent parser, a logical
 planner, an iterator-model executor, hash and sorted indexes, and
-undo-log transactions — all against an in-memory row store with optional
+transactions whose one write log is both the WAL's redo record and what
+ROLLBACK unwinds — all against an in-memory row store with optional
 snapshot persistence.
 
 Quickstart::

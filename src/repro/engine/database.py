@@ -28,7 +28,6 @@ from repro.engine.parser import (
 from repro.engine.planner import RESULT_CACHE_MAX_ROWS
 from repro.engine.schema import Catalog, TableSchema
 from repro.engine.storage import TableStorage
-from repro.engine.transactions import Transaction
 from repro.engine.wal import (
     MAGIC,
     WriteAheadLog,
@@ -48,6 +47,18 @@ from repro.errors import (
 #: Parsed statements (and their compiled plans) kept per database; the
 #: least recently used pair is evicted beyond this.
 STATEMENT_CACHE_CAPACITY = 512
+
+# Redo op shapes, the one write-log vocabulary: logged to the WAL,
+# replayed by Database._apply_redo, undone by Database._unwind.
+#   ("insert", table, rowid, row)
+#   ("delete", table, rowid)
+#   ("update", table, rowid, new_row)
+#   ("create_table", schema)               -> a copy of the TableSchema
+#   ("drop_table", table)
+#   ("create_index", table, name, columns, unique)
+#   ("add_column", table, column)
+#   ("create_view", name, select)          -> the parsed SELECT
+#   ("drop_view", name)
 
 #: Redo records that name the table whose rows they change.
 _ROW_EFFECTS = frozenset(("insert", "delete", "update"))
@@ -141,7 +152,6 @@ class Database:
         self._storages: Dict[str, TableStorage] = {}  # guarded-by: _lock
         self.views: Dict[str, Any] = {}  # name -> SelectStatement
         self._executor = Executor(self)
-        self._transaction: Optional[Transaction] = None  # guarded-by: _lock
         # Parsed statements by SQL text, least recently used first.
         self._statement_cache: "OrderedDict[str, Any]" = OrderedDict()  # guarded-by: _state_lock
         # Compiled plans keyed by statement identity; each entry keeps a
@@ -192,13 +202,19 @@ class Database:
         self._open_snapshots: Dict[int, int] = {}  # guarded-by: _state_lock
         self._snapshot_counter = 0  # guarded-by: _state_lock
         # Durability: a WriteAheadLog attached via attach_wal (or
-        # recover) receives one commit record per transaction.  The
-        # autocommit buffer collects redo ops of a single statement
-        # outside any explicit transaction; _suppress_redo silences
-        # recording while recovery replays the log into this database.
+        # recover) receives one commit record per transaction.  The one
+        # write log is _pending, the redo ops of the open transaction
+        # (or of the one statement running outside any): COMMIT, or
+        # the statement's end, hands it to the WAL, and ROLLBACK
+        # unwinds it newest first (_unwind).  Beside it, by op
+        # position, sits what a DROP inside the transaction detached.
+        # _suppress_redo silences recording while recovery replays the
+        # log into this database.
         self._wal: Optional[WriteAheadLog] = None
         self._snapshot_path: Optional[Path] = None
-        self._autocommit_redo: List[Any] = []  # guarded-by: _lock
+        self._pending: List[Any] = []  # guarded-by: _lock
+        self._detached: Dict[int, Any] = {}  # guarded-by: _lock
+        self._in_transaction = False  # guarded-by: _lock
         self._suppress_redo = False
         self._checkpoints = 0
         # Highest WAL commit number already contained in the snapshot
@@ -221,7 +237,6 @@ class Database:
         if self._storage_monitor is not None:
             storage.attach_monitor(self._storage_monitor)
         self._storages[schema.name.lower()] = storage
-        self.record_undo(("create_table", schema.name))
         # Deep-copy the schema into the redo record: a later ALTER in
         # the same transaction mutates the live schema in place, and
         # replay must see the table as it was at CREATE time.
@@ -233,12 +248,12 @@ class Database:
         self.catalog.drop_table(name)
         storage = self._storages.pop(name.lower())
         if record:
-            self.record_undo(("drop_table", name, storage))
+            self.detach(storage)
             self.record_redo(("drop_table", name))
         self.invalidate_plans()
 
     def attach_storage(self, storage: TableStorage) -> None:  # requires: _lock
-        """Re-attach a previously dropped storage (transaction rollback)."""
+        """Re-attach a dropped storage (the rollback of its DROP)."""
         self.catalog.add_table(storage.schema)
         storage.attach_clock(self._stamp_cn)
         if self._storage_monitor is not None:
@@ -428,7 +443,8 @@ class Database:
                     # even on error, so the log and the snapshot
                     # visibility horizon mirror the in-memory effects
                     # of a partially applied statement.
-                    self._flush_autocommit_redo()
+                    if not self._in_transaction:
+                        self._commit_pending()
         if isinstance(result, ResultSet):
             with self._state_lock:
                 self.statistics["rows_returned"] += len(result)
@@ -689,7 +705,7 @@ class Database:
 
     @property
     def in_transaction(self) -> bool:
-        return self._transaction is not None and self._transaction.active
+        return self._in_transaction
 
     def begin(self) -> None:
         # The transaction scope holds the exclusive lock from BEGIN to
@@ -699,67 +715,65 @@ class Database:
         self._lock.acquire_write()
         started = False
         try:
-            if self.in_transaction:
+            if self._in_transaction:
                 raise TransactionError("transaction already in progress")
-            self._transaction = Transaction()
+            self._in_transaction = True
             started = True
         finally:
             if not started:
                 self._lock.release_write()
 
     def commit(self) -> None:
-        if not self.in_transaction:
+        if not self._in_transaction:
             raise TransactionError("no transaction in progress")
         try:
-            redo = self._transaction.take_redo()
-            self._transaction.commit()
-            self._transaction = None
-            if redo:
-                if self._wal is not None:
-                    # One atomic commit record for the whole scope,
-                    # while the exclusive lock still serializes the
-                    # log; the commit number published below is the
-                    # one the WAL just assigned.
-                    self._wal.commit(redo)
-                self._publish_commit(redo)
+            self._in_transaction = False
+            self._detached.clear()
+            self._commit_pending()
         finally:
             self._lock.release_write()
 
     def rollback(self) -> None:
-        if not self.in_transaction:
+        if not self._in_transaction:
             raise TransactionError("no transaction in progress")
         try:
-            self._transaction.rollback(self)
-            self._transaction = None
+            self._in_transaction = False
+            # Nothing of an aborted transaction reaches the WAL.
+            ops, self._pending = self._pending, []
+            for position in reversed(range(len(ops))):
+                self._unwind(ops[position],
+                             self._detached.pop(position, None))
         finally:
+            self._detached.clear()
             self._lock.release_write()
 
-    def record_undo(self, entry) -> None:
-        if self.in_transaction:
-            self._transaction.record(entry)
-
     def record_redo(self, entry) -> None:  # requires: _lock
-        """Queue the forward image of one mutation for the WAL.
+        """Queue the forward image of one mutation on the write log.
 
-        Recorded even without a WAL attached: a non-empty redo list is
-        also how commit publication knows the statement/transaction
-        had effects and must advance the MVCC commit number.
+        Recorded even without a WAL attached: ROLLBACK unwinds the
+        list, and a non-empty list is also how commit publication
+        knows the statement/transaction had effects and must advance
+        the MVCC commit number.
         """
-        if self._suppress_redo:
-            return
-        if self.in_transaction:
-            self._transaction.record_redo(entry)
-        else:
-            self._autocommit_redo.append(entry)
+        if not self._suppress_redo:
+            self._pending.append(entry)
 
-    def _flush_autocommit_redo(self) -> None:
-        if self.in_transaction:
+    def detach(self, body: Any) -> None:  # requires: _lock
+        """Keep what the DROP about to be recorded detached (a table's
+        storage, a view's SELECT), for ROLLBACK to put back."""
+        if self._in_transaction:
+            self._detached[len(self._pending)] = body
+
+    def _commit_pending(self) -> None:  # requires: _lock
+        if not self._pending:
             return
-        if not self._autocommit_redo:
-            return
-        ops, self._autocommit_redo = self._autocommit_redo, []
+        ops, self._pending = self._pending, []
         self._lock.require_exclusive("WAL commit")
         if self._wal is not None:
+            # One atomic commit record for the whole transaction,
+            # while the exclusive lock still serializes the log; the
+            # commit number published below is the one the WAL just
+            # assigned.
             self._wal.commit(ops)
         self._publish_commit(ops)
 
@@ -1016,6 +1030,42 @@ class Database:
                 self.invalidate_plans()
             else:
                 raise WalError(f"unknown redo op {kind!r}")
+
+    def _unwind(self, op: Any, detached: Any) -> None:  # requires: _lock
+        """Undo one op of a rolled-back transaction: the inverse of
+        :meth:`_apply_redo`, run newest op first.
+
+        DML *unwinds* the MVCC version chains (pops the aborted
+        versions, clears their death stamps) rather than running the
+        forward primitives, which would append yet more versions — an
+        aborted effect has to vanish from every snapshot, not merely be
+        superseded.  ``detached`` is what the op's DROP detached.
+        """
+        kind = op[0]
+        if kind == "insert":
+            storage = self.storage(op[1])
+            storage.undo_insert(op[2])
+            storage.unallocate(op[2])
+        elif kind == "delete":
+            self.storage(op[1]).undo_delete(op[2])
+        elif kind == "update":
+            self.storage(op[1]).undo_update(op[2])
+        elif kind == "create_table":
+            self.drop_storage(op[1].name, record=False)
+        elif kind == "drop_table":
+            self.attach_storage(detached)
+        elif kind == "create_index":
+            self.storage(op[1]).drop_index(op[2])
+        elif kind == "add_column":
+            self.storage(op[1]).undo_add_column(op[2])
+        elif kind == "create_view":
+            del self.views[op[1]]
+        elif kind == "drop_view":
+            self.views[op[1]] = detached
+        else:
+            raise TransactionError(f"unknown redo op {kind!r}")
+        if kind not in _ROW_EFFECTS:
+            self.invalidate_plans()
 
     @classmethod
     def recover(cls, directory: Union[str, Path], name: str = "main", *,

@@ -143,6 +143,10 @@ class Executor:
 
     def _execute_create_index(self, statement: CreateIndexStatement) -> int:
         storage = self._db.storage(statement.table)
+        if statement.name.lower() in storage.indexes:
+            raise CatalogError(
+                f"index {statement.name!r} already exists on "
+                f"{statement.table!r}")
         storage.add_index(statement.name, statement.columns,
                           unique=statement.unique)
         self._db.record_redo(
@@ -196,8 +200,6 @@ class Executor:
         count = 0
         for row in result.rows:
             rowid = storage.insert(list(row))
-            self._db.record_undo(
-                ("insert", schema.name, rowid, list(row)))
             self._db.record_redo(
                 ("insert", schema.name, rowid, list(row)))
             count += 1
@@ -226,7 +228,7 @@ class Executor:
             if statement.if_exists:
                 return 0
             raise CatalogError(f"no such view: {statement.name!r}")
-        del self._db.views[key]
+        self._db.detach(self._db.views.pop(key))
         self._db.record_redo(("drop_view", key))
         self._db.invalidate_plans()
         return 0
@@ -250,7 +252,6 @@ class Executor:
             }
             row = schema.coerce_row(values)
             rowid = storage.insert(row)
-            self._db.record_undo(("insert", schema.name, rowid, row))
             # Copy the row into the redo image: ALTER TABLE later in
             # the same transaction appends to the live list in place.
             self._db.record_redo(
@@ -272,8 +273,7 @@ class Executor:
             targets.append((rowid, schema.coerce_row(
                 dict(zip(schema.column_names, new_row)))))
         for rowid, new_row in targets:
-            old_row = storage.update(rowid, new_row)
-            self._db.record_undo(("update", schema.name, rowid, old_row))
+            storage.update(rowid, new_row)
             self._db.record_redo(
                 ("update", schema.name, rowid, list(new_row)))
         return len(targets)
@@ -284,9 +284,7 @@ class Executor:
         doomed = [rowid for rowid, _row
                   in self._db.plan_for(statement).live_targets(params)]
         for rowid in doomed:
-            old_row = storage.delete(rowid)
-            self._db.record_undo(
-                ("delete", storage.schema.name, rowid, old_row))
+            storage.delete(rowid)
             self._db.record_redo(
                 ("delete", storage.schema.name, rowid))
         return len(doomed)

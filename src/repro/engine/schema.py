@@ -97,6 +97,10 @@ class TableSchema:
         self._by_name[key] = len(self.columns)
         self.columns.append(column)
 
+    def pop_column(self) -> None:
+        """Remove the last column (the rollback of :meth:`add_column`)."""
+        del self._by_name[self.columns.pop().name.lower()]
+
     def coerce_row(self, values: Dict[str, Any]) -> List[Any]:
         """Build a full storage row from a column->value mapping.
 

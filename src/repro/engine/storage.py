@@ -56,11 +56,13 @@ So with no snapshot open a table retains at most ``rows * 9/8 + 256``
 versions, and since collection restarts the count whatever it could
 reclaim, a pinned snapshot cannot make every commit collect.
 
-Mutations are funnelled through three primitives (insert, delete,
-update) which report enough information for the transaction layer to
-undo them; the ``undo_*`` methods *unwind* version chains instead of
-appending new versions, so a rolled-back transaction leaves no trace
-in any snapshot.
+Row mutations are funnelled through three primitives (insert,
+delete, update).  ROLLBACK runs their inverses, the ``undo_*``
+methods, newest effect first (``Database._unwind``): each *unwinds*
+the row's version chain instead of appending new versions, and reads
+the row it puts back from that chain, so a rolled-back transaction
+leaves no trace in any snapshot.  No collection runs inside a
+transaction, so every chain an effect left is still there.
 """
 
 from __future__ import annotations
@@ -214,6 +216,12 @@ class TableStorage:
         self.indexes[name.lower()] = index
         return index
 
+    def drop_index(self, name: str) -> None:  # requires: engine-exclusive
+        """Remove an index (the rollback of its CREATE INDEX)."""
+        if self._monitor is not None:
+            self._monitor.on_write(self.schema.name)
+        del self.indexes[name.lower()]
+
     def add_column(self, column) -> None:
         """Extend the schema and backfill existing rows.
 
@@ -243,6 +251,27 @@ class TableStorage:
             self.add_index(
                 f"__uniq_{self.schema.name}_{column.name}".lower(),
                 [column.name], unique=True)
+
+    def undo_add_column(self, column) -> None:  # requires: engine-exclusive
+        """Unwind an aborted :meth:`add_column`: narrow the schema, the
+        live rows and the retained versions again, and drop the
+        column's uniqueness index."""
+        if self._monitor is not None:
+            self._monitor.on_write(self.schema.name)
+        if column.unique:
+            self.drop_index(
+                f"__uniq_{self.schema.name}_{column.name}".lower())
+        self.schema.pop_column()
+        width = len(self.schema.columns)
+        # The width check pops once per distinct list, as add_column
+        # appends once.
+        for row in self.rows.values():
+            if len(row) > width:
+                row.pop()
+        for chain in self._versions.values():
+            for version in chain:
+                if len(version.row) > width:
+                    version.row.pop()
 
     # -- mutations ----------------------------------------------------------
 
@@ -279,8 +308,8 @@ class TableStorage:
         self._add_live(rowid, row, cn)
         return rowid
 
-    def delete(self, rowid: int) -> List[Any]:  # requires: engine-exclusive
-        """Delete a row by rowid, returning the old row (for undo).
+    def delete(self, rowid: int) -> None:  # requires: engine-exclusive
+        """Delete a row by rowid.
 
         The index entries and the superseded version stay behind for
         snapshot readers; the version is merely stamped dead at this
@@ -298,10 +327,9 @@ class TableStorage:
         else:
             chain[-1].deleted_cn = cn
         del self.rows[rowid]
-        return row
 
-    def update(self, rowid: int, new_row: List[Any]) -> List[Any]:  # requires: engine-exclusive
-        """Replace a row in place, returning the old row (for undo)."""
+    def update(self, rowid: int, new_row: List[Any]) -> None:  # requires: engine-exclusive
+        """Replace a row in place."""
         if self._monitor is not None:
             self._monitor.on_write(self.schema.name)
         old_row = self.rows[rowid]
@@ -328,7 +356,6 @@ class TableStorage:
         # added.  Readers verify candidates against the fetched row.
         for index in moved:
             index.insert(rowid, new_row)
-        return old_row
 
     def restore(self, rowid: int, row: List[Any]) -> None:  # requires: engine-exclusive
         """Re-insert a previously deleted row under its original rowid
@@ -378,24 +405,25 @@ class TableStorage:
             # collection keeps it while such a reader's snapshot is open.
             chain[-1].deleted_cn = chain[-1].created_cn
 
-    def undo_delete(self, rowid: int, row: List[Any]) -> None:  # requires: engine-exclusive
-        """Unwind an aborted delete: clear the death stamp."""
+    def undo_delete(self, rowid: int) -> None:  # requires: engine-exclusive
+        """Unwind an aborted delete: clear the death stamp and put the
+        dead version's row back."""
         if self._monitor is not None:
             self._monitor.on_write(self.schema.name)
         self._rewrite(self._last_version_cn)
-        # A delete always leaves a chain, and no collection runs
-        # inside a transaction.
-        self._versions[rowid][-1].deleted_cn = None
-        self._put_row(rowid, row)
+        # A delete always leaves a chain.
+        version = self._versions[rowid][-1]
+        version.deleted_cn = None
+        self._put_row(rowid, version.row)
 
-    def undo_update(self, rowid: int, old_row: List[Any]) -> None:  # requires: engine-exclusive
+    def undo_update(self, rowid: int) -> None:  # requires: engine-exclusive
         """Unwind an aborted update: pop the new version, revive the old."""
         if self._monitor is not None:
             self._monitor.on_write(self.schema.name)
         self._rewrite(self._last_version_cn)
-        self.rows[rowid] = old_row
         # An update always leaves the old and the new version.
         chain = self._versions[rowid]
+        self.rows[rowid] = chain[-2].row
         chain.pop()
         chain[-1].deleted_cn = None
 

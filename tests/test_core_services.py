@@ -407,6 +407,21 @@ class TestDatamartMaterialization:
             refresh=True)
         assert rows == 7
 
+    def test_failed_refresh_keeps_the_old_datamart(self, platform,
+                                                   warehouse):
+        from repro.errors import EngineError
+
+        platform.integration.materialize_datamart(
+            "acme", "mart", "SELECT region FROM dim_store")
+        target = platform.tenants.context("acme").warehouse_db
+        before = target.query("SELECT region FROM mart")
+        with pytest.raises(EngineError):
+            platform.integration.materialize_datamart(
+                "acme", "mart", "SELECT no_such_column FROM dim_store",
+                refresh=True)
+        assert target.query("SELECT region FROM mart") == before
+        assert not target.in_transaction
+
     def test_existing_table_without_refresh_fails(self, platform,
                                                   warehouse):
         from repro.errors import CatalogError

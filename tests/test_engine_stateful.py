@@ -32,6 +32,12 @@ A view whose body aggregates ``f``, joined with ``d`` on either side,
 is read the same way, with a transaction open and appends pending in
 it, and with none.  With no transaction open, no table retains more than ``rows * 9/8 +
 256`` versions (the settle bound).
+
+DDL runs inside the open transaction too, between its DML (or, with
+none open, inside one of its own, rolled back at once): an index on
+``t.v``, a view over ``t`` created or dropped, a column added to the
+side table ``s`` (plain or UNIQUE).  Every ROLLBACK must leave
+``state_fingerprint()`` exactly as it was at BEGIN.
 """
 
 import operator
@@ -92,7 +98,12 @@ class EngineModel(RuleBasedStateMachine):
         self.both("CREATE TABLE f (tag TEXT, x REAL, n INTEGER)")
         self.both("CREATE VIEW f_by_tag AS SELECT tag, COUNT(*) AS c, "
                   "SUM(x) AS s, MAX(n) AS hi FROM f GROUP BY tag")
+        self.both("CREATE TABLE s (id INTEGER PRIMARY KEY)")
+        self.both("INSERT INTO s VALUES (1), (2)")
         self.widened = 0          # columns added to d since CREATE
+        self.ddl_serial = 0       # fresh names for the DDL rule
+        self.begun = None         # the snapshot of the txn seen open
+        self.at_begin = None      # db.state_fingerprint() at its BEGIN
         self.oracle = []          # committed + pending rows
         self.snapshot = None      # oracle at BEGIN, for rollback
         self.reader = ThreadPoolExecutor(max_workers=1)
@@ -449,6 +460,38 @@ class EngineModel(RuleBasedStateMachine):
         self.twin.begin()
         self.snapshot = [dict(row) for row in self.oracle]
 
+    @rule(kind=st.sampled_from(["index", "view", "column"]),
+          drop=st.booleans(), unique=st.booleans())
+    def ddl_in_transaction(self, kind, drop, unique):
+        """DDL inside the open transaction, else inside one rolled back
+        at once.  The engine has no DROP INDEX, so the index half only
+        creates; ``drop`` drops a view an earlier step left over ``t``
+        when there is one."""
+        opened = self.snapshot is None
+        if opened:
+            before = self.db.state_fingerprint()
+            self.begin()
+        self.ddl_serial += 1
+        name = f"x{self.ddl_serial}"
+        views = [view for view in self.db.view_names()
+                 if view != "f_by_tag"]
+        if kind == "index":
+            self.both(f"CREATE INDEX {name} ON t (v)")
+        elif kind == "view" and drop and views:
+            self.both(f"DROP VIEW {views[0]}")
+        elif kind == "view":
+            self.both(f"CREATE VIEW {name} AS SELECT tag, COUNT(*) AS c, "
+                      f"SUM(v) AS s FROM t WHERE v > 0 GROUP BY tag")
+            sql = f"SELECT tag, c, s FROM {name} ORDER BY tag"
+            assert self.db.query(sql) == self.twin.query(sql)
+        else:
+            self.both(f"ALTER TABLE s ADD COLUMN {name} INTEGER"
+                      + (" UNIQUE" if unique else
+                         f" DEFAULT {self.ddl_serial}"))
+        if opened:
+            self.rollback()
+            assert self.db.state_fingerprint() == before
+
     @precondition(lambda self: self.snapshot is not None)
     @rule()
     def commit(self):
@@ -486,6 +529,22 @@ class EngineModel(RuleBasedStateMachine):
                 assert database.version_count(table) <= \
                     database.row_count(table) * (1 + SETTLE_FRACTION) \
                     + SETTLE_FLOOR
+
+    @invariant()
+    def rollback_returns_to_the_begin_state(self):
+        """A transaction the ``rollback`` rule ended leaves the database
+        at the fingerprint it had at BEGIN.  That is read on the first
+        step the transaction is seen open (BEGIN changes no state), and
+        a rollback is told from a commit by the oracle being the BEGIN
+        copy again."""
+        if self.snapshot is not None:
+            if self.begun is not self.snapshot:
+                self.begun = self.snapshot
+                self.at_begin = self.db.state_fingerprint()
+        elif self.begun is not None:
+            if self.oracle is self.begun:
+                assert self.db.state_fingerprint() == self.at_begin
+            self.begun = None
 
     @invariant()
     def table_matches_oracle(self):

@@ -510,6 +510,29 @@ class TestAntiEntropy:
         assert replica.quarantined is None
         shard_map.close()
 
+    def test_rolled_back_ddl_leaves_the_replica_consistent(
+            self, tmp_path, clock, faults):
+        """A rolled-back CREATE INDEX never ships, and the primary
+        unwinds it too: the audit finds primary and replica equal."""
+        shard_map = make_map(tmp_path, clock, faults)
+        shard = seed(shard_map.shard("shard-0"))
+        replica = shard.replicas[0]
+        replica.poll()
+        supervisor = ShardSupervisor(shard_map, clock=clock,
+                                     faults=faults, audit_every=1)
+        shard.primary.execute("BEGIN")
+        shard.primary.execute("CREATE INDEX events_note ON events (note)")
+        shard.primary.execute("INSERT INTO events VALUES (50, 'gone')")
+        shard.primary.execute("ROLLBACK")
+        shard.primary.execute("INSERT INTO events VALUES (51, 'kept')")
+        report = supervisor.audit()
+        assert report["shard-0"][replica.replica_id]["verdict"] \
+            == "consistent"
+        assert replica.quarantined is None
+        assert content_checksum(replica.database) \
+            == content_checksum(shard.primary)
+        shard_map.close()
+
     def test_audit_runs_on_its_tick_cadence(self, tmp_path, clock,
                                             faults):
         shard_map = make_map(tmp_path, clock, faults)

@@ -488,3 +488,79 @@ class TestDropTableRollbackCoherence:
             db.rollback()
         sql = "SELECT id, n FROM t ORDER BY n DESC"
         assert compiled.query(sql) == interpreted.query(sql)
+
+
+# ---------------------------------------------------------------------------
+# every DDL kind inside a rolled-back transaction
+# ---------------------------------------------------------------------------
+
+class TestDdlRollbackCoherence:
+    """ROLLBACK unwinds DDL as it unwinds DML: after BEGIN, DML, one
+    DDL statement, more DML and ROLLBACK, the live database equals its
+    pre-BEGIN self and a recovery of its directory (which never saw
+    the transaction)."""
+
+    DDL = {
+        "index": "CREATE INDEX t_v ON t (v)",
+        "unique_index": "CREATE UNIQUE INDEX t_v ON t (v)",
+        "add_column": "ALTER TABLE t ADD COLUMN w INTEGER DEFAULT 7",
+        "add_unique_column": "ALTER TABLE t ADD COLUMN w INTEGER UNIQUE",
+        "create_view": "CREATE VIEW tv2 AS SELECT id, v FROM t",
+        "drop_view": "DROP VIEW tv",
+    }
+
+    @staticmethod
+    def state(db):
+        return (db.state_fingerprint(), db.view_names(),
+                {name: db.storage(name).schema.column_names
+                 for name in db.table_names()})
+
+    @pytest.mark.parametrize("kind", sorted(DDL))
+    def test_rollback_restores_the_pre_begin_state(self, tmp_path, kind):
+        db = Database.recover(tmp_path, "ddl", fsync="off")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.executemany("INSERT INTO t (id, v) VALUES (?, ?)",
+                       [(i, i * 10) for i in range(1, 6)])
+        db.execute("CREATE VIEW tv AS SELECT id FROM t WHERE v > 20")
+        before = self.state(db)
+        db.execute("BEGIN")
+        db.execute("INSERT INTO t (id, v) VALUES (6, 60)")
+        db.execute("UPDATE t SET v = v + 1 WHERE id = 2")
+        db.execute("DELETE FROM t WHERE id = 3")
+        db.execute(self.DDL[kind])
+        db.execute("INSERT INTO t (id, v) VALUES (7, 70)")
+        db.execute("UPDATE t SET v = v + 1 WHERE id = 4")
+        db.execute("DELETE FROM t WHERE id = 1")
+        db.execute("ROLLBACK")
+        assert self.state(db) == before
+        db.close()
+        recovered = Database.recover(tmp_path, "ddl", fsync="off")
+        assert self.state(recovered) == before
+        recovered.close()
+        # Nothing of a rolled-back unique index is left to enforce.
+        db.execute("INSERT INTO t (id, v) VALUES (8, 20)")
+        assert db.query_value(
+            "SELECT COUNT(*) FROM t WHERE v = 20") == 2
+
+    def test_create_index_refuses_a_taken_name(self):
+        # A replaced index could not be rolled back to; the name stays
+        # with the first.
+        from repro.errors import CatalogError
+        db = Database("names")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("CREATE UNIQUE INDEX t_v ON t (v)")
+        with pytest.raises(CatalogError):
+            db.execute("CREATE INDEX T_V ON t (id)")
+        assert db.storage("t").indexes["t_v"].unique
+
+    def test_an_op_with_no_inverse_fails_its_rollback(self):
+        from repro.errors import TransactionError
+        db = Database("unknown")
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.begin()
+        db.record_redo(("truncate", "t"))
+        with pytest.raises(TransactionError, match="unknown redo op"):
+            db.rollback()
+        # The transaction is over and its lock released.
+        assert not db.in_transaction
+        db.execute("INSERT INTO t VALUES (1)")
