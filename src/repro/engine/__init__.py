@@ -5,8 +5,11 @@ technical-resources layer (paper Fig. 5).  It implements a useful subset
 of SQL end-to-end: a tokenizer and recursive-descent parser, a logical
 planner, an iterator-model executor, hash and sorted indexes, and
 transactions whose one write log is both the WAL's redo record and what
-ROLLBACK unwinds — all against an in-memory row store with optional
-snapshot persistence.
+a failed scope unwinds — all against an in-memory row store with
+optional snapshot persistence.  ``Database.transaction()`` is the one
+unit of atomic work: each write statement runs as one scope, scopes
+nest inside the calling thread's transaction, and ROLLBACK unwinds
+the log to its start.
 
 Quickstart::
 

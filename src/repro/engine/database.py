@@ -12,8 +12,9 @@ import pickle
 import threading
 import zlib
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.executor import Executor, ResultSet
 from repro.engine.locking import WriterLock
@@ -205,9 +206,9 @@ class Database:
         # recover) receives one commit record per transaction.  The one
         # write log is _pending, the redo ops of the open transaction
         # (or of the one statement running outside any): COMMIT, or
-        # the statement's end, hands it to the WAL, and ROLLBACK
-        # unwinds it newest first (_unwind).  Beside it, by op
-        # position, sits what a DROP inside the transaction detached.
+        # the statement's end, hands it to the WAL, and a failed scope
+        # unwinds it newest first to its mark (_unwind_to).  Beside
+        # it, by op position, sits what a DROP detached.
         # _suppress_redo silences recording while recovery replays the
         # log into this database.
         self._wal: Optional[WriteAheadLog] = None
@@ -424,7 +425,11 @@ class Database:
                     result = self._run_read(statement, tuple(params),
                                             snapshot)
         else:
+            # Every statement is one transaction() scope, spelled
+            # inline on this hot path: atomic inside a transaction or
+            # out, and its own commit outside one.
             with self._lock.exclusive():
+                mark = len(self._pending)
                 try:
                     if isinstance(statement, ExplainStatement):
                         result = self._explain(statement.statement)
@@ -435,16 +440,11 @@ class Database:
                         # to do changes and invalidates nothing.
                         result = self._executor.execute(
                             statement, tuple(params))
-                finally:
-                    # Outside an explicit transaction every statement
-                    # is its own commit: flush whatever redo it
-                    # produced as one WAL commit record — and publish
-                    # its commit number — before the lock is released,
-                    # even on error, so the log and the snapshot
-                    # visibility horizon mirror the in-memory effects
-                    # of a partially applied statement.
-                    if not self._in_transaction:
-                        self._commit_pending()
+                except BaseException:
+                    self._unwind_to(mark)
+                    raise
+                if not self._in_transaction:
+                    self._commit_pending()
         if isinstance(result, ResultSet):
             with self._state_lock:
                 self.statistics["rows_returned"] += len(result)
@@ -672,24 +672,16 @@ class Database:
                     param_rows: Sequence[Sequence[Any]]) -> int:
         """Run one parameterized DML statement for each parameter row.
 
-        The batch is atomic: when no transaction is open, one is begun
-        and committed around the rows, and rolled back on the first
-        failure — a constraint violation on row N no longer leaves
-        rows 1..N-1 applied.  Inside a caller's transaction the rows
-        simply join it, so the caller keeps control of the boundary.
+        The batch is one :meth:`transaction` scope: a constraint
+        violation on row N leaves none of rows 1..N applied, and inside
+        the calling thread's own transaction the batch nests in it.
         """
-        if self.in_transaction:
-            return self._executemany_rows(sql, param_rows)
-        with self.transaction():
-            return self._executemany_rows(sql, param_rows)
-
-    def _executemany_rows(self, sql: str,
-                          param_rows: Sequence[Sequence[Any]]) -> int:
         total = 0
-        for params in param_rows:
-            result = self.execute(sql, params)
-            if isinstance(result, int):
-                total += result
+        with self.transaction():
+            for params in param_rows:
+                result = self.execute(sql, params)
+                if isinstance(result, int):
+                    total += result
         return total
 
     # -- transactions ----------------------------------------------------------------
@@ -705,47 +697,60 @@ class Database:
 
     @property
     def in_transaction(self) -> bool:
-        return self._in_transaction
+        """Whether the *calling thread* has a transaction open: a
+        transaction belongs to the thread holding the writer lock."""
+        return self._in_transaction and self._lock.owned_exclusively()
 
     def begin(self) -> None:
-        # The transaction scope holds the exclusive lock from BEGIN to
+        # The transaction holds the writer lock from BEGIN to
         # COMMIT/ROLLBACK so no other thread can observe (or disturb)
-        # uncommitted state; statements inside the scope re-acquire it
-        # reentrantly.
+        # uncommitted state; statements inside it nest as scopes.
         self._lock.acquire_write()
-        started = False
-        try:
-            if self._in_transaction:
-                raise TransactionError("transaction already in progress")
-            self._in_transaction = True
-            started = True
-        finally:
-            if not started:
-                self._lock.release_write()
+        if self._in_transaction:
+            self._lock.release_write()
+            raise TransactionError("transaction already in progress")
+        self._in_transaction = True
 
     def commit(self) -> None:
-        if not self._in_transaction:
+        if not self.in_transaction:
             raise TransactionError("no transaction in progress")
         try:
             self._in_transaction = False
-            self._detached.clear()
             self._commit_pending()
         finally:
             self._lock.release_write()
 
     def rollback(self) -> None:
-        if not self._in_transaction:
+        if not self.in_transaction:
             raise TransactionError("no transaction in progress")
         try:
             self._in_transaction = False
             # Nothing of an aborted transaction reaches the WAL.
-            ops, self._pending = self._pending, []
-            for position in reversed(range(len(ops))):
-                self._unwind(ops[position],
-                             self._detached.pop(position, None))
+            self._unwind_to(0)
         finally:
-            self._detached.clear()
             self._lock.release_write()
+
+    @contextmanager
+    def transaction(self) -> Iterator["Database"]:
+        """The engine's one unit of atomic work: under the writer lock,
+        mark the write log; if the body raises, unwind back to the mark.
+        The outermost scope commits; inside the calling thread's open
+        transaction it nests.  A write statement is one scope, and
+        ROLLBACK is the unwind to mark 0."""
+        with self._lock.exclusive():
+            outermost = not self._in_transaction
+            mark = len(self._pending)
+            self._in_transaction = True
+            try:
+                yield self
+            except BaseException:
+                self._unwind_to(mark)
+                raise
+            finally:
+                if outermost:
+                    self._in_transaction = False
+            if outermost:
+                self._commit_pending()
 
     def record_redo(self, entry) -> None:  # requires: _lock
         """Queue the forward image of one mutation on the write log.
@@ -760,14 +765,23 @@ class Database:
 
     def detach(self, body: Any) -> None:  # requires: _lock
         """Keep what the DROP about to be recorded detached (a table's
-        storage, a view's SELECT), for ROLLBACK to put back."""
-        if self._in_transaction:
-            self._detached[len(self._pending)] = body
+        storage, a view's SELECT), for an unwind to put back."""
+        self._detached[len(self._pending)] = body
+
+    def _unwind_to(self, mark: int) -> None:  # requires: _lock
+        """Undo the write log newest first back to ``mark`` entries
+        (taken off the log first: a failed undo never commits)."""
+        undone = self._pending[mark:]
+        del self._pending[mark:]
+        for position in reversed(range(len(undone))):
+            self._unwind(undone[position],
+                         self._detached.pop(mark + position, None))
 
     def _commit_pending(self) -> None:  # requires: _lock
         if not self._pending:
             return
         ops, self._pending = self._pending, []
+        self._detached.clear()
         self._lock.require_exclusive("WAL commit")
         if self._wal is not None:
             # One atomic commit record for the whole transaction,
@@ -776,10 +790,6 @@ class Database:
             # assigned.
             self._wal.commit(ops)
         self._publish_commit(ops)
-
-    def transaction(self) -> "_TransactionScope":
-        """Context manager: commit on success, roll back on exception."""
-        return _TransactionScope(self)
 
     # -- persistence ------------------------------------------------------------------
 
@@ -1199,18 +1209,3 @@ class Database:
             self._wal.close()
             self._wal = None
 
-
-class _TransactionScope:
-    def __init__(self, database: Database):
-        self._db = database
-
-    def __enter__(self) -> Database:
-        self._db.begin()
-        return self._db
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self._db.commit()
-        else:
-            self._db.rollback()
-        return False

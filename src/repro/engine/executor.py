@@ -112,10 +112,13 @@ class Executor:
         if isinstance(statement, CreateIndexStatement):
             return self._execute_create_index(statement)
         if isinstance(statement, AlterTableAddColumn):
-            self._db.storage(statement.table).add_column(statement.column)
+            storage = self._db.storage(statement.table)
+            index = storage.add_column(statement.column)
             self._db.record_redo(
                 ("add_column", statement.table, statement.column))
             self._db.invalidate_plans()
+            if index is not None:
+                storage.require_unique(index)
             return 0
         if isinstance(statement, CreateTableAsStatement):
             return self._execute_create_table_as(statement, params)
@@ -147,12 +150,13 @@ class Executor:
             raise CatalogError(
                 f"index {statement.name!r} already exists on "
                 f"{statement.table!r}")
-        storage.add_index(statement.name, statement.columns,
-                          unique=statement.unique)
+        index = storage.add_index(statement.name, statement.columns,
+                                  unique=statement.unique)
         self._db.record_redo(
             ("create_index", statement.table, statement.name,
              list(statement.columns), statement.unique))
         self._db.invalidate_plans()
+        storage.require_unique(index)
         return 0
 
     def _execute_create_table_as(self, statement: CreateTableAsStatement,

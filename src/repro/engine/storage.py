@@ -222,7 +222,7 @@ class TableStorage:
             self._monitor.on_write(self.schema.name)
         del self.indexes[name.lower()]
 
-    def add_column(self, column) -> None:
+    def add_column(self, column) -> Optional[Index]:
         """Extend the schema and backfill existing rows.
 
         Existing rows take the column default; a NOT NULL column
@@ -248,9 +248,20 @@ class TableStorage:
                 if len(version.row) == old_width:
                     version.row.append(column.default)
         if column.unique:
-            self.add_index(
+            return self.add_index(
                 f"__uniq_{self.schema.name}_{column.name}".lower(),
                 [column.name], unique=True)
+        return None
+
+    def require_unique(self, index: Index) -> None:
+        """Raise if the live rows already break a new ``index``: the
+        statement path's check, run after the DDL is on the write log
+        so its scope unwinds it.  Replay and rebuilds never check, so a
+        log written before the check existed still recovers."""
+        if index.unique:
+            for rowid, row in self.rows.items():
+                index.check_unique(rowid, row, self.schema.name,
+                                   live_rows=self.rows)
 
     def undo_add_column(self, column) -> None:  # requires: engine-exclusive
         """Unwind an aborted :meth:`add_column`: narrow the schema, the

@@ -197,19 +197,8 @@ class JobRunner:
                 result.output = list(stream)
                 result.rows_written = len(result.output)
             else:
-                database = job.load.database
-                own_transaction = not database.in_transaction
-                if own_transaction:
-                    database.begin()
-                try:
+                with job.load.database.transaction():
                     result.rows_written = job.load.write(stream)
-                except Exception:
-                    if own_transaction:
-                        database.rollback()
-                    raise
-                else:
-                    if own_transaction:
-                        database.commit()
         except Exception as exc:
             raise JobExecutionError(
                 f"job {job.name!r} failed: {exc}") from exc

@@ -149,20 +149,10 @@ class Session:
     def flush(self) -> None:
         """Write all pending inserts, updates and deletes to the engine."""
         self._check_open()
-        own_transaction = not self.database.in_transaction
-        if own_transaction:
-            self.database.begin()
-        try:
+        with self.database.transaction():
             self._flush_inserts()
             self._flush_updates()
             self._flush_deletes()
-        except Exception:
-            if own_transaction:
-                self.database.rollback()
-            raise
-        else:
-            if own_transaction:
-                self.database.commit()
 
     def _flush_inserts(self) -> None:
         for instance in list(self._new):

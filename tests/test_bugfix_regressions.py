@@ -2,7 +2,8 @@
 
 Each test here fails on the pre-fix code:
 
-* ``Database.executemany`` left rows 1..N-1 applied when row N failed;
+* ``Database.executemany`` left rows 1..N-1 applied when row N failed,
+  also when another thread held a transaction;
 * ``Database.load`` reset the statistics and never revalidated views
   against the restored catalog;
 * ``Message.with_payload`` minted a fresh ``message_id`` with no
@@ -20,6 +21,7 @@ from repro.engine import Database
 from repro.esb import MessageBus
 from repro.esb.bus import DEAD_LETTER_CHANNEL
 from repro.errors import CatalogError, ConstraintViolation, EsbError
+from tests.test_transaction_scope import run_while_held
 
 
 def _inventory_db():
@@ -74,6 +76,16 @@ class TestExecutemanyAtomicity:
         assert database.in_transaction
         database.rollback()
         assert database.query_value("SELECT COUNT(*) FROM items") == 1
+
+    def test_batch_on_another_thread_stays_atomic(self):
+        """Another thread's open transaction is not this batch's: the
+        batch waits for the lock and is still one unit."""
+        database = _inventory_db()
+        error = run_while_held(database, lambda: database.executemany(
+            "INSERT INTO items (id) VALUES (?)", [(10,), (11,), (10,)]))
+        assert isinstance(error, ConstraintViolation)
+        assert [row[0] for row in database.execute(
+            "SELECT id FROM items ORDER BY id").rows] == [1, 2]
 
 
 class TestSnapshotLoad:

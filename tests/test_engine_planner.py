@@ -96,6 +96,79 @@ def test_compiled_matches_interpreted(db, interpreted, sql, params):
         == PINNED_ROW_COUNTS.get(sql, len(compiled_result.rows))
 
 
+def seed_rota(database):
+    database.execute(
+        "CREATE TABLE shift (id INTEGER PRIMARY KEY, name TEXT, "
+        "dept TEXT, day DATE, hours INTEGER)")
+    database.execute(
+        "INSERT INTO shift VALUES "
+        "(1, 'Ada', 'eng', '2024-01-05', 8), "
+        "(2, 'Bob', 'ENG', '2024-01-05', 6), "
+        "(3, 'Cy', 'ops', '2023-12-31', 4), "
+        "(4, 'Dee', NULL, NULL, NULL), "
+        "(5, 'Eve', 'ops', '2024-02-29', 7)")
+    database.execute("CREATE TABLE rota (dept TEXT, day DATE, lead TEXT)")
+    database.execute(
+        "INSERT INTO rota VALUES ('eng', '2024-01-05', 'Ada'), "
+        "('ops', '2023-12-31', 'Eve'), ('ops', '2024-02-29', 'Cy'), "
+        "('ops', '2024-02-29', 'Eve'), (NULL, NULL, 'nobody'), "
+        "('eng', '2024-01-06', 'Bob')")
+    return database
+
+
+#: Engine paths no other tier-1 test reaches: two-key hash joins
+#: (``JoinNode._hash_multi``, both build sides) and the string and
+#: date scalar functions.
+REACH_QUERIES = [
+    ("SELECT s.name, r.lead FROM shift s JOIN rota r "
+     "ON s.dept = r.dept AND s.day = r.day", ()),
+    ("SELECT s.name, r.lead FROM shift s LEFT JOIN rota r "
+     "ON r.dept = s.dept AND r.day = s.day ORDER BY s.id, r.lead", ()),
+    # One left row against six: the join builds on the left.
+    ("SELECT s.name, r.lead FROM shift s LEFT JOIN rota r "
+     "ON r.dept = s.dept AND r.day = s.day WHERE s.id = ?", (5,)),
+    ("SELECT s.name, r.lead FROM shift s JOIN rota r "
+     "ON s.dept = r.dept AND s.day = r.day WHERE s.id = ?", (3,)),
+    ("SELECT SUBSTR(name, 2) AS tail, SUBSTR(name, 1, 2) AS head, "
+     "LOWER(dept) AS low, DATE(day) AS d, YEAR(day) AS y, "
+     "MONTH(day) AS m, DAY(day) AS dd FROM shift ORDER BY id", ()),
+    ("SELECT LOWER(dept) AS low, COUNT(*) AS n FROM shift "
+     "GROUP BY LOWER(dept) ORDER BY low", ()),
+    ("SELECT name FROM shift WHERE YEAR(day) = ? AND MONTH(day) < 3 "
+     "AND DAY(DATE(day)) >= 5 ORDER BY name", (2024,)),
+    ("SELECT DATE('2024-02-29') AS d, SUBSTR('odbis', 2, 3) AS s, "
+     "LOWER(NULL) AS n", ()),
+]
+
+
+@pytest.mark.parametrize("sql,params", REACH_QUERIES)
+def test_reach_compiled_matches_interpreted(sql, params):
+    compiled = seed_rota(Database("compiled")).execute(sql, params)
+    interpreted = seed_rota(
+        ReferenceDatabase("interpreted")).execute(sql, params)
+    assert compiled.columns == interpreted.columns
+    assert compiled.rows == interpreted.rows
+    assert compiled.rows
+
+
+def test_two_key_joins_hash_on_both_build_sides(monkeypatch):
+    """Non-vacuous: the REACH_QUERIES joins run ``_hash_multi``, with
+    the build on each side."""
+    from repro.engine.planner import JoinNode
+    sides = []
+    hash_multi = JoinNode._hash_multi
+
+    def spy(node, left_rows, right_rows, params):
+        sides.append(node.build_side(len(left_rows), len(right_rows)))
+        return hash_multi(node, left_rows, right_rows, params)
+
+    monkeypatch.setattr(JoinNode, "_hash_multi", spy)
+    database = seed_rota(Database("compiled"))
+    for sql, params in REACH_QUERIES[:4]:
+        database.execute(sql, params)
+    assert sorted(set(sides)) == ["left", "right"]
+
+
 class TestBindRules:
     """Both paths bind a SELECT's names alike: HAVING makes a query
     grouped, an unaliased aggregate is named from every node kind, and

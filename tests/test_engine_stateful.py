@@ -619,35 +619,43 @@ TestEngineStateful = EngineModel.TestCase
 
 @pytest.mark.parametrize("rolled_back_delete", [False, True])
 def test_unique_violation_fails_on_the_same_row(rolled_back_delete):
-    """A multi-row UPDATE that breaks UNIQUE part-way fails on the same
-    row, with the same error and the same rows already written, whether
-    its targets come from an index (compiled) or a full scan (twin).
+    """A multi-row UPDATE visits its targets in the same order whether
+    they come from an index (compiled) or a full scan (twin), so it
+    fails on the same row with the same error, or succeeds, in both.
     A rolled-back delete moves its row to the end of the live scan,
-    and the compiled database must follow that order too."""
+    and the compiled database must follow that order too.  A failed
+    statement is atomic: it leaves the rows as they were before it."""
     outcomes = []
     compiled, twin = Database(), ReferenceDatabase("twin")
+    before = [(1, 10), (2, 30), (3, 20), (4, 50)]
     for database in (compiled, twin):
         database.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, "
                          "grp TEXT, code INTEGER UNIQUE)")
         database.execute("CREATE INDEX u_grp ON u (grp)")
         database.executemany("INSERT INTO u VALUES (?, ?, ?)", [
-            (1, "a", 10), (2, "a", 30), (3, "a", 40), (4, "b", 50)])
+            (1, "a", 10), (2, "a", 30), (3, "a", 20), (4, "b", 50)])
         if rolled_back_delete:
             database.execute("BEGIN")
             database.execute("DELETE FROM u WHERE id = 1")
             database.execute("ROLLBACK")
-        with pytest.raises(ConstraintViolation) as failure:
+        try:
             database.execute(
                 "UPDATE u SET code = code + 10 WHERE grp = ?", ("a",))
+            error = None
+        except ConstraintViolation as failure:
+            error = str(failure)
         rows = database.execute("SELECT id, code FROM u").rows
-        outcomes.append((str(failure.value), sorted(rows)))
+        outcomes.append((error, sorted(rows)))
     plan = compiled.plan_for(compiled._parse(
         "UPDATE u SET code = code + 10 WHERE grp = ?"))
     assert plan.index.name == "u_grp"
     (error, rows), (twin_error, twin_rows) = outcomes
-    assert error == twin_error == \
-        "UNIQUE constraint failed: u(code) = (40,)"
-    # Live order 1, 2, 3 writes id 1 before id 2 fails; after the
-    # rolled-back delete the order is 2, 3, 1 and nothing is written.
-    first = 10 if rolled_back_delete else 20
-    assert rows == twin_rows == [(1, first), (2, 30), (3, 40), (4, 50)]
+    if rolled_back_delete:
+        # Order 2, 3, 1: each new code is free when its row is written.
+        assert error is twin_error is None
+        assert rows == twin_rows == [(1, 20), (2, 40), (3, 30), (4, 50)]
+    else:
+        # Order 1, 2, 3: id 1's new code 20 is still id 3's.
+        assert error == twin_error == \
+            "UNIQUE constraint failed: u(code) = (20,)"
+        assert rows == twin_rows == before

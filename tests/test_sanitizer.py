@@ -27,8 +27,10 @@ from repro.analysis.concurrency import (
 from repro.engine.database import Database
 from repro.engine.locking import WriterLock
 
+import tests.test_bugfix_regressions as bugfix
 import tests.test_concurrency_stress as stress
 import tests.test_crash_chaos as chaos
+import tests.test_transaction_scope as scope
 
 pytestmark = pytest.mark.sanitize
 
@@ -225,6 +227,23 @@ class TestStressBatterySanitized:
         kept = battery.ROUNDS - battery.ROUNDS // 5
         assert sanitized_env.snapshot_reads >= kept * battery.N_WRITERS
         assert sanitized_env.acquisitions > 100
+        sanitized_env.assert_clean()
+
+    def test_cross_thread_scopes_run_clean(self, sanitized_env, tmp_path):
+        """The transaction-scope regressions: another thread's open
+        transaction, nested scopes and failed statements."""
+        battery = scope.TestCrossThreadScopes()
+        battery.test_another_threads_transaction_is_not_mine()
+        battery.test_save_waits_for_the_lock(tmp_path)
+        battery.test_etl_load_stays_atomic()
+        battery.test_orm_flush_stays_atomic()
+        bugfix.TestExecutemanyAtomicity() \
+            .test_batch_on_another_thread_stays_atomic()
+        nested = scope.TestNestedScopes()
+        for name in dir(nested):
+            if name.startswith("test_"):
+                getattr(nested, name)()
+        assert sanitized_env.acquisitions > 0
         sanitized_env.assert_clean()
 
     def test_tenant_stress_runs_clean(self, sanitized_env):

@@ -564,3 +564,86 @@ class TestDdlRollbackCoherence:
         # The transaction is over and its lock released.
         assert not db.in_transaction
         db.execute("INSERT INTO t VALUES (1)")
+
+
+class TestStatementAtomicity:
+    """A statement is one transaction scope: one that fails part-way
+    leaves nothing behind, live or in the log.  A UNIQUE index or
+    column over rows that already break it is refused that way."""
+
+    state = staticmethod(TestDdlRollbackCoherence.state)
+
+    def test_failed_multi_row_insert_leaves_no_row(self, tmp_path):
+        from repro.errors import ConstraintViolation
+        db = Database.recover(tmp_path, "stmt", fsync="off")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        before = self.state(db)
+        with pytest.raises(ConstraintViolation):
+            db.execute("INSERT INTO t VALUES (1, 1), (2, 2), (1, 3)")
+        assert self.state(db) == before
+        db.close()
+        recovered = Database.recover(tmp_path, "stmt", fsync="off")
+        assert self.state(recovered) == before
+        assert recovered.query_value("SELECT COUNT(*) FROM t") == 0
+        recovered.close()
+
+    REFUSED = {
+        "unique_index": "CREATE UNIQUE INDEX t_v ON t (v)",
+        "unique_pair": "CREATE UNIQUE INDEX t_vg ON t (g, v)",
+        "unique_column":
+            "ALTER TABLE t ADD COLUMN w INTEGER UNIQUE DEFAULT 7",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(REFUSED))
+    def test_unique_over_duplicates_is_refused(self, tmp_path, kind):
+        from repro.errors import ConstraintViolation
+        db = Database.recover(tmp_path, "uniq", fsync="off")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, g TEXT, "
+                   "v INTEGER)")
+        db.executemany("INSERT INTO t VALUES (?, ?, ?)", [
+            (1, "a", 5), (2, "a", 5), (3, "a", None), (4, "a", None)])
+        before = self.state(db)
+        with pytest.raises(ConstraintViolation,
+                           match="UNIQUE constraint failed"):
+            db.execute(self.REFUSED[kind])
+        assert self.state(db) == before
+        # Nothing is left to enforce.
+        db.execute("INSERT INTO t VALUES (5, 'a', 5)")
+        after = self.state(db)
+        db.close()
+        recovered = Database.recover(tmp_path, "uniq", fsync="off")
+        assert self.state(recovered) == after
+        recovered.close()
+
+    def test_unique_over_distinct_or_null_keys_is_accepted(self, tmp_path):
+        db = Database.recover(tmp_path, "uniq", fsync="off")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.executemany("INSERT INTO t VALUES (?, ?)",
+                       [(1, 5), (2, None), (3, None)])
+        db.execute("CREATE UNIQUE INDEX t_v ON t (v)")
+        db.execute("ALTER TABLE t ADD COLUMN w INTEGER UNIQUE")
+        # One row left: its default clashes with nothing.
+        db.execute("DELETE FROM t WHERE id > 1")
+        db.execute("ALTER TABLE t ADD COLUMN x INTEGER UNIQUE DEFAULT 7")
+        live = self.state(db)
+        db.close()
+        recovered = Database.recover(tmp_path, "uniq", fsync="off")
+        assert self.state(recovered) == live
+        recovered.close()
+
+    def test_an_older_log_with_such_an_index_still_recovers(
+            self, tmp_path):
+        """Replay never checks: a log that holds a UNIQUE index over
+        duplicates (written before the refusal existed) recovers."""
+        db = Database.recover(tmp_path, "old", fsync="off")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.executemany("INSERT INTO t VALUES (?, ?)", [(1, 5), (2, 5)])
+        with db.transaction():
+            db.storage("t").add_index("t_v", ["v"], unique=True)
+            db.record_redo(("create_index", "t", "t_v", ["v"], True))
+        live = self.state(db)
+        db.close()
+        recovered = Database.recover(tmp_path, "old", fsync="off")
+        assert self.state(recovered) == live
+        assert recovered.storage("t").indexes["t_v"].unique
+        recovered.close()
