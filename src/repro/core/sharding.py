@@ -22,9 +22,11 @@ WAL-shipped read replicas:
   that fences the old primary (closing its log turns a straggler
   commit into a typed :class:`~repro.errors.WalError`), trips its
   circuit breaker, and promotes the most caught-up healthy replica
-  onto the log's committed prefix — exactly the prefix crash recovery
-  would keep.  Every promotion bumps the shard ``generation`` (its
-  *epoch*); routed dispatches carry the epoch they were resolved at
+  by running crash recovery's own step on it
+  (:meth:`~repro.engine.database.Database.take_over_log`), so the
+  promoted engine holds exactly the log's committed prefix.  Every
+  promotion bumps the shard ``generation`` (its *epoch*); routed
+  dispatches carry the epoch they were resolved at
   and are re-checked at execute time, so a straggler racing the
   promotion window gets a typed, retryable
   :class:`~repro.errors.StaleEpochError` instead of an incidental
@@ -61,12 +63,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.resilience import CircuitBreaker, Clock, MonotonicClock
 from repro.engine.database import Database
-from repro.engine.wal import (
-    TAIL_START,
-    WriteAheadLog,
-    committed_prefix,
-    committed_since,
-)
+from repro.engine.wal import TAIL_START, committed_since
 from repro.errors import InjectedFault, ShardError, StaleEpochError, WalError
 
 #: Virtual nodes per shard on the hash ring.  More vnodes smooth the
@@ -457,8 +454,8 @@ class Shard:
             return RouteHandle(self.shard_id, self.generation,
                                self.primary)
 
-    def read_handle(self, staleness_budget: int,
-                    ship: bool = False) -> RouteHandle:  # blocking: ships WAL frames to replicas that are behind (disk reads)
+    def read_handle(self, staleness_budget: int,  # blocking: ships WAL frames to replicas that are behind (disk reads)
+                    ship: bool = False) -> RouteHandle:
         """The epoch-pinned read target: freshest healthy replica
         within budget, else the primary (never a wrong-er answer,
         just no offload).
@@ -566,13 +563,15 @@ class Shard:
         3. *Catch up*: every healthy replica polls the fenced log one
            last time — the committed prefix is complete and final now.
         4. *Promote*: the replica with the highest applied commit
-           number takes over.  The log is truncated to its committed
-           prefix (dropping dangling ops and any torn tail, exactly
-           as crash recovery would) and reopened as the promoted
-           engine's live WAL, numbering onward from the commit number
-           the replica actually holds.  The generation advances and a
-           fresh breaker represents the new primary; the fenced
-           engine is retired (released at :meth:`close`).
+           number takes the log over through crash recovery's own
+           :meth:`~repro.engine.database.Database.take_over_log`: what
+           a cut-off catch-up poll missed is replayed, the dangling ops
+           and torn tail are truncated, and numbering goes on from
+           there.  A replica behind a checkpoint cannot replay the
+           reset log; that raises ``WalError`` and promotes nothing.
+           The generation advances and a fresh breaker represents the
+           new primary; the fenced engine is retired (released at
+           :meth:`close`).
 
         Returns the promoted replica's id.
         """
@@ -605,16 +604,9 @@ class Shard:
                 self._safe_poll(replica)
             promoted = max(candidates,
                            key=lambda replica: replica.applied_cn)
-            _, committed_length, _, _ = committed_prefix(self.wal_path)
-            if self.wal_path.exists() and \
-                    self.wal_path.stat().st_size > committed_length:
-                with open(self.wal_path, "r+b") as handle:
-                    handle.truncate(committed_length)
-            wal = WriteAheadLog(self.wal_path, fsync=self.fsync,
-                                faults=self._faults)
-            wal.last_number = max(wal.last_number,
-                                  promoted.database.committed_cn)
-            promoted.database.attach_wal(wal, self.snapshot_path)
+            promoted.database.take_over_log(
+                self.wal_path, self.snapshot_path, fsync=self.fsync,
+                faults=self._faults)
             with self._lock:
                 self.fenced_breaker = self.breaker
                 self.replicas.remove(promoted)

@@ -1,8 +1,12 @@
 """CWM Transformation package: source-to-target mapping metadata.
 
-Records *what maps to what* between warehouse layers — the metadata the
-integration service stores about its ETL jobs and the MDA engine stores
-about its QVT transformations.
+The metaclasses that record *what maps to what* between warehouse
+layers, and :class:`TransformationBuilder` to build such models.  The
+metaclasses are part of :func:`~repro.cwm.assembly.cwm_metamodel`, and
+the model lint (:func:`~repro.analysis.lint_model`) checks step
+precedence and chained transformations in them.  No platform service
+records its mappings here yet: ETL jobs and the MDA engine's QVT
+transformations keep their own definitions.
 """
 
 from __future__ import annotations

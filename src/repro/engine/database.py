@@ -30,11 +30,9 @@ from repro.engine.planner import RESULT_CACHE_MAX_ROWS
 from repro.engine.schema import Catalog, TableSchema
 from repro.engine.storage import TableStorage
 from repro.engine.wal import (
-    MAGIC,
     WriteAheadLog,
     _fsync_directory,
-    committed_transactions,
-    read_log,
+    committed_prefix,
 )
 from repro.errors import (
     CatalogError,
@@ -202,8 +200,9 @@ class Database:
         self._committed_cn = 0  # guarded-by: _state_lock
         self._open_snapshots: Dict[int, int] = {}  # guarded-by: _state_lock
         self._snapshot_counter = 0  # guarded-by: _state_lock
-        # Durability: a WriteAheadLog attached via attach_wal (or
-        # recover) receives one commit record per transaction.  The one
+        # Durability: the WriteAheadLog this database took over
+        # (take_over_log, run by recover and by a shard's failover)
+        # receives one commit record per transaction.  The one
         # write log is _pending, the redo ops of the open transaction
         # (or of the one statement running outside any): COMMIT, or
         # the statement's end, hands it to the WAL, and a failed scope
@@ -216,11 +215,12 @@ class Database:
         self._pending: List[Any] = []  # guarded-by: _lock
         self._detached: Dict[int, Any] = {}  # guarded-by: _lock
         self._in_transaction = False  # guarded-by: _lock
+        # transaction() scopes open on the lock-holding thread: while
+        # one is, COMMIT and ROLLBACK would end the transaction under
+        # it, so they raise.
+        self._scopes = 0  # guarded-by: _lock
         self._suppress_redo = False
         self._checkpoints = 0
-        # Highest WAL commit number already contained in the snapshot
-        # this database was loaded from (0 = everything must replay).
-        self._snapshot_wal_number = 0
         self.recovery_info: Optional[Dict[str, Any]] = None
 
     def __repr__(self) -> str:
@@ -711,9 +711,15 @@ class Database:
             raise TransactionError("transaction already in progress")
         self._in_transaction = True
 
-    def commit(self) -> None:
+    def _require_transaction(self, action: str) -> None:
         if not self.in_transaction:
             raise TransactionError("no transaction in progress")
+        if self._scopes:
+            raise TransactionError(
+                f"cannot {action} inside a transaction() scope")
+
+    def commit(self) -> None:
+        self._require_transaction("COMMIT")
         try:
             self._in_transaction = False
             self._commit_pending()
@@ -721,8 +727,7 @@ class Database:
             self._lock.release_write()
 
     def rollback(self) -> None:
-        if not self.in_transaction:
-            raise TransactionError("no transaction in progress")
+        self._require_transaction("ROLLBACK")
         try:
             self._in_transaction = False
             # Nothing of an aborted transaction reaches the WAL.
@@ -736,17 +741,21 @@ class Database:
         mark the write log; if the body raises, unwind back to the mark.
         The outermost scope commits; inside the calling thread's open
         transaction it nests.  A write statement is one scope, and
-        ROLLBACK is the unwind to mark 0."""
+        ROLLBACK is the unwind to mark 0.  COMMIT and ROLLBACK inside a
+        scope raise :class:`~repro.errors.TransactionError`: only the
+        scope ends what it opened."""
         with self._lock.exclusive():
             outermost = not self._in_transaction
             mark = len(self._pending)
             self._in_transaction = True
+            self._scopes += 1
             try:
                 yield self
             except BaseException:
                 self._unwind_to(mark)
                 raise
             finally:
+                self._scopes -= 1
                 if outermost:
                     self._in_transaction = False
             if outermost:
@@ -811,13 +820,12 @@ class Database:
         with self._lock.exclusive():
             payload = {
                 "name": self.name,
-                # With a WAL attached the snapshot records how much of
-                # the log it already contains, so recovery replays only
-                # commits numbered beyond it — even when the crash hit
-                # between a checkpoint's snapshot and its log reset.
-                "wal_commit_number": (
-                    self._wal.last_number if self._wal is not None
-                    else self._snapshot_wal_number),
+                # The snapshot records how much of the log it already
+                # contains (the WAL numbers commits as this database
+                # does), so recovery replays only commits numbered
+                # beyond it — even when the crash hit between a
+                # checkpoint's snapshot and its log reset.
+                "wal_commit_number": self._committed_cn,
                 "statistics": dict(self.statistics),
                 "views": dict(self.views),
                 "tables": [
@@ -931,28 +939,9 @@ class Database:
         for select in database.views.values():
             database._run_select(select, ())
         database.statistics.update(payload.get("statistics", {}))
-        database._snapshot_wal_number = \
-            payload.get("wal_commit_number") or 0
         return database
 
     # -- write-ahead logging / crash recovery -------------------------------------
-
-    def attach_wal(self, wal: WriteAheadLog,
-                   snapshot_path: Optional[Union[str, Path]] = None) -> None:
-        """Start logging every committed mutation to ``wal``.
-
-        ``snapshot_path`` is where :meth:`checkpoint` writes the
-        snapshot that lets the log be truncated.
-        """
-        self._wal = wal
-        # Keep the MVCC clock in lockstep with the WAL numbering: new
-        # effects are stamped committed + 1, which from here on is
-        # exactly the number the WAL assigns their commit record.
-        with self._state_lock:
-            if wal.last_number > self._committed_cn:
-                self._committed_cn = wal.last_number
-        if snapshot_path is not None:
-            self._snapshot_path = Path(snapshot_path)
 
     @property
     def wal(self) -> Optional[WriteAheadLog]:
@@ -989,7 +978,7 @@ class Database:
         target = Path(path) if path is not None else self._snapshot_path
         if target is None:
             raise WalError(
-                "checkpoint needs a snapshot path (attach_wal or "
+                "checkpoint needs a snapshot path (take_over_log or "
                 "checkpoint(path=...))")
         with self._lock.exclusive():
             if self.in_transaction:
@@ -1083,84 +1072,82 @@ class Database:
         """Rebuild a database from its data directory after a crash.
 
         Loads the last snapshot (``<name>.snapshot``) when one exists,
-        replays every *committed* transaction from the WAL tail
-        (``<name>.wal``), discards torn/corrupt frames and intact but
-        uncommitted trailing ops, truncates the log back to the last
-        commit record (so later appends cannot resurrect them), then
-        re-attaches a live WAL so the database keeps logging.  Views
-        are revalidated against the recovered catalog; compiled plans
-        start cold.
+        else starts empty, then takes the log (``<name>.wal``) over
+        (:meth:`take_over_log`): every committed transaction past the
+        snapshot replays, and torn/corrupt frames and intact but
+        uncommitted trailing ops are truncated away.  Views are
+        revalidated against the recovered catalog; compiled plans start
+        cold.
         """
         directory = Path(directory)
         snapshot = directory / f"{name}.snapshot"
-        wal_path = directory / f"{name}.wal"
         snapshot_loaded = snapshot.exists()
-        if snapshot_loaded:
-            database = cls.load(snapshot, faults=faults)
-        else:
-            database = cls(name)
-        entries, good_length, tail_reason = read_log(wal_path)
-        transactions, committed_length, dangling = \
-            committed_transactions(entries)
-        base = database._snapshot_wal_number
-        replayable = [(number, ops) for number, ops in transactions
-                      if number > base]
-        database._suppress_redo = True
-        try:
-            # Replay stamps each transaction's effects with its actual
-            # WAL commit number, rebuilding the same version lifetimes
-            # the pre-crash database had published; publishing settles
-            # as a live commit does.
-            for number, ops in replayable:
-                database._committed_cn = number - 1
-                database._apply_redo(ops)
-                database._publish_commit(ops)
-        finally:
-            database._suppress_redo = False
+        database = cls.load(snapshot, faults=faults) if snapshot_loaded \
+            else cls(name)
+        found = database.take_over_log(directory / f"{name}.wal",
+                                       snapshot, fsync=fsync,
+                                       faults=faults)
         for select in database.views.values():
             database._run_select(select, ())
-        discarded = 0
-        if wal_path.exists():
-            # Keep exactly the committed prefix: behind it may sit an
-            # intact-but-uncommitted op run and/or a torn tail, and
-            # both must go before new commits are appended.
-            keep = committed_length
-            if keep == 0 and good_length >= len(MAGIC):
-                keep = len(MAGIC)
-            size = wal_path.stat().st_size
-            if size > keep:
-                discarded = size - keep
-                with open(wal_path, "r+b") as handle:
-                    handle.truncate(keep)
-        wal = WriteAheadLog(wal_path, fsync=fsync, faults=faults)
-        wal.last_number = max(wal.last_number, base)
-        database.attach_wal(wal, snapshot)
-        database.recovery_info = {
-            "snapshot_loaded": snapshot_loaded,
-            "transactions_replayed": len(replayable),
-            "dangling_ops": dangling,
-            "tail_reason": tail_reason,
-            "discarded_bytes": discarded,
-        }
+        database.recovery_info = {"snapshot_loaded": snapshot_loaded,
+                                  **found}
         database.invalidate_plans()
         return database
+
+    def take_over_log(self, wal_path: Union[str, Path],  # blocking: replays, truncates and reopens a log on disk
+                      snapshot_path: Union[str, Path], *,
+                      fsync: str = "always",
+                      faults=None) -> Dict[str, Any]:
+        """Bring this database to the committed prefix of the log at
+        ``wal_path`` and make that log its own: the one step of crash
+        recovery (onto a snapshot or nothing) and failover (onto a warm
+        replica).
+
+        Every committed transaction past :attr:`committed_cn` goes
+        through :meth:`apply_committed`, whose gap check refuses a log
+        that skips numbers (a lost checkpoint snapshot) before anything
+        changes.  The dangling op run and torn tail behind the last
+        commit record are truncated, and the log reopens as the live
+        WAL, numbering on from the commit number.  ``snapshot_path`` is
+        where :meth:`checkpoint` writes.  Returns the log's
+        ``transactions_replayed``, ``dangling_ops``, ``tail_reason`` and
+        ``discarded_bytes``.
+        """
+        wal_path = Path(wal_path)
+        transactions, committed_length, dangling, tail_reason = \
+            committed_prefix(wal_path)
+        replayed = self.apply_committed(transactions)
+        discarded = 0
+        if wal_path.exists():
+            discarded = wal_path.stat().st_size - committed_length
+            if discarded:
+                with open(wal_path, "r+b") as handle:
+                    handle.truncate(committed_length)
+        wal = WriteAheadLog(wal_path, fsync=fsync, faults=faults)
+        wal.last_number = self._committed_cn
+        self._wal = wal
+        self._snapshot_path = Path(snapshot_path)
+        return {"transactions_replayed": replayed,
+                "dangling_ops": dangling,
+                "tail_reason": tail_reason,
+                "discarded_bytes": discarded}
 
     def apply_committed(
             self, transactions: Sequence[Tuple[int, Sequence[Any]]]) \
             -> int:
-        """Apply committed transactions shipped from another log.
+        """Apply committed transactions read from a log.
 
-        The replication entry point: a read replica tails its
-        primary's WAL and hands the committed prefix here.  Each
-        transaction is applied exactly as :meth:`recover` replays it —
-        effects stamped with the shipping commit number, the commit
-        published atomically — but under the exclusive statement lock,
+        The one replay path: a read replica hands its primary's newly
+        committed transactions here, and :meth:`take_over_log` (crash
+        recovery, failover) the log's committed prefix.  Effects are
+        stamped with the logged commit number and each commit is
+        published atomically, under the exclusive statement lock,
         because a live replica keeps serving snapshot reads while it
         applies.  Transactions at or below the current commit number
         are skipped (re-shipping a prefix is idempotent); a numbering
-        gap raises :class:`~repro.errors.WalError` so the shipper can
-        fall back to a snapshot resync.  Returns how many transactions
-        were applied.
+        gap raises :class:`~repro.errors.WalError` (a replica's shipper
+        then falls back to a snapshot resync).  Returns how many
+        transactions were applied.
         """
         with self._lock.exclusive():
             if self.in_transaction:
@@ -1175,10 +1162,11 @@ class Database:
                         continue
                     if number != self._committed_cn + 1:
                         raise WalError(
-                            f"replication gap: next shipped "
-                            f"transaction is #{number} but "
-                            f"{self.name!r} is at "
-                            f"#{self._committed_cn}")
+                            f"commit gap: {self.name!r} is at "
+                            f"#{self._committed_cn} but the next "
+                            f"transaction it is given is #{number}; "
+                            f"the ones between are only in a "
+                            f"checkpoint snapshot it does not hold")
                     self._apply_redo(ops)
                     self._publish_commit(ops)
                     applied += 1

@@ -50,8 +50,7 @@ class Message:
         The originating message's id rides along as the
         ``correlation_id`` header (set once, then preserved across
         transformer/router hops) so transformed messages stay
-        correlated with their origin in the delivery log and the
-        dead-letter queue.
+        correlated with their origin in the dead-letter queue.
         """
         headers = dict(self.headers)
         headers.setdefault("correlation_id", self.message_id)
@@ -90,7 +89,6 @@ class MessageBus:
         self.clock = clock
         self.faults = faults
         self.dead_letters: List[Message] = []
-        self.delivery_log: List[str] = []
         #: One ``(channel, message_id, attempts)`` triple per endpoint
         #: invocation that needed more than one attempt.
         self.retry_log: List[Tuple[str, int, int]] = []
@@ -211,7 +209,6 @@ class MessageBus:
             raise EsbError(
                 f"message {message.message_id} exceeded "
                 f"{self.max_hops} hops (routing loop?)")
-        self.delivery_log.append(f"{channel}:{message.message_id}")
         if channel == DEAD_LETTER_CHANNEL:
             self.dead_letters.append(message)
         for endpoint in self._channel(channel):

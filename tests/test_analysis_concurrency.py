@@ -409,6 +409,24 @@ class TestReacquisitionAndAnnotations:
         assert diagnostic.severity is Severity.WARNING
         assert "_lokc" in diagnostic.message
 
+    def test_every_blocking_note_in_the_tree_is_on_its_def_line(self):
+        # The analyzer reads a ``# blocking:`` note only on the ``def``
+        # line itself; on a continuation line it is silently ignored.
+        import tokenize
+        from pathlib import Path
+
+        import repro
+
+        misplaced = []
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            with open(path, "rb") as handle:
+                for token in tokenize.tokenize(handle.readline):
+                    if token.type == tokenize.COMMENT \
+                            and token.string.startswith("# blocking:") \
+                            and not token.line.lstrip().startswith("def "):
+                        misplaced.append(f"{path.name}:{token.start[0]}")
+        assert misplaced == []
+
 
 class TestEntryPoints:
     def test_directory_and_file_inputs_agree(self, tmp_path):

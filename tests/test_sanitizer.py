@@ -30,7 +30,10 @@ from repro.engine.locking import WriterLock
 import tests.test_bugfix_regressions as bugfix
 import tests.test_concurrency_stress as stress
 import tests.test_crash_chaos as chaos
+import tests.test_sharding as sharding
+import tests.test_supervision as supervision
 import tests.test_transaction_scope as scope
+import tests.test_wal_recovery as recovery
 
 pytestmark = pytest.mark.sanitize
 
@@ -278,4 +281,25 @@ class TestCrashBatterySanitized:
         battery.test_recovery_round_trips_the_live_state(
             tmp_path, compiled=True)
         assert sanitized_env.acquisitions > 100
+        sanitized_env.assert_clean()
+
+    def test_failover_and_recovery_regressions_run_clean(
+            self, sanitized_env, tmp_path):
+        """Promotion is recovery: the failover and recovery regressions
+        of ``Database.take_over_log``, every database sanitized."""
+        from repro.core.resilience import FakeClock, FaultInjector
+
+        failover = sharding.TestFailover()
+        failover \
+            .test_partitioned_replica_is_promoted_with_every_acknowledged_write(
+                tmp_path / "promote")
+        failover.test_replica_behind_a_checkpoint_is_not_promoted(
+            tmp_path / "behind")
+        supervision.TestAntiEntropy() \
+            .test_replicas_stay_a_prefix_of_a_primary_promoted_past_a_partition(
+                tmp_path / "audit", FakeClock(), FaultInjector())
+        recovery.TestDatabaseRecover() \
+            .test_a_lost_checkpoint_snapshot_is_refused_not_skipped(
+                tmp_path / "lost")
+        assert sanitized_env.acquisitions > 0
         sanitized_env.assert_clean()

@@ -16,7 +16,8 @@ import pytest
 
 from repro.core import OdbisPlatform
 from repro.core.resilience import FaultInjector
-from repro.core.sharding import HashRing, ShardMap
+from repro.core.sharding import HashRing, Shard, ShardMap
+from repro.engine.database import Database
 from repro.engine.wal import committed_prefix, frame_record
 from repro.errors import CrashPoint, ShardError, TenantError, WalError
 
@@ -370,6 +371,70 @@ class TestFailover:
         assert health["generation"] == 1
         assert health["fenced_breaker"] == "open"
 
+    def test_partitioned_replica_is_promoted_with_every_acknowledged_write(
+            self, tmp_path):
+        """The promoted replica's final catch-up poll is cut off, so it
+        misses commits 5 and 6.  Promotion replays them from the log,
+        as recovery would, instead of numbering on past them."""
+        faults = FaultInjector()
+        shard = Shard("s0", tmp_path, replicas=1, fsync="off",
+                      faults=faults)
+        try:
+            shard.primary.execute(
+                "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+            for index in range(3):
+                shard.primary.execute("INSERT INTO t VALUES (?, ?)",
+                                      (index, index))
+            shard.poll_replicas()
+            faults.inject(
+                f"replica.partition.{shard.replicas[0].replica_id}")
+            for index in range(3, 5):
+                shard.primary.execute("INSERT INTO t VALUES (?, ?)",
+                                      (index, index))
+            acknowledged = shard.primary.state_fingerprint()
+            assert shard.replicas[0].applied_cn == 4
+            shard.failover()
+            assert shard.primary.committed_cn == 6
+            assert shard.primary.state_fingerprint() == acknowledged
+            # The next commit takes the next rowid and number.
+            shard.primary.execute("INSERT INTO t VALUES (5, 5)")
+            assert shard.primary.wal.last_number == 7
+            live = shard.primary.state_fingerprint()
+        finally:
+            shard.close()
+        recovered = Database.recover(tmp_path, "s0", fsync="off")
+        try:
+            assert recovered.committed_cn == 7
+            assert recovered.state_fingerprint() == live
+        finally:
+            recovered.close()
+
+    def test_replica_behind_a_checkpoint_is_not_promoted(self, tmp_path):
+        """A replica cut off before the primary checkpointed cannot
+        replay the reset log: the failover raises and promotes nothing,
+        and a retry once the partition lifts resyncs and promotes."""
+        faults = FaultInjector()
+        shard = Shard("s0", tmp_path, replicas=1, fsync="off",
+                      faults=faults)
+        try:
+            seeded = shard.primary
+            seeded.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+            replica = shard.replicas[0]
+            faults.inject(f"replica.partition.{replica.replica_id}")
+            seeded.execute("INSERT INTO t VALUES (1)")
+            seeded.checkpoint()
+            seeded.execute("INSERT INTO t VALUES (2)")
+            acknowledged = seeded.state_fingerprint()
+            with pytest.raises(WalError, match="#0 .*#3"):
+                shard.failover()
+            assert shard.primary is seeded and shard.generation == 0
+            assert replica.applied_cn == 0
+            faults.clear()
+            assert shard.failover() == replica.replica_id
+            assert shard.primary.state_fingerprint() == acknowledged
+        finally:
+            shard.close()
+
     def test_failover_without_replicas_is_typed(self, tmp_path):
         bare = ShardMap(tmp_path / "bare", shards=1, replicas=0,
                         fsync="off")
@@ -426,6 +491,34 @@ class TestShardedPlatform:
         report = platform.health_report().to_dict()
         assert report["shards"][shard_id]["generation"] == 1
         platform.close()
+
+    def test_acknowledged_write_survives_failover_past_a_partition(
+            self, tmp_path):
+        platform = OdbisPlatform(data_dir=tmp_path, fsync="off",
+                                 shards=1, replicas_per_shard=1)
+        try:
+            platform.provisioning.provision("acme", "Acme", plan="team")
+            headers = self.login(platform, "acme")
+
+            def sql(text):
+                return platform.gateway.submit(
+                    "POST", "/tenants/acme/sql", headers=headers,
+                    body={"sql": text}).result(30)
+
+            assert sql("CREATE TABLE kpis "
+                       "(id INTEGER PRIMARY KEY, v INTEGER)").status == 200
+            assert sql("INSERT INTO kpis VALUES (1, 41)").status == 200
+            assert sql("SELECT id FROM kpis").json()["served_by"] \
+                .endswith("-replica-0")
+            replica = platform.shards.shard("shard-0").replicas[0]
+            platform.faults.inject(
+                f"replica.partition.{replica.replica_id}")
+            assert sql("INSERT INTO kpis VALUES (2, 42)").status == 200
+            platform.failover("shard-0")
+            assert sql("SELECT id FROM kpis ORDER BY id").json()["rows"] \
+                == [{"id": 1}, {"id": 2}]
+        finally:
+            platform.close()
 
     def test_sharded_platform_recovers_with_stable_placement(
             self, tmp_path):

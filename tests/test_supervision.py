@@ -491,6 +491,33 @@ class TestAntiEntropy:
             == content_checksum(shard.primary)
         shard_map.close()
 
+    def test_replicas_stay_a_prefix_of_a_primary_promoted_past_a_partition(
+            self, tmp_path, clock, faults):
+        """Both replicas are cut off for the last two commits.  The
+        promoted one replays them from the log, so when the other one
+        polls the same log later the two agree, and the audit finds a
+        healthy replica, not a divergent one."""
+        shard_map = make_map(tmp_path, clock, faults, replicas=2)
+        shard = seed(shard_map.shard("shard-0"), rows=3)
+        shard.poll_replicas()
+        for replica in shard.replicas:
+            faults.inject(f"replica.partition.{replica.replica_id}")
+        for index in range(3, 5):
+            shard.primary.execute(
+                "INSERT INTO events VALUES (?, 'late')", (index,))
+        acknowledged = shard.primary.state_fingerprint()
+        shard.failover()
+        assert shard.primary.state_fingerprint() == acknowledged
+        faults.clear()
+        supervisor = ShardSupervisor(shard_map, clock=clock,
+                                     faults=faults, audit_every=1)
+        [survivor] = shard.replicas
+        entry = supervisor.audit()["shard-0"][survivor.replica_id]
+        assert entry["verdict"] == "consistent"
+        assert entry["checksum_cn"] == shard.primary.committed_cn == 6
+        assert survivor.quarantined is None
+        shard_map.close()
+
     def test_lagging_replica_defers_the_checksum(self, tmp_path,
                                                  clock, faults):
         shard_map = make_map(tmp_path, clock, faults)

@@ -193,3 +193,37 @@ class TestNestedScopes:
         database.rollback()
         assert ids(database) == [1]
         assert database._pending == []
+
+    def test_commit_inside_a_scope_raises_and_keeps_the_scope(self):
+        database = _items()
+        with database.transaction():
+            database.execute("INSERT INTO items VALUES (2, 'kept')")
+            with pytest.raises(TransactionError, match="COMMIT"):
+                database.execute("COMMIT")
+            with pytest.raises(TransactionError, match="COMMIT"):
+                database.commit()
+            assert database.in_transaction
+            database.execute("INSERT INTO items VALUES (3, 'kept')")
+        assert not database.in_transaction
+        assert database._lock.owner() is None
+        assert ids(database) == [1, 2, 3]
+
+    def test_rollback_inside_a_scope_raises_and_unwinds_the_scope(self):
+        database = _items()
+        with pytest.raises(TransactionError, match="ROLLBACK"):
+            with database.transaction():
+                database.rollback()
+                database.execute("INSERT INTO items VALUES (2, 'never')")
+                raise ValueError("not reached")
+        assert database._lock.owner() is None
+        assert ids(database) == [1]
+
+    def test_commit_inside_a_scope_nested_in_begin_raises(self):
+        database = _items()
+        database.begin()
+        with database.transaction():
+            database.execute("INSERT INTO items VALUES (2, 'kept')")
+            with pytest.raises(TransactionError):
+                database.execute("ROLLBACK")
+        database.execute("COMMIT")
+        assert ids(database) == [1, 2]

@@ -280,6 +280,25 @@ class TestDatabaseRecover:
         assert recovered.state_fingerprint() == fingerprint
         recovered.close()
 
+    def test_a_lost_checkpoint_snapshot_is_refused_not_skipped(
+            self, tmp_path):
+        """After a checkpoint the log starts past commit 1.  Without
+        the snapshot that holds the commits before it, recovery must
+        refuse, not replay the tail onto an empty database."""
+        db = Database.recover(tmp_path, "main", fsync="off")
+        db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY)")
+        db.execute("INSERT INTO a VALUES (1)")
+        db.checkpoint()
+        db.execute("CREATE TABLE b (id INTEGER PRIMARY KEY)")
+        db.execute("INSERT INTO b VALUES (1)")
+        db.close()
+        (tmp_path / "main.snapshot").unlink()
+        size = (tmp_path / "main.wal").stat().st_size
+        with pytest.raises(WalError, match=r"is at #0 .* is #3"):
+            Database.recover(tmp_path, "main", fsync="off")
+        # Refused before anything was truncated.
+        assert (tmp_path / "main.wal").stat().st_size == size
+
     def test_save_racing_add_column_stays_recoverable(
             self, tmp_path, monkeypatch):
         """``save`` serializes the live schemas and row lists, which

@@ -99,8 +99,9 @@ class LogDriver:
         self.wal.close()
 
     def reopen(self):
-        """What recovery and failover both do: keep exactly the
-        committed prefix, number onward."""
+        """The log half of ``Database.take_over_log``, which recovery
+        and failover both run: keep exactly the committed prefix,
+        number onward."""
         last = self.wal.last_number
         self.wal.close()
         _, committed_length, _, _ = committed_prefix(self.path)
