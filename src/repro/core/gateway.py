@@ -17,10 +17,10 @@ The gateway is also where the resilience kernel meets traffic:
 * each tenant has a :class:`Bulkhead` concurrency cap — a hot tenant
   sheds load with a typed 429 instead of occupying every worker,
 * each tenant has a :class:`CircuitBreaker`; while it is open the
-  gateway answers from the stale-response cache with a typed
-  :class:`DegradedResponse` (staleness marker included) instead of
-  hammering the broken backend, and once half-open it lets one probe
-  through at a time,
+  gateway answers past the tenant wall from the :class:`ResponseStore`
+  with a typed :class:`DegradedResponse` (staleness marker included)
+  instead of hammering the broken backend, and once half-open it lets
+  one probe through at a time,
 * no exception escapes to callers: worker failures become typed 500
   responses and count against the tenant's breaker.
 
@@ -46,7 +46,7 @@ import queue
 import sys
 import threading
 import weakref
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -63,10 +63,10 @@ from repro.core.resilience import (
     MonotonicClock,
     TenantHealth,
 )
-from repro.core.tenancy import TenantManager
+from repro.core.tenancy import TenantCache, TenantManager
 from repro.engine.locking import writer_locks_held
 from repro.errors import GatewayShutdownError, TenantError, TransactionError
-from repro.web import JsonResponse, Response, WebApplication
+from repro.web import JsonResponse, Request, Response, WebApplication
 
 #: Default worker-pool width (the paper's "many concurrent tenants").
 DEFAULT_WORKERS = 8
@@ -77,7 +77,7 @@ DEFAULT_BREAKER_THRESHOLD = 5
 #: Seconds (on the gateway clock) an open breaker stays open.
 DEFAULT_BREAKER_COOLDOWN = 30.0
 
-#: Entries kept in the stale-response cache before LRU eviction.
+#: Entries kept in the response store before LRU eviction.
 DEFAULT_STALE_CACHE_CAPACITY = 1024
 
 #: Entries kept in the dispatch-log ring buffer.  The log is an
@@ -263,6 +263,34 @@ def _shut_pools_at_exit() -> None:
         pool.shutdown(wait=True)
 
 
+class ResponseStore(TenantCache):
+    """The last 2xx response to each idempotent read (:meth:`key`) and
+    when it was kept.  Read only past the tenant wall: fresh while its
+    ``seen`` stands, or stale for degraded traffic (DESIGN §5b)."""
+
+    @staticmethod
+    def key(tenant_id: Optional[str], method: str, path: str,
+            query: Optional[Dict[str, Any]], body: Any) \
+            -> Optional[Tuple[Any, ...]]:
+        """The identity of an idempotent read: tenant, method, path,
+        canonical (sorted) query and, for a POST of read-only SQL, its
+        text and parameters.  None for a mutation (a kept POST replayed
+        as a 200 would fake a write) and for a path outside a tenant."""
+        if tenant_id is None:
+            return None
+        method = method.upper()
+        canonical = tuple(sorted(
+            (str(name), str(value))
+            for name, value in (query or {}).items()))
+        if method in ("GET", "HEAD"):
+            return (tenant_id, method, path, canonical)
+        sql = RequestGateway._sql_of(body)
+        if sql is not None and read_only_statement(sql):
+            return (tenant_id, method, path, canonical + (
+                ("sql", sql), ("params", repr(body.get("params")))))
+        return None
+
+
 class RequestGateway:
     """Dispatches tenant requests onto a worker pool.
 
@@ -333,14 +361,7 @@ class RequestGateway:
         self._breakers: Dict[str, CircuitBreaker] = {}  # guarded-by: _guard_lock
         self._bulkheads: Dict[str, Bulkhead] = {}  # guarded-by: _guard_lock
         self._guard_lock = threading.Lock()
-        # LRU-bounded last-known-good responses for degraded serving:
-        # an unbounded dict here grows with every distinct request
-        # identity for the life of the gateway.  The response is kept
-        # as it was answered and parsed only when served stale.
-        self._stale_cache: \
-            "OrderedDict[Tuple[Any, ...], Tuple[Response, float]]" \
-            = OrderedDict()  # guarded-by: _stale_lock
-        self._stale_lock = threading.Lock()
+        self.responses = ResponseStore()
         self._draining = False  # guarded-by: _drain
         self._inflight = 0  # guarded-by: _drain
         self._drain = threading.Condition()
@@ -635,67 +656,34 @@ class RequestGateway:
         self._log(path, decision, work["qos"])
         return self._start(work)
 
-    def _stale_cache_key(self, work: Dict[str, Any]) \
-            -> Optional[Tuple[Any, ...]]:
-        """The degraded-serving identity of an idempotent read.
-
-        Returns None for mutations: replaying a cached POST payload as
-        a fresh 200 would fake a write that never ran, so mutations are
-        never cached and never answered stale.  A POST whose body is a
-        read-only SQL statement *is* an idempotent read — its identity
-        includes the statement text.  The query string participates in
-        the key in canonical (sorted) order so dict ordering cannot
-        split or alias entries.  Paths outside a tenant have no
-        identity.
-        """
-        tenant_id, path = work["tenant_id"], work["path"]
-        if tenant_id is None:
-            return None
-        method = work["method"].upper()
-        canonical = tuple(sorted(
-            (str(key), str(value))
-            for key, value in (work["query"] or {}).items()))
-        if method in ("GET", "HEAD"):
-            return (tenant_id, method, path, canonical)
-        sql = self._sql_of(work["body"])
-        if sql is not None and read_only_statement(sql):
-            return (tenant_id, method, path,
-                    canonical + (("sql", sql),))
-        return None
-
     def _stale_answer(self, work: Dict[str, Any], reason: str,
-                      breaker: Optional[CircuitBreaker]) \
-            -> DegradedResponse:
-        """The last known-good body for ``work``, marked stale — or a
-        503 degraded notice when nothing is cached for it."""
-        key = self._stale_cache_key(work)
-        cached = None
-        if key is not None:
-            with self._stale_lock:
-                cached = self._stale_cache.get(key)
-                if cached is not None:
-                    # A hit is a use: keep entries that still serve
-                    # degraded traffic away from the eviction end.
-                    self._stale_cache.move_to_end(key)
+                      breaker: Optional[CircuitBreaker]) -> Response:
+        """The last known-good body for ``work``, marked stale, or a 503
+        notice — once authentication and the tenant wall let it by."""
+        key = ResponseStore.key(work["tenant_id"], work["method"],
+                                work["path"], work["query"], work["body"])
         retry_after = self._retry_after(breaker)
-        if cached is None:
-            return DegradedResponse(reason, retry_after=retry_after)
-        response, written_at = cached
-        try:
-            payload = response.json()
-        except ValueError:
-            payload = response.body  # non-JSON output
-        return DegradedResponse(reason, payload=payload, stale=True,
-                                stale_as_of=written_at,
-                                retry_after=retry_after)
 
-    def _stale_cache_put(self, key: Tuple[Any, ...],
-                         response: Response) -> None:
-        with self._stale_lock:
-            self._stale_cache[key] = (response, self.clock.now())
-            self._stale_cache.move_to_end(key)
-            while len(self._stale_cache) > DEFAULT_STALE_CACHE_CAPACITY:
-                self._stale_cache.popitem(last=False)
+        def answer(request: Request) -> Response:
+            kept = None if key is None else self.responses.get(key)
+            if kept is None:
+                return DegradedResponse(reason, retry_after=retry_after)
+            response, written_at = kept
+            try:
+                payload = response.json()
+            except ValueError:
+                payload = response.body  # non-JSON output
+            return DegradedResponse(reason, payload=payload, stale=True,
+                                    stale_as_of=written_at,
+                                    retry_after=retry_after)
+
+        try:
+            return self.web.handle(Request(
+                work["method"], work["path"], dict(work["headers"] or {}),
+                dict(work["query"] or {}), work["body"], answer=answer))
+        except Exception:
+            # Not even a refusal came back: the notice, never kept data.
+            return DegradedResponse(reason, retry_after=retry_after)
 
     @staticmethod
     def _stale_epoch_response(response: Response) -> bool:
@@ -754,9 +742,12 @@ class RequestGateway:
                 or self._stale_epoch_response(response)
             if response.ok and (self.overload is None or
                                 self.overload.brownout.allows_cache_fill()):
-                key = self._stale_cache_key(work)
+                key = ResponseStore.key(
+                    work["tenant_id"], work["method"], work["path"],
+                    work["query"], work["body"])
                 if key is not None:
-                    self._stale_cache_put(key, response)
+                    self.responses.put(key, (response, self.clock.now()),
+                                       DEFAULT_STALE_CACHE_CAPACITY)
             return response
         finally:
             self._finish(work, outcome=(self.clock.now() - started, ok,

@@ -14,9 +14,8 @@ glossary extent for its business vocabulary.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from contextlib import ExitStack
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis import SqlAnalyzer, dataset_columns_from_sql
 from repro.analysis.reports import DatasetColumns
@@ -27,7 +26,7 @@ from repro.errors import ConstraintViolation, ServiceError
 from repro.mof.kernel import ModelExtent
 from repro.mof.xmi import read_xmi, write_xmi
 from repro.core.resources import TechnicalResourcesLayer
-from repro.core.tenancy import TenantManager
+from repro.core.tenancy import TenantCache, TenantManager
 
 _URL_PREFIX = "repro://"
 
@@ -54,7 +53,7 @@ def insert_artefact(database: Database, kind: str, table: str,
                            f"{row[1]!r}") from exc
 
 
-class ArtefactCache:
+class ArtefactCache(TenantCache):
     """Compiled forms of stored artefacts, each read from its row once.
 
     An artefact row has one writer, :func:`insert_artefact`; its
@@ -72,20 +71,16 @@ class ArtefactCache:
     """
 
     def __init__(self, database: Database):
+        super().__init__()
         self.database = database
-        self._compiled: "OrderedDict[Tuple[str, str, str], Any]" = \
-            OrderedDict()  # guarded-by: _lock
-        self._lock = threading.Lock()
 
     def read(self, kind: str, table: str, tenant_id: str, name: str,
              compile: Callable[[Dict[str, Any]], Any]) -> Any:
         """The compiled form of one artefact row, or ServiceError."""
-        key = (table, tenant_id, name)
-        with self._lock:
-            compiled = self._compiled.get(key)
-            if compiled is not None:
-                self._compiled.move_to_end(key)
-                return compiled
+        key = (tenant_id, table, name)
+        compiled = self.get(key)
+        if compiled is not None:
+            return compiled
         rows = self.database.query(
             f"SELECT * FROM {table} WHERE tenant = ? AND name = ?",
             (tenant_id, name))
@@ -94,18 +89,23 @@ class ArtefactCache:
                 f"tenant {tenant_id!r} has no {kind} {name!r}")
         compiled = compile(rows[0])
         if not self.database.in_transaction:
-            with self._lock:
-                compiled = self._compiled.setdefault(key, compiled)
-                if len(self._compiled) > STATEMENT_CACHE_CAPACITY:
-                    self._compiled.popitem(last=False)
+            self.put(key, compiled, STATEMENT_CACHE_CAPACITY)
         return compiled
 
-    def forget(self, tenant_id: str) -> None:
-        """Drop every entry of one tenant (it was deprovisioned)."""
-        with self._lock:
-            for key in [key for key in self._compiled
-                        if key[1] == tenant_id]:
-                del self._compiled[key]
+
+class Pins(ExitStack):
+    """One :meth:`~repro.engine.database.Database.reading` pin per
+    database read, held until the stack closes: one commit of each."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.readings: List[Any] = []
+
+    def pin(self, database: Database) -> None:
+        self.readings.append(self.enter_context(database.reading()))
+
+    def current(self) -> bool:
+        return all(seen.current() for seen in self.readings)
 
 
 class MetadataService:
@@ -185,14 +185,17 @@ class MetadataService:
         return shapes
 
     def dataset_rows(self, tenant_id: str, name: str,
-                     params: tuple = ()) -> List[Dict[str, Any]]:
-        """Execute a data set's SQL and return its rows."""
+                     params: tuple = (),
+                     pins: Optional[Pins] = None) -> List[Dict[str, Any]]:
+        """Execute a data set's SQL (pinned in ``pins``); its rows."""
         self.tenants.require_active(tenant_id)
         datasource, sql = self.artefacts.read(
             "data set", "mds_datasets", tenant_id, name,
             lambda row: (row["datasource"], row["sql"]))
-        return self.resolve_datasource(tenant_id, datasource).query(
-            sql, params)
+        database = self.resolve_datasource(tenant_id, datasource)
+        if pins is not None:
+            pins.pin(database)
+        return database.query(sql, params)
 
     # -- business glossary ----------------------------------------------------------------
 

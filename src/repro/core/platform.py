@@ -17,10 +17,10 @@ from typing import Any, Dict, List, Optional, Union
 from repro.core.admin_service import AdminService
 from repro.core.analysis_service import AnalysisService
 from repro.core.delivery_service import Channel, InformationDeliveryService
-from repro.core.gateway import RequestGateway
+from repro.core.gateway import RequestGateway, ResponseStore
 from repro.core.integration_service import IntegrationService
 from repro.core.mddws import MddwsService
-from repro.core.metadata_service import MetadataService
+from repro.core.metadata_service import MetadataService, Pins
 from repro.core.overload import (
     QOS_BATCH,
     OverloadController,
@@ -173,10 +173,6 @@ class OdbisPlatform:
         # Layer 2: DW design and management.
         self.mddws = MddwsService(
             self.tenants, self.resources, self.analysis)
-        # Cross-cutting: provisioning.
-        self.provisioning = ProvisioningService(
-            self.tenants, self.resources, self.billing,
-            self.admin, self.metadata)
         # Layer 1: end-user access (web), fronted by the concurrent
         # request gateway.  Layer traces are per-thread so overlapping
         # requests do not clobber each other's traversal record.
@@ -186,6 +182,11 @@ class OdbisPlatform:
             faults=self.faults, deadline_seconds=deadline_seconds,
             bulkhead_capacity=bulkhead_capacity,
             overload=self.overload)
+        self.responses = self.gateway.responses
+        # Cross-cutting: provisioning.
+        self.provisioning = ProvisioningService(
+            self.tenants, self.resources, self.billing,
+            self.admin, self.metadata, self.responses)
         # Under brownout, ETL ticks are batch-class work: the
         # scheduler defers due jobs instead of running them while the
         # ladder sheds batch, and retries them on a later tick.
@@ -376,12 +377,31 @@ class OdbisPlatform:
         self._trace("core-bi-services", "technical-resources")
         return JsonResponse(self.metadata.datasets(request.tenant))
 
+    def _kept(self, request: Request, usage: str) -> Optional[Response]:
+        """The kept response to ``request`` while what it read stands,
+        the tenant checked and metered as a fresh pass would; else None."""
+        kept = self.responses.get(ResponseStore.key(
+            request.tenant, request.method, request.path, request.query,
+            request.body))
+        if kept is None or kept[0].seen is None \
+                or not kept[0].seen.current():
+            return None
+        self.tenants.require_active(request.tenant)
+        self.billing.meter(request.tenant, usage, 1)
+        return kept[0]
+
     def _handle_dataset_rows(self, request: Request) -> Response:
         self._trace("core-bi-services", "technical-resources")
-        rows = self.metadata.dataset_rows(
-            request.tenant, request.require_param("name"))
+        kept = self._kept(request, "query")
+        if kept is not None:
+            return kept
+        with Pins() as pins:
+            rows = self.metadata.dataset_rows(
+                request.tenant, request.require_param("name"), pins=pins)
         self.billing.meter(request.tenant, "query", 1)
-        return JsonResponse({"rows": rows})
+        response = JsonResponse({"rows": rows})
+        response.seen = pins
+        return response
 
     def _handle_cubes(self, request: Request) -> Response:
         self._trace("core-bi-services")
@@ -438,18 +458,24 @@ class OdbisPlatform:
 
     def _handle_deliver_dashboard(self, request: Request) -> Response:
         self._trace("core-bi-services")
-        dashboard = self.reporting.render_dashboard(
-            request.tenant, request.require_param("name"))
         channel_name = request.query.get("channel", "webservice")
         try:
             channel = Channel(channel_name)
         except ValueError as exc:
             raise HttpError(400,
                             f"unknown channel {channel_name!r}") from exc
+        kept = self._kept(request, "dashboard")
+        if kept is not None:
+            return kept
+        with Pins() as pins:
+            dashboard = self.reporting.render_dashboard(
+                request.tenant, request.require_param("name"), pins)
         delivered = self.delivery.deliver_dashboard(dashboard, channel)
-        if channel is Channel.WEB_SERVICE:
-            return JsonResponse(delivered)
-        return Response(status=200, body=delivered)
+        response = JsonResponse(delivered) \
+            if channel is Channel.WEB_SERVICE \
+            else Response(status=200, body=delivered)
+        response.seen = pins
+        return response
 
     def _handle_sql(self, request: Request) -> Response:
         """Run SQL against the tenant's operational store.

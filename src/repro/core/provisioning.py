@@ -13,6 +13,7 @@ from repro.analysis import (
     lint_rules,
 )
 from repro.core.admin_service import AdminService
+from repro.core.gateway import ResponseStore
 from repro.core.metadata_service import MetadataService
 from repro.core.resources import TechnicalResourcesLayer
 from repro.core.subscription import BillingService
@@ -30,12 +31,14 @@ class ProvisioningService:
                  resources: TechnicalResourcesLayer,
                  billing: BillingService,
                  admin: AdminService,
-                 metadata: MetadataService):
+                 metadata: MetadataService,
+                 responses: ResponseStore):
         self.tenants = tenants
         self.resources = resources
         self.billing = billing
         self.admin = admin
         self.metadata = metadata
+        self.responses = responses
         self.provision_log: List[Dict[str, Any]] = []
         self.artifact_log: List[Dict[str, Any]] = []
 
@@ -150,4 +153,5 @@ class ProvisioningService:
                 f"tenant {tenant_id!r} is already deactivated")
         self.tenants.deactivate(tenant_id)
         self.metadata.artefacts.forget(tenant_id)
+        self.responses.forget(tenant_id)
         self.resources.publish_event(tenant_id, "deprovisioned")

@@ -12,10 +12,11 @@ metadata service's data sets.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional
 
 from repro.analysis import lint_dashboard
-from repro.core.metadata_service import MetadataService, insert_artefact
+from repro.core.metadata_service import MetadataService, Pins, insert_artefact
 from repro.core.subscription import BillingService
 from repro.core.tenancy import TenantManager
 from repro.errors import ServiceError
@@ -156,17 +157,18 @@ class ReportingService:
             "ORDER BY name", (tenant_id,))
         return [row["name"] for row in rows]
 
-    def render_dashboard(self, tenant_id: str,
-                         name: str) -> Dashboard:
-        """Re-render a stored definition from the live data sets."""
+    def render_dashboard(self, tenant_id: str, name: str,
+                         pins: Optional[Pins] = None) -> Dashboard:
+        """Re-render a stored definition, one pin per database read."""
         self.tenants.require_active(tenant_id)
         definition = self.metadata.artefacts.read(
             "dashboard", "rs_dashboards", tenant_id, name,
             lambda row: DashboardDefinition.from_dict(
                 json.loads(row["definition"])))
-        rendered = definition.render(
-            lambda dataset: self.metadata.dataset_rows(
-                tenant_id, dataset))
+        with Pins() if pins is None else nullcontext(pins) as held:
+            rendered = definition.render(
+                lambda dataset: self.metadata.dataset_rows(
+                    tenant_id, dataset, pins=held))
         if self.billing is not None:
             self.billing.meter(tenant_id, "dashboard", 1)
         return rendered

@@ -21,11 +21,43 @@ from __future__ import annotations
 
 import enum
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.database import Database
 from repro.errors import TenantError
+
+
+class TenantCache:
+    """Values keyed ``(tenant, ...)``, least recently used first, safe
+    across threads; :meth:`forget` drops one tenant's entries."""
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Tuple[Any, ...], Any]" = \
+            OrderedDict()  # guarded-by: _lock
+        self._lock = threading.Lock()
+
+    def get(self, key: Tuple[Any, ...]) -> Any:
+        """The value kept for ``key`` (None if none); a hit is a use."""
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            return self._entries.get(key)
+
+    def put(self, key: Tuple[Any, ...], value: Any, capacity: int) -> None:
+        """Keep ``value``; evict beyond ``capacity`` entries."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > capacity:
+                self._entries.popitem(last=False)
+
+    def forget(self, tenant_id: str) -> None:
+        """Drop every entry of one tenant (it was deprovisioned)."""
+        with self._lock:
+            for key in [key for key in self._entries if key[0] == tenant_id]:
+                del self._entries[key]
 
 
 class TenancyMode(enum.Enum):

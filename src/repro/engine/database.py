@@ -12,7 +12,8 @@ import pickle
 import threading
 import zlib
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -123,6 +124,29 @@ class Snapshot:
         return False
 
 
+@dataclass(eq=False)
+class Reading:
+    """What the reads of one :meth:`Database.reading` block saw: one
+    snapshot, the plan generation and each scanned table's two stamps.
+    ``keep`` is False once a read broke the result cache's rule."""
+
+    _db: "Database"
+    snapshot: Snapshot
+    generation: int
+    keep: bool
+    stamps: List[Tuple[Any, int, int]] = field(default_factory=list)
+
+    def current(self) -> bool:
+        return self.keep and self._db._plan_generation == self.generation \
+            and all(storage._last_version_cn == stamp
+                    and storage._rewritten_cn == rewritten
+                    for storage, stamp, rewritten in self.stamps)
+
+
+class _Pinned(threading.local):
+    reading: Optional[Reading] = None
+
+
 class Database:
     """An embedded SQL database.
 
@@ -200,6 +224,7 @@ class Database:
         self._committed_cn = 0  # guarded-by: _state_lock
         self._open_snapshots: Dict[int, int] = {}  # guarded-by: _state_lock
         self._snapshot_counter = 0  # guarded-by: _state_lock
+        self._pinned = _Pinned()
         # Durability: the WriteAheadLog this database took over
         # (take_over_log, run by recover and by a shard's failover)
         # receives one commit record per transaction.  The one
@@ -327,6 +352,23 @@ class Database:
             self._open_snapshots[handle] = cn
         return Snapshot(self, handle, cn)
 
+    @contextmanager
+    def reading(self) -> Iterator[Reading]:
+        """Pin one snapshot for the calling thread's reads in the block
+        (a nested block shares it); yield the :class:`Reading`."""
+        outer = self._pinned.reading
+        if outer is not None:
+            yield outer
+            return
+        generation = self._plan_generation
+        with self.open_snapshot() as snapshot:
+            seen = self._pinned.reading = Reading(
+                self, snapshot, generation, keep=not self.in_transaction)
+            try:
+                yield seen
+            finally:
+                self._pinned.reading = None
+
     def _release_snapshot(self, handle: int) -> None:
         with self._state_lock:
             self._open_snapshots.pop(handle, None)
@@ -413,13 +455,16 @@ class Database:
                 and not self._lock.owned_exclusively():
             # MVCC read path: no lock at all.  The statement runs
             # against a snapshot pinned at the committed commit
-            # number, so an in-flight writer (even a long open
-            # transaction on another thread) never delays it.  A
-            # thread that *is* inside its own transaction falls
-            # through to the live path below and reads its own
-            # uncommitted effects under the reentrant exclusive hold.
-            with self.open_snapshot() as snapshot:
+            # number (or the thread's reading() pin), so an in-flight
+            # writer (even a long open transaction on another thread)
+            # never delays it.  A thread inside its own transaction
+            # reads its uncommitted effects on the live path below.
+            seen = self._pinned.reading
+            with self.open_snapshot() if seen is None \
+                    else nullcontext(seen.snapshot) as snapshot:
                 if isinstance(statement, ExplainStatement):
+                    if seen is not None:
+                        seen.keep = False  # estimates move with rows
                     result: Any = self._explain(statement.statement)
                 else:
                     result = self._run_read(statement, tuple(params),
@@ -555,12 +600,24 @@ class Database:
         the live read path (inside a transaction, under the exclusive
         lock).  Compiled plans stay valid across concurrent DML — the
         snapshot is a per-execution argument, and the plan cache's
-        invalidation generation only moves on DDL.
+        invalidation generation only moves on DDL.  A :meth:`reading`
+        block's :class:`Reading` records the stamps of what it scans.
         """
         plan = self.plan_for(statement)
-        if snapshot is not None and plan.cacheable:
-            return self._run_reusable(plan, params, snapshot)
-        return plan.execute(params, snapshot)
+        seen = self._pinned.reading
+        if snapshot is None or not plan.cacheable:
+            if seen is not None:
+                seen.keep = False
+            return plan.execute(params, snapshot)
+        if seen is not None:
+            for storage in (scan.storage for scan in plan.scans):
+                stamp = storage._last_version_cn
+                seen.keep = seen.keep and stamp <= seen.snapshot.cn
+                seen.stamps.append((storage, stamp, storage._rewritten_cn))
+        result = self._run_reusable(plan, params, snapshot)
+        if seen is not None and len(result.rows) > RESULT_CACHE_MAX_ROWS:
+            seen.keep = False
+        return result
 
     def _run_reusable(self, plan, params: Sequence[Any],
                       snapshot: Snapshot) -> ResultSet:

@@ -122,7 +122,9 @@ class WebApplication:
     # -- dispatch -------------------------------------------------------------------
 
     def _dispatch(self, request: Request) -> Response:
-        """The end of the chain: the first route that fits, or 404."""
+        """The end of the chain: ``request.answer``, a route, or 404."""
+        if request.answer is not None:
+            return request.answer(request)
         parts = _segments(request.path)
         for route in self._routes.get((request.method, len(parts)), ()):
             params = route.match(parts)

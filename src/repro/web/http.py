@@ -5,7 +5,7 @@ from __future__ import annotations
 import datetime
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import HttpError
 
@@ -17,7 +17,7 @@ class Request:
     """An incoming request.
 
     ``path_params`` is filled by the router; ``principal`` and
-    ``tenant`` are attached by the middleware chain.
+    ``tenant`` by the middleware chain; ``answer`` replaces the route.
     """
 
     method: str
@@ -28,6 +28,7 @@ class Request:
     path_params: Dict[str, str] = field(default_factory=dict)
     principal: Any = None
     tenant: Optional[str] = None
+    answer: Optional[Callable[["Request"], "Response"]] = None
 
     def __post_init__(self) -> None:
         method = self.method.upper()
@@ -61,11 +62,13 @@ def _json_default(value: Any) -> Any:
 
 @dataclass
 class Response:
-    """An outgoing response."""
+    """An outgoing response; ``seen.current()``, if set, says whether
+    what it was built from still stands."""
 
     status: int = 200
     body: Any = None
     headers: Dict[str, str] = field(default_factory=dict)
+    seen: Any = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:

@@ -39,8 +39,8 @@ def login(platform, tenant="acme"):
 
 
 def cached_tenants(platform):
-    return {tenant for _table, tenant, _name
-            in platform.metadata.artefacts._compiled}
+    return {tenant for tenant, _table, _name
+            in platform.metadata.artefacts._entries}
 
 
 def test_a_miss_is_not_remembered(platform):
@@ -127,11 +127,11 @@ def test_the_cache_stays_within_its_bound(platform, monkeypatch):
             "acme", name, "warehouse", "SELECT region FROM s")
         assert platform.metadata.dataset_rows("acme", name) == [
             {"region": "N"}]
-        assert len(platform.metadata.artefacts._compiled) <= 8
+        assert len(platform.metadata.artefacts._entries) <= 8
     # An evicted entry is read again, and answers as before.
     assert platform.metadata.dataset_rows("acme", names[0]) == [
         {"region": "N"}]
-    assert len(platform.metadata.artefacts._compiled) == 8
+    assert len(platform.metadata.artefacts._entries) == 8
 
 
 def test_deprovision_drops_the_tenants_entries(platform):

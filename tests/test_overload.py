@@ -827,7 +827,7 @@ class TestPlatformIntegration:
             headers=headers).result(30)
         assert response.status == 200
         # Nothing was cached during the brownout.
-        assert len(platform.gateway._stale_cache) == 0
+        assert len(platform.responses._entries) == 0
 
     def test_health_report_exposes_overload_state(self, platform):
         platform.admin.create_account("root", "s3cret",

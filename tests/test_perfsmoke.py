@@ -13,7 +13,8 @@ is asserted as a count — plans compiled, log frames decoded, tables
 scanned and WHERE clauses evaluated by keyed DML, rows a fold re-reads,
 dimension rows a warm MDX request reads, version chains kept and
 collections run, usage rows written,
-platform-database statements per dashboard delivery, the thread a
+platform-database statements per dashboard delivery, the statements
+and renders a warm dashboard GET runs (none), the thread a
 closed-loop gateway request runs on, the futures it builds, the routes
 it is tried against and the JSON parses a read costs the stale cache —
 which
@@ -625,6 +626,41 @@ def test_dashboard_delivery_statement_count(monkeypatch, datasets):
     platform.gateway.shutdown()
 
 
+def test_a_warm_dashboard_runs_no_statement_and_no_render(monkeypatch):
+    """A warm dashboard GET is answered from the response store: no
+    ``Database.execute`` statement on any database and no
+    ``DashboardDefinition.render``.  One INSERT into a table its data
+    sets read makes the next GET render exactly once, and the one after
+    it is warm again."""
+    from repro.reporting import DashboardDefinition
+    from tests.test_response_store import DASHBOARD, INSERT, clinic, get
+
+    platform, headers = clinic()
+    warehouse = platform.tenants.context("clinic-0").warehouse_db
+
+    def deliver():
+        response = get(platform, DASHBOARD, headers["clinic-0"])
+        assert response.status == 200, response.body
+        return response.body
+
+    try:
+        first = deliver()
+        statements = spy(monkeypatch, Database, "execute")
+        renders = spy(monkeypatch, DashboardDefinition, "render")
+        for _ in range(5):
+            assert deliver() == first
+        assert statements == []
+        assert renders == []
+        warehouse.execute(INSERT, ("A", "low", 1.0))
+        changed = deliver()
+        assert changed != first
+        assert len(renders) == 1
+        assert deliver() == changed
+        assert len(renders) == 1
+    finally:
+        platform.close()
+
+
 def retail_platform():
     """A platform with tenant acme, a retail warehouse and its cube,
     and the admin's auth headers."""
@@ -793,7 +829,7 @@ def test_reads_fill_the_stale_cache_without_parsing(monkeypatch):
     finally:
         gateway.shutdown()
     assert parses == []
-    assert len(gateway._stale_cache) == 1
+    assert len(gateway.responses._entries) == 1
 
 
 def test_a_closed_loop_request_builds_one_future(monkeypatch):
